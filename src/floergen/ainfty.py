@@ -39,6 +39,7 @@ import json
 from dataclasses import dataclass, field as dc_field
 
 from . import linalg
+from .algebra import FiniteAlgebra
 from .errors import DomainError, UsageError
 from .scalar import Field, field_name, parse_field
 
@@ -342,38 +343,17 @@ def cohomology(A: AInftyStructure) -> GradedAlgebra:
         if len(nz) == 1 and coords[nz[0]] == F.one:
             unit = nz[0]
     # spot-check associativity of the induced product
-    for i in range(len(reps)):
-        for j in range(len(reps)):
-            for k in range(len(reps)):
-                left = _table_mul(F, products, _table_mul_basis(F, products, i, j), k)
-                right = _table_mul_right(F, products, i, _table_mul_basis(F, products, j, k))
-                if left != right:
-                    raise DomainError("induced product is not associative")
+    n = len(reps)
+    induced = FiniteAlgebra(
+        field=F,
+        dim=n,
+        labels=[f"c{i}" for i in range(n)],
+        basis_mult=[linalg.transpose(row) for row in products],
+        unit=None if unit is None else [F.one if k == unit else F.zero for k in range(n)],
+    )
+    if not induced.is_associative():
+        raise DomainError("induced product is not associative")
     return GradedAlgebra(F, degrees, reps, products, unit)
-
-
-def _table_mul_basis(F, products, i, j):
-    return products[i][j]
-
-
-def _table_mul(F, products, vec, k):
-    out = [F.zero] * len(products)
-    for i, c in enumerate(vec):
-        if c == F.zero:
-            continue
-        for r, x in enumerate(products[i][k]):
-            out[r] = F.add(out[r], F.mul(c, x))
-    return out
-
-
-def _table_mul_right(F, products, i, vec):
-    out = [F.zero] * len(products)
-    for j, c in enumerate(vec):
-        if c == F.zero:
-            continue
-        for r, x in enumerate(products[i][j]):
-            out[r] = F.add(out[r], F.mul(c, x))
-    return out
 
 
 # --- modules and bimodules ------------------------------------------------------

@@ -1,5 +1,11 @@
 """Structure theory of finite-dimensional commutative algebras.
 
+A FiniteAlgebra has one product representation: per-basis multiplication
+matrices, basis_mult[j] being multiplication by the j-th basis element.
+Every other product (of elements, by an element, powers, polynomials) is
+computed from these.  A QuotientAlgebra is a presentation that yields one,
+sharing its cached matrices.
+
 Covers the nilradical in characteristic p (iterated Frobenius kernel),
 decomposition into local factors, Bezout idempotents for generalized
 eigenspace splittings, and m-adic filtration profiles.
@@ -19,96 +25,74 @@ from . import linalg
 from .errors import DomainError, UsageError
 from .scalar import PrimeField, UniPoly, univariate_factor
 
-# --- exact linear-map utilities (the `linear` operation family) ---------------
-
-
-def kernel(field, matrix):
-    return linalg.kernel_basis(field, matrix)
-
-
-def image(field, matrix):
-    return linalg.image_basis(field, matrix)
-
-
-def containment(field, vectors_a, vectors_b) -> bool:
-    return linalg.subspace_contained(field, vectors_a, vectors_b)
-
 
 @dataclass
 class FiniteAlgebra:
-    """Commutative algebra given by basis products.
+    """Algebra given by per-basis multiplication matrices.
 
-    products[i][j] is the coordinate vector of basis_i * basis_j.  Designated
-    generators (coordinate vectors plus display names) drive the local
-    decomposition and point recovery.
+    basis_mult[j] is the matrix of v -> basis_j * v, so its column k is the
+    coordinate vector of basis_j * basis_k.  Designated generators
+    (coordinate vectors plus display names) drive the local decomposition
+    and point recovery.
     """
 
     field: object
     dim: int
     labels: list
-    products: list
+    basis_mult: list
     unit: list
     generators: list = dc_field(default_factory=list)
     generator_names: list = dc_field(default_factory=list)
 
     @classmethod
-    def from_quotient(cls, qa, generator_indices=None, generator_names=None):
-        """Build basis products from a QuotientAlgebra's mult matrices."""
+    def from_quotient(cls, qa):
+        """The quotient's algebra, sharing its basis multiplication matrices;
+        for a Laurent quotient the generators are the original variables."""
         qa._require_finite()
-        dim = qa.dim
-        products = [
-            [
-                [qa.basis_mult_matrix(j)[r][i] for r in range(dim)]
-                for j in range(dim)
-            ]
-            for i in range(dim)
-        ]
-        gens = []
-        names = []
-        if generator_indices is None and qa.n_laurent is not None:
-            generator_indices = list(range(qa.n_laurent, 2 * qa.n_laurent))
-        for v in generator_indices or []:
-            e = [0] * len(qa.names)
-            e[v] = 1
-            coords = [qa.field.zero] * dim
-            r = qa.reduce_poly({tuple(e): qa.field.one})
-            index = {m: k for k, m in enumerate(qa.staircase)}
-            for mono, c in r.items():
-                coords[index[mono]] = c
-            gens.append(coords)
-            names.append(qa.names[v])
+        originals = range(qa.n_laurent or 0, 2 * (qa.n_laurent or 0))
         return cls(
             field=qa.field,
-            dim=dim,
+            dim=qa.dim,
             labels=qa.basis_labels(),
-            products=products,
+            basis_mult=[qa.basis_mult_matrix(j) for j in range(qa.dim)],
             unit=qa.unit_coords(),
-            generators=gens,
-            generator_names=generator_names or names,
+            generators=[
+                qa.nf_coords({tuple(int(k == v) for k in range(len(qa.names))): qa.field.one})
+                for v in originals
+            ],
+            generator_names=[qa.names[v] for v in originals],
         )
 
     def mult(self, u, v):
+        """u * v = sum_j u_j (basis_mult[j] v)."""
         F = self.field
-        out = [F.zero] * self.dim
-        for i, a in enumerate(u):
-            if a == F.zero:
+        zero = F.zero
+        out = [zero] * self.dim
+        nonzero_v = [(k, b) for k, b in enumerate(v) if b != zero]
+        for a, m in zip(u, self.basis_mult):
+            if a == zero:
                 continue
-            for j, b in enumerate(v):
-                if b == F.zero:
-                    continue
+            for k, b in nonzero_v:
                 c = F.mul(a, b)
-                for r, s in enumerate(self.products[i][j]):
-                    if s != F.zero:
+                for r, row in enumerate(m):
+                    s = row[k]
+                    if s != zero:
                         out[r] = F.add(out[r], F.mul(c, s))
         return out
 
     def mult_matrix(self, u):
-        cols = [
-            self.mult(u, [self.field.one if k == j else self.field.zero
-                          for k in range(self.dim)])
-            for j in range(self.dim)
-        ]
-        return linalg.transpose(cols)
+        """Matrix of v -> u * v: sum_j u_j basis_mult[j]."""
+        F = self.field
+        zero = F.zero
+        out = linalg.zeros(F, self.dim, self.dim)
+        for c, m in zip(u, self.basis_mult):
+            if c == zero:
+                continue
+            for row, mrow in zip(out, m):
+                for s, x in enumerate(mrow):
+                    if x != zero:
+                        row[s] = F.add(row[s], F.mul(c, x))
+        return out
 
     def power(self, u, e: int):
         acc = list(self.unit)
@@ -121,18 +105,30 @@ class FiniteAlgebra:
         return acc
 
     def eval_poly(self, poly: UniPoly, u):
+        """poly(u) by Horner's rule on the multiplication matrix of u."""
         F = self.field
+        m = self.mult_matrix(u)
         acc = [F.zero] * self.dim
         for c in reversed(poly.coeffs):
-            acc = self.mult(acc, u)
+            acc = linalg.mat_vec(F, m, acc)
             acc = [F.add(x, F.mul(c, y)) for x, y in zip(acc, self.unit)]
         return acc
 
-    def is_commutative(self, samples=None):
-        idx = samples or range(self.dim)
-        for i in idx:
-            for j in idx:
-                if self.products[i][j] != self.products[j][i]:
+    def is_commutative(self):
+        return all(
+            mi[r][j] == self.basis_mult[j][r][i]
+            for i, mi in enumerate(self.basis_mult)
+            for j in range(i)
+            for r in range(self.dim)
+        )
+
+    def is_associative(self):
+        """(b_i b_j) b_k == b_i (b_j b_k) for all basis elements, that is,
+        multiplication by b_i b_j is basis_mult[i] basis_mult[j]."""
+        F = self.field
+        for mi in self.basis_mult:
+            for j, mj in enumerate(self.basis_mult):
+                if self.mult_matrix([row[j] for row in mi]) != linalg.mat_mul(F, mi, mj):
                     return False
         return True
 
@@ -185,32 +181,31 @@ class LocalFactor:
         return self.algebra.dim
 
 
-def _restrict_to_block(A: FiniteAlgebra, idempotent):
-    """Sub-FiniteAlgebra on the ideal e*A, with unit e."""
+def restrict_to_block(A: FiniteAlgebra, idempotent):
+    """Sub-FiniteAlgebra on the ideal e*A, with unit e.
+
+    Returns (block, basis, coords): basis spans e*A in A's coordinates, and
+    coords(v) is the coordinate vector in that basis of a vector v of e*A.
+    """
     F = A.field
-    e_mat = A.mult_matrix(idempotent)
-    basis = linalg.image_basis(F, e_mat)
+    basis = linalg.image_basis(F, A.mult_matrix(idempotent))
     bmat = linalg.transpose(basis)
 
-    def coords_in_block(v):
+    def coords(v):
         return linalg.solve(F, bmat, v)
 
-    d = len(basis)
-    products = [[None] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            products[i][j] = coords_in_block(A.mult(basis[i], basis[j]))
-    gens = [coords_in_block(A.mult(idempotent, g)) for g in A.generators]
     block = FiniteAlgebra(
         field=F,
-        dim=d,
-        labels=[f"b{i}" for i in range(d)],
-        products=products,
-        unit=coords_in_block(idempotent),
-        generators=gens,
+        dim=len(basis),
+        labels=[f"b{i}" for i in range(len(basis))],
+        basis_mult=[
+            linalg.transpose([coords(A.mult(b, c)) for c in basis]) for b in basis
+        ],
+        unit=coords(idempotent),
+        generators=[coords(A.mult(idempotent, g)) for g in A.generators],
         generator_names=list(A.generator_names),
     )
-    return block, basis
+    return block, basis, coords
 
 
 def _split_along(A, idempotent, elem, minpoly_factors):
@@ -286,74 +281,49 @@ def _frobenius_fixed_split_candidates(block: FiniteAlgebra):
 def local_decompose(A: FiniteAlgebra):
     """Pairwise-orthogonal idempotents with local factors, summing to 1."""
     _require_char_p(A)
+    F = A.field
+    pool = list(A.generators) + [
+        [F.one if k == j else F.zero for k in range(A.dim)] for j in range(A.dim)
+    ]
     pending = [A.unit]
     finished = []
-    candidates = list(A.generators)
     while pending:
         e = pending.pop()
-        block, _ = _restrict_to_block(A, e)
+        block, basis, coords = restrict_to_block(A, e)
         split = None
-        pool = candidates + [
-            [A.field.one if k == j else A.field.zero for k in range(A.dim)]
-            for j in range(A.dim)
-        ]
         for elem in pool:
             restricted = A.mult(e, elem)
-            mp = _min_poly_on_block(A, e, restricted)
-            factors = univariate_factor(mp)
+            factors = univariate_factor(block.element_min_poly(coords(restricted)))
             if len(factors) > 1:
                 split = _split_along(A, e, restricted, factors)
                 break
         if split is None:
             fixed, n_factors = _frobenius_fixed_split_candidates(block)
             if n_factors > 1:
-                _, basis = _restrict_to_block(A, e)
                 for v in fixed:
-                    lifted = _lift_block_vector(A, basis, v)
-                    mp = _min_poly_on_block(A, e, lifted)
-                    factors = univariate_factor(mp)
+                    factors = univariate_factor(block.element_min_poly(v))
                     if len(factors) > 1:
+                        lifted = linalg.mat_vec(F, linalg.transpose(basis), v)
                         split = _split_along(A, e, lifted, factors)
                         break
         if split is None:
-            finished.append(e)
+            finished.append(_finalize_factor(e, block, basis))
         else:
             pending.extend(split)
-    factors = [_finalize_factor(A, e) for e in finished]
-    factors.sort(key=lambda lf: _factor_sort_key(A, lf))
-    return factors
+    finished.sort(key=lambda lf: _factor_sort_key(A, lf))
+    return finished
 
 
-def _lift_block_vector(A, block_basis, v):
-    F = A.field
-    out = [F.zero] * A.dim
-    for c, b in zip(v, block_basis):
-        if c != F.zero:
-            out = [F.add(x, F.mul(c, y)) for x, y in zip(out, b)]
-    return out
-
-
-def _min_poly_on_block(A, e, elem):
-    """Minimal polynomial of mult-by-elem restricted to the ideal e*A."""
-    F = A.field
-    basis = linalg.image_basis(F, A.mult_matrix(e))
-    bmat = linalg.transpose(basis)
-    cols = [linalg.solve(F, bmat, A.mult(elem, b)) for b in basis]
-    return linalg.minimal_polynomial(F, linalg.transpose(cols))
-
-
-def _finalize_factor(A, e):
-    block, basis = _restrict_to_block(A, e)
+def _finalize_factor(e, block, basis):
     rad = radical_char_p(block)
     residue_degree = block.dim - len(rad)
     point = None
     if residue_degree == 1 and block.generators:
         point = []
         for g in block.generators:
-            mp = linalg.minimal_polynomial(block.field, block.mult_matrix(g))
             roots = [
                 f.coeffs[0]
-                for f, _ in univariate_factor(mp)
+                for f, _ in univariate_factor(block.element_min_poly(g))
                 if f.degree == 1
             ]
             # primary (t - c)^k: the unique eigenvalue is c = -constant term

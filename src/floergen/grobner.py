@@ -1,5 +1,11 @@
 """Groebner bases and finite-dimensional quotient algebras.
 
+A QuotientAlgebra is a presentation: generators, Groebner basis, staircase
+and the multiplication matrices of the variables.  The finite-dimensional
+algebra it presents is a FiniteAlgebra on per-basis multiplication matrices,
+built once from the quotient's cached matrices; products of elements are
+delegated to it.
+
 Polynomials live in ordinary (nonnegative-exponent) rings as dicts from
 exponent tuples to coefficients.  Laurent ideals are handled through the
 per-variable inverse encoding: k[z1..zn, z1^-1..zn^-1] becomes
@@ -24,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from . import linalg
+from .algebra import FiniteAlgebra
 from .errors import ResourceBudgetError, UsageError
 from .laurent import LaurentPoly, LaurentRing
 
@@ -68,20 +75,6 @@ class Lex(MonomialOrder):
 
     def key(self, e):
         return tuple(e)
-
-
-class BlockOrder(MonomialOrder):
-    """Eliminates the first `cut` variables: compares that block first."""
-
-    name = "block"
-
-    def __init__(self, cut: int, first=None, second=None):
-        self.cut = cut
-        self.first = first or DegRevLex()
-        self.second = second or DegRevLex()
-
-    def key(self, e):
-        return (self.first.key(e[: self.cut]), self.second.key(e[self.cut :]))
 
 
 DEGREVLEX = DegRevLex()
@@ -173,6 +166,13 @@ def buchberger(field, gens, order: MonomialOrder = DEGREVLEX, budget: Budget | N
 
     pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
 
+    def reduce(poly, others):
+        try:
+            return normal_form_poly(field, poly, others, okey, budget)
+        except ResourceBudgetError as err:
+            err.basis_size = len(basis)
+            raise
+
     def pair_sort_key(p):
         lcm = _mono_lcm(lms[p[0]], lms[p[1]])
         return (sum(lcm), okey(lcm), p)
@@ -195,7 +195,7 @@ def buchberger(field, gens, order: MonomialOrder = DEGREVLEX, budget: Budget | N
         if chain:
             continue
         s = _s_poly(field, basis[i], lms[i], basis[j], lms[j])
-        h = normal_form_poly(field, s, list(zip(basis, lms)), okey, budget)
+        h = reduce(s, list(zip(basis, lms)))
         if h:
             h = _monic(field, h, okey)
             basis.append(h)
@@ -219,7 +219,7 @@ def buchberger(field, gens, order: MonomialOrder = DEGREVLEX, budget: Budget | N
         others = [
             (h, _leading(h, okey)) for k, h in enumerate(minimal) if k != idx
         ]
-        r = normal_form_poly(field, g, others, okey, budget)
+        r = reduce(g, others)
         if r:
             reduced.append(_monic(field, r, okey))
     reduced.sort(key=lambda g: okey(_leading(g, okey)))
@@ -250,6 +250,7 @@ class QuotientAlgebra:
     n_laurent: int | None = None
     source_gens: list = dc_field(default_factory=list)
     _basis_mult: list = dc_field(default_factory=list, repr=False)
+    _algebra: FiniteAlgebra | None = dc_field(default=None, repr=False)
 
     @property
     def dim(self):
@@ -334,23 +335,16 @@ class QuotientAlgebra:
             self._basis_mult[j] = m
         return self._basis_mult[j]
 
+    def _finite_algebra(self):
+        if self._algebra is None:
+            self._algebra = FiniteAlgebra.from_quotient(self)
+        return self._algebra
+
     def element_mult_matrix(self, coords):
-        self._require_finite()
-        out = linalg.zeros(self.field, self.dim, self.dim)
-        for j, c in enumerate(coords):
-            if c == self.field.zero:
-                continue
-            bm = self.basis_mult_matrix(j)
-            for r in range(self.dim):
-                row = out[r]
-                bmr = bm[r]
-                for s in range(self.dim):
-                    if bmr[s] != self.field.zero:
-                        row[s] = self.field.add(row[s], self.field.mul(c, bmr[s]))
-        return out
+        return self._finite_algebra().mult_matrix(coords)
 
     def element_product(self, u, v):
-        return linalg.mat_vec(self.field, self.element_mult_matrix(u), v)
+        return self._finite_algebra().mult(u, v)
 
     def unit_coords(self):
         self._require_finite()

@@ -53,16 +53,8 @@ def mat_vec(field, a, v):
     return out
 
 
-def mat_add(field, a, b):
-    return [[field.add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_sub(field, a, b):
     return [[field.sub(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_eq(a, b):
-    return a == b
 
 
 def transpose(a):

@@ -15,7 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from . import linalg
-from .algebra import FiniteAlgebra, LocalFactor, bezout_idempotents, local_decompose
+from .algebra import (
+    FiniteAlgebra,
+    LocalFactor,
+    bezout_idempotents,
+    local_decompose,
+    restrict_to_block,
+)
 from .errors import AnomalyError, UsageError
 from .grobner import Budget, Morphism, QuotientAlgebra, algebra_morphism, laurent_quotient
 from .laurent import LaurentPoly, LaurentRing
@@ -198,7 +204,10 @@ def critical_points(W: LaurentPoly, budget: Budget | None = None) -> CriticalPoi
     (F_p^x)^n, verified against the vanishing of every log-derivative."""
     if not isinstance(W.ring.field, PrimeField):
         raise UsageError("critical point enumeration is implemented over F_p")
-    jac = jacobian_ring(W, budget)
+    return _critical_points(W, jacobian_ring(W, budget))
+
+
+def _critical_points(W: LaurentPoly, jac: QuotientAlgebra) -> CriticalPointReport:
     if not jac.finite:
         raise UsageError("Jacobian ring is infinite-dimensional")
     A = FiniteAlgebra.from_quotient(jac)
@@ -273,11 +282,11 @@ _SPLIT_STATEMENT = (
 )
 
 
-def _fp_summands(W: LaurentPoly, budget):
+def _fp_summands(W: LaurentPoly, jac: QuotientAlgebra):
     """Local decomposition route over a prime field."""
     field = W.ring.field
     out = []
-    cp = critical_points(W, budget)
+    cp = _critical_points(W, jac)
     for f in cp.factors:
         if f.residue_degree == 1 and f.point is not None:
             out.append(
@@ -310,32 +319,26 @@ def _fp_summands(W: LaurentPoly, budget):
     return out
 
 
-def _rational_summands(W: LaurentPoly, jac: QuotientAlgebra, budget):
+def _rational_summands(W: LaurentPoly, jac: QuotientAlgebra):
     """Bezout idempotent route over Q: split along rational eigenvalues of
     quantum multiplication by the first Chern class."""
     F = jac.field
     A = FiniteAlgebra.from_quotient(jac)
     c1 = jac.nf_coords(W)
-    m = jac.element_mult_matrix(c1)
-    chi = linalg.charpoly(F, m)
+    chi = linalg.charpoly(F, A.mult_matrix(c1))
     out = []
-    remaining = list(A.unit)
     covered = 0
     for lam, mult in rational_roots(chi):
         e, _, found = bezout_idempotents(A, c1, lam)
         if not found:
             continue
-        block_basis = linalg.image_basis(F, A.mult_matrix(e))
-        dim = len(block_basis)
-        covered += dim
-        remaining = [F.sub(x, y) for x, y in zip(remaining, e)]
+        block, _, _ = restrict_to_block(A, e)
+        covered += block.dim
         # try to read off a critical point: each coordinate variable must act
         # with a single rational eigenvalue on the summand
         point = []
-        for g in A.generators:
-            bmat = linalg.transpose(block_basis)
-            cols = [linalg.solve(F, bmat, A.mult(g, b)) for b in block_basis]
-            mp = linalg.minimal_polynomial(F, linalg.transpose(cols))
+        for g in block.generators:
+            mp = block.element_min_poly(g)
             if mp.degree == 1:
                 point.append(F.neg(mp.coeffs[0]))
             else:
@@ -348,7 +351,7 @@ def _rational_summands(W: LaurentPoly, jac: QuotientAlgebra, budget):
                     break
         out.append(
             GenerationSummand(
-                dim=dim,
+                dim=block.dim,
                 residue_degree=1,
                 point=point,
                 critical_value=lam,
@@ -400,9 +403,9 @@ def toric_generation_report(P: DelzantPolytope, field: Field,
         return report
     W = superpotential(P, field)
     if isinstance(field, PrimeField):
-        report.summands = _fp_summands(W, budget)
+        report.summands = _fp_summands(W, jac)
     else:
-        report.summands = _rational_summands(W, jac, budget)
+        report.summands = _rational_summands(W, jac)
     total = sum(s.dim for s in report.summands)
     if total != jac.dim:
         raise AnomalyError("summand dims do not sum to the algebra dimension")

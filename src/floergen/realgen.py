@@ -107,6 +107,11 @@ def real_gen_data(P: DelzantPolytope, budget: Budget | None = None) -> RealGenDa
 
 def real_generation_report(P: DelzantPolytope, budget: Budget | None = None) -> GenerationReport:
     data = real_gen_data(P, budget)
+    if data.qh_r.dim != 2 ** (P.num_facets - P.n) * data.qh.dim:
+        raise AnomalyError(
+            f"dim QH_R = {data.qh_r.dim} is not 2^(N-n) * dim QH = "
+            f"2^{P.num_facets - P.n} * {data.qh.dim}"
+        )
     nx = data.minimal_chern
     report = GenerationReport(
         input_name=P.name or "polytope",

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,9 +9,6 @@ from floergen import linalg
 from floergen.algebra import (
     FiniteAlgebra,
     bezout_idempotents,
-    containment,
-    image,
-    kernel,
     local_decompose,
     madic_profile,
     radical_char_p,
@@ -18,7 +16,9 @@ from floergen.algebra import (
 from floergen.errors import UsageError
 from floergen.grobner import laurent_quotient
 from floergen.laurent import LaurentRing
+from floergen.quantum import jacobian_ring
 from floergen.scalar import QQ, PrimeField
+from floergen.toric import corpus, superpotential
 
 
 def univariate_algebra(field, coeffs):
@@ -37,7 +37,8 @@ def test_radical_char2_dual_numbers():
     assert len(rad) == 1
     R = LaurentRing(["z"], F2)
     target = qa.nf_coords(lpoly(R, {(1,): 1, (0,): 1}))
-    assert containment(F2, rad, [target]) and containment(F2, [target], rad)
+    assert linalg.subspace_contained(F2, rad, [target])
+    assert linalg.subspace_contained(F2, [target], rad)
 
 
 def test_radical_semisimple_is_zero():
@@ -56,7 +57,8 @@ def test_radical_F3_cube():
     assert len(rad) == 2
     b1 = qa.nf_coords(xp1)
     b2 = qa.nf_coords(xp1 * xp1)
-    assert containment(F3, rad, [b1, b2]) and containment(F3, [b1, b2], rad)
+    assert linalg.subspace_contained(F3, rad, [b1, b2])
+    assert linalg.subspace_contained(F3, [b1, b2], rad)
 
 
 def test_radical_requires_prime_field():
@@ -213,9 +215,9 @@ def test_madic_profiles():
 
 def test_linear_ops_examples():
     zero3 = linalg.zeros(QQ, 3, 3)
-    assert len(kernel(QQ, zero3)) == 3
+    assert len(linalg.kernel_basis(QQ, zero3)) == 3
     v = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-    assert containment(QQ, v, v)
+    assert linalg.subspace_contained(QQ, v, v)
 
     # kernel of squaring on F_2[Z]/(Z^6 - 1): dim 3, spanned by (Z^3+1){1,Z,Z^2}
     F2 = PrimeField(2)
@@ -224,12 +226,51 @@ def test_linear_ops_examples():
     A = FiniteAlgebra.from_quotient(qa)
     cols = [A.power([1 if i == j else 0 for i in range(6)], 2) for j in range(6)]
     sq = linalg.transpose(cols)
-    ker = kernel(F2, sq)
+    ker = linalg.kernel_basis(F2, sq)
     assert len(ker) == 3
     z3p1 = qa.nf_coords(lpoly(R, {(3,): 1, (0,): 1}))
     expected = []
     for k in range(3):
         shift = qa.nf_coords(lpoly(R, {(3 + k,): 1, (k,): 1}))
         expected.append(shift)
-    assert containment(F2, ker, expected) and containment(F2, expected, ker)
-    assert len(image(F2, sq)) == 3
+    assert linalg.subspace_contained(F2, ker, expected)
+    assert linalg.subspace_contained(F2, expected, ker)
+    assert len(linalg.image_basis(F2, sq)) == 3
+
+
+@pytest.mark.parametrize("name", ["CP2", "CP1xCP1", "CP1xCP1xCP1"])
+def test_basis_mult_representation_matches_normal_forms(name):
+    F7 = PrimeField(7)
+    W = superpotential(corpus()[name], F7)
+    jac = jacobian_ring(W)
+    A = FiniteAlgebra.from_quotient(jac)
+    ring = W.ring
+    rng = random.Random(name)
+
+    def random_poly():
+        return ring.from_terms(
+            (tuple(rng.randint(-2, 2) for _ in range(ring.nvars)),
+             F7.from_int(rng.randint(1, 6)))
+            for _ in range(3)
+        )
+
+    for _ in range(8):
+        a, b = random_poly(), random_poly()
+        u, v = jac.nf_coords(a), jac.nf_coords(b)
+        assert A.mult(u, v) == jac.nf_coords(a * b)
+        assert linalg.mat_vec(F7, A.mult_matrix(u), v) == A.mult(u, v)
+    assert A.is_commutative() and A.is_associative()
+    factors = local_decompose(A)
+    assert sum(f.dim for f in factors) == A.dim
+    for f in factors:
+        block = f.algebra
+        assert block.is_commutative()
+        assert block.mult_matrix(block.unit) == linalg.identity(F7, block.dim)
+        assert block.is_associative()
+
+
+def test_is_associative_detects_a_corrupted_product():
+    A, _ = univariate_algebra(PrimeField(5), [2, 0, 0, 1])  # z^3 + 2
+    assert A.is_associative()
+    A.basis_mult[1][2][1] = (A.basis_mult[1][2][1] + 1) % 5  # perturb z * z
+    assert not A.is_associative()

@@ -57,8 +57,9 @@ def test_budget_enforced():
     gens = [{(3, 0, 0): 1, (0, 2, 0): 1, (0, 0, 1): 1},
             {(1, 1, 1): 1, (2, 0, 0): 1},
             {(0, 0, 3): 1, (1, 1, 0): 1}]
-    with pytest.raises(ResourceBudgetError):
+    with pytest.raises(ResourceBudgetError) as info:
         buchberger(F2, gens, budget=Budget(3))
+    assert isinstance(info.value.basis_size, int) and info.value.basis_size > 0
 
 
 def test_laurent_quotient_dim2_example():

@@ -7,6 +7,7 @@ from conftest import lpoly
 from floergen import linalg
 from floergen.errors import UsageError
 from floergen.grobner import algebra_morphism, laurent_quotient
+from floergen import quantum
 from floergen.laurent import LaurentRing
 from floergen.quantum import (
     c1_element,
@@ -311,3 +312,17 @@ def test_mod2_dim_identity_over_corpus():
         plain = qh_presentation(P, F2)
         mod2 = qh_presentation(P, F2, "mod2_weights")
         assert mod2.dim == 2 ** (P.num_facets - P.n) * plain.dim
+
+
+def test_toric_generation_builds_jacobian_ring_once(monkeypatch):
+    built = []
+    original = quantum.jacobian_ring
+
+    def counted(W, budget=None):
+        built.append(W)
+        return original(W, budget)
+
+    monkeypatch.setattr(quantum, "jacobian_ring", counted)
+    report = toric_generation_report(corpus()["CP2"], PrimeField(7))
+    assert not report.anomaly and len(report.summands) == 3
+    assert len(built) == 1

@@ -1,7 +1,11 @@
 import random
+import types
+
+import pytest
 
 from conftest import lpoly
-from floergen import linalg
+from floergen import linalg, realgen
+from floergen.errors import AnomalyError
 from floergen.quantum import qh_presentation
 from floergen.realgen import (
     F2,
@@ -139,3 +143,12 @@ def test_cp1xcp1_qh_is_local_over_F2():
     factors = local_decompose(A)
     assert len(factors) == 1
     assert factors[0].dim == 4
+
+
+def test_real_report_checks_dimension_identity(monkeypatch):
+    P = corpus()["CP2"]
+    data = real_gen_data(P)
+    data.qh_r = types.SimpleNamespace(dim=data.qh_r.dim - 1)
+    monkeypatch.setattr(realgen, "real_gen_data", lambda P, budget=None: data)
+    with pytest.raises(AnomalyError, match="2\\^\\(N-n\\)"):
+        real_generation_report(P)
