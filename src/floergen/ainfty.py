@@ -25,11 +25,19 @@ Conventions, fixed once and used everywhere:
     all other components zero; a structure viewed as a module over itself
     carries mu_M = -mu.
 
-Truncation discipline: cochains carry a length cap; every operation reports
-the component range on which the computation is exact (`exact window`), and
-test assertions only fire inside it.  Module/bimodule coherence is verified
-operationally, by squaring the relevant differentials on a spanning set of
-elementary cochains within the window.
+Truncation discipline: a structure is complete, so operations above its
+arity cap vanish and the structure constructor rejects any that are given.
+Cochains carry a length cap; every operation reports the component range on
+which the computation is exact (`exact window`, here the smaller of the input
+window and the output cap), and test assertions only fire inside it.
+
+The chain-level differentials scatter: they loop over the nonzero entries of
+their input (operations, cochain components, premorphism components) and add
+into every output they reach, so their cost follows the nonzero terms rather
+than the number of output keys.  The "insert mu^j inside" term they share is
+`_expansions`.  Module/bimodule coherence is verified operationally, by
+squaring the relevant differentials on a spanning set of elementary cochains
+within the window.
 """
 
 from __future__ import annotations
@@ -65,12 +73,13 @@ class AInftyStructure:
     ops: dict  # k -> {written-order input tuple -> {output index -> coeff}}
     unit: int | None = None
     labels: list | None = None
-    complete: bool = True  # operations above arity_cap vanish identically
 
     def __post_init__(self):
         if self.labels is None:
             self.labels = [f"b{i}" for i in range(self.dim)]
         for k, tensor in self.ops.items():
+            if k > self.arity_cap:
+                raise UsageError(f"mu^{k} given above the arity cap {self.arity_cap}")
             for key, out in tensor.items():
                 if len(key) != k:
                     raise UsageError(f"arity-{k} tensor keyed by {len(key)} inputs")
@@ -87,19 +96,7 @@ class AInftyStructure:
 
     def op(self, k, key):
         """Sparse output of mu^k on a written-order basis tuple."""
-        if k > self.arity_cap and self.complete:
-            return {}
-        tensor = self.ops.get(k)
-        if tensor is None:
-            return {}
-        return tensor.get(tuple(key), {})
-
-    def op_linear(self, k, keys_with_coeffs):
-        F = self.field
-        out = {}
-        for key, c in keys_with_coeffs:
-            _vadd(F, out, self.op(k, key), c)
-        return out
+        return self.ops.get(k, {}).get(tuple(key), {})
 
     def maltese(self, key) -> int:
         """Shifted degree sum of a written-order tuple (all of it)."""
@@ -199,28 +196,37 @@ def from_dga(field, degrees, diff, prod, unit=None, labels=None) -> AInftyStruct
 # --- relations and basic constructions -----------------------------------------
 
 
-def ainfty_residuals(A: AInftyStructure, up_to_arity: int):
-    """All nonzero A-infinity relation residuals up to the given arity."""
+def _expansions(A: AInftyStructure, key, room):
+    """Every key that contracts to `key` by one mu^j, 1 <= j <= room + 1,
+    with (-1)^{maltese of the inputs right of mu^j} times mu^j's coefficient
+    on the entry of `key` it replaces."""
     F = A.field
-    failures = []
-    for k in range(1, up_to_arity + 1):
-        for key in itertools.product(range(A.dim), repeat=k):
-            total = {}
-            for j in range(1, k + 1):
-                for i in range(0, k - j + 1):
-                    inner_key = key[k - i - j : k - i]
-                    inner = A.op(j, inner_key)
-                    if not inner:
-                        continue
-                    malt = sum(A.degrees[t] - 1 for t in key[k - i :]) % 2
-                    s = _sign(F, malt)
-                    for b, c in inner.items():
-                        outer_key = key[: k - i - j] + (b,) + key[k - i :]
-                        coeff = F.mul(s, c)
-                        _vadd(F, total, A.op(k - j + 1, outer_key), coeff)
-            if total:
-                failures.append((k, key, total))
-    return failures
+    for pos, b in enumerate(key):
+        left, right = key[:pos], key[pos + 1 :]
+        sgn = _sign(F, A.maltese(right))
+        for j, tensor in A.ops.items():
+            if not 1 <= j <= room + 1:
+                continue
+            for inner, out in tensor.items():
+                c = out.get(b)
+                if c is not None:
+                    yield left + inner + right, F.mul(sgn, c)
+
+
+def ainfty_residuals(A: AInftyStructure, up_to_arity: int):
+    """All nonzero A-infinity relation residuals up to the given arity,
+    ordered by (arity, inputs)."""
+    F = A.field
+    totals = {}
+    for k, tensor in A.ops.items():
+        for outer, out in tensor.items():
+            for key, c in _expansions(A, outer, up_to_arity - k):
+                _vadd(F, totals.setdefault(key, {}), out, c)
+    return [
+        (len(key), key, total)
+        for key, total in sorted(totals.items(), key=lambda kv: (len(kv[0]), kv[0]))
+        if total
+    ]
 
 
 def check_ainfty_relations(A: AInftyStructure, up_to_arity: int) -> bool:
@@ -248,7 +254,7 @@ def opposite(A: AInftyStructure) -> AInftyStructure:
             ops[l] = new
     return AInftyStructure(
         field=F, degrees=list(A.degrees), arity_cap=A.arity_cap, ops=ops,
-        unit=A.unit, labels=list(A.labels), complete=A.complete,
+        unit=A.unit, labels=list(A.labels),
     )
 
 
@@ -415,8 +421,7 @@ def diagonal_bimodule(A: AInftyStructure) -> BimoduleStructure:
     F = A.field
 
     def op(k, l, left_key, p_idx, right_key):
-        malt = sum(A.degrees[i] - 1 for i in right_key) % 2
-        sgn = _sign(F, malt + 1)
+        sgn = _sign(F, A.maltese(right_key) + 1)
         raw = A.op(k + 1 + l, tuple(left_key) + (p_idx,) + tuple(right_key))
         return {i: F.mul(sgn, c) for i, c in raw.items()}
 
@@ -438,25 +443,10 @@ def hom_bimodule(M: Module, N: Module) -> BimoduleStructure:
     def op(k, l, left_key, z_idx, right_key):
         p, q = units[z_idx]
         out = {}
-        if k == 0 and l == 0:
-            # z'(m) = (-1)^{|m|} (mu_N^1(z(m)) - z(mu_M^1(m)))
-            for pp, c in N.action(0, (), p).items():
-                _vadd(F, out, {index[(pp, q)]: c}, _sign(F, M.degrees[q]))
-            for qq in range(dim_m):
-                dm = M.action(0, (), qq)
-                c = dm.get(q)
-                if c is not None:
-                    _vadd(
-                        F,
-                        out,
-                        {index[(p, qq)]: c},
-                        _sign(F, M.degrees[qq] + 1),
-                    )
-            return out
+        # at k == l == 0 both terms below apply: the mu_N^1 and mu_M^1 parts
         if l == 0:
             for pp, c in N.action(k, left_key, p).items():
                 _vadd(F, out, {index[(pp, q)]: c}, _sign(F, M.degrees[q]))
-            return out
         if k == 0:
             for qq in range(dim_m):
                 act = M.action(l, right_key, qq)
@@ -468,8 +458,7 @@ def hom_bimodule(M: Module, N: Module) -> BimoduleStructure:
                         {index[(p, qq)]: c},
                         _sign(F, M.degrees[qq] + 1),
                     )
-            return out
-        return {}
+        return out
 
     return BimoduleStructure(algebra=A, degrees=degrees, labels=labels, op=op)
 
@@ -548,9 +537,8 @@ class HochschildCochain:
 def unit_cochain(A: AInftyStructure) -> HochschildCochain:
     if A.unit is None:
         raise UsageError("structure has no designated unit")
-    phi = HochschildCochain(A, list(A.degrees), 0, cap=0)
+    phi = HochschildCochain(A, list(A.degrees), 0, cap=10**9)
     phi.set_value(0, (), {A.unit: A.field.one})
-    phi.cap = 10**9  # genuinely zero beyond length 0
     return phi
 
 
@@ -567,17 +555,11 @@ def element_cochain(A: AInftyStructure, coords, degree=None) -> HochschildCochai
     return phi
 
 
-def _window_after(A: AInftyStructure, phi_cap: int) -> int:
-    if A.complete:
-        return phi_cap
-    return max(phi_cap - A.arity_cap + 1, 0)
-
-
 def hochschild_diff(A: AInftyStructure, P: BimoduleStructure,
                     phi: HochschildCochain, cap: int | None = None) -> HochschildCochain:
     """The bimodule Hochschild differential; exact on components within the
     window annotation of the result.  Component r of the output only reads
-    phi^{<= r}, so the window never shrinks below min(cap, phi window)."""
+    phi^{<= r}, so the window is min(cap, phi window)."""
     F = A.field
     if cap is None:
         cap = phi.cap
@@ -586,43 +568,31 @@ def hochschild_diff(A: AInftyStructure, P: BimoduleStructure,
     out = HochschildCochain(
         A, list(P.degrees), (phi.degree + 1) % 2,
         cap=cap,
-        exact_upto=min(_window_after(A, phi.window()), phi.window(), cap),
+        exact_upto=min(phi.window(), cap),
     )
-    top = min(cap, out.window())
-    for r in range(top + 1):
-        for key in itertools.product(range(A.dim), repeat=r):
-            total = {}
-            # bimodule action terms
-            for l in range(r + 1):
-                for j in range(r - l + 1):
-                    k = r - l - j
-                    right = key[r - l :]
-                    mid = key[r - l - j : r - l]
-                    left = key[: r - l - j]
-                    phi_val = phi.value(j, mid)
-                    if not phi_val:
-                        continue
-                    malt = sum(A.degrees[t] - 1 for t in right) % 2
-                    sgn = _sign(F, phi.degree * malt + 1)
-                    for p, c in phi_val.items():
-                        res = P.op(k, l, left, p, right)
-                        if res:
-                            _vadd(F, total, res, F.mul(sgn, c))
-            # inner mu insertions
-            for i in range(r + 1):
-                for j in range(1, r - i + 1):
-                    rem = r - j + 1
-                    inner = A.op(j, key[r - i - j : r - i])
-                    if not inner:
-                        continue
-                    malt = sum(A.degrees[t] - 1 for t in key[r - i :]) % 2
-                    sgn = _sign(F, phi.degree + malt)
-                    for b, c in inner.items():
-                        new_key = key[: r - i - j] + (b,) + key[r - i :]
-                        val = phi.value(rem, new_key)
-                        if val:
-                            _vadd(F, total, val, F.mul(sgn, c))
-            out.set_value(r, key, total)
+    top = out.window()
+    inner_sgn = _sign(F, phi.degree)
+    totals = {}
+    for j, tensor in phi.components.items():
+        if j > top:
+            continue
+        for mid, phi_val in tensor.items():
+            # bimodule action terms mu^{k|1|l}(left..., phi(mid...), right...)
+            for extra in range(top - j + 1):
+                for around in itertools.product(range(A.dim), repeat=extra):
+                    for k in range(extra + 1):
+                        left, right = around[:k], around[k:]
+                        sgn = _sign(F, phi.degree * A.maltese(right) + 1)
+                        for p, c in phi_val.items():
+                            res = P.op(k, extra - k, left, p, right)
+                            if res:
+                                _vadd(F, totals.setdefault(left + mid + right, {}),
+                                      res, F.mul(sgn, c))
+            # inner mu insertions phi(..., mu(...), ...)
+            for key, c in _expansions(A, mid, top - j):
+                _vadd(F, totals.setdefault(key, {}), phi_val, F.mul(inner_sgn, c))
+    for key, total in totals.items():
+        out.set_value(len(key), key, total)
     return out
 
 
@@ -637,7 +607,7 @@ def hochschild_diff_diagonal_direct(A: AInftyStructure, phi: HochschildCochain,
         raise UsageError("pass an explicit length cap for unbounded cochains")
     out = HochschildCochain(
         A, list(A.degrees), (phi.degree + 1) % 2, cap=cap,
-        exact_upto=min(_window_after(A, phi.window()), phi.window(), cap),
+        exact_upto=min(phi.window(), cap),
     )
     top = min(cap, out.window())
     for r in range(top + 1):
@@ -684,9 +654,9 @@ def hochschild_prod(A: AInftyStructure, psi: HochschildCochain,
     out = HochschildCochain(
         A, list(A.degrees), (psi.degree + phi.degree) % 2,
         cap=cap,
-        exact_upto=min(_window_after(A, win), win, cap),
+        exact_upto=min(win, cap),
     )
-    top = min(cap, out.window())
+    top = out.window()
     for r in range(top + 1):
         for key in itertools.product(range(A.dim), repeat=r):
             total = {}
@@ -700,11 +670,10 @@ def hochschild_prod(A: AInftyStructure, psi: HochschildCochain,
                             psi_val = psi.value(m, key[r - l - m : r - l])
                             if not psi_val:
                                 continue
-                            malt_i = sum(A.degrees[t] - 1 for t in key[r - i :]) % 2
-                            malt_l = sum(A.degrees[t] - 1 for t in key[r - l :]) % 2
                             sgn = _sign(
                                 F,
-                                (psi.degree + 1) * malt_l + (phi.degree + 1) * malt_i,
+                                (psi.degree + 1) * A.maltese(key[r - l :])
+                                + (phi.degree + 1) * A.maltese(key[r - i :]),
                             )
                             for b1, c1 in phi_val.items():
                                 for b2, c2 in psi_val.items():
@@ -738,10 +707,6 @@ def theta_map(A: AInftyStructure, c_coords, cap: int) -> HochschildCochain:
     index = {pq: i for i, pq in enumerate(units)}
     unit_degrees = [(A.degrees[p] + A.degrees[q]) % 2 for p, q in units]
     out = HochschildCochain(A, unit_degrees, c_deg, cap=cap)
-    if A.complete:
-        out.exact_upto = None
-    else:
-        out.exact_upto = max(A.arity_cap - 2, 0)
     for k in range(cap + 1):
         for key in itertools.product(range(dim), repeat=k):
             val = {}
@@ -788,44 +753,32 @@ def premorphism_diff(M: Module, N: Module, psi_components, psi_degree, cap):
     + sum (-1)^{|psi| + maltese_i + |m| + 1} psi(..., mu(...), ...^i, m)."""
     A = M.algebra
     F = A.field
+    flip = _sign(F, psi_degree + 1)
+    totals = {}
+    for j, tensor in psi_components.items():
+        if j > cap:
+            continue
+        for (key, m), psi_val in tensor.items():
+            for extra in range(cap - j + 1):
+                for more in itertools.product(range(A.dim), repeat=extra):
+                    # mu_N(more..., psi(key..., m))
+                    for m_out, c in psi_val.items():
+                        res = N.action(extra, more, m_out)
+                        if res:
+                            _vadd(F, totals.setdefault((more + key, m), {}), res, c)
+                    # psi(key..., mu_M(more..., mi)) for every mi sent to m
+                    for mi in range(M.dim):
+                        c = M.action(extra, more, mi).get(m)
+                        if c is not None:
+                            _vadd(F, totals.setdefault((key + more, mi), {}), psi_val,
+                                  F.mul(flip, c))
+            sgn = _sign(F, psi_degree + M.degrees[m] + 1)
+            for longer, c in _expansions(A, key, cap - j):
+                _vadd(F, totals.setdefault((longer, m), {}), psi_val, F.mul(sgn, c))
     out = {}
-    for r in range(cap + 1):
-        for key in itertools.product(range(A.dim), repeat=r):
-            for mi in range(M.dim):
-                total = {}
-                for j in range(r + 1):
-                    inner = psi_components.get(j, {}).get((key[r - j :], mi))
-                    if inner:
-                        for m_out, c in inner.items():
-                            res = N.action(r - j, key[: r - j], m_out)
-                            _vadd(F, total, res, c)
-                for j in range(r + 1):
-                    act = M.action(j, key[r - j :], mi)
-                    for m_mid, c in act.items():
-                        val = psi_components.get(r - j, {}).get(
-                            (key[: r - j], m_mid)
-                        )
-                        if val:
-                            _vadd(
-                                F, total, val,
-                                F.mul(_sign(F, psi_degree + 1), c),
-                            )
-                for i in range(r + 1):
-                    for j in range(1, r - i + 1):
-                        inner = A.op(j, key[r - i - j : r - i])
-                        if not inner:
-                            continue
-                        malt = sum(A.degrees[t] - 1 for t in key[r - i :]) % 2
-                        sgn = _sign(F, psi_degree + malt + M.degrees[mi] + 1)
-                        for b, c in inner.items():
-                            new_key = key[: r - i - j] + (b,) + key[r - i :]
-                            val = psi_components.get(r - j + 1, {}).get(
-                                (new_key, mi)
-                            )
-                            if val:
-                                _vadd(F, total, val, F.mul(sgn, c))
-                if total:
-                    out.setdefault(r, {})[(key, mi)] = total
+    for (key, mi), total in totals.items():
+        if total:
+            out.setdefault(len(key), {})[(key, mi)] = total
     return out
 
 

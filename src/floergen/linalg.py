@@ -157,8 +157,9 @@ def span_contains(field, basis_vectors, v):
 
 
 def subspace_contained(field, vectors_a, vectors_b):
-    """span(vectors_a) <= span(vectors_b)?"""
-    return all(span_contains(field, vectors_b, v) for v in vectors_a)
+    """span(vectors_a) <= span(vectors_b)?  One elimination: adding a to b
+    leaves the rank unchanged exactly when a already lies in span(b)."""
+    return rank(field, vectors_b + vectors_a) == rank(field, vectors_b)
 
 
 def charpoly(field, mat) -> UniPoly:

@@ -33,7 +33,6 @@ class RealGenData:
     pi_kernel: list
     frobenius_kernel: list
     contained: bool
-    witness: list | None
     minimal_chern: int | None
 
 
@@ -70,17 +69,10 @@ def frobenius_matrix(qh_r: QHPresentation):
 
 
 def kernel_containment_check(data_pi: Morphism, frob_matrix, field=F2):
-    """ker f_R <= ker pi, with a witness vector when containment fails."""
+    """ker f_R <= ker pi, decided by one rank comparison."""
     ker_f = linalg.kernel_basis(field, frob_matrix)
     ker_pi = linalg.kernel_basis(field, data_pi.matrix)
-    witness = None
-    contained = True
-    for v in ker_f:
-        if not linalg.span_contains(field, ker_pi, v):
-            contained = False
-            witness = v
-            break
-    return ker_f, ker_pi, contained, witness
+    return ker_f, ker_pi, linalg.subspace_contained(field, ker_f, ker_pi)
 
 
 def real_gen_data(P: DelzantPolytope, budget: Budget | None = None) -> RealGenData:
@@ -90,7 +82,7 @@ def real_gen_data(P: DelzantPolytope, budget: Budget | None = None) -> RealGenDa
     qh = qh_presentation(P, F2, "plain", budget)
     pi = reduction_pi(qh_r, qh)
     frob = frobenius_matrix(qh_r)
-    ker_f, ker_pi, contained, witness = kernel_containment_check(pi, frob)
+    ker_f, ker_pi, contained = kernel_containment_check(pi, frob)
     return RealGenData(
         polytope=P,
         qh_r=qh_r,
@@ -100,7 +92,6 @@ def real_gen_data(P: DelzantPolytope, budget: Budget | None = None) -> RealGenDa
         pi_kernel=ker_pi,
         frobenius_kernel=ker_f,
         contained=contained,
-        witness=witness,
         minimal_chern=minimal_chern(P),
     )
 

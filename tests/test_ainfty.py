@@ -26,6 +26,7 @@ from floergen.ainfty import (
     load_example,
     opposite,
     pi_map,
+    premorphism_diff,
     self_module,
     theta_map,
     unit_cochain,
@@ -64,20 +65,35 @@ def test_relations_hold_on_corpus():
         assert check_ainfty_relations(A, 4), name
 
 
-def test_relations_catch_corruption():
+def corrupted_lambda_x():
     A = load_example("lambda_x")
     bad_ops = {k: {key: dict(v) for key, v in t.items()} for k, t in A.ops.items()}
     bad_ops[2][(1, 0)] = {1: Fraction(-1)}  # flip mu^2(x, 1): breaks arity 3
-    bad = AInftyStructure(field=A.field, degrees=list(A.degrees), arity_cap=2,
-                          ops=bad_ops, unit=A.unit)
-    fails = ainfty_residuals(bad, 3)
+    return AInftyStructure(field=A.field, degrees=list(A.degrees), arity_cap=2,
+                           ops=bad_ops, unit=A.unit)
+
+
+def test_relations_catch_corruption():
+    fails = ainfty_residuals(corrupted_lambda_x(), 3)
     assert fails and any(k == 3 for k, _, _ in fails)
+
+
+def test_module_and_bimodule_checks_catch_corruption():
+    bad = corrupted_lambda_x()
+    assert not check_module_relations(self_module(bad), cap=3)
+    assert not check_bimodule_relations(diagonal_bimodule(bad), cap=3)
 
 
 def test_degree_parity_validated():
     with pytest.raises(UsageError):
         AInftyStructure(field=QQ, degrees=[0, 1], arity_cap=1,
                         ops={1: {(0,): {0: Fraction(1)}}})
+
+
+def test_operations_above_arity_cap_rejected():
+    with pytest.raises(UsageError):
+        AInftyStructure(field=QQ, degrees=[0, 1], arity_cap=2,
+                        ops={3: {(0, 0, 0): {1: Fraction(1)}}})
 
 
 # --- opposite --------------------------------------------------------------------
@@ -167,6 +183,15 @@ def test_zero_differential_kills_bimodule_differential():
 def test_module_relations_self_module():
     for name, A in structures().items():
         assert check_module_relations(self_module(A), cap=3), name
+
+
+def test_identity_premorphism_is_closed():
+    # mu_N(a..., id(m)) and id(mu_M(a..., m)) land on the same output and
+    # cancel; there is no inner term on a length-0 premorphism
+    for name, A in structures().items():
+        M = self_module(A)
+        identity = {0: {((), m): {m: A.field.one} for m in range(M.dim)}}
+        assert premorphism_diff(M, M, identity, 0, 3) == {}, name
 
 
 def test_bimodule_relations_hom_and_diagonal():

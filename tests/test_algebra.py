@@ -218,6 +218,11 @@ def test_linear_ops_examples():
     assert len(linalg.kernel_basis(QQ, zero3)) == 3
     v = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
     assert linalg.subspace_contained(QQ, v, v)
+    e0 = [[Fraction(1), Fraction(0)]]
+    assert linalg.subspace_contained(QQ, e0, v)
+    assert not linalg.subspace_contained(QQ, v, e0)
+    assert linalg.subspace_contained(QQ, [], e0)
+    assert not linalg.subspace_contained(QQ, e0, [])
 
     # kernel of squaring on F_2[Z]/(Z^6 - 1): dim 3, spanned by (Z^3+1){1,Z,Z^2}
     F2 = PrimeField(2)

@@ -213,6 +213,28 @@ def test_ainfty_check(capsys, tmp_path):
     assert data["opposite_involutive"] is True
     assert data["failures"] == []
 
+    # doubling mu^2(e, e) on dga3 breaks associativity at arity 3 only;
+    # failures come ordered by (arity, inputs) whatever the input order
+    bad = load_example("dga3").to_json()
+    bad["mu"]["2"].reverse()
+    for entry in bad["mu"]["2"]:
+        if entry["inputs"] == [0, 0]:
+            entry["output"] = {"0": "2"}
+    path = tmp_path / "dga3_bad.json"
+    path.write_text(json.dumps(bad))
+    code, out, _ = invoke(capsys, [
+        "ainfty-check", "--ainfty", str(path), "--format", "json",
+    ])
+    assert code == 0
+    data = json.loads(out)
+    assert data["relations_hold"] is False
+    assert data["failures"] == [
+        {"arity": 3, "inputs": [0, 0, 1], "residual": {"1": "-1"}},
+        {"arity": 3, "inputs": [0, 0, 2], "residual": {"2": "-1"}},
+        {"arity": 3, "inputs": [1, 0, 0], "residual": {"1": "1"}},
+        {"arity": 3, "inputs": [2, 0, 0], "residual": {"2": "1"}},
+    ]
+
 
 def test_budget_exhaustion_exit_2(capsys, polytope_file):
     code, _, err = invoke(capsys, [
