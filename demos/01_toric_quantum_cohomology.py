@@ -44,7 +44,7 @@ jac = jacobian_ring(W)
 print("Jacobian ring dim:", jac.dim, "with basis", jac.basis_labels())
 
 for field in (QQ, PrimeField(7)):
-    pres, jac_f, mor = co0_map(P, field)
+    qh, jac_f, mor = co0_map(P, field)
     print(f"closed-open map over {field!r}: well_defined={mor.well_defined} "
           f"kernel_dim={mor.kernel_dim} surjective={mor.surjective}")
 

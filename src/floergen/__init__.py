@@ -15,8 +15,6 @@ from .scalar import QQ, Field, PrimeField, UniPoly, parse_field, rational_roots,
 from .laurent import LaurentPoly, LaurentRing, laurent_from_json
 from .grobner import (
     Budget,
-    DEGREVLEX,
-    LEX,
     Morphism,
     QuotientAlgebra,
     algebra_morphism,

@@ -296,12 +296,8 @@ def cohomology(A: AInftyStructure) -> GradedAlgebra:
         raise DomainError("mu^1 does not square to zero")
     ker = linalg.kernel_basis(F, d)
     im = linalg.image_basis(F, d)
-    reps = []
-    span = [list(v) for v in im]
-    for v in ker:
-        if not linalg.span_contains(F, span, v):
-            reps.append(v)
-            span.append(v)
+    # im is independent, so the greedy pick over im + ker keeps all of im
+    reps = linalg.image_basis(F, linalg.transpose(im + ker))[len(im):]
     # coordinates in the quotient: solve against [reps | im]
     proj_mat = linalg.transpose(reps + im) if reps or im else []
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field as dc_field
 
 from . import linalg
 from .errors import DomainError, UsageError
-from .scalar import PrimeField, UniPoly, univariate_factor
+from .scalar import DEFAULT_SEED, PrimeField, UniPoly, univariate_factor
 
 
 @dataclass
@@ -278,8 +278,9 @@ def _frobenius_fixed_split_candidates(block: FiniteAlgebra):
     return fixed, r_count
 
 
-def local_decompose(A: FiniteAlgebra):
-    """Pairwise-orthogonal idempotents with local factors, summing to 1."""
+def local_decompose(A: FiniteAlgebra, seed: int = DEFAULT_SEED):
+    """Pairwise-orthogonal idempotents with local factors, summing to 1.
+    `seed` drives the factorization randomness."""
     _require_char_p(A)
     F = A.field
     pool = list(A.generators) + [
@@ -293,7 +294,7 @@ def local_decompose(A: FiniteAlgebra):
         split = None
         for elem in pool:
             restricted = A.mult(e, elem)
-            factors = univariate_factor(block.element_min_poly(coords(restricted)))
+            factors = univariate_factor(block.element_min_poly(coords(restricted)), seed)
             if len(factors) > 1:
                 split = _split_along(A, e, restricted, factors)
                 break
@@ -301,20 +302,20 @@ def local_decompose(A: FiniteAlgebra):
             fixed, n_factors = _frobenius_fixed_split_candidates(block)
             if n_factors > 1:
                 for v in fixed:
-                    factors = univariate_factor(block.element_min_poly(v))
+                    factors = univariate_factor(block.element_min_poly(v), seed)
                     if len(factors) > 1:
                         lifted = linalg.mat_vec(F, linalg.transpose(basis), v)
                         split = _split_along(A, e, lifted, factors)
                         break
         if split is None:
-            finished.append(_finalize_factor(e, block, basis))
+            finished.append(_finalize_factor(e, block, basis, seed))
         else:
             pending.extend(split)
     finished.sort(key=lambda lf: _factor_sort_key(A, lf))
     return finished
 
 
-def _finalize_factor(e, block, basis):
+def _finalize_factor(e, block, basis, seed):
     rad = radical_char_p(block)
     residue_degree = block.dim - len(rad)
     point = None
@@ -323,7 +324,7 @@ def _finalize_factor(e, block, basis):
         for g in block.generators:
             roots = [
                 f.coeffs[0]
-                for f, _ in univariate_factor(block.element_min_poly(g))
+                for f, _ in univariate_factor(block.element_min_poly(g), seed)
                 if f.degree == 1
             ]
             # primary (t - c)^k: the unique eigenvalue is c = -constant term
@@ -398,11 +399,8 @@ def madic_profile(factor: LocalFactor):
         for v in current:
             for w in factor.maximal_ideal:
                 nxt.append(block.mult(v, w))
-        basis = []
-        for v in nxt:
-            if not linalg.span_contains(F, basis, v):
-                basis.append(v)
-        if linalg.rank(F, basis) == d:
+        basis = linalg.image_basis(F, linalg.transpose(nxt))
+        if len(basis) == d:
             raise DomainError("filtration does not terminate; factor not local")
         current = basis
     profile.append(prev_dim)

@@ -170,20 +170,20 @@ def _cmd_jac(args):
 def _cmd_qh(args):
     P = _normalized_polytope(args)
     field = parse_field(args.field)
-    pres = qh_presentation(P, field, "plain", _budget(args))
+    qh = qh_presentation(P, field, "plain", _budget(args))
     return 0, {
         "command": "qh",
         "input": P.name or args.polytope,
         "field": args.field,
         "variant": "plain",
-        "presentation": pres.algebra.to_json(),
+        "presentation": qh.to_json(),
     }
 
 
 def _cmd_co0(args):
     P = _normalized_polytope(args)
     field = parse_field(args.field)
-    pres, jac, mor = co0_map(P, field, _budget(args))
+    qh, jac, mor = co0_map(P, field, _budget(args))
     code = 0
     anomaly = not (mor.well_defined and mor.kernel_dim == 0 and mor.surjective)
     if anomaly:
@@ -192,7 +192,7 @@ def _cmd_co0(args):
         "command": "co0",
         "input": P.name or args.polytope,
         "field": args.field,
-        "qh_dim": pres.dim,
+        "qh_dim": qh.dim,
         "jac_dim": jac.dim,
         "co0": mor.to_json(),
         "isomorphism": not anomaly,
@@ -221,7 +221,7 @@ def _cmd_decompose(args):
     if field.char == 0:
         raise UsageError("decompose runs over a prime field; pass --field F<p>")
     W = _superpotential_input(args, field)
-    cp = critical_points(W, _budget(args))
+    cp = critical_points(W, _budget(args), args.seed)
     return 0, {
         "command": "decompose",
         "field": args.field,
@@ -239,7 +239,7 @@ def _cmd_decompose(args):
 def _cmd_toric_gen(args):
     P = _normalized_polytope(args)
     field = parse_field(args.field)
-    report = toric_generation_report(P, field, _budget(args))
+    report = toric_generation_report(P, field, _budget(args), args.seed)
     data = report.to_json()
     data["command"] = "toric-gen"
     data["seed"] = args.seed
@@ -337,7 +337,6 @@ def run(argv) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code else 0
-    scalar.set_default_seed(args.seed)
     try:
         code, report = _HANDLERS[args.subcommand](args)
     except (UsageError, DomainError, NotMonotoneError) as exc:

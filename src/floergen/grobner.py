@@ -20,9 +20,10 @@ in the zi changes nothing about the ideal in the encoded ring, because every
 zi is a unit modulo zi*wi - 1.  (Unit tests exercise invariance of quotient
 dimensions under such unit rescalings.)
 
-Buchberger runs with the coprimality and chain criteria and full final
-interreduction, so the emitted basis is the unique reduced Groebner basis for
-the given order.  A step budget guards against runaway computations.
+Degree reverse lexicographic order is the only monomial order.  Buchberger
+runs with the coprimality and chain criteria and full final interreduction,
+so the emitted basis is the unique reduced Groebner basis for degrevlex.  A
+step budget guards against runaway computations.
 """
 
 from __future__ import annotations
@@ -53,35 +54,12 @@ class Budget:
             )
 
 
-# --- monomial orders ---------------------------------------------------------
-
-
-class MonomialOrder:
-    name = "order"
-
-    def key(self, e):
-        raise NotImplementedError
-
-
-class DegRevLex(MonomialOrder):
-    name = "degrevlex"
-
-    def key(self, e):
-        return (sum(e), tuple(-x for x in reversed(e)))
-
-
-class Lex(MonomialOrder):
-    name = "lex"
-
-    def key(self, e):
-        return tuple(e)
-
-
-DEGREVLEX = DegRevLex()
-LEX = Lex()
-
-
 # --- polynomial dict helpers --------------------------------------------------
+
+
+def degrevlex(e):
+    """Sort key of the monomial e in degree reverse lexicographic order."""
+    return (sum(e), tuple(-x for x in reversed(e)))
 
 
 def _divides(a, b):
@@ -100,8 +78,8 @@ def _mono_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def _leading(poly, okey):
-    return max(poly, key=okey)
+def _leading(poly):
+    return max(poly, key=degrevlex)
 
 
 def _add_scaled(field, target, src, coeff, shift):
@@ -115,19 +93,19 @@ def _add_scaled(field, target, src, coeff, shift):
             target[m] = acc
 
 
-def _monic(field, poly, okey):
+def _monic(field, poly):
     if not poly:
         return poly
-    inv = field.inv(poly[_leading(poly, okey)])
+    inv = field.inv(poly[_leading(poly)])
     return {e: field.mul(inv, c) for e, c in poly.items()}
 
 
-def normal_form_poly(field, poly, basis, okey, budget=None):
+def normal_form_poly(field, poly, basis, budget=None):
     """Full reduction of a polynomial dict modulo a list of (poly, lm)."""
     work = dict(poly)
     remainder = {}
     while work:
-        m = _leading(work, okey)
+        m = _leading(work)
         c = work[m]
         for g, lm in basis:
             if _divides(lm, m):
@@ -150,32 +128,31 @@ def _s_poly(field, f, lf, g, lg):
     return out
 
 
-def buchberger(field, gens, order: MonomialOrder = DEGREVLEX, budget: Budget | None = None):
-    """Reduced Groebner basis of the ideal generated by `gens` (poly dicts)."""
+def buchberger(field, gens, budget: Budget | None = None):
+    """Reduced degrevlex Groebner basis of the ideal generated by `gens`
+    (poly dicts)."""
     if budget is None:
         budget = Budget()
-    okey = order.key
     basis = []
     for g in gens:
         g = {e: c for e, c in g.items() if c != field.zero}
         if g:
-            basis.append(_monic(field, g, okey))
+            basis.append(_monic(field, g))
     if not basis:
         raise UsageError("empty generator list")
-    lms = [_leading(g, okey) for g in basis]
+    lms = [_leading(g) for g in basis]
 
     pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
 
     def reduce(poly, others):
         try:
-            return normal_form_poly(field, poly, others, okey, budget)
+            return normal_form_poly(field, poly, others, budget)
         except ResourceBudgetError as err:
             err.basis_size = len(basis)
             raise
 
     def pair_sort_key(p):
-        lcm = _mono_lcm(lms[p[0]], lms[p[1]])
-        return (sum(lcm), okey(lcm), p)
+        return (degrevlex(_mono_lcm(lms[p[0]], lms[p[1]])), p)
 
     while pairs:
         i, j = min(pairs, key=pair_sort_key)
@@ -197,9 +174,9 @@ def buchberger(field, gens, order: MonomialOrder = DEGREVLEX, budget: Budget | N
         s = _s_poly(field, basis[i], lms[i], basis[j], lms[j])
         h = reduce(s, list(zip(basis, lms)))
         if h:
-            h = _monic(field, h, okey)
+            h = _monic(field, h)
             basis.append(h)
-            lms.append(_leading(h, okey))
+            lms.append(_leading(h))
             t = len(basis) - 1
             pairs.update((k, t) for k in range(t))
 
@@ -216,13 +193,11 @@ def buchberger(field, gens, order: MonomialOrder = DEGREVLEX, budget: Budget | N
     # fully interreduce
     reduced = []
     for idx, g in enumerate(minimal):
-        others = [
-            (h, _leading(h, okey)) for k, h in enumerate(minimal) if k != idx
-        ]
+        others = [(h, _leading(h)) for k, h in enumerate(minimal) if k != idx]
         r = reduce(g, others)
         if r:
-            reduced.append(_monic(field, r, okey))
-    reduced.sort(key=lambda g: okey(_leading(g, okey)))
+            reduced.append(_monic(field, r))
+    reduced.sort(key=lambda g: degrevlex(_leading(g)))
     return reduced
 
 
@@ -235,22 +210,28 @@ class QuotientAlgebra:
 
     `names` are the encoded polynomial variables.  For Laurent quotients the
     first `n_laurent` are inverse variables and the next `n_laurent` the
-    originals, and `source_ring` is the original Laurent ring.
+    originals, and `source_ring` is the original Laurent ring.  `leads[i]` is
+    the leading monomial of `gb[i]`.
     """
 
     field: object
     names: tuple
-    order: MonomialOrder
     gb: list
+    leads: list
     finite: bool
     staircase: list
-    unit_index: int | None
     mult_matrices: dict
     source_ring: LaurentRing | None = None
     n_laurent: int | None = None
     source_gens: list = dc_field(default_factory=list)
+    unit_index: int | None = dc_field(init=False, default=None)
+    _index: dict = dc_field(init=False, repr=False)
     _basis_mult: list = dc_field(default_factory=list, repr=False)
     _algebra: FiniteAlgebra | None = dc_field(default=None, repr=False)
+
+    def __post_init__(self):
+        self._index = {m: i for i, m in enumerate(self.staircase)}
+        self.unit_index = self._index.get((0,) * len(self.names))
 
     @property
     def dim(self):
@@ -262,17 +243,12 @@ class QuotientAlgebra:
         if not self.finite:
             raise UsageError("operation needs a finite-dimensional quotient")
 
-    def lead_monomials(self):
-        okey = self.order.key
-        return [_leading(g, okey) for g in self.gb]
-
     def encode_laurent(self, p: LaurentPoly):
         """Encode without unit rescaling: negative powers go to inverses."""
         if self.n_laurent is None:
             raise UsageError("not a Laurent quotient")
         if p.ring != self.source_ring:
             raise UsageError("polynomial lives in a different ring")
-        n = self.n_laurent
         out = {}
         F = self.field
         for e, c in p.terms.items():
@@ -285,18 +261,16 @@ class QuotientAlgebra:
         return out
 
     def reduce_poly(self, poly_dict, budget=None):
-        basis = list(zip(self.gb, self.lead_monomials()))
-        return normal_form_poly(self.field, poly_dict, basis, self.order.key, budget)
+        basis = list(zip(self.gb, self.leads))
+        return normal_form_poly(self.field, poly_dict, basis, budget)
 
     def nf_coords(self, p, budget=None):
         """Coordinates of the normal form over the staircase basis."""
         self._require_finite()
         poly = self.encode_laurent(p) if isinstance(p, LaurentPoly) else dict(p)
-        r = self.reduce_poly(poly, budget)
-        index = {m: i for i, m in enumerate(self.staircase)}
         coords = [self.field.zero] * self.dim
-        for m, c in r.items():
-            coords[index[m]] = c
+        for m, c in self.reduce_poly(poly, budget).items():
+            coords[self._index[m]] = c
         return coords
 
     def monomial_label(self, mono) -> str:
@@ -408,20 +382,18 @@ def _staircase_from_leads(names, leads):
     return out
 
 
-def _build_quotient(field, names, gen_dicts, order, budget, source_ring=None,
+def _build_quotient(field, names, gen_dicts, budget, source_ring=None,
                     n_laurent=None, source_gens=()):
-    gb = buchberger(field, gen_dicts, order, budget)
-    okey = order.key
-    leads = [_leading(g, okey) for g in gb]
+    gb = buchberger(field, gen_dicts, budget)
+    leads = [_leading(g) for g in gb]
     staircase = _staircase_from_leads(names, leads)
     qa = QuotientAlgebra(
         field=field,
         names=tuple(names),
-        order=order,
         gb=gb,
+        leads=leads,
         finite=staircase is not None,
-        staircase=sorted(staircase, key=okey) if staircase is not None else [],
-        unit_index=None,
+        staircase=sorted(staircase, key=degrevlex) if staircase is not None else [],
         mult_matrices={},
         source_ring=source_ring,
         n_laurent=n_laurent,
@@ -429,30 +401,23 @@ def _build_quotient(field, names, gen_dicts, order, budget, source_ring=None,
     )
     if not qa.finite:
         return qa
-    index = {m: i for i, m in enumerate(qa.staircase)}
-    zero_m = (0,) * len(names)
-    qa.unit_index = index.get(zero_m)
-    basis_pairs = list(zip(gb, leads))
-    dim = len(qa.staircase)
     for v in range(len(names)):
-        mat = linalg.zeros(field, dim, dim)
-        for j, m in enumerate(qa.staircase):
-            shifted = m[:v] + (m[v] + 1,) + m[v + 1 :]
-            r = normal_form_poly(field, {shifted: field.one}, basis_pairs, okey, budget)
-            for mono, c in r.items():
-                mat[index[mono]][j] = c
-        qa.mult_matrices[v] = mat
+        columns = [
+            qa.nf_coords({m[:v] + (m[v] + 1,) + m[v + 1 :]: field.one}, budget)
+            for m in qa.staircase
+        ]
+        qa.mult_matrices[v] = linalg.transpose(columns)
     return qa
 
 
-def polynomial_quotient(field, names, gen_dicts, order=DEGREVLEX, budget=None):
+def polynomial_quotient(field, names, gen_dicts, budget=None):
     """Quotient of an ordinary polynomial ring by explicit generator dicts."""
     if budget is None:
         budget = Budget()
-    return _build_quotient(field, names, gen_dicts, order, budget)
+    return _build_quotient(field, names, gen_dicts, budget)
 
 
-def laurent_quotient(gens, order=DEGREVLEX, budget=None) -> QuotientAlgebra:
+def laurent_quotient(gens, budget=None) -> QuotientAlgebra:
     """Quotient of a Laurent ring by `gens`, via the inverse-variable encoding.
 
     An infinite-dimensional quotient is a valid outcome, reported through the
@@ -494,7 +459,7 @@ def laurent_quotient(gens, order=DEGREVLEX, budget=None) -> QuotientAlgebra:
         rel[tuple(e)] = field.one
         gen_dicts.append(rel)
     return _build_quotient(
-        field, names, gen_dicts, order, budget,
+        field, names, gen_dicts, budget,
         source_ring=ring, n_laurent=n, source_gens=list(gens),
     )
 
@@ -524,29 +489,6 @@ class Morphism:
         }
 
 
-def _evaluate_laurent_in_algebra(codomain, poly: LaurentPoly, images, inverses):
-    """Image of a Laurent polynomial under generator substitution.
-
-    `images`/`inverses` are coordinate vectors in the codomain; an entry of
-    `inverses` may be None when never needed.
-    """
-    F = codomain.field
-    total = [F.zero] * codomain.dim
-    for e, c in poly.terms.items():
-        acc = codomain.unit_coords()
-        for i, exp in enumerate(e):
-            if exp == 0:
-                continue
-            vec = images[i] if exp > 0 else inverses[i]
-            if vec is None:
-                return None
-            m = codomain.element_mult_matrix(vec)
-            p = linalg.mat_pow(F, m, abs(exp))
-            acc = linalg.mat_vec(F, p, acc)
-        total = [F.add(x, F.mul(c, y)) for x, y in zip(total, acc)]
-    return total
-
-
 def algebra_morphism(domain: QuotientAlgebra, codomain: QuotientAlgebra, images):
     """Linear data of the algebra map sending domain generators to `images`.
 
@@ -562,50 +504,46 @@ def algebra_morphism(domain: QuotientAlgebra, codomain: QuotientAlgebra, images)
     if len(images) != n:
         raise UsageError("need one image per domain generator")
     F = codomain.field
-    img_coords = [codomain.nf_coords(p) for p in images]
-    inv_coords = [None] * n
+    mats = [codomain.element_mult_matrix(codomain.nf_coords(p)) for p in images]
+    inverses = [linalg.invert(F, m) for m in mats]
+    memo = {(0,) * n: codomain.unit_coords()}
 
-    def ensure_inverse(i):
-        if inv_coords[i] is None:
-            m = codomain.element_mult_matrix(img_coords[i])
-            sol = linalg.solve(F, m, codomain.unit_coords())
-            inv_coords[i] = sol
-        return inv_coords[i]
+    def image(e):
+        """Coordinates of z^e for a signed exponent vector e, one mat_vec per
+        step from the nearest memoized exponent towards zero."""
+        path = []
+        while e not in memo:
+            i = next(k for k, x in enumerate(e) if x)
+            step = 1 if e[i] > 0 else -1
+            path.append((e, mats[i] if step > 0 else inverses[i]))
+            e = e[:i] + (e[i] - step,) + e[i + 1 :]
+        vec = memo[e]
+        for e, m in reversed(path):
+            vec = memo[e] = linalg.mat_vec(F, m, vec)
+        return vec
+
+    def failure(ridx, reason):
+        return Morphism(False, ridx, reason, None, None, None, domain.dim, codomain.dim)
 
     # relations first: report the offending index rather than raising
     for ridx, rel in enumerate(domain.source_gens):
         for e in rel.terms:
             for i, exp in enumerate(e):
-                if exp < 0 and ensure_inverse(i) is None:
-                    return Morphism(
-                        False, ridx, f"image of generator {i} is not invertible",
-                        None, None, None, domain.dim, codomain.dim,
-                    )
-        val = _evaluate_laurent_in_algebra(codomain, rel, img_coords, inv_coords)
+                if exp < 0 and inverses[i] is None:
+                    return failure(ridx, f"image of generator {i} is not invertible")
+        val = [F.zero] * codomain.dim
+        for e, c in rel.terms.items():
+            val = [F.add(x, F.mul(c, y)) for x, y in zip(val, image(e))]
         if any(x != F.zero for x in val):
-            return Morphism(
-                False, ridx, "relation does not map to zero",
-                None, None, None, domain.dim, codomain.dim,
-            )
+            return failure(ridx, "relation does not map to zero")
     # invertibility is still required to push staircase monomials through
-    for i in range(n):
-        if ensure_inverse(i) is None:
-            return Morphism(
-                False, None, f"image of generator {i} is not invertible",
-                None, None, None, domain.dim, codomain.dim,
-            )
-    columns = []
-    for mono in domain.staircase:
-        acc = codomain.unit_coords()
-        for v, exp in enumerate(mono):
-            if exp == 0:
-                continue
-            vec = inv_coords[v] if v < n else img_coords[v - n]
-            m = codomain.element_mult_matrix(vec)
-            p = linalg.mat_pow(F, m, exp)
-            acc = linalg.mat_vec(F, p, acc)
-        columns.append(acc)
-    matrix = linalg.transpose(columns)
+    for i, inv in enumerate(inverses):
+        if inv is None:
+            return failure(None, f"image of generator {i} is not invertible")
+    # a staircase monomial w^a z^b stands for z^(b - a)
+    matrix = linalg.transpose(
+        [image(tuple(m[n + i] - m[i] for i in range(n))) for m in domain.staircase]
+    )
     rk = linalg.rank(F, matrix)
     return Morphism(
         True, None, None, matrix,

@@ -25,7 +25,15 @@ from .algebra import (
 from .errors import AnomalyError, UsageError
 from .grobner import Budget, Morphism, QuotientAlgebra, algebra_morphism, laurent_quotient
 from .laurent import LaurentPoly, LaurentRing
-from .scalar import Field, PrimeField, UniPoly, field_name, rational_roots, univariate_factor
+from .scalar import (
+    DEFAULT_SEED,
+    Field,
+    PrimeField,
+    UniPoly,
+    field_name,
+    rational_roots,
+    univariate_factor,
+)
 from .toric import DelzantPolytope, h2_lattice, is_normalized, minimal_chern, superpotential
 
 
@@ -35,20 +43,6 @@ def jacobian_ring(W: LaurentPoly, budget: Budget | None = None) -> QuotientAlgeb
     if all(g.is_zero() for g in gens):
         raise UsageError("all log-derivatives vanish; quotient is the whole ring")
     return laurent_quotient([g for g in gens], budget=budget)
-
-
-@dataclass
-class QHPresentation:
-    variant: str  # "plain" | "mod2_weights"
-    polytope: DelzantPolytope
-    field: Field
-    algebra: QuotientAlgebra
-    linear_relations: list
-    monomial_relations: list
-
-    @property
-    def dim(self):
-        return self.algebra.dim
 
 
 def _qh_generators(P: DelzantPolytope, field: Field, variant: str):
@@ -75,7 +69,9 @@ def _qh_generators(P: DelzantPolytope, field: Field, variant: str):
 
 
 def qh_presentation(P: DelzantPolytope, field: Field, variant: str = "plain",
-                    budget: Budget | None = None) -> QHPresentation:
+                    budget: Budget | None = None) -> QuotientAlgebra:
+    """Divisor presentation of QH(X_P) as a quotient of the Laurent ring in
+    Z_1..Z_N by the linear and monomial relations."""
     if variant not in ("plain", "mod2_weights"):
         raise UsageError(f"unknown variant {variant!r}")
     if variant == "mod2_weights" and field.char != 2:
@@ -83,32 +79,24 @@ def qh_presentation(P: DelzantPolytope, field: Field, variant: str = "plain",
     if not is_normalized(P):
         raise UsageError("presentation needs a monotone-normalized polytope")
     ring, linear, monomial = _qh_generators(P, field, variant)
-    algebra = laurent_quotient(linear + monomial, budget=budget)
-    return QHPresentation(
-        variant=variant,
-        polytope=P,
-        field=field,
-        algebra=algebra,
-        linear_relations=linear,
-        monomial_relations=monomial,
-    )
+    return laurent_quotient(linear + monomial, budget=budget)
 
 
 def co0_map(P: DelzantPolytope, field: Field, budget: Budget | None = None):
     """Divisor classes to boundary monomials: Z_j -> z^{nu_j}.
 
-    Returns (presentation, jacobian, morphism).  A failure of the expected
+    Returns (qh, jacobian, morphism).  A failure of the expected
     isomorphism on valid input is an anomaly, reported by the caller.
     """
-    pres = qh_presentation(P, field, "plain", budget)
+    qh = qh_presentation(P, field, "plain", budget)
     W = superpotential(P, field)
     jac = jacobian_ring(W, budget)
     if not jac.finite:
         raise UsageError("Jacobian ring is infinite-dimensional")
     zring = W.ring
     images = [zring.monomial(tuple(nu)) for nu in P.normals]
-    mor = algebra_morphism(pres.algebra, jac, images)
-    return pres, jac, mor
+    mor = algebra_morphism(qh, jac, images)
+    return qh, jac, mor
 
 
 def c1_element(target: str, P: DelzantPolytope, field: Field,
@@ -119,7 +107,7 @@ def c1_element(target: str, P: DelzantPolytope, field: Field,
     if target == "qh":
         qa = algebra
         if qa is None:
-            qa = qh_presentation(P, field, "plain", budget).algebra
+            qa = qh_presentation(P, field, "plain", budget)
         ring = qa.source_ring
         total = ring.zero()
         for j in range(P.num_facets):
@@ -158,7 +146,7 @@ class SpectrumReport:
         }
 
 
-def c1_spectrum(qa: QuotientAlgebra, c1_coords, seed: int = 2) -> SpectrumReport:
+def c1_spectrum(qa: QuotientAlgebra, c1_coords, seed: int = DEFAULT_SEED) -> SpectrumReport:
     """Exact characteristic polynomial of quantum multiplication by c1,
     factored over F_p, or split into rational roots plus a residual over Q."""
     F = qa.field
@@ -199,19 +187,21 @@ class CriticalPointReport:
         return [f for f in self.factors if f.residue_degree > 1]
 
 
-def critical_points(W: LaurentPoly, budget: Budget | None = None) -> CriticalPointReport:
+def critical_points(W: LaurentPoly, budget: Budget | None = None,
+                    seed: int = DEFAULT_SEED) -> CriticalPointReport:
     """Local decomposition of Jac W; residue-degree-1 factors yield points in
-    (F_p^x)^n, verified against the vanishing of every log-derivative."""
+    (F_p^x)^n, verified against the vanishing of every log-derivative.
+    `seed` drives the factorization randomness."""
     if not isinstance(W.ring.field, PrimeField):
         raise UsageError("critical point enumeration is implemented over F_p")
-    return _critical_points(W, jacobian_ring(W, budget))
+    return _critical_points(W, jacobian_ring(W, budget), seed)
 
 
-def _critical_points(W: LaurentPoly, jac: QuotientAlgebra) -> CriticalPointReport:
+def _critical_points(W: LaurentPoly, jac: QuotientAlgebra, seed: int) -> CriticalPointReport:
     if not jac.finite:
         raise UsageError("Jacobian ring is infinite-dimensional")
     A = FiniteAlgebra.from_quotient(jac)
-    factors = local_decompose(A)
+    factors = local_decompose(A, seed)
     points = []
     for f in factors:
         if f.residue_degree == 1 and f.point is not None:
@@ -282,11 +272,11 @@ _SPLIT_STATEMENT = (
 )
 
 
-def _fp_summands(W: LaurentPoly, jac: QuotientAlgebra):
+def _fp_summands(W: LaurentPoly, jac: QuotientAlgebra, seed: int):
     """Local decomposition route over a prime field."""
     field = W.ring.field
     out = []
-    cp = _critical_points(W, jac)
+    cp = _critical_points(W, jac, seed)
     for f in cp.factors:
         if f.residue_degree == 1 and f.point is not None:
             out.append(
@@ -380,12 +370,13 @@ def _rational_summands(W: LaurentPoly, jac: QuotientAlgebra):
 
 
 def toric_generation_report(P: DelzantPolytope, field: Field,
-                            budget: Budget | None = None) -> GenerationReport:
+                            budget: Budget | None = None,
+                            seed: int = DEFAULT_SEED) -> GenerationReport:
     """Split-generation verdicts for the monotone fibre, one per local factor
     of the Jacobian ring (over F_p) or per rational eigenvalue summand (over
     Q), matched to quantum cohomology through the divisor-to-boundary-monomial
-    isomorphism."""
-    pres, jac, mor = co0_map(P, field, budget)
+    isomorphism.  `seed` drives the factorization randomness over F_p."""
+    _, jac, mor = co0_map(P, field, budget)
     nx = minimal_chern(P)
     report = GenerationReport(
         input_name=P.name or "polytope",
@@ -403,7 +394,7 @@ def toric_generation_report(P: DelzantPolytope, field: Field,
         return report
     W = superpotential(P, field)
     if isinstance(field, PrimeField):
-        report.summands = _fp_summands(W, jac)
+        report.summands = _fp_summands(W, jac, seed)
     else:
         report.summands = _rational_summands(W, jac)
     total = sum(s.dim for s in report.summands)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 from . import linalg
 from .errors import AnomalyError, UsageError
-from .grobner import Budget, Morphism, algebra_morphism
-from .quantum import GenerationReport, GenerationSummand, QHPresentation, qh_presentation
+from .grobner import Budget, Morphism, QuotientAlgebra, algebra_morphism
+from .quantum import GenerationReport, GenerationSummand, qh_presentation
 from .scalar import PrimeField
 from .toric import DelzantPolytope, is_normalized, minimal_chern
 
@@ -26,8 +26,8 @@ F2 = PrimeField(2)
 @dataclass
 class RealGenData:
     polytope: DelzantPolytope
-    qh_r: QHPresentation
-    qh: QHPresentation
+    qh_r: QuotientAlgebra
+    qh: QuotientAlgebra
     pi: Morphism
     frobenius: list  # matrix of squaring on QH_R's staircase basis
     pi_kernel: list
@@ -36,11 +36,11 @@ class RealGenData:
     minimal_chern: int | None
 
 
-def reduction_pi(qh_r: QHPresentation, qh: QHPresentation) -> Morphism:
+def reduction_pi(qh_r: QuotientAlgebra, qh: QuotientAlgebra) -> Morphism:
     """The identity on divisor variables, from squared weights to plain."""
-    ring = qh.algebra.source_ring
+    ring = qh.source_ring
     images = [ring.variable(i) for i in range(ring.nvars)]
-    mor = algebra_morphism(qh_r.algebra, qh.algebra, images)
+    mor = algebra_morphism(qh_r, qh, images)
     if not mor.well_defined:
         raise AnomalyError(
             "reduction map is not well defined; squared-weight relations "
@@ -51,21 +51,13 @@ def reduction_pi(qh_r: QHPresentation, qh: QHPresentation) -> Morphism:
     return mor
 
 
-def frobenius_matrix(qh_r: QHPresentation):
+def frobenius_matrix(qa: QuotientAlgebra):
     """Squaring on the staircase basis; F_2-linear in characteristic 2."""
-    qa = qh_r.algebra
     if qa.field.char != 2:
         raise UsageError("the squaring map is linear only in characteristic 2")
-    cols = []
-    for mono in qa.staircase:
-        doubled = tuple(2 * e for e in mono)
-        r = qa.reduce_poly({doubled: qa.field.one})
-        index = {m: i for i, m in enumerate(qa.staircase)}
-        col = [qa.field.zero] * qa.dim
-        for m, c in r.items():
-            col[index[m]] = c
-        cols.append(col)
-    return linalg.transpose(cols)
+    return linalg.transpose(
+        [qa.nf_coords({tuple(2 * e for e in mono): qa.field.one}) for mono in qa.staircase]
+    )
 
 
 def kernel_containment_check(data_pi: Morphism, frob_matrix, field=F2):

@@ -17,14 +17,6 @@ from fractions import Fraction
 from .errors import DomainError, UsageError
 
 DEFAULT_SEED = 2
-_active_seed = DEFAULT_SEED
-
-
-def set_default_seed(seed: int) -> None:
-    """Reseed the factorization randomness process-wide (CLI --seed)."""
-    global _active_seed
-    _active_seed = seed
-
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -433,19 +425,18 @@ def _equal_degree_split(f: UniPoly, d: int, rng: random.Random):
             return left + right
 
 
-def univariate_factor(f: UniPoly, seed: int | None = None):
+def univariate_factor(f: UniPoly, seed: int = DEFAULT_SEED):
     """Factor f over F_p into monic irreducibles.
 
     Returns a list of (factor, multiplicity), sorted by degree then by
     coefficient tuple, so repeated runs agree exactly.  Randomness in the
-    equal-degree stage comes from random.Random(seed); the process-wide
-    default is DEFAULT_SEED unless set_default_seed changed it.
+    equal-degree stage comes from random.Random(seed).
     """
     if not isinstance(f.field, PrimeField):
         raise UsageError("univariate_factor requires a prime field")
     if f.is_zero():
         raise DomainError("cannot factor the zero polynomial")
-    rng = random.Random(_active_seed if seed is None else seed)
+    rng = random.Random(seed)
     factors = []
     for sqf, mult in _squarefree_decomposition(f):
         for piece, d in _distinct_degree(sqf):

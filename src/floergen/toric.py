@@ -21,7 +21,7 @@ from math import gcd
 
 from . import linalg
 from .errors import NotMonotoneError, UsageError, ValidationError
-from .grobner import DEGREVLEX, polynomial_quotient
+from .grobner import polynomial_quotient
 from .laurent import LaurentPoly, LaurentRing
 from .scalar import QQ, Field, PrimeField
 
@@ -343,7 +343,7 @@ def _cohomology_quotient(P: DelzantPolytope, field: Field, budget=None):
         for j in J:
             e[j] = 1
         gens.append({tuple(e): field.one})
-    return polynomial_quotient(field, names, gens, DEGREVLEX, budget)
+    return polynomial_quotient(field, names, gens, budget)
 
 
 def classical_cohomology(P: DelzantPolytope, field: Field, budget=None):

@@ -183,7 +183,7 @@ def test_criterion_5_char2_real_locus():
         assert "real locus split-generates" in rep.summands[0].statement
     # CP2 kernel basis is (Z^3 + 1) {1, Z, Z^2}
     data = real_gen_data(corpus()["CP2"])
-    qa = data.qh_r.algebra
+    qa = data.qh_r
     ring = qa.source_ring
     expected = [qa.nf_coords(lpoly(ring, {(3 + k, 0, 0): 1, (k, 0, 0): 1}))
                 for k in range(3)]

@@ -2,10 +2,13 @@ import json
 
 import pytest
 
+from floergen import scalar
+from floergen.algebra import FiniteAlgebra, local_decompose
 from floergen.cli import run
 from floergen.grobner import laurent_quotient
+from floergen.quantum import jacobian_ring
 from floergen.laurent import laurent_from_json
-from floergen.toric import corpus
+from floergen.toric import corpus, superpotential
 
 
 @pytest.fixture()
@@ -264,3 +267,24 @@ def test_seed_embedded_in_reports(capsys, polytope_file):
     ])
     assert code == 0
     assert json.loads(out)["seed"] == 11
+
+
+def test_cli_seed_does_not_leak_into_library(capsys, polytope_file, monkeypatch):
+    seeds = []
+    real_random = scalar.random.Random
+
+    def recording_random(seed=None):
+        seeds.append(seed)
+        return real_random(seed)
+
+    monkeypatch.setattr(scalar.random, "Random", recording_random)
+    code, _, _ = invoke(capsys, [
+        "decompose", "--polytope", polytope_file("CP2"), "--field", "F7",
+        "--seed", "11",
+    ])
+    assert code == 0
+    assert seeds and set(seeds) == {11}
+    seeds.clear()
+    W = superpotential(corpus()["CP2"], scalar.PrimeField(7))
+    local_decompose(FiniteAlgebra.from_quotient(jacobian_ring(W)))
+    assert seeds and set(seeds) == {scalar.DEFAULT_SEED}

@@ -8,11 +8,10 @@ from conftest import lpoly
 from floergen import linalg
 from floergen.errors import ResourceBudgetError, UsageError
 from floergen.grobner import (
-    DEGREVLEX,
-    LEX,
     Budget,
     algebra_morphism,
     buchberger,
+    degrevlex,
     laurent_quotient,
     normal_form_poly,
     polynomial_quotient,
@@ -42,8 +41,7 @@ def test_buchberger_reduced_basis_is_autoreduced():
     F5 = PrimeField(5)
     gens = [{(2, 0): 1, (0, 1): 4}, {(1, 1): 1, (1, 0): 2}, {(0, 2): 3, (0, 0): 1}]
     gb = buchberger(F5, gens)
-    okey = DEGREVLEX.key
-    leads = [max(g, key=okey) for g in gb]
+    leads = [max(g, key=degrevlex) for g in gb]
     for i, g in enumerate(gb):
         assert g[leads[i]] == 1  # monic
         for mono in g:
@@ -174,7 +172,7 @@ def test_membership_agrees_with_truncated_linear_oracle():
             if not gens:
                 continue
             gb = buchberger(field, gens)
-            basis = [(g, max(g, key=DEGREVLEX.key)) for g in gb]
+            basis = [(g, max(g, key=degrevlex)) for g in gb]
             # oracle: span of all m*g with deg(m*g) <= 8
             monos8 = [
                 (i, j) for i in range(9) for j in range(9) if i + j <= 8
@@ -198,7 +196,7 @@ def test_membership_agrees_with_truncated_linear_oracle():
                     mono = (rng.randint(0, 2), rng.randint(0, 2))
                     trial[mono] = rng.randrange(p)
                 trial = {m: c for m, c in trial.items() if c}
-                nf = normal_form_poly(field, trial, basis, DEGREVLEX.key)
+                nf = normal_form_poly(field, trial, basis)
                 vec = [field.zero] * len(monos8)
                 for e, c in trial.items():
                     vec[mono_index[e]] = c
@@ -252,14 +250,34 @@ def test_algebra_morphism_relation_violation():
     assert mor.failing_relation == 0
 
 
-def test_elimination_order_available():
-    # lex eliminates: <x - y^2, y^3 - 1> in lex x > y contains x*... reduced
-    # basis has a pure-y element
-    gens = [{(1, 0): Fraction(1), (0, 2): Fraction(-1)},
-            {(0, 3): Fraction(1), (0, 0): Fraction(-1)}]
-    gb = buchberger(QQ, gens, order=LEX)
-    pure_y = [g for g in gb if all(m[0] == 0 for m in g)]
-    assert pure_y
+def _zero_divisor_image_case(extra_relations):
+    # domain k[Z1^+-1, Z2^+-1]/(Z1 - 1, Z2^2 - 2 Z2, ...), codomain
+    # k[w^+-1]/(w^2 - 1); Z2 -> w + 1 satisfies Z2^2 = 2 Z2 but is a zero
+    # divisor, (w + 1)(w - 1) = 0, so it has no inverse
+    R = LaurentRing(["Z1", "Z2"], QQ)
+    rels = [lpoly(R, {(1, 0): 1, (0, 0): -1}), lpoly(R, {(0, 2): 1, (0, 1): -2})]
+    domain = laurent_quotient(rels + [lpoly(R, t) for t in extra_relations])
+    Rw = LaurentRing(["w"], QQ)
+    codomain = laurent_quotient([lpoly(Rw, {(2,): 1, (0,): -1})])
+    assert domain.dim == 1 and codomain.dim == 2
+    return algebra_morphism(domain, codomain, [Rw.one(), lpoly(Rw, {(1,): 1, (0,): 1})])
+
+
+def test_algebra_morphism_image_not_invertible():
+    mor = _zero_divisor_image_case([])
+    assert not mor.well_defined
+    assert mor.failing_relation is None
+    assert mor.reason == "image of generator 1 is not invertible"
+    assert mor.matrix is None
+
+
+def test_algebra_morphism_negative_exponent_on_non_unit_image():
+    # relation 2, 2 Z1 Z2^-1 - 1, holds in the domain but needs the inverse
+    # of Z2's image, so it is the one reported
+    mor = _zero_divisor_image_case([{(1, -1): 2, (0, 0): -1}])
+    assert not mor.well_defined
+    assert mor.failing_relation == 2
+    assert mor.reason == "image of generator 1 is not invertible"
 
 
 def test_polynomial_quotient_graded_dims():

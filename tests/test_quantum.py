@@ -63,8 +63,8 @@ def test_qh_presentation_cp2_F7():
     F7 = PrimeField(7)
     Rz = LaurentRing(["Z"], F7)
     cyclic = laurent_quotient([lpoly(Rz, {(3,): 1, (0,): -1})])
-    ring = pres.algebra.source_ring
-    mor = algebra_morphism(cyclic, pres.algebra, [ring.variable(0)])
+    ring = pres.source_ring
+    mor = algebra_morphism(cyclic, pres, [ring.variable(0)])
     assert mor.well_defined and mor.kernel_dim == 0 and mor.surjective
 
 
@@ -75,8 +75,8 @@ def test_qh_presentation_cp2_mod2_weights():
     # isomorphic to F2[Z]/(Z^6 - 1)
     Rz = LaurentRing(["Z"], F2)
     cyclic = laurent_quotient([lpoly(Rz, {(6,): 1, (0,): 1})])
-    ring = pres.algebra.source_ring
-    mor = algebra_morphism(cyclic, pres.algebra, [ring.variable(0)])
+    ring = pres.source_ring
+    mor = algebra_morphism(cyclic, pres, [ring.variable(0)])
     assert mor.well_defined and mor.kernel_dim == 0 and mor.surjective
 
 
@@ -101,7 +101,7 @@ def test_monomial_relation_basis_generates_all():
     for name in ("CP2", "CP1xCP1"):
         P = corpus()[name]
         pres = qh_presentation(P, PrimeField(5))
-        ring = pres.algebra.source_ring
+        ring = pres.source_ring
         basis = h2_lattice(P).basis
         for _ in range(6):
             combo = [0] * P.num_facets
@@ -109,7 +109,7 @@ def test_monomial_relation_basis_generates_all():
                 c = rng.randint(-2, 2)
                 combo = [a + c * b for a, b in zip(combo, p)]
             rel = ring.monomial(tuple(combo)) - ring.one()
-            assert all(c == 0 for c in pres.algebra.nf_coords(rel))
+            assert all(c == 0 for c in pres.nf_coords(rel))
 
 
 @pytest.mark.parametrize("name", ["CP1", "CP2", "CP3", "CP1xCP1", "CP1xCP1xCP1"])
@@ -121,6 +121,25 @@ def test_co0_isomorphism_property(name, fs):
     assert mor.kernel_dim == 0
     assert mor.surjective
     assert pres.dim == jac.dim
+
+
+@pytest.mark.parametrize("name", ["CP2", "CP1xCP1", "CP1xCP1xCP1"])
+@pytest.mark.parametrize("field", [PrimeField(7), QQ], ids=["F7", "Q"])
+def test_co0_columns_match_laurent_products(name, field):
+    # oracle for the memoized walk: the column of a staircase monomial
+    # Z^e (signed e) is the normal form of prod_j (z^{nu_j})^{e_j}, built
+    # with LaurentPoly arithmetic alone
+    P = corpus()[name]
+    qh, jac, mor = co0_map(P, field)
+    ring = jac.source_ring
+    N = P.num_facets
+    for k, mono in enumerate(qh.staircase):
+        prod = ring.one()
+        for j, nu in enumerate(P.normals):
+            e = mono[N + j] - mono[j]
+            step = ring.monomial(tuple(nu if e > 0 else [-x for x in nu]))
+            prod = prod * step ** abs(e)
+        assert [row[k] for row in mor.matrix] == jac.nf_coords(prod)
 
 
 def test_jacobian_dim_equals_cohomology_total():
@@ -151,8 +170,8 @@ def test_c1_element_qh_side():
     F7 = PrimeField(7)
     P = corpus()["CP2"]
     pres = qh_presentation(P, F7)
-    c1 = c1_element("qh", P, F7, pres.algebra)
-    z1 = pres.algebra.nf_coords(pres.algebra.source_ring.variable(0))
+    c1 = c1_element("qh", P, F7, pres)
+    z1 = pres.nf_coords(pres.source_ring.variable(0))
     assert c1 == [F7.mul(3, c) for c in z1]
 
 

@@ -22,7 +22,7 @@ def test_reduction_pi_cp2():
     assert data.qh_r.dim == 6 and data.qh.dim == 3
     assert len(data.pi_kernel) == 3
     # kernel is (Z^3 + 1) * {1, Z, Z^2} inside F2[Z]/(Z^6 - 1)
-    qa = data.qh_r.algebra
+    qa = data.qh_r
     ring = qa.source_ring
     expected = []
     for k in range(3):
@@ -49,7 +49,7 @@ def test_frobenius_matrix_cp2():
     P = corpus()["CP2"]
     qh_r = qh_presentation(P, F2, "mod2_weights")
     frob = frobenius_matrix(qh_r)
-    qa = qh_r.algebra
+    qa = qh_r
     # 1 -> 1
     unit = qa.unit_coords()
     assert linalg.mat_vec(F2, frob, unit) == unit
@@ -65,7 +65,7 @@ def test_frobenius_matrix_cp2():
 
 def test_frobenius_cp1_kernel_basis():
     qh_r = qh_presentation(corpus()["CP1"], F2, "mod2_weights")
-    qa = qh_r.algebra
+    qa = qh_r
     frob = frobenius_matrix(qh_r)
     ker = linalg.kernel_basis(F2, frob)
     ring = qa.source_ring
@@ -80,7 +80,7 @@ def test_frobenius_cp1_kernel_basis():
 def test_frobenius_is_squaring_linearly():
     rng = random.Random(31)
     qh_r = qh_presentation(corpus()["CP1xCP1"], F2, "mod2_weights")
-    qa = qh_r.algebra
+    qa = qh_r
     frob = frobenius_matrix(qh_r)
     for _ in range(8):
         u = [rng.randrange(2) for _ in range(qa.dim)]
@@ -107,7 +107,7 @@ def test_pi_kills_weight_monomials():
     for name in ("CP2", "CP1xCP1"):
         P = corpus()[name]
         data = real_gen_data(P)
-        qa = data.qh_r.algebra
+        qa = data.qh_r
         ring = qa.source_ring
         for A in h2_lattice(P).basis:
             rel = ring.monomial(tuple(A)) - ring.one()
@@ -139,7 +139,7 @@ def test_cp1xcp1_qh_is_local_over_F2():
     from floergen.algebra import FiniteAlgebra, local_decompose
 
     pres = qh_presentation(corpus()["CP1xCP1"], F2)
-    A = FiniteAlgebra.from_quotient(pres.algebra)
+    A = FiniteAlgebra.from_quotient(pres)
     factors = local_decompose(A)
     assert len(factors) == 1
     assert factors[0].dim == 4
