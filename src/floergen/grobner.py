@@ -21,13 +21,16 @@ zi is a unit modulo zi*wi - 1.  (Unit tests exercise invariance of quotient
 dimensions under such unit rescalings.)
 
 Degree reverse lexicographic order is the only monomial order.  Buchberger
-runs with the coprimality and chain criteria and full final interreduction,
-so the emitted basis is the unique reduced Groebner basis for degrevlex.  A
-step budget guards against runaway computations.
+takes its S-pairs from a heap in (degrevlex(lcm), i, j) order, the normal
+selection strategy with ties broken by index, and runs with the coprimality
+and chain criteria and full final interreduction, so the emitted basis is the
+unique reduced Groebner basis for degrevlex.  A step budget guards against
+runaway computations.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field as dc_field
 
 from . import linalg
@@ -141,8 +144,20 @@ def buchberger(field, gens, budget: Budget | None = None):
     if not basis:
         raise UsageError("empty generator list")
     lms = [_leading(g) for g in basis]
+    divisors = list(zip(basis, lms))
 
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+    # `queue` is a heap of (degrevlex(lcm), (i, j)) over the queued pairs, a
+    # total order; `pairs` holds the same pairs for the chain criterion
+    pairs = set()
+    queue = []
+
+    def queue_pairs_with(t):
+        for k in range(t):
+            pairs.add((k, t))
+            heapq.heappush(queue, (degrevlex(_mono_lcm(lms[k], lms[t])), (k, t)))
+
+    for t in range(1, len(basis)):
+        queue_pairs_with(t)
 
     def reduce(poly, others):
         try:
@@ -151,11 +166,8 @@ def buchberger(field, gens, budget: Budget | None = None):
             err.basis_size = len(basis)
             raise
 
-    def pair_sort_key(p):
-        return (degrevlex(_mono_lcm(lms[p[0]], lms[p[1]])), p)
-
-    while pairs:
-        i, j = min(pairs, key=pair_sort_key)
+    while queue:
+        _, (i, j) = heapq.heappop(queue)
         pairs.discard((i, j))
         lcm = _mono_lcm(lms[i], lms[j])
         if lcm == _mono_mul(lms[i], lms[j]):
@@ -172,13 +184,13 @@ def buchberger(field, gens, budget: Budget | None = None):
         if chain:
             continue
         s = _s_poly(field, basis[i], lms[i], basis[j], lms[j])
-        h = reduce(s, list(zip(basis, lms)))
+        h = reduce(s, divisors)
         if h:
             h = _monic(field, h)
             basis.append(h)
             lms.append(_leading(h))
-            t = len(basis) - 1
-            pairs.update((k, t) for k in range(t))
+            divisors.append((h, lms[-1]))
+            queue_pairs_with(len(basis) - 1)
 
     # minimalize: drop elements whose leading monomial another one divides
     keep = []

@@ -1,8 +1,10 @@
+from fractions import Fraction
+
 import pytest
 
 from floergen.laurent import LaurentRing
 from floergen.scalar import QQ, PrimeField
-from floergen.toric import corpus
+from floergen.toric import DelzantPolytope, corpus
 
 ACCEPTANCE_LINES = []
 
@@ -31,3 +33,11 @@ def lpoly(ring: LaurentRing, terms: dict):
 
 def F(p=None):
     return QQ if p is None else PrimeField(p)
+
+
+def dp6():
+    """The monotone hexagon: CP2 blown up at three points, six facets."""
+    return DelzantPolytope(
+        n=2, normals=[[1, 0], [0, 1], [-1, 0], [0, -1], [1, 1], [-1, -1]],
+        lambdas=[Fraction(1)] * 6, name="dP6",
+    )

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import lpoly
-from floergen import linalg
+from conftest import dp6, lpoly
+from floergen import grobner, linalg
 from floergen.errors import ResourceBudgetError, UsageError
 from floergen.grobner import (
     Budget,
@@ -17,7 +17,9 @@ from floergen.grobner import (
     polynomial_quotient,
 )
 from floergen.laurent import LaurentRing
+from floergen.quantum import jacobian_ring, qh_presentation
 from floergen.scalar import QQ, PrimeField
+from floergen.toric import corpus, superpotential
 
 
 def test_buchberger_trivial_examples():
@@ -50,14 +52,45 @@ def test_buchberger_reduced_basis_is_autoreduced():
                     assert not all(a <= b for a, b in zip(lm, mono))
 
 
+BUDGET_GENS = [{(3, 0, 0): 1, (0, 2, 0): 1, (0, 0, 1): 1},
+               {(1, 1, 1): 1, (2, 0, 0): 1},
+               {(0, 0, 3): 1, (1, 1, 0): 1}]
+
+
 def test_budget_enforced():
-    F2 = PrimeField(2)
-    gens = [{(3, 0, 0): 1, (0, 2, 0): 1, (0, 0, 1): 1},
-            {(1, 1, 1): 1, (2, 0, 0): 1},
-            {(0, 0, 3): 1, (1, 1, 0): 1}]
     with pytest.raises(ResourceBudgetError) as info:
-        buchberger(F2, gens, budget=Budget(3))
+        buchberger(PrimeField(2), BUDGET_GENS, budget=Budget(3))
     assert isinstance(info.value.basis_size, int) and info.value.basis_size > 0
+
+
+def record_buchberger(monkeypatch):
+    """Route grobner.buchberger through a recorder; returns the list of
+    (generators, budget steps on return, basis) it fills, one per call."""
+    calls = []
+
+    def recording(field, gens, budget=None):
+        gb = buchberger(field, gens, budget)
+        calls.append((list(gens), budget.steps, gb))
+        return gb
+
+    monkeypatch.setattr(grobner, "buchberger", recording)
+    return calls
+
+
+def test_pair_order_witness(monkeypatch):
+    # Which S-pairs get reduced, and against which basis, depends on the
+    # order pairs are taken in, and every reduction step ticks the budget.
+    # These exact counts are those of the selection by smallest
+    # (degrevlex(lcm), (i, j)) as a linear scan over all queued pairs; the
+    # heap must take the same pairs in the same order, so they must not move.
+    budget = Budget()
+    buchberger(PrimeField(2), BUDGET_GENS, budget)
+    assert budget.steps == 10
+
+    calls = record_buchberger(monkeypatch)
+    qh = qh_presentation(dp6(), PrimeField(7))
+    assert qh.dim == 6
+    assert [(steps, len(gb)) for _, steps, gb in calls] == [(618, 18)]
 
 
 def test_laurent_quotient_dim2_example():
@@ -283,3 +316,107 @@ def test_algebra_morphism_negative_exponent_on_non_unit_image():
 def test_polynomial_quotient_graded_dims():
     qa = polynomial_quotient(QQ, ["H"], [{(3,): Fraction(1)}])
     assert qa.graded_dims() == [1, 1, 1]
+
+
+# --- independent oracles -------------------------------------------------------
+
+F7 = PrimeField(7)
+
+
+def sympy_reduced_basis(field, gens, nvars):
+    """Reduced degrevlex basis from sympy.groebner, as monic poly dicts over
+    `field` in ascending order of leading monomials, as `buchberger` returns.
+
+    sympy's grevlex with generators x0, x1, ... takes x0 as the largest
+    variable, as `degrevlex` does.
+    """
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols(f"x0:{nvars}")
+
+    def to_expr(g):
+        return sympy.Add(*[
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*[x**k for x, k in zip(xs, e)])
+            for e, c in g.items()
+        ])
+
+    exprs = [to_expr(g) for g in gens]
+    if field is QQ:
+        gb = sympy.groebner(exprs, *xs, order="grevlex", domain="QQ")
+        convert = lambda c: Fraction(int(c.p), int(c.q))
+    else:
+        gb = sympy.groebner(exprs, *xs, order="grevlex", modulus=field.char)
+        # sympy's GF(p) coefficients are symmetric, in (-p/2, p/2]
+        convert = lambda c: int(c) % field.char
+    basis = []
+    for p in gb.polys:
+        g = {e: convert(c) for e, c in p.terms()}
+        inv = field.inv(g[max(g, key=degrevlex)])
+        basis.append({e: field.mul(inv, c) for e, c in g.items()})
+    return sorted(basis, key=lambda g: degrevlex(max(g, key=degrevlex)))
+
+
+def random_ideal(rng, field, nvars=3, max_deg=3):
+    """2-4 generators of 1-4 terms each, every term of degree <= max_deg and
+    the first of degree >= 1, so no generator is a constant."""
+    gens = []
+    for _ in range(rng.randint(2, 4)):
+        g = {}
+        for t in range(rng.randint(1, 4)):
+            deg = rng.randint(0 if t else 1, max_deg)
+            cuts = sorted(rng.randint(0, deg) for _ in range(nvars - 1))
+            e = tuple(b - a for a, b in zip([0] + cuts, cuts + [deg]))
+            g[e] = field.from_int(rng.choice([-3, -2, -1, 1, 2, 3]))
+        gens.append(g)
+    return gens
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=["Q", "F7"])
+def test_reduced_basis_matches_sympy_on_random_ideals(field):
+    rng = random.Random(2023)
+    for _ in range(20):
+        gens = random_ideal(rng, field)
+        assert buchberger(field, gens) == sympy_reduced_basis(field, gens, 3)
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=["Q", "F7"])
+@pytest.mark.parametrize("name", ["CP2", "CP1xCP1"])
+def test_reduced_basis_matches_sympy_on_laurent_encodings(monkeypatch, field, name):
+    calls = record_buchberger(monkeypatch)
+    P = corpus()[name]
+    jacobian_ring(superpotential(P, field))
+    qh_presentation(P, field)
+    assert len(calls) == 2
+    for gens, _, gb in calls:
+        nvars = len(next(iter(gens[0])))
+        assert gb == sympy_reduced_basis(field, gens, nvars)
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=["Q", "F7"])
+def test_reduced_basis_invariant_under_permutation_and_rescaling(field):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    monomial = st.tuples(*[st.integers(0, 3)] * 3).filter(lambda e: sum(e) <= 3)
+    unit = st.sampled_from([-3, -2, -1, 1, 2, 3]).map(field.from_int)
+    poly = st.dictionaries(monomial, unit, min_size=1, max_size=4)
+
+    @st.composite
+    def moved_generators(draw):
+        gens = draw(st.lists(poly, min_size=2, max_size=4))
+        order = draw(st.permutations(range(len(gens))))
+        scales = draw(st.lists(unit, min_size=len(gens), max_size=len(gens)))
+        moved = [
+            {e: field.mul(s, c) for e, c in gens[k].items()}
+            for k, s in zip(order, scales)
+        ]
+        return gens, moved
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None,
+                         max_examples=60)
+    @hypothesis.given(moved_generators())
+    def check(case):
+        gens, moved = case
+        assert buchberger(field, moved) == buchberger(field, gens)
+
+    check()

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import lpoly
+from conftest import dp6, lpoly
 from floergen import linalg
 from floergen.errors import UsageError
 from floergen.grobner import algebra_morphism, laurent_quotient
@@ -277,6 +277,16 @@ def test_generation_report_cp1_Q():
     assert sorted(s.critical_value for s in rep.summands) == [-2, 2]
     assert sorted(tuple(s.point) for s in rep.summands) == [(-1,), (1,)]
     assert all(s.verdict == "split-generates" for s in rep.summands)
+
+
+@pytest.mark.parametrize("field", [PrimeField(7), QQ], ids=["F7", "Q"])
+def test_generation_report_dp6(field):
+    rep = toric_generation_report(dp6(), field)
+    assert not rep.anomaly
+    co0 = rep.co0
+    assert co0.well_defined and co0.kernel_dim == 0 and co0.surjective
+    assert co0.domain_dim == co0.codomain_dim == 6
+    assert sum(s.dim for s in rep.summands) == 6
 
 
 def test_generation_report_json_schema():
