@@ -347,7 +347,8 @@ def run(argv) -> int:
                     facets=exc.facets, vertex=exc.vertex)
         return 1
     except ResourceBudgetError as exc:
-        _emit_error(args, "budget", str(exc), steps=exc.steps)
+        _emit_error(args, "budget", str(exc), steps=exc.steps,
+                    basis_size=exc.basis_size)
         return 2
     except AnomalyError as exc:
         _emit_error(args, "anomaly", str(exc))

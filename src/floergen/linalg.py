@@ -2,9 +2,31 @@
 
 Matrices are lists of rows of field elements.  Everything here is fraction-
 or modular-exact; no pivot thresholds, no floating point.
+
+`rref` is the one dispatch point for elimination.  It reads `field.char` once
+per call and hands the matrix to one kernel per field kind:
+
+- F_2: each row packed into a Python int (bit c is column c), pivots found
+  with `&`, rows eliminated with `^=`, unpacked once at the end;
+- F_p: plain ints, one `pow(a, p - 2, p)` per pivot and one list
+  comprehension `(x - f*y) % p` per row operation, rows whose pivot-column
+  entry is zero skipped;
+- Q: each row cleared of denominators once, then integer row operations
+  `a*x - f*y` with the row's content divided out, and one division by the
+  pivot per entry at the end.
+
+RREF is unique, so every kernel returns the same matrix and pivots as plain
+Gauss-Jordan elimination with the field's own operations.  `rank`,
+`kernel_basis`, `image_basis`, `solve`, `invert` and `subspace_contained` all
+go through `rref`.  `mat_vec` and `mat_mul` accumulate each output entry with
+native `+` and `*` from the field's zero, so over Q it is a `Fraction`, and
+over F_p reduce it once with `% p`.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd
 
 from .errors import UsageError
 from .scalar import UniPoly
@@ -24,33 +46,28 @@ def identity(field, n):
 def mat_mul(field, a, b):
     if a and b and len(a[0]) != len(b):
         raise UsageError("matrix dimension mismatch")
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = zeros(field, rows, cols)
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            c = ai[k]
-            if c == field.zero:
-                continue
-            bk = b[k]
-            for j in range(cols):
-                if bk[j] != field.zero:
-                    oi[j] = field.add(oi[j], field.mul(c, bk[j]))
+    zero, p = field.zero, field.char
+    cols = len(b[0]) if b else 0
+    # the nonzero entries of each row of b, so zeros cost nothing
+    sparse_b = [[(j, y) for j, y in enumerate(bk) if y] for bk in b]
+    out = []
+    for ai in a:
+        acc = [zero] * cols
+        for c, bk in zip(ai, sparse_b):
+            if c:
+                for j, y in bk:
+                    acc[j] += c * y
+        out.append([x % p for x in acc] if p else acc)
     return out
 
 
 def mat_vec(field, a, v):
     if a and len(a[0]) != len(v):
         raise UsageError("matrix/vector dimension mismatch")
-    out = [field.zero] * len(a)
-    for i, row in enumerate(a):
-        acc = field.zero
-        for c, x in zip(row, v):
-            if c != field.zero and x != field.zero:
-                acc = field.add(acc, field.mul(c, x))
-        out[i] = acc
-    return out
+    zero, p = field.zero, field.char
+    support = [(j, x) for j, x in enumerate(v) if x]
+    out = [sum([row[j] * x for j, x in support if row[j]], zero) for row in a]
+    return [x % p for x in out] if p else out
 
 
 def mat_sub(field, a, b):
@@ -63,31 +80,111 @@ def transpose(a):
 
 def rref(field, mat):
     """Reduced row echelon form; returns (rref matrix, pivot column list)."""
+    p = field.char
+    if p == 2:
+        return _rref_f2(mat)
+    if p:
+        return _rref_fp(p, mat)
+    return _rref_q(mat)
+
+
+def _rref_f2(mat):
+    rows = len(mat)
+    cols = len(mat[0]) if rows else 0
+    m = [sum(1 << c for c, x in enumerate(row) if x) for row in mat]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        bit = 1 << c
+        for i in range(r, rows):
+            if m[i] & bit:
+                break
+        else:
+            continue
+        m[r], m[i] = m[i], m[r]
+        pr = m[r]
+        for i in range(rows):
+            if m[i] & bit and i != r:
+                m[i] ^= pr
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return [[(v >> c) & 1 for c in range(cols)] for v in m], pivots
+
+
+def _rref_fp(p, mat):
     m = [row[:] for row in mat]
     rows = len(m)
     cols = len(m[0]) if rows else 0
     pivots = []
     r = 0
     for c in range(cols):
-        pivot = None
         for i in range(r, rows):
-            if m[i][c] != field.zero:
-                pivot = i
+            if m[i][c]:
                 break
-        if pivot is None:
+        else:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = field.inv(m[r][c])
-        m[r] = [field.mul(inv, x) for x in m[r]]
+        m[r], m[i] = m[i], m[r]
+        pr = m[r]
+        if pr[c] != 1:
+            inv = pow(pr[c], p - 2, p)
+            pr = m[r] = [x * inv % p for x in pr]
         for i in range(rows):
-            if i != r and m[i][c] != field.zero:
-                f = m[i][c]
-                m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[r])]
+            f = m[i][c]
+            if f and i != r:
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], pr)]
         pivots.append(c)
         r += 1
         if r == rows:
             break
     return m, pivots
+
+
+def _integer_row(row):
+    """A row of Fractions scaled by the lcm of its denominators."""
+    d = 1
+    for x in row:
+        den = x.denominator
+        if den != 1:
+            d = d * den // gcd(d, den)
+    return [x.numerator * (d // x.denominator) for x in row]
+
+
+def _rref_q(mat):
+    # Integer rows, with the content divided out after each row operation.
+    # Scaling a row does not change the row space, so dividing each pivot
+    # row by its pivot at the end gives the RREF over Q.
+    m = [_integer_row(row) for row in mat]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        for i in range(r, rows):
+            if m[i][c]:
+                break
+        else:
+            continue
+        m[r], m[i] = m[i], m[r]
+        pr = m[r]
+        a = pr[c]
+        for i in range(rows):
+            f = m[i][c]
+            if f and i != r:
+                g = gcd(a, f)
+                ag, fg = a // g, f // g
+                row = [ag * x - fg * y for x, y in zip(m[i], pr)]
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    zero = Fraction(0)
+    out = [[Fraction(x, row[c]) if x else zero for x in row]
+           for row, c in zip(m, pivots)]
+    return out + [[zero] * cols for _ in range(rows - r)], pivots
 
 
 def rank(field, mat):

@@ -246,6 +246,15 @@ def test_budget_exhaustion_exit_2(capsys, polytope_file):
     ])
     assert code == 2
     assert "budget" in err
+    code, out, _ = invoke(capsys, [
+        "co0", "--polytope", polytope_file("CP3"), "--field", "F5",
+        "--budget", "5", "--format", "json",
+    ])
+    assert code == 2
+    record = json.loads(out)
+    assert record["error"] == "budget"
+    assert record["steps"] == 6  # the tick past the limit of 5
+    assert isinstance(record["basis_size"], int) and record["basis_size"] > 0
 
 
 def test_text_output_byte_stable(capsys, polytope_file):
