@@ -3,12 +3,15 @@
 A FiniteAlgebra has one product representation: per-basis multiplication
 matrices, basis_mult[j] being multiplication by the j-th basis element.
 Every other product (of elements, by an element, powers, polynomials) is
-computed from these.  A QuotientAlgebra is a presentation that yields one,
+computed from these; `mult` and `mult_matrix` accumulate with native `+` and
+`*` and reduce once with `% p` over F_p.  A QuotientAlgebra is a presentation that yields one,
 sharing its cached matrices.
 
 Covers the nilradical in characteristic p (iterated Frobenius kernel),
-decomposition into local factors, Bezout idempotents for generalized
-eigenspace splittings, and m-adic filtration profiles.
+decomposition into local factors, idempotents for generalized eigenspace
+splittings, and m-adic filtration profiles.  Idempotents have one
+construction, the CRT splitter `_split_along`, and a block e*A is restricted
+through one fixed left inverse of its basis.
 
 The local decomposition splits along minimal polynomials of designated
 generators first.  That alone can miss splittings (two independent degree-d
@@ -20,6 +23,7 @@ whose dimension equals the number of local factors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import reduce
 
 from . import linalg
 from .errors import DomainError, UsageError
@@ -65,34 +69,29 @@ class FiniteAlgebra:
 
     def mult(self, u, v):
         """u * v = sum_j u_j (basis_mult[j] v)."""
-        F = self.field
-        zero = F.zero
+        zero, p = self.field.zero, self.field.char
         out = [zero] * self.dim
-        nonzero_v = [(k, b) for k, b in enumerate(v) if b != zero]
+        nonzero_v = [(k, b) for k, b in enumerate(v) if b]
         for a, m in zip(u, self.basis_mult):
-            if a == zero:
-                continue
-            for k, b in nonzero_v:
-                c = F.mul(a, b)
-                for r, row in enumerate(m):
-                    s = row[k]
-                    if s != zero:
-                        out[r] = F.add(out[r], F.mul(c, s))
-        return out
+            if a:
+                for k, b in nonzero_v:
+                    c = a * b
+                    for r, row in enumerate(m):
+                        if row[k]:
+                            out[r] += c * row[k]
+        return [x % p for x in out] if p else out
 
     def mult_matrix(self, u):
         """Matrix of v -> u * v: sum_j u_j basis_mult[j]."""
-        F = self.field
-        zero = F.zero
-        out = linalg.zeros(F, self.dim, self.dim)
+        zero, p = self.field.zero, self.field.char
+        out = [[zero] * self.dim for _ in range(self.dim)]
         for c, m in zip(u, self.basis_mult):
-            if c == zero:
-                continue
-            for row, mrow in zip(out, m):
-                for s, x in enumerate(mrow):
-                    if x != zero:
-                        row[s] = F.add(row[s], F.mul(c, x))
-        return out
+            if c:
+                for row, mrow in zip(out, m):
+                    for s, x in enumerate(mrow):
+                        if x:
+                            row[s] += c * x
+        return [[x % p for x in row] for row in out] if p else out
 
     def power(self, u, e: int):
         acc = list(self.unit)
@@ -185,22 +184,26 @@ def restrict_to_block(A: FiniteAlgebra, idempotent):
     """Sub-FiniteAlgebra on the ideal e*A, with unit e.
 
     Returns (block, basis, coords): basis spans e*A in A's coordinates, and
-    coords(v) is the coordinate vector in that basis of a vector v of e*A.
+    coords(v) is the coordinate vector in that basis of a vector v of e*A:
+    B[R]^-1 v[R], R being the k pivot rows of the n x k basis matrix B.
     """
     F = A.field
     basis = linalg.image_basis(F, A.mult_matrix(idempotent))
     bmat = linalg.transpose(basis)
+    rows = linalg.rref(F, basis)[1]
+    left = linalg.invert(F, [bmat[r] for r in rows])
 
     def coords(v):
-        return linalg.solve(F, bmat, v)
+        return linalg.mat_vec(F, left, [v[r] for r in rows])
+
+    def restricted(m):
+        return linalg.mat_mul(F, left, linalg.mat_mul(F, [m[r] for r in rows], bmat))
 
     block = FiniteAlgebra(
         field=F,
         dim=len(basis),
         labels=[f"b{i}" for i in range(len(basis))],
-        basis_mult=[
-            linalg.transpose([coords(A.mult(b, c)) for c in basis]) for b in basis
-        ],
+        basis_mult=[restricted(A.mult_matrix(b)) for b in basis],
         unit=coords(idempotent),
         generators=[coords(A.mult(idempotent, g)) for g in A.generators],
         generator_names=list(A.generator_names),
@@ -208,37 +211,26 @@ def restrict_to_block(A: FiniteAlgebra, idempotent):
     return block, basis, coords
 
 
-def _split_along(A, idempotent, elem, minpoly_factors):
-    """CRT idempotents from coprime primary factors of elem's minimal poly."""
+def _split_along(A, idempotent, elem, factors):
+    """CRT idempotents from pairwise coprime factors f^m of a polynomial mu
+    that kills elem on e*A (its minimal or characteristic polynomial): the
+    i-th one projects e*A onto the kernel of f_i(elem)^m_i."""
     F = A.field
-    qs = []
-    mu = UniPoly(F, [F.one])
-    for f, m in minpoly_factors:
-        fm = f
-        for _ in range(m - 1):
-            fm = fm * f
-        qs.append(fm)
-        mu = mu * fm
-    # cofactors q_i = mu / f_i^{m_i}; find u_i with sum u_i q_i = 1
+    qs = [reduce(UniPoly.__mul__, [f] * m) for f, m in factors]
+    mu = reduce(UniPoly.__mul__, qs)
+    # cofactors mu / q_i; an iterated extended gcd finds u_i with
+    # sum u_i cof_i = g, a nonzero constant since the q_i are coprime
     cof = [mu // q for q in qs]
-    # iterative extended gcd across the cofactors
-    combo = [UniPoly(F, []) for _ in cof]
+    combo = [UniPoly(F, [F.one])] + [UniPoly(F, [])] * (len(cof) - 1)
     g = cof[0]
-    combo[0] = UniPoly(F, [F.one])
     for i in range(1, len(cof)):
-        g2, (s, t) = _ext_gcd(g, cof[i])
+        g, (s, t) = _ext_gcd(g, cof[i])
         combo = [c * s for c in combo]
         combo[i] = t
-        g = g2
-    # g is a nonzero constant since the primary parts are pairwise coprime
+    # each result is multiplied by e, so u_i cof_i may be taken modulo mu
     scale = F.inv(g.coeffs[0])
-    out = []
-    for u, q in zip(combo, cof):
-        eq = (u * q).scale(scale)
-        e_i = A.eval_poly(eq, elem)
-        e_i = A.mult(e_i, idempotent)
-        out.append(e_i)
-    return out
+    return [A.mult(A.eval_poly((u * q % mu).scale(scale), elem), idempotent)
+            for u, q in zip(combo, cof)]
 
 
 def _ext_gcd(a: UniPoly, b: UniPoly):
@@ -348,37 +340,34 @@ def _factor_sort_key(A, lf: LocalFactor):
     return (lf.dim, lf.residue_degree, tie)
 
 
+def strip_roots(chi: UniPoly, roots):
+    """chi = prod (t - lam)^m * residual over the given roots: returns the
+    factors (t - lam, m) with m > 0, in the order of roots, and residual."""
+    F = chi.field
+    factors, residual = [], chi
+    for lam in roots:
+        lin = UniPoly(F, [F.neg(lam), F.one])
+        m = 0
+        while residual.evaluate(lam) == F.zero:
+            residual, m = residual // lin, m + 1
+        if m:
+            factors.append((lin, m))
+    return factors, residual
+
+
 def bezout_idempotents(A: FiniteAlgebra, a, lam):
     """Split off the generalized lam-eigenspace of mult-by-a.
 
-    chi = char poly of mult-by-a, q = chi with the (t-lam) power removed;
-    Bezout cofactors of ((t-lam)^n, q) give e = (q g)(a).  Returns
+    chi = char poly of mult-by-a = (t - lam)^m q with q(lam) != 0; the CRT
+    idempotents of ((t - lam)^m, q) are (e, e_perp).  Returns
     (e, e_perp, found) with e = 0 and found=False when lam is not a root.
     """
     F = A.field
-    m = A.mult_matrix(a)
-    chi = linalg.charpoly(F, m)
-    lin = UniPoly(F, [F.neg(lam), F.one])
-    mult = 0
-    q = chi
-    while True:
-        quo, rem = q.divmod(lin)
-        if rem.is_zero():
-            q = quo
-            mult += 1
-        else:
-            break
-    if mult == 0:
-        zero = [F.zero] * A.dim
-        return zero, list(A.unit), False
-    n = A.dim
-    tn = UniPoly(F, [F.one])
-    for _ in range(n):
-        tn = tn * lin
-    g, (f_cof, g_cof) = _ext_gcd(tn, q)
-    scale = F.inv(g.coeffs[0])
-    e = A.eval_poly((q * g_cof).scale(scale), a)
-    e_perp = [F.sub(x, y) for x, y in zip(A.unit, e)]
+    chi = linalg.charpoly(F, A.mult_matrix(a))
+    factors, q = strip_roots(chi, [lam])
+    if not factors:
+        return [F.zero] * A.dim, list(A.unit), False
+    e, e_perp = _split_along(A, A.unit, a, factors + [(q, 1)])
     return e, e_perp, True
 
 

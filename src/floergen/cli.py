@@ -130,8 +130,9 @@ def _cmd_validate(args):
 def _cmd_cohomology(args):
     P = _polytope(args)
     field = parse_field(args.field)
-    classical = classical_cohomology(P, field, _budget(args))
-    real = real_cohomology_dims(P, _budget(args))
+    budget = _budget(args)  # one budget for both quotients
+    classical = classical_cohomology(P, field, budget)
+    real = real_cohomology_dims(P, budget)
     return 0, {
         "command": "cohomology",
         "input": P.name or args.polytope,

@@ -18,9 +18,10 @@ per call and hands the matrix to one kernel per field kind:
 RREF is unique, so every kernel returns the same matrix and pivots as plain
 Gauss-Jordan elimination with the field's own operations.  `rank`,
 `kernel_basis`, `image_basis`, `solve`, `invert` and `subspace_contained` all
-go through `rref`.  `mat_vec` and `mat_mul` accumulate each output entry with
-native `+` and `*` from the field's zero, so over Q it is a `Fraction`, and
-over F_p reduce it once with `% p`.
+go through `rref`.  `mat_vec`, `mat_mul` and `charpoly` accumulate each
+output entry with native `+` and `*` from the field's zero, so over Q it is a
+`Fraction`, and over F_p reduce it once with `% p`, as `kernel_basis` does
+with its negated entries.
 """
 
 from __future__ import annotations
@@ -202,14 +203,16 @@ def kernel_basis(field, mat):
         ]
     r, pivots = rref(field, mat)
     pivot_set = set(pivots)
+    zero, one, p = field.zero, field.one, field.char
     basis = []
     for free in range(cols):
         if free in pivot_set:
             continue
-        v = [field.zero] * cols
-        v[free] = field.one
+        v = [zero] * cols
+        v[free] = one
         for row_idx, pc in enumerate(pivots):
-            v[pc] = field.neg(r[row_idx][free])
+            x = -r[row_idx][free]
+            v[pc] = x % p if p else x
         basis.append(v)
     return basis
 
@@ -263,14 +266,15 @@ def charpoly(field, mat) -> UniPoly:
     """Characteristic polynomial det(tI - M) by the Samuelson-Berkowitz
     division-free recursion; valid over any field including small F_p."""
     n = len(mat)
+    zero, one, p = field.zero, field.one, field.char
     if n == 0:
-        return UniPoly(field, [field.one])
+        return UniPoly(field, [one])
     # Berkowitz: iteratively build the coefficient vector via Toeplitz products.
-    poly = [field.one, field.neg(mat[0][0])]  # charpoly of the 1x1 leading block
+    poly = [one, field.neg(mat[0][0])]  # charpoly of the 1x1 leading block
     for k in range(1, n):
         # principal k+1 x k+1 block data
         a = mat[k][k]
-        row = [mat[k][j] for j in range(k)]  # R
+        row = mat[k][:k]  # R
         col = [mat[j][k] for j in range(k)]  # C
         block = [r[:k] for r in mat[:k]]  # A (k x k)
         # powers of A applied to C
@@ -278,20 +282,14 @@ def charpoly(field, mat) -> UniPoly:
         for _ in range(k - 1):
             powers.append(mat_vec(field, block, powers[-1]))
         # Toeplitz column: [1, -a, -R C, -R A C, ..., -R A^{ k-1 } C]
-        tcol = [field.one, field.neg(a)]
-        for p in powers:
-            acc = field.zero
-            for x, y in zip(row, p):
-                acc = field.add(acc, field.mul(x, y))
-            tcol.append(field.neg(acc))
-        new = [field.zero] * (len(poly) + 1)
+        tcol = [one, -a]
+        tcol += [-sum([x * y for x, y in zip(row, v) if x], zero) for v in powers]
+        new = [zero] * (len(poly) + 1)
         for i, pc in enumerate(poly):
-            if pc == field.zero:
-                continue
-            for j, tc in enumerate(tcol):
-                if i + j <= len(poly):
-                    new[i + j] = field.add(new[i + j], field.mul(pc, tc))
-        poly = new
+            if pc:
+                for j, tc in enumerate(tcol[:len(new) - i]):
+                    new[i + j] += pc * tc
+        poly = [x % p for x in new] if p else new
     # poly holds coefficients highest degree first
     return UniPoly(field, list(reversed(poly)))
 

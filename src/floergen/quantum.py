@@ -1,6 +1,7 @@
 """Quantum cohomology presentations, Jacobian rings, the closed-open map,
 first-Chern-class spectra, critical local systems, and toric split-generation
-reports.
+reports.  Over Q the report splits along one characteristic polynomial of
+c1, with one CRT call for all its rational-root and residual summands.
 
 The divisor presentation uses one ambient variable Z_j per facet, the linear
 relations sum_j nu_j Z_j = 0, and one monomial relation Z^A - 1 per basis
@@ -18,9 +19,10 @@ from . import linalg
 from .algebra import (
     FiniteAlgebra,
     LocalFactor,
-    bezout_idempotents,
+    _split_along,
     local_decompose,
     restrict_to_block,
+    strip_roots,
 )
 from .errors import AnomalyError, UsageError
 from .grobner import Budget, Morphism, QuotientAlgebra, algebra_morphism, laurent_quotient
@@ -161,14 +163,10 @@ def c1_spectrum(qa: QuotientAlgebra, c1_coords, seed: int = DEFAULT_SEED) -> Spe
             op = linalg.mat_pow(F, op, qa.dim)
             eigen.append((repr(f), len(linalg.kernel_basis(F, op))))
     else:
-        roots = rational_roots(chi)
-        factors = roots
-        residual = chi
-        for r, mult in roots:
-            lin = UniPoly(F, [F.neg(r), F.one])
-            for _ in range(mult):
-                residual = residual // lin
-            op = linalg.eval_poly_at_matrix(F, lin, m)
+        factors = rational_roots(chi)
+        _, residual = strip_roots(chi, [r for r, _ in factors])
+        for r, _ in factors:
+            op = linalg.eval_poly_at_matrix(F, UniPoly(F, [F.neg(r), F.one]), m)
             op = linalg.mat_pow(F, op, qa.dim)
             eigen.append((F.to_str(r), len(linalg.kernel_basis(F, op))))
         if residual.degree > 0:
@@ -310,60 +308,54 @@ def _fp_summands(W: LaurentPoly, jac: QuotientAlgebra, seed: int):
 
 
 def _rational_summands(W: LaurentPoly, jac: QuotientAlgebra):
-    """Bezout idempotent route over Q: split along rational eigenvalues of
-    quantum multiplication by the first Chern class."""
+    """CRT route over Q: split along rational eigenvalues of quantum
+    multiplication by the first Chern class, chi = charpoly(c1) being
+    prod (t - lam)^m * residual; one idempotent per root, and one for the
+    residual when it has positive degree."""
     F = jac.field
     A = FiniteAlgebra.from_quotient(jac)
     c1 = jac.nf_coords(W)
     chi = linalg.charpoly(F, A.mult_matrix(c1))
+    factors, residual = strip_roots(chi, [lam for lam, _ in rational_roots(chi)])
+    if residual.degree > 0:
+        factors.append((residual, 1))
     out = []
-    covered = 0
-    for lam, mult in rational_roots(chi):
-        e, _, found = bezout_idempotents(A, c1, lam)
-        if not found:
+    for (f, _), e in zip(factors, _split_along(A, A.unit, c1, factors)):
+        if f is residual:
+            out.append(
+                GenerationSummand(
+                    dim=linalg.rank(F, A.mult_matrix(e)),
+                    residue_degree=0,
+                    point=None,
+                    critical_value=None,
+                    kernel_dim=0,
+                    verdict="nonsplit",
+                    statement=(
+                        "complementary summand for the irrational part of the "
+                        "first-Chern-class spectrum; no rational critical local "
+                        "system"
+                    ),
+                )
+            )
             continue
         block, _, _ = restrict_to_block(A, e)
-        covered += block.dim
         # try to read off a critical point: each coordinate variable must act
         # with a single rational eigenvalue on the summand
-        point = []
-        for g in block.generators:
-            mp = block.element_min_poly(g)
-            if mp.degree == 1:
-                point.append(F.neg(mp.coeffs[0]))
-            else:
-                point = None
-                break
-        if point is not None:
-            for i in range(W.ring.nvars):
-                if W.log_derivative(i).evaluate(point) != F.zero:
-                    point = None
-                    break
+        mps = [block.element_min_poly(g) for g in block.generators]
+        point = [F.neg(mp.coeffs[0]) for mp in mps]
+        if any(mp.degree != 1 for mp in mps) or any(
+            W.log_derivative(i).evaluate(point) != F.zero for i in range(W.ring.nvars)
+        ):
+            point = None
         out.append(
             GenerationSummand(
                 dim=block.dim,
                 residue_degree=1,
                 point=point,
-                critical_value=lam,
+                critical_value=F.neg(f.coeffs[0]),
                 kernel_dim=0,
                 verdict="split-generates",
                 statement=_SPLIT_STATEMENT,
-            )
-        )
-    if covered < A.dim:
-        out.append(
-            GenerationSummand(
-                dim=A.dim - covered,
-                residue_degree=0,
-                point=None,
-                critical_value=None,
-                kernel_dim=0,
-                verdict="nonsplit",
-                statement=(
-                    "complementary summand for the irrational part of the "
-                    "first-Chern-class spectrum; no rational critical local "
-                    "system"
-                ),
             )
         )
     return out

@@ -5,20 +5,23 @@ from fractions import Fraction
 import pytest
 
 from conftest import lpoly
-from floergen import linalg
+from floergen import algebra, linalg
 from floergen.algebra import (
     FiniteAlgebra,
+    _split_along,
     bezout_idempotents,
     local_decompose,
     madic_profile,
     radical_char_p,
+    restrict_to_block,
+    strip_roots,
 )
 from floergen.errors import UsageError
 from floergen.grobner import laurent_quotient
 from floergen.laurent import LaurentRing
 from floergen.quantum import jacobian_ring
-from floergen.scalar import QQ, PrimeField
-from floergen.toric import corpus, superpotential
+from floergen.scalar import QQ, PrimeField, UniPoly, rational_roots
+from floergen.toric import corpus, polytope_product, projective_space, superpotential
 
 
 def univariate_algebra(field, coeffs):
@@ -245,33 +248,50 @@ def test_linear_ops_examples():
 
 @pytest.mark.parametrize("name", ["CP2", "CP1xCP1", "CP1xCP1xCP1"])
 def test_basis_mult_representation_matches_normal_forms(name):
-    F7 = PrimeField(7)
-    W = superpotential(corpus()[name], F7)
-    jac = jacobian_ring(W)
-    A = FiniteAlgebra.from_quotient(jac)
-    ring = W.ring
-    rng = random.Random(name)
+    for field in (PrimeField(7), QQ):
+        W = superpotential(corpus()[name], field)
+        jac = jacobian_ring(W)
+        A = FiniteAlgebra.from_quotient(jac)
+        ring = W.ring
+        rng = random.Random(name)
 
-    def random_poly():
-        return ring.from_terms(
-            (tuple(rng.randint(-2, 2) for _ in range(ring.nvars)),
-             F7.from_int(rng.randint(1, 6)))
-            for _ in range(3)
-        )
+        def random_poly():
+            return ring.from_terms(
+                (tuple(rng.randint(-2, 2) for _ in range(ring.nvars)),
+                 field.from_int(rng.randint(1, 6)))
+                for _ in range(3)
+            )
 
-    for _ in range(8):
-        a, b = random_poly(), random_poly()
-        u, v = jac.nf_coords(a), jac.nf_coords(b)
-        assert A.mult(u, v) == jac.nf_coords(a * b)
-        assert linalg.mat_vec(F7, A.mult_matrix(u), v) == A.mult(u, v)
-    assert A.is_commutative() and A.is_associative()
-    factors = local_decompose(A)
-    assert sum(f.dim for f in factors) == A.dim
-    for f in factors:
-        block = f.algebra
-        assert block.is_commutative()
-        assert block.mult_matrix(block.unit) == linalg.identity(F7, block.dim)
-        assert block.is_associative()
+        for _ in range(8):
+            a, b = random_poly(), random_poly()
+            u, v = jac.nf_coords(a), jac.nf_coords(b)
+            assert A.mult(u, v) == jac.nf_coords(a * b)
+            assert linalg.mat_vec(field, A.mult_matrix(u), v) == A.mult(u, v)
+        assert A.is_commutative() and A.is_associative()
+        if field.char:
+            blocks = [f.algebra for f in local_decompose(A)]
+            assert sum(block.dim for block in blocks) == A.dim
+        else:
+            c1 = jac.nf_coords(W)
+            chi = linalg.charpoly(field, A.mult_matrix(c1))
+            blocks = [restrict_to_block(A, bezout_idempotents(A, c1, lam)[0])[0]
+                      for lam, _ in rational_roots(chi)]
+        for block in blocks:
+            assert block.is_commutative()
+            assert block.mult_matrix(block.unit) == linalg.identity(field, block.dim)
+            assert block.is_associative()
+
+
+def test_products_reduce_mod_p():
+    # z^3 = 3, so unlike the toric Jacobian rings some structure constants are not 1
+    A, qa = univariate_algebra(PrimeField(5), [2, 0, 0, 1])
+    R = qa.source_ring
+    a = lpoly(R, {(0,): 4, (1,): 3, (2,): 2})
+    b = lpoly(R, {(0,): 1, (1,): 4, (2,): 3})
+    u, v = qa.nf_coords(a), qa.nf_coords(b)
+    assert A.mult(u, v) == qa.nf_coords(a * b)
+    basis = linalg.identity(A.field, A.dim)
+    assert A.mult_matrix(u) == linalg.transpose([A.mult(u, b) for b in basis])
 
 
 def test_is_associative_detects_a_corrupted_product():
@@ -279,3 +299,107 @@ def test_is_associative_detects_a_corrupted_product():
     assert A.is_associative()
     A.basis_mult[1][2][1] = (A.basis_mult[1][2][1] + 1) % 5  # perturb z * z
     assert not A.is_associative()
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+def test_bezout_single_eigenvalue(field):
+    A, qa = univariate_algebra(field, [-1, 3, -3, 1])  # (z - 1)^3
+    z = qa.nf_coords(qa.source_ring.variable(0))
+    e, e_perp, found = bezout_idempotents(A, z, field.one)
+    assert found
+    assert e == A.unit
+    assert all(c == field.zero for c in e_perp)
+
+
+def q_jacobian(name):
+    cp1, cp2 = projective_space(1), projective_space(2)
+    P = {
+        "CP2": cp2,
+        "CP1^4": polytope_product(polytope_product(cp1, cp1), polytope_product(cp1, cp1)),
+        "CP2xCP2": polytope_product(cp2, cp2),
+    }[name]
+    W = superpotential(P, QQ)
+    jac = jacobian_ring(W)
+    return FiniteAlgebra.from_quotient(jac), jac.nf_coords(W)
+
+
+# rational roots of chi = charpoly(c1) with multiplicities, and deg(residual)
+CRT_CASES = {
+    "CP2": ([(3, 1)], 2),
+    "CP1^4": ([(8, 1), (4, 4), (0, 6), (-4, 4), (-8, 1)], 0),
+    "CP2xCP2": ([(6, 1), (-3, 2)], 6),
+}
+
+
+@pytest.mark.parametrize("name", CRT_CASES)
+def test_one_crt_split_over_q(name):
+    """One _split_along call on chi's factors gives a complete set of
+    orthogonal idempotents: bezout_idempotents' e for each rational root,
+    whose block has the root's multiplicity, and one for the residual."""
+    A, c1 = q_jacobian(name)
+    F = A.field
+    chi = linalg.charpoly(F, A.mult_matrix(c1))
+    roots = rational_roots(chi)
+    expected_roots, residual_degree = CRT_CASES[name]
+    assert roots == [(Fraction(lam), m) for lam, m in expected_roots]
+    factors, residual = strip_roots(chi, [lam for lam, _ in roots])
+    assert factors == [(UniPoly(F, [-lam, F.one]), m) for lam, m in roots]
+    assert residual.degree == residual_degree
+    if residual.degree > 0:
+        factors.append((residual, 1))
+    idempotents = _split_along(A, A.unit, c1, factors)
+    assert len(idempotents) == len(factors)
+    total = [F.zero] * A.dim
+    for i, e in enumerate(idempotents):
+        assert A.mult(e, e) == e
+        for other in idempotents[i + 1:]:
+            assert all(c == 0 for c in A.mult(e, other))
+        total = [x + y for x, y in zip(total, e)]
+    assert total == A.unit
+    for (f, m), e in zip(factors, idempotents):
+        assert linalg.rank(F, A.mult_matrix(e)) == (m if f is not residual else f.degree)
+    for (lam, m), e in zip(roots, idempotents):
+        found_e, e_perp, found = bezout_idempotents(A, c1, lam)
+        assert found and found_e == e
+        assert e_perp == [x - y for x, y in zip(A.unit, e)]
+        assert restrict_to_block(A, e)[0].dim == m
+
+
+def restrict_by_solving(A, idempotent):
+    """Block product table with one linalg.solve per pair of basis vectors."""
+    F = A.field
+    basis = linalg.image_basis(F, A.mult_matrix(idempotent))
+    bmat = linalg.transpose(basis)
+
+    def coords(v):
+        return linalg.solve(F, bmat, v)
+
+    basis_mult = [linalg.transpose([coords(A.mult(b, c)) for c in basis]) for b in basis]
+    generators = [coords(A.mult(idempotent, g)) for g in A.generators]
+    return basis, basis_mult, coords(idempotent), generators, coords
+
+
+@pytest.mark.parametrize("name", ["CP2", "CP1xCP1xCP1"])
+def test_restrict_to_block_matches_solve_reference(name, monkeypatch):
+    F7 = PrimeField(7)
+    A = FiniteAlgebra.from_quotient(jacobian_ring(superpotential(corpus()[name], F7)))
+    seen = []
+    original = algebra.restrict_to_block
+
+    def recording(A, idempotent):
+        seen.append(idempotent)
+        return original(A, idempotent)
+
+    monkeypatch.setattr(algebra, "restrict_to_block", recording)
+    factors = local_decompose(A)
+    assert sum(f.dim for f in factors) == A.dim
+    assert len(seen) > len(factors)  # the unit and every intermediate split
+    for e in seen:
+        block, basis, coords = original(A, e)
+        ref_basis, ref_mult, ref_unit, ref_generators, ref_coords = restrict_by_solving(A, e)
+        assert basis == ref_basis
+        assert block.basis_mult == ref_mult
+        assert block.unit == ref_unit and block.generators == ref_generators
+        for j in range(A.dim):
+            v = A.mult(e, [F7.one if k == j else F7.zero for k in range(A.dim)])
+            assert coords(v) == ref_coords(v)

@@ -257,6 +257,21 @@ def test_budget_exhaustion_exit_2(capsys, polytope_file):
     assert isinstance(record["basis_size"], int) and record["basis_size"] > 0
 
 
+def test_budget_covers_whole_command(capsys, polytope_file):
+    # the classical and the real-locus quotient of CP1^3 take 48 steps each
+    path = polytope_file("CP1xCP1xCP1")
+    code, _, err = invoke(capsys, ["cohomology", "--polytope", path, "--budget", "60"])
+    assert code == 2
+    assert "budget" in err
+    code, out, _ = invoke(capsys, [
+        "cohomology", "--polytope", path, "--budget", "60", "--format", "json",
+    ])
+    assert code == 2
+    assert json.loads(out)["steps"] == 61
+    code, _, _ = invoke(capsys, ["cohomology", "--polytope", path, "--budget", "96"])
+    assert code == 0
+
+
 def test_text_output_byte_stable(capsys, polytope_file):
     path = polytope_file("CP2")
     argv = ["toric-gen", "--polytope", path, "--field", "F7"]

@@ -4,7 +4,8 @@
 had one kernel per field kind: every entry goes through `field.add`/`mul`.
 RREF is unique, so the kernels must return exactly its matrix and pivots.
 `mat_vec` and `mat_mul` are checked against a triple loop the same way, and
-sympy is the independent oracle for rank, kernels and inverses.
+sympy is the independent oracle for rank, kernels, inverses, characteristic
+polynomials and minimal polynomials (the last invariant factor of tI - M).
 """
 
 import copy
@@ -17,7 +18,8 @@ pytest.importorskip("sympy")
 
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
-from sympy import GF, Matrix  # noqa: E402
+from sympy import GF, QQ as SYMPY_QQ, Matrix, Poly, eye, symbols  # noqa: E402
+from sympy.matrices.normalforms import invariant_factors  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from floergen import linalg, realgen  # noqa: E402
@@ -137,6 +139,51 @@ def sympy_rank(field, mat):
     return Matrix(rows, cols, [x for row in mat for x in row]).rank()
 
 
+def from_sympy(field, c):
+    if field.char:
+        return int(c) % field.char
+    return Fraction(int(c.p), int(c.q))
+
+
+def sympy_charpoly(field, mat):
+    """Coefficients of det(tI - M), lowest degree first."""
+    n = len(mat)
+    if field.char:
+        dom = GF(field.char)
+        coeffs = DomainMatrix([[dom(x) for x in row] for row in mat], (n, n), dom).charpoly()
+    else:
+        coeffs = Matrix(n, n, [x for row in mat for x in row]).charpoly().all_coeffs()
+    return [from_sympy(field, c) for c in reversed(coeffs)]
+
+
+def sympy_minimal_polynomial(field, mat):
+    """The monic last invariant factor of tI - M, lowest degree first."""
+    n = len(mat)
+    t = symbols("t")
+    dom = GF(field.char) if field.char else SYMPY_QQ
+    m = Matrix(n, n, [x for row in mat for x in row])
+    factors = invariant_factors(t * eye(n) - m, domain=dom[t])
+    last = Poly(factors[-1], t, domain=dom).monic()
+    return [from_sympy(field, c) for c in reversed(last.all_coeffs())]
+
+
+@pytest.mark.parametrize("name", FIELDS)
+@SETTINGS
+@given(data=st.data())
+def test_charpoly_and_minimal_polynomial_against_sympy(name, data):
+    field = FIELDS[name]
+    n = data.draw(st.integers(1, 6))
+    mat = data.draw(matrices(field, rows=n, cols=n))
+    before = copy.deepcopy(mat)
+    chi = linalg.charpoly(field, mat)
+    assert chi.coeffs == sympy_charpoly(field, mat)
+    assert_canonical(field, [chi.coeffs])
+    mu = linalg.minimal_polynomial(field, mat)
+    assert mu.coeffs == sympy_minimal_polynomial(field, mat)
+    assert_canonical(field, [mu.coeffs])
+    assert mat == before
+
+
 @pytest.mark.parametrize("name", FIELDS)
 @SETTINGS
 @given(data=st.data())
@@ -178,6 +225,7 @@ def test_rank_and_kernel_against_sympy(name, data):
     assert rank == sympy_rank(field, mat)
     kernel = linalg.kernel_basis(field, mat)
     assert len(kernel) == cols - rank
+    assert_canonical(field, kernel)
     for v in kernel:
         assert all(x == field.zero for x in reference_mat_vec(field, mat, v))
     if kernel:

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import dp6, lpoly
 from floergen import linalg
-from floergen.errors import UsageError
+from floergen.errors import AnomalyError, UsageError
 from floergen.grobner import algebra_morphism, laurent_quotient
 from floergen import quantum
 from floergen.laurent import LaurentRing
@@ -355,3 +355,48 @@ def test_toric_generation_builds_jacobian_ring_once(monkeypatch):
     report = toric_generation_report(corpus()["CP2"], PrimeField(7))
     assert not report.anomaly and len(report.summands) == 3
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("name", ["CP2", "CP1xCP1"])
+def test_rational_report_computes_charpoly_once(name, monkeypatch):
+    calls = []
+    original = linalg.charpoly
+
+    def counted(field, mat):
+        calls.append(len(mat))
+        return original(field, mat)
+
+    monkeypatch.setattr(linalg, "charpoly", counted)
+    report = toric_generation_report(corpus()[name], QQ)
+    assert not report.anomaly
+    assert calls == [report.co0.codomain_dim]
+
+
+def test_rational_complement_summand_cp2():
+    # chi = t^3 - 27 = (t - 3)(t^2 + 3t + 9): the complement is the residual's block
+    rep = toric_generation_report(corpus()["CP2"], QQ)
+    assert [(s.dim, s.verdict) for s in rep.summands] == [
+        (1, "split-generates"), (2, "nonsplit")]
+    assert rep.to_json()["summands"] == [
+        {"critical_value": "3", "dim": 1, "kernel_dim": 0, "point": ["1", "1"],
+         "residue_degree": 1, "statement": quantum._SPLIT_STATEMENT,
+         "verdict": "split-generates"},
+        {"critical_value": None, "dim": 2, "kernel_dim": 0, "point": None,
+         "residue_degree": 0,
+         "statement": "complementary summand for the irrational part of the "
+                      "first-Chern-class spectrum; no rational critical local system",
+         "verdict": "nonsplit"},
+    ]
+
+
+def test_rational_summand_dims_are_checked(monkeypatch):
+    # a residual idempotent that misses its block must trip the summand-sum check
+    original = quantum._split_along
+
+    def lossy(A, idempotent, elem, factors):
+        out = original(A, idempotent, elem, factors)
+        return out[:-1] + [[A.field.zero] * A.dim]
+
+    monkeypatch.setattr(quantum, "_split_along", lossy)
+    with pytest.raises(AnomalyError):
+        toric_generation_report(corpus()["CP2"], QQ)
