@@ -4,8 +4,9 @@ A FiniteAlgebra has one product representation: per-basis multiplication
 matrices, basis_mult[j] being multiplication by the j-th basis element.
 Every other product (of elements, by an element, powers, polynomials) is
 computed from these; `mult` and `mult_matrix` accumulate with native `+` and
-`*` and reduce once with `% p` over F_p.  A QuotientAlgebra is a presentation that yields one,
-sharing its cached matrices.
+`*` and reduce once with `% p` over F_p.  A QuotientAlgebra is a
+presentation that yields one, column k of basis_mult[j] being the normal form
+of the product of staircase monomials j and k.
 
 Covers the nilradical in characteristic p (iterated Frobenius kernel),
 decomposition into local factors, idempotents for generalized eigenspace
@@ -50,8 +51,8 @@ class FiniteAlgebra:
 
     @classmethod
     def from_quotient(cls, qa):
-        """The quotient's algebra, sharing its basis multiplication matrices;
-        for a Laurent quotient the generators are the original variables."""
+        """The quotient's algebra on its basis multiplication matrices; for a
+        Laurent quotient the generators are the original variables."""
         qa._require_finite()
         originals = range(qa.n_laurent or 0, 2 * (qa.n_laurent or 0))
         return cls(
@@ -303,7 +304,7 @@ def local_decompose(A: FiniteAlgebra, seed: int = DEFAULT_SEED):
             finished.append(_finalize_factor(e, block, basis, seed))
         else:
             pending.extend(split)
-    finished.sort(key=lambda lf: _factor_sort_key(A, lf))
+    finished.sort(key=lambda lf: (lf.dim, lf.residue_degree, tuple(lf.idempotent)))
     return finished
 
 
@@ -329,15 +330,6 @@ def _finalize_factor(e, block, basis, seed):
         residue_degree=residue_degree,
         point=point,
     )
-
-
-def _factor_sort_key(A, lf: LocalFactor):
-    coords = lf.idempotent
-    if A.field.char == 0:
-        tie = tuple((c.numerator, c.denominator) for c in coords)
-    else:
-        tie = tuple(coords)
-    return (lf.dim, lf.residue_degree, tie)
 
 
 def strip_roots(chi: UniPoly, roots):

@@ -45,12 +45,6 @@ from .toric import (
     validate,
 )
 
-_SUBCOMMANDS = (
-    "validate", "cohomology", "superpotential", "jac", "qh", "co0",
-    "spectrum", "decompose", "toric-gen", "real-gen", "smod2", "ainfty-check",
-)
-
-
 def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -314,7 +308,7 @@ def _parser() -> argparse.ArgumentParser:
         "split-generation verdicts, and A-infinity sign checks.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in _SUBCOMMANDS:
+    for name in _HANDLERS:
         p = sub.add_parser(name)
         p.add_argument("--polytope", help="polytope JSON path")
         p.add_argument("--superpotential", help="Laurent polynomial JSON path")

@@ -1,10 +1,10 @@
 """Groebner bases and finite-dimensional quotient algebras.
 
-A QuotientAlgebra is a presentation: generators, Groebner basis, staircase
-and the multiplication matrices of the variables.  The finite-dimensional
-algebra it presents is a FiniteAlgebra on per-basis multiplication matrices,
-built once from the quotient's cached matrices; products of elements are
-delegated to it.
+A QuotientAlgebra is a presentation: generators, Groebner basis and
+staircase.  The finite-dimensional algebra it presents is a FiniteAlgebra on
+per-basis multiplication matrices, built when first needed from the normal
+forms of the staircase products under the quotient's budget; products of
+elements are delegated to it.
 
 Polynomials live in ordinary (nonnegative-exponent) rings as dicts from
 exponent tuples to coefficients.  Laurent ideals are handled through the
@@ -218,12 +218,13 @@ def buchberger(field, gens, budget: Budget | None = None):
 
 @dataclass
 class QuotientAlgebra:
-    """Finite-dimensional quotient with staircase basis and mult matrices.
+    """Quotient by a Groebner basis, with its staircase basis.
 
     `names` are the encoded polynomial variables.  For Laurent quotients the
     first `n_laurent` are inverse variables and the next `n_laurent` the
     originals, and `source_ring` is the original Laurent ring.  `leads[i]` is
-    the leading monomial of `gb[i]`.
+    the leading monomial of `gb[i]`.  `budget` is the one the quotient was
+    built under; products of basis monomials are reduced under it too.
     """
 
     field: object
@@ -232,13 +233,12 @@ class QuotientAlgebra:
     leads: list
     finite: bool
     staircase: list
-    mult_matrices: dict
+    budget: Budget
     source_ring: LaurentRing | None = None
     n_laurent: int | None = None
     source_gens: list = dc_field(default_factory=list)
     unit_index: int | None = dc_field(init=False, default=None)
     _index: dict = dc_field(init=False, repr=False)
-    _basis_mult: list = dc_field(default_factory=list, repr=False)
     _algebra: FiniteAlgebra | None = dc_field(default=None, repr=False)
 
     def __post_init__(self):
@@ -308,29 +308,26 @@ class QuotientAlgebra:
         return [self.monomial_label(m) for m in self.staircase]
 
     def basis_mult_matrix(self, j):
-        """Multiplication matrix of the j-th staircase basis monomial."""
+        """Multiplication matrix of the j-th staircase basis monomial: column k
+        is the normal form of staircase[j] * staircase[k]."""
         self._require_finite()
-        if not self._basis_mult:
-            self._basis_mult = [None] * self.dim
-        if self._basis_mult[j] is None:
-            mono = self.staircase[j]
-            m = linalg.identity(self.field, self.dim)
-            for v, e in enumerate(mono):
-                for _ in range(e):
-                    m = linalg.mat_mul(self.field, self.mult_matrices[v], m)
-            self._basis_mult[j] = m
-        return self._basis_mult[j]
+        mono = self.staircase[j]
+        return linalg.transpose(
+            [self.nf_coords({_mono_mul(mono, m): self.field.one}, self.budget)
+             for m in self.staircase]
+        )
 
-    def _finite_algebra(self):
+    def finite_algebra(self):
+        """The presented FiniteAlgebra, built on first use and then kept."""
         if self._algebra is None:
             self._algebra = FiniteAlgebra.from_quotient(self)
         return self._algebra
 
     def element_mult_matrix(self, coords):
-        return self._finite_algebra().mult_matrix(coords)
+        return self.finite_algebra().mult_matrix(coords)
 
     def element_product(self, u, v):
-        return self._finite_algebra().mult(u, v)
+        return self.finite_algebra().mult(u, v)
 
     def unit_coords(self):
         self._require_finite()
@@ -399,27 +396,18 @@ def _build_quotient(field, names, gen_dicts, budget, source_ring=None,
     gb = buchberger(field, gen_dicts, budget)
     leads = [_leading(g) for g in gb]
     staircase = _staircase_from_leads(names, leads)
-    qa = QuotientAlgebra(
+    return QuotientAlgebra(
         field=field,
         names=tuple(names),
         gb=gb,
         leads=leads,
         finite=staircase is not None,
         staircase=sorted(staircase, key=degrevlex) if staircase is not None else [],
-        mult_matrices={},
+        budget=budget,
         source_ring=source_ring,
         n_laurent=n_laurent,
         source_gens=list(source_gens),
     )
-    if not qa.finite:
-        return qa
-    for v in range(len(names)):
-        columns = [
-            qa.nf_coords({m[:v] + (m[v] + 1,) + m[v + 1 :]: field.one}, budget)
-            for m in qa.staircase
-        ]
-        qa.mult_matrices[v] = linalg.transpose(columns)
-    return qa
 
 
 def polynomial_quotient(field, names, gen_dicts, budget=None):

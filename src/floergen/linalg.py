@@ -241,7 +241,7 @@ def solve(field, mat, rhs):
 def invert(field, mat):
     """Matrix inverse, or None if singular."""
     n = len(mat)
-    aug = [mat[i][:] + identity(field, n)[i] for i in range(n)]
+    aug = [row + unit for row, unit in zip(mat, identity(field, n))]
     r, pivots = rref(field, aug)
     if pivots != list(range(n)):
         return None

@@ -152,23 +152,17 @@ def c1_spectrum(qa: QuotientAlgebra, c1_coords, seed: int = DEFAULT_SEED) -> Spe
     """Exact characteristic polynomial of quantum multiplication by c1,
     factored over F_p, or split into rational roots plus a residual over Q."""
     F = qa.field
-    m = qa.element_mult_matrix(c1_coords)
-    chi = linalg.charpoly(F, m)
-    eigen = []
+    chi = linalg.charpoly(F, qa.element_mult_matrix(c1_coords))
+    # an irreducible factor f of chi with multiplicity k has a generalized
+    # eigenspace of dimension deg(f) * k
     if isinstance(F, PrimeField):
         factors = univariate_factor(chi, seed=seed)
         residual = None
-        for f, mult in factors:
-            op = linalg.eval_poly_at_matrix(F, f, m)
-            op = linalg.mat_pow(F, op, qa.dim)
-            eigen.append((repr(f), len(linalg.kernel_basis(F, op))))
+        eigen = [(repr(f), f.degree * mult) for f, mult in factors]
     else:
         factors = rational_roots(chi)
         _, residual = strip_roots(chi, [r for r, _ in factors])
-        for r, _ in factors:
-            op = linalg.eval_poly_at_matrix(F, UniPoly(F, [F.neg(r), F.one]), m)
-            op = linalg.mat_pow(F, op, qa.dim)
-            eigen.append((F.to_str(r), len(linalg.kernel_basis(F, op))))
+        eigen = [(F.to_str(r), mult) for r, mult in factors]
         if residual.degree > 0:
             eigen.append((f"residual {residual!r}", residual.degree))
     return SpectrumReport(chi, factors, residual, eigen)
@@ -198,7 +192,7 @@ def critical_points(W: LaurentPoly, budget: Budget | None = None,
 def _critical_points(W: LaurentPoly, jac: QuotientAlgebra, seed: int) -> CriticalPointReport:
     if not jac.finite:
         raise UsageError("Jacobian ring is infinite-dimensional")
-    A = FiniteAlgebra.from_quotient(jac)
+    A = jac.finite_algebra()
     factors = local_decompose(A, seed)
     points = []
     for f in factors:
@@ -313,7 +307,7 @@ def _rational_summands(W: LaurentPoly, jac: QuotientAlgebra):
     prod (t - lam)^m * residual; one idempotent per root, and one for the
     residual when it has positive degree."""
     F = jac.field
-    A = FiniteAlgebra.from_quotient(jac)
+    A = jac.finite_algebra()
     c1 = jac.nf_coords(W)
     chi = linalg.charpoly(F, A.mult_matrix(c1))
     factors, residual = strip_roots(chi, [lam for lam, _ in rational_roots(chi)])

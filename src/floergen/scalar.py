@@ -329,12 +329,6 @@ class UniPoly:
         return "UniPoly(" + " + ".join(terms) + ")"
 
 
-def _coeff_sort_key(field, poly):
-    if field.char == 0:
-        return tuple((c.numerator, c.denominator) for c in poly.coeffs)
-    return tuple(poly.coeffs)
-
-
 def _squarefree_decomposition(f: UniPoly):
     """Yield (squarefree factor, multiplicity) over F_p, Yun-style with
     p-th root recursion when the derivative vanishes."""
@@ -444,7 +438,7 @@ def univariate_factor(f: UniPoly, seed: int = DEFAULT_SEED):
                 factors.append((irr, mult))
     merged = {}
     for g, m in factors:
-        key = (g.degree, _coeff_sort_key(f.field, g))
+        key = (g.degree, tuple(g.coeffs))
         if key in merged:
             merged[key] = (g, merged[key][1] + m)
         else:

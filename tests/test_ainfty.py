@@ -204,6 +204,43 @@ def test_bimodule_relations_hom_and_diagonal():
     assert check_bimodule_relations(diagonal_bimodule(Axy), cap=2)
 
 
+def test_premorphism_diff_is_twisted_hom_bimodule_diff():
+    # a premorphism psi: (key, m_q) -> n_p is the hom(M, M)-valued cochain
+    # key -> tau z_{p,q}, tau = (-1)^{(|m_q|+1)|psi|}, and this twist carries
+    # premorphism_diff to the Hochschild differential of hom_bimodule(M, M)
+    cap = 3
+    cases = 0
+    for name, A in structures().items():
+        F = A.field
+        M = self_module(A)
+        P = hom_bimodule(M, M)
+
+        def twisted(components, degree):
+            out = {}
+            for r, tensor in components.items():
+                for (key, q), val in tensor.items():
+                    tau = F.one if (M.degrees[q] + 1) * degree % 2 == 0 else F.neg(F.one)
+                    out.setdefault(r, {}).setdefault(key, {}).update(
+                        (p * M.dim + q, F.mul(tau, c)) for p, c in val.items())
+            return out
+
+        for r in range(cap + 1):
+            for key in itertools.product(range(A.dim), repeat=r):
+                for q in range(M.dim):
+                    for p in range(M.dim):
+                        degree = (M.degrees[p] + M.degrees[q]
+                                  + sum(A.degrees[t] - 1 for t in key)) % 2
+                        psi = {r: {(key, q): {p: F.one}}}
+                        phi = HochschildCochain(A, list(P.degrees), degree, cap=cap)
+                        phi.components = twisted(psi, degree)
+                        via_premorphism = twisted(
+                            premorphism_diff(M, M, psi, degree, cap), degree + 1)
+                        assert hochschild_diff(A, P, phi).components == via_premorphism, (
+                            name, key, q, p)
+                        cases += 1
+    assert cases == 2140
+
+
 # --- Hochschild differential --------------------------------------------------------
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from floergen import scalar
+from floergen import cli, scalar
 from floergen.algebra import FiniteAlgebra, local_decompose
 from floergen.cli import run
 from floergen.grobner import laurent_quotient
@@ -61,6 +61,14 @@ def test_missing_input_exit_1(capsys):
     code, _, err = invoke(capsys, ["validate"])
     assert code == 1
     assert "polytope" in err
+
+
+def test_every_handler_is_a_subcommand(capsys):
+    for name in cli._HANDLERS:
+        assert cli._parser().parse_args([name]).subcommand == name
+    code, _, err = invoke(capsys, ["no-such-command"])
+    assert code == 1
+    assert "invalid choice" in err
 
 
 def test_toric_gen_cp2_f7(capsys, polytope_file):
@@ -258,17 +266,17 @@ def test_budget_exhaustion_exit_2(capsys, polytope_file):
 
 
 def test_budget_covers_whole_command(capsys, polytope_file):
-    # the classical and the real-locus quotient of CP1^3 take 48 steps each
-    path = polytope_file("CP1xCP1xCP1")
-    code, _, err = invoke(capsys, ["cohomology", "--polytope", path, "--budget", "60"])
+    # the classical and the real-locus quotient of CP3 take 2 steps each
+    path = polytope_file("CP3")
+    code, _, err = invoke(capsys, ["cohomology", "--polytope", path, "--budget", "3"])
     assert code == 2
     assert "budget" in err
     code, out, _ = invoke(capsys, [
-        "cohomology", "--polytope", path, "--budget", "60", "--format", "json",
+        "cohomology", "--polytope", path, "--budget", "3", "--format", "json",
     ])
     assert code == 2
-    assert json.loads(out)["steps"] == 61
-    code, _, _ = invoke(capsys, ["cohomology", "--polytope", path, "--budget", "96"])
+    assert json.loads(out)["steps"] == 4
+    code, _, _ = invoke(capsys, ["cohomology", "--polytope", path, "--budget", "4"])
     assert code == 0
 
 

@@ -98,7 +98,7 @@ def test_laurent_quotient_dim2_example():
     qa = laurent_quotient([lpoly(R, {(1,): 1, (-1,): -1})])
     assert qa.finite and qa.dim == 2
     assert qa.basis_labels() == ["1", "z"]
-    zmat = qa.mult_matrices[1]
+    zmat = qa.element_mult_matrix(qa.nf_coords(R.variable(0)))
     assert zmat == [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
 
 
@@ -178,12 +178,17 @@ def test_mult_matrix_soundness_random():
         assert via_matrices == direct
 
 
+def unit_monomials(nvars):
+    return [tuple(int(k == v) for k in range(nvars)) for v in range(nvars)]
+
+
 def test_mult_matrices_commute():
     F7 = PrimeField(7)
     R = LaurentRing(["z1", "z2"], F7)
     gens = [lpoly(R, {(1, 0): 1, (-1, -1): -1}), lpoly(R, {(0, 1): 1, (-1, -1): -1})]
     qa = laurent_quotient(gens)
-    mats = list(qa.mult_matrices.values())
+    mats = [qa.element_mult_matrix(qa.nf_coords({mono: F7.one}))
+            for mono in unit_monomials(len(qa.names))]
     for a, b in itertools.combinations(mats, 2):
         assert linalg.mat_mul(F7, a, b) == linalg.mat_mul(F7, b, a)
 
@@ -420,3 +425,48 @@ def test_reduced_basis_invariant_under_permutation_and_rescaling(field):
         assert buchberger(field, moved) == buchberger(field, gens)
 
     check()
+
+
+def reference_basis_mult(qa, j):
+    """Multiplication by staircase[j] built the other way: one matrix per
+    encoded variable from normal forms, multiplied along the monomial."""
+    F = qa.field
+    per_variable = [
+        linalg.transpose([qa.nf_coords({grobner._mono_mul(m, x): F.one})
+                          for m in qa.staircase])
+        for x in unit_monomials(len(qa.names))
+    ]
+    out = linalg.identity(F, qa.dim)
+    for v, e in enumerate(qa.staircase[j]):
+        for _ in range(e):
+            out = linalg.mat_mul(F, per_variable[v], out)
+    return out
+
+
+def _quotients_for_reference():
+    for field in (QQ, F7):
+        for P in (corpus()["CP2"], corpus()["CP1xCP1xCP1"], dp6()):
+            yield jacobian_ring(superpotential(P, field))
+    F2 = PrimeField(2)
+    yield qh_presentation(corpus()["CP2"], F2, "plain")
+    yield qh_presentation(corpus()["CP2"], F2, "mod2_weights")
+
+
+def test_basis_products_match_per_variable_reference():
+    for qa in _quotients_for_reference():
+        for j in range(qa.dim):
+            assert qa.basis_mult_matrix(j) == reference_basis_mult(qa, j)
+
+
+def test_finite_algebra_reduces_under_the_quotient_budget():
+    budget = Budget()
+    jac = jacobian_ring(superpotential(corpus()["CP1xCP1xCP1"], F7), budget)
+    assert budget.steps == 3
+    A = jac.finite_algebra()
+    assert budget.steps == 51
+    assert jac.finite_algebra() is A
+    assert budget.steps == 51
+    small = Budget(3)
+    jac = jacobian_ring(superpotential(corpus()["CP1xCP1xCP1"], F7), small)
+    with pytest.raises(ResourceBudgetError):
+        jac.finite_algebra()

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import dp6, lpoly
 from floergen import linalg
+from floergen.algebra import FiniteAlgebra
 from floergen.errors import AnomalyError, UsageError
 from floergen.grobner import algebra_morphism, laurent_quotient
 from floergen import quantum
@@ -217,6 +218,28 @@ def test_c1_spectrum_cp2_F7():
     assert sum(d for _, d in spec.eigenspaces) == jac.dim
 
 
+def test_c1_spectrum_eigenspace_dims_from_factors():
+    # CP2 over F5: t^3 - 2 = (t - 3)(t^2 + 3t + 4), the quadratic irreducible
+    F5 = PrimeField(5)
+    P = corpus()["CP2"]
+    jac = jacobian_ring(superpotential(P, F5))
+    spec = c1_spectrum(jac, c1_element("jac", P, F5, jac))
+    assert [(f.degree, m) for f, m in spec.factors] == [(1, 1), (2, 1)]
+    assert [d for _, d in spec.eigenspaces] == [1, 2]
+    # CP1xCP1 over Q: t^4 - 16 t^2, the root 0 twice
+    P = corpus()["CP1xCP1"]
+    jac = jacobian_ring(superpotential(P, QQ))
+    spec = c1_spectrum(jac, c1_element("jac", P, QQ, jac))
+    assert spec.factors == [(Fraction(4), 1), (Fraction(0), 2), (Fraction(-4), 1)]
+    assert spec.eigenspaces == [("4", 1), ("0", 2), ("-4", 1)]
+    for name, P in corpus().items():
+        for fs in FIELDS:
+            field = field_of(fs)
+            jac = jacobian_ring(superpotential(P, field))
+            spec = c1_spectrum(jac, c1_element("jac", P, field, jac))
+            assert sum(d for _, d in spec.eigenspaces) == jac.dim, (name, fs)
+
+
 def test_critical_points_cp2_F7():
     W = superpotential(corpus()["CP2"], PrimeField(7))
     cp = critical_points(W)
@@ -400,3 +423,18 @@ def test_rational_summand_dims_are_checked(monkeypatch):
     monkeypatch.setattr(quantum, "_split_along", lossy)
     with pytest.raises(AnomalyError):
         toric_generation_report(corpus()["CP2"], QQ)
+
+
+@pytest.mark.parametrize("field", [PrimeField(7), QQ], ids=["F7", "Q"])
+def test_toric_generation_builds_jacobian_algebra_once(field, monkeypatch):
+    built = []
+    original = FiniteAlgebra.from_quotient.__func__
+
+    def counted(cls, qa):
+        built.append(qa.dim)
+        return original(cls, qa)
+
+    monkeypatch.setattr(FiniteAlgebra, "from_quotient", classmethod(counted))
+    report = toric_generation_report(corpus()["CP2"], field)
+    assert not report.anomaly
+    assert built == [report.co0.codomain_dim]
