@@ -54,18 +54,16 @@ class FiniteAlgebra:
         """The quotient's algebra on its basis multiplication matrices; for a
         Laurent quotient the generators are the original variables."""
         qa._require_finite()
-        originals = range(qa.n_laurent or 0, 2 * (qa.n_laurent or 0))
+        ring = qa.source_ring
+        n = ring.nvars if ring else 0
         return cls(
             field=qa.field,
             dim=qa.dim,
             labels=qa.basis_labels(),
             basis_mult=[qa.basis_mult_matrix(j) for j in range(qa.dim)],
             unit=qa.unit_coords(),
-            generators=[
-                qa.nf_coords({tuple(int(k == v) for k in range(len(qa.names))): qa.field.one})
-                for v in originals
-            ],
-            generator_names=[qa.names[v] for v in originals],
+            generators=[qa.nf_coords(ring.variable(i)) for i in range(n)],
+            generator_names=[ring.variables[i] for i in range(n)],
         )
 
     def mult(self, u, v):

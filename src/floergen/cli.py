@@ -10,6 +10,7 @@ report.  All randomness is seeded; reports embed the seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -301,6 +302,7 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="floergen",

@@ -11,21 +11,16 @@ exponent tuples to coefficients.  Laurent ideals are handled through the
 per-variable inverse encoding: k[z1..zn, z1^-1..zn^-1] becomes
 k[w1..wn, z1..zn] modulo the unit relations zi*wi - 1, with the inverse
 variables ordered first (largest) so staircase monomials prefer the original
-variables.  Each Laurent generator is cleared to polynomial form by
-multiplying with the minimal original-variable monomial that makes all
-exponents nonnegative.
-
-Proof obligation for the clearing step: multiplying a generator by a monomial
-in the zi changes nothing about the ideal in the encoded ring, because every
-zi is a unit modulo zi*wi - 1.  (Unit tests exercise invariance of quotient
-dimensions under such unit rescalings.)
+variables.  One encoder, `_encode`, sends z^e to w^max(-e,0) z^max(e,0);
+generators and elements are encoded the same way.
 
 Degree reverse lexicographic order is the only monomial order.  Buchberger
 takes its S-pairs from a heap in (degrevlex(lcm), i, j) order, the normal
 selection strategy with ties broken by index, and runs with the coprimality
 and chain criteria and full final interreduction, so the emitted basis is the
-unique reduced Groebner basis for degrevlex.  A step budget guards against
-runaway computations.
+unique reduced Groebner basis for degrevlex.  Every reduction step ticks a
+step budget: Buchberger's own, and every normal form of a quotient's elements
+under the budget that quotient was built under.
 """
 
 from __future__ import annotations
@@ -85,10 +80,10 @@ def _leading(poly):
     return max(poly, key=degrevlex)
 
 
-def _add_scaled(field, target, src, coeff, shift):
-    """target += coeff * x^shift * src, in place."""
+def _add_scaled(field, target, src, coeff, mono):
+    """target += coeff * x^mono * src, in place."""
     for e, c in src.items():
-        m = _mono_mul(e, shift)
+        m = _mono_mul(e, mono)
         acc = field.add(target.get(m, field.zero), field.mul(coeff, c))
         if acc == field.zero:
             target.pop(m, None)
@@ -103,8 +98,9 @@ def _monic(field, poly):
     return {e: field.mul(inv, c) for e, c in poly.items()}
 
 
-def normal_form_poly(field, poly, basis, budget=None):
-    """Full reduction of a polynomial dict modulo a list of (poly, lm)."""
+def normal_form_poly(field, poly, basis, budget):
+    """Full reduction of a polynomial dict modulo a list of (poly, lm), one
+    budget tick per step."""
     work = dict(poly)
     remainder = {}
     while work:
@@ -112,8 +108,7 @@ def normal_form_poly(field, poly, basis, budget=None):
         c = work[m]
         for g, lm in basis:
             if _divides(lm, m):
-                if budget is not None:
-                    budget.tick("(normal form)")
+                budget.tick("(normal form)")
                 factor = field.neg(field.div(c, g[lm]))
                 _add_scaled(field, work, g, factor, _mono_div(m, lm))
                 break
@@ -220,11 +215,11 @@ def buchberger(field, gens, budget: Budget | None = None):
 class QuotientAlgebra:
     """Quotient by a Groebner basis, with its staircase basis.
 
-    `names` are the encoded polynomial variables.  For Laurent quotients the
-    first `n_laurent` are inverse variables and the next `n_laurent` the
-    originals, and `source_ring` is the original Laurent ring.  `leads[i]` is
+    `names` are the encoded polynomial variables.  A Laurent quotient has a
+    `source_ring`, the original Laurent ring in n variables, and its names
+    are the n inverse variables followed by the n originals.  `leads[i]` is
     the leading monomial of `gb[i]`.  `budget` is the one the quotient was
-    built under; products of basis monomials are reduced under it too.
+    built under; every normal form the quotient computes is reduced under it.
     """
 
     field: object
@@ -235,7 +230,6 @@ class QuotientAlgebra:
     staircase: list
     budget: Budget
     source_ring: LaurentRing | None = None
-    n_laurent: int | None = None
     source_gens: list = dc_field(default_factory=list)
     unit_index: int | None = dc_field(init=False, default=None)
     _index: dict = dc_field(init=False, repr=False)
@@ -256,39 +250,30 @@ class QuotientAlgebra:
             raise UsageError("operation needs a finite-dimensional quotient")
 
     def encode_laurent(self, p: LaurentPoly):
-        """Encode without unit rescaling: negative powers go to inverses."""
-        if self.n_laurent is None:
+        """The encoded polynomial dict of an element of the source ring."""
+        if self.source_ring is None:
             raise UsageError("not a Laurent quotient")
         if p.ring != self.source_ring:
             raise UsageError("polynomial lives in a different ring")
-        out = {}
-        F = self.field
-        for e, c in p.terms.items():
-            enc = tuple(max(-x, 0) for x in e) + tuple(max(x, 0) for x in e)
-            acc = F.add(out.get(enc, F.zero), c)
-            if acc == F.zero:
-                out.pop(enc, None)
-            else:
-                out[enc] = acc
-        return out
+        return _encode(p)
 
-    def reduce_poly(self, poly_dict, budget=None):
+    def reduce_poly(self, poly_dict):
         basis = list(zip(self.gb, self.leads))
-        return normal_form_poly(self.field, poly_dict, basis, budget)
+        return normal_form_poly(self.field, poly_dict, basis, self.budget)
 
-    def nf_coords(self, p, budget=None):
+    def nf_coords(self, p):
         """Coordinates of the normal form over the staircase basis."""
         self._require_finite()
         poly = self.encode_laurent(p) if isinstance(p, LaurentPoly) else dict(p)
         coords = [self.field.zero] * self.dim
-        for m, c in self.reduce_poly(poly, budget).items():
+        for m, c in self.reduce_poly(poly).items():
             coords[self._index[m]] = c
         return coords
 
     def monomial_label(self, mono) -> str:
         """Human-readable label, decoding inverse variables when Laurent."""
-        if self.n_laurent is not None:
-            n = self.n_laurent
+        if self.source_ring is not None:
+            n = self.source_ring.nvars
             net = [mono[n + i] - mono[i] for i in range(n)]
             names = self.source_ring.variables
             parts = [
@@ -313,7 +298,7 @@ class QuotientAlgebra:
         self._require_finite()
         mono = self.staircase[j]
         return linalg.transpose(
-            [self.nf_coords({_mono_mul(mono, m): self.field.one}, self.budget)
+            [self.nf_coords({_mono_mul(mono, m): self.field.one})
              for m in self.staircase]
         )
 
@@ -392,7 +377,7 @@ def _staircase_from_leads(names, leads):
 
 
 def _build_quotient(field, names, gen_dicts, budget, source_ring=None,
-                    n_laurent=None, source_gens=()):
+                    source_gens=()):
     gb = buchberger(field, gen_dicts, budget)
     leads = [_leading(g) for g in gb]
     staircase = _staircase_from_leads(names, leads)
@@ -405,7 +390,6 @@ def _build_quotient(field, names, gen_dicts, budget, source_ring=None,
         staircase=sorted(staircase, key=degrevlex) if staircase is not None else [],
         budget=budget,
         source_ring=source_ring,
-        n_laurent=n_laurent,
         source_gens=list(source_gens),
     )
 
@@ -415,6 +399,13 @@ def polynomial_quotient(field, names, gen_dicts, budget=None):
     if budget is None:
         budget = Budget()
     return _build_quotient(field, names, gen_dicts, budget)
+
+
+def _encode(p: LaurentPoly):
+    """The inverse encoding of p: z^e goes to w^max(-e,0) z^max(e,0), one to
+    one on monomials."""
+    return {tuple(max(-x, 0) for x in e) + tuple(max(x, 0) for x in e): c
+            for e, c in p.terms.items()}
 
 
 def laurent_quotient(gens, budget=None) -> QuotientAlgebra:
@@ -434,21 +425,7 @@ def laurent_quotient(gens, budget=None) -> QuotientAlgebra:
     n = ring.nvars
     names = tuple(f"{v}_inv" for v in ring.variables) + tuple(ring.variables)
     field = ring.field
-    gen_dicts = []
-    for g in gens:
-        if g.is_zero():
-            continue
-        # clear to polynomial form: multiply by the minimal monomial in the
-        # original variables making all exponents nonnegative (a unit move)
-        shift = [0] * n
-        for e in g.terms:
-            for i, x in enumerate(e):
-                shift[i] = max(shift[i], -x)
-        d = {}
-        for e, c in g.terms.items():
-            enc = (0,) * n + tuple(x + s for x, s in zip(e, shift))
-            d[enc] = c
-        gen_dicts.append(d)
+    gen_dicts = [_encode(g) for g in gens if not g.is_zero()]
     if not gen_dicts:
         raise UsageError("all generators are zero")
     for i in range(n):
@@ -460,7 +437,7 @@ def laurent_quotient(gens, budget=None) -> QuotientAlgebra:
         gen_dicts.append(rel)
     return _build_quotient(
         field, names, gen_dicts, budget,
-        source_ring=ring, n_laurent=n, source_gens=list(gens),
+        source_ring=ring, source_gens=list(gens),
     )
 
 
@@ -498,9 +475,9 @@ def algebra_morphism(domain: QuotientAlgebra, codomain: QuotientAlgebra, images)
     """
     domain._require_finite()
     codomain._require_finite()
-    if domain.n_laurent is None:
+    if domain.source_ring is None:
         raise UsageError("domain must be a Laurent quotient")
-    n = domain.n_laurent
+    n = domain.source_ring.nvars
     if len(images) != n:
         raise UsageError("need one image per domain generator")
     F = codomain.field

@@ -462,7 +462,7 @@ def rational_roots(f: UniPoly):
     """All rational roots of f over Q, with multiplicities.
 
     Candidates come from the rational root theorem applied to the primitive
-    integer form.  Returned sorted ascending.
+    integer form.  Returned sorted by root, largest first.
     """
     if f.field != QQ:
         raise UsageError("rational_roots requires rational coefficients")

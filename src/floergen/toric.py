@@ -2,8 +2,8 @@
 classes, facet combinatorics, toric cohomology presentations, and the
 superpotential of the monotone fibre.
 
-Vertices are enumerated by exact linear solves over all n-subsets of facets;
-no LP machinery at desk scale.  Compactness is certified by showing the
+Vertices are enumerated by one exact inverse per n-subset of facets; no LP
+machinery at desk scale.  Compactness is certified by showing the
 recession cone is trivial (no kernel line, no extreme ray on any rank-(n-1)
 subset of facet normals).
 
@@ -81,32 +81,6 @@ def _dot(u, v):
     return sum(x * y for x, y in zip(u, v))
 
 
-def _int_det(rows):
-    """Exact determinant of a small integer matrix (fraction-free enough
-    at desk scale via Fraction elimination)."""
-    n = len(rows)
-    m = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for c in range(n):
-        pivot = None
-        for r in range(c, n):
-            if m[r][c] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return 0
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = m[c][c]
-        for r in range(c + 1, n):
-            if m[r][c] != 0:
-                f = m[r][c] / inv
-                m[r] = [a - f * b for a, b in zip(m[r], m[c])]
-    return det
-
-
 def validate(P: DelzantPolytope) -> VertexData:
     """Full Delzant validation; raises ValidationError naming the culprit."""
     n, N = P.n, P.num_facets
@@ -140,17 +114,18 @@ def validate(P: DelzantPolytope) -> VertexData:
                     facets=sorted(i + 1 for i in subset),
                 )
 
-    # vertex enumeration over n-subsets
+    # vertex enumeration over n-subsets, one inverse each; a vertex keeps the
+    # inverse of its facet normals for the unimodularity check
     points = {}
     for subset in itertools.combinations(range(N), n):
         mat = [[Fraction(x) for x in P.normals[i]] for i in subset]
-        rhs = [-P.lambdas[i] for i in subset]
-        sol = linalg.solve(QQ, mat, rhs)
-        if sol is None or linalg.rank(QQ, mat) < n:
+        inverse = linalg.invert(QQ, mat)
+        if inverse is None:
             continue
+        sol = linalg.mat_vec(QQ, inverse, [-P.lambdas[i] for i in subset])
         if any(_dot(P.normals[i], sol) < -P.lambdas[i] for i in range(N)):
             continue
-        points[tuple(sol)] = sol
+        points[tuple(sol)] = inverse
     vertices = []
     incidence = []
     for pt in sorted(points):
@@ -168,9 +143,12 @@ def validate(P: DelzantPolytope) -> VertexData:
     if not vertices:
         raise ValidationError("nonempty", "no vertices found; polytope empty")
 
+    # an integer matrix is unimodular exactly when its inverse is integral;
+    # a simple vertex lies on exactly the facets of the subset it came from
     for pt, on in zip(vertices, incidence):
-        det = _int_det([P.normals[i] for i in on])
-        if abs(det) != 1:
+        if any(x.denominator != 1 for row in points[tuple(pt)] for x in row):
+            mat = [[Fraction(x) for x in P.normals[i]] for i in on]
+            det = linalg.charpoly(QQ, mat).coeffs[0]
             raise ValidationError(
                 "unimodularity",
                 f"facets {[i + 1 for i in on]} meet at "

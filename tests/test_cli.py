@@ -280,6 +280,20 @@ def test_budget_covers_whole_command(capsys, polytope_file):
     assert code == 0
 
 
+
+def test_budget_covers_every_normal_form(capsys, polytope_file):
+    # real-gen on CP2 builds its two quotients in 25 steps and reduces basis
+    # products in 4; the normal forms of the reduction map's images and of
+    # the squaring map take 10 more, all under the one --budget
+    path = polytope_file("CP2")
+    code, out, _ = invoke(capsys, [
+        "real-gen", "--polytope", path, "--budget", "38", "--format", "json",
+    ])
+    assert code == 2
+    assert json.loads(out)["steps"] == 39
+    code, _, _ = invoke(capsys, ["real-gen", "--polytope", path, "--budget", "39"])
+    assert code == 0
+
 def test_text_output_byte_stable(capsys, polytope_file):
     path = polytope_file("CP2")
     argv = ["toric-gen", "--polytope", path, "--field", "F7"]
