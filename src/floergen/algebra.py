@@ -271,8 +271,10 @@ def _frobenius_fixed_split_candidates(block: FiniteAlgebra):
 
 def local_decompose(A: FiniteAlgebra, seed: int = DEFAULT_SEED):
     """Pairwise-orthogonal idempotents with local factors, summing to 1.
-    `seed` drives the factorization randomness."""
+    `seed` drives the factorization randomness.  The zero algebra has none."""
     _require_char_p(A)
+    if A.dim == 0:
+        return []
     F = A.field
     pool = list(A.generators) + [
         [F.one if k == j else F.zero for k in range(A.dim)] for j in range(A.dim)

@@ -21,6 +21,25 @@ and chain criteria and full final interreduction, so the emitted basis is the
 unique reduced Groebner basis for degrevlex.  Every reduction step ticks a
 step budget: Buchberger's own, and every normal form of a quotient's elements
 under the budget that quotient was built under.
+
+Inside this module a monomial e in n variables is one int, its lead word
+
+    K(e) = deg(e) << W*n  -  sum_i e_i << W*i,
+
+in fields of W bits whose top bit is a guard.  K is additive, so monomials
+multiply by `+` and divide by `-`, and int order on K is degrevlex: the
+leading term of a packed polynomial (a dict from lead words to coefficients)
+is `max(poly)`.  The exponent word L(e) = sum_i e_i << W*i = -K(e) mod 2^(W*n)
+decides divisibility in one test, a | b iff ((L(b) | G) - L(a)) & G == G for
+the guard mask G, and gives the lcm by a masked select.  Every packed
+monomial has total degree below DEGREE_CAP = 2^(W-1), so no field overflows;
+`Words.pack` and `Words.lcm` raise rather than wrap.  Under a degree-
+compatible order every term of a reduction has degree at most that of the
+leading term it starts from, so those two checks cover every word.
+`normal_form_poly` is the one reduction kernel; Buchberger, `reduce_poly` and
+`nf_coords` all reduce through it on packed polynomials, and everything public
+(`buchberger`'s input and output, `gb`, `leads`, `staircase`) stays in
+exponent tuples.
 """
 
 from __future__ import annotations
@@ -30,10 +49,13 @@ from dataclasses import dataclass, field as dc_field
 
 from . import linalg
 from .algebra import FiniteAlgebra
-from .errors import ResourceBudgetError, UsageError
+from .errors import DomainError, ResourceBudgetError, UsageError
 from .laurent import LaurentPoly, LaurentRing
 
 DEFAULT_BUDGET = 10**6
+W = 32  # bits per exponent field of a packed word, guard bit included
+DEGREE_CAP = 1 << (W - 1)
+_FIELD = (1 << W) - 1
 
 
 class Budget:
@@ -52,65 +74,124 @@ class Budget:
             )
 
 
-# --- polynomial dict helpers --------------------------------------------------
-
-
 def degrevlex(e):
     """Sort key of the monomial e in degree reverse lexicographic order."""
     return (sum(e), tuple(-x for x in reversed(e)))
 
 
-def _divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+# --- packed monomials ---------------------------------------------------------
 
 
-def _mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+class Words:
+    """Packed words of the monomials in n variables (see the module
+    docstring): lead words K for keys and order, exponent words L for
+    divisibility."""
+
+    def __init__(self, n):
+        self.n = n
+        self.shift = W * n
+        self.emask = (1 << self.shift) - 1
+        self.ones = sum(1 << (W * i) for i in range(n))
+        self.guards = self.ones << (W - 1)
+
+    def pack(self, e):
+        """The lead word of the exponent tuple e."""
+        if len(e) != self.n:
+            raise UsageError(f"monomial {e} does not have {self.n} exponents")
+        deg = sum(e)
+        if deg >= DEGREE_CAP or min(e, default=0) < 0:
+            raise DomainError(f"monomial {e} is outside the packed range: "
+                              f"exponents >= 0, total degree < 2^{W - 1}")
+        return (deg << self.shift) - sum(x << (W * i) for i, x in enumerate(e))
+
+    def unpack(self, k):
+        """The exponent tuple of the lead word k."""
+        exps = -k & self.emask
+        return tuple((exps >> (W * i)) & _FIELD for i in range(self.n))
+
+    def pack_poly(self, poly):
+        return {self.pack(e): c for e, c in poly.items()}
+
+    def unpack_poly(self, poly):
+        return {self.unpack(k): c for k, c in poly.items()}
+
+    def exps(self, k):
+        """The exponent word of the lead word k."""
+        return -k & self.emask
+
+    def divides(self, a, b):
+        """Whether the monomial with lead word a divides that with lead word b."""
+        g = self.guards
+        return ((self.exps(b) | g) - self.exps(a)) & g == g
+
+    def lcm(self, a, b):
+        """The lead word of lcm(a, b): per field, the guard survives the
+        subtraction exactly where a's exponent is at least b's."""
+        ea, eb = self.exps(a), self.exps(b)
+        pick = ((ea | self.guards) - eb) & self.guards
+        pick -= pick >> (W - 1)
+        exps = ea & pick | eb & ~pick
+        # field n-1 of exps * ones is the sum of all fields: deg a + deg b
+        # < 2^W bounds every partial sum, so nothing carries
+        deg = exps * self.ones >> max(self.shift - W, 0) & _FIELD
+        if deg >= DEGREE_CAP:
+            raise DomainError(f"lcm of degree {deg} is outside the packed range: "
+                              f"total degree < 2^{W - 1}")
+        return (deg << self.shift) - exps
 
 
-def _mono_div(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+class Divisors:
+    """Packed polynomials tried as reducers in list order: `entries` holds
+    (poly, lead word, exponent word of the lead) triples."""
+
+    def __init__(self, words, polys=()):
+        self.words = words
+        self.entries = []
+        for g in polys:
+            self.append(g)
+
+    def append(self, g):
+        lead = max(g)
+        self.entries.append((g, lead, self.words.exps(lead)))
 
 
-def _mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def _leading(poly):
-    return max(poly, key=degrevlex)
+# --- packed polynomial helpers ------------------------------------------------
 
 
 def _add_scaled(field, target, src, coeff, mono):
-    """target += coeff * x^mono * src, in place."""
+    """target += coeff * x^mono * src, in place, on packed polynomials."""
+    add, mul, zero = field.add, field.mul, field.zero
     for e, c in src.items():
-        m = _mono_mul(e, mono)
-        acc = field.add(target.get(m, field.zero), field.mul(coeff, c))
-        if acc == field.zero:
+        m = e + mono
+        acc = add(target.get(m, zero), mul(coeff, c))
+        if acc == zero:
             target.pop(m, None)
         else:
             target[m] = acc
 
 
 def _monic(field, poly):
-    if not poly:
-        return poly
-    inv = field.inv(poly[_leading(poly)])
+    inv = field.inv(poly[max(poly)])
     return {e: field.mul(inv, c) for e, c in poly.items()}
 
 
 def normal_form_poly(field, poly, basis, budget):
-    """Full reduction of a polynomial dict modulo a list of (poly, lm), one
-    budget tick per step."""
+    """Full reduction of the packed polynomial `poly` modulo `basis`, a
+    Divisors: each step cancels the leading term with the first divisor in
+    list order whose lead divides it, and ticks the budget once."""
+    emask, guards = basis.words.emask, basis.words.guards
+    divisors = basis.entries
     work = dict(poly)
     remainder = {}
     while work:
-        m = _leading(work)
+        m = max(work)
         c = work[m]
-        for g, lm in basis:
-            if _divides(lm, m):
+        exps = -m & emask | guards
+        for g, lead, lead_exps in divisors:
+            if (exps - lead_exps) & guards == guards:
                 budget.tick("(normal form)")
-                factor = field.neg(field.div(c, g[lm]))
-                _add_scaled(field, work, g, factor, _mono_div(m, lm))
+                factor = field.neg(field.div(c, g[lead]))
+                _add_scaled(field, work, g, factor, m - lead)
                 break
         else:
             remainder[m] = c
@@ -118,58 +199,51 @@ def normal_form_poly(field, poly, basis, budget):
     return remainder
 
 
-def _s_poly(field, f, lf, g, lg):
-    lcm = _mono_lcm(lf, lg)
-    out = {}
-    _add_scaled(field, out, f, field.inv(f[lf]), _mono_div(lcm, lf))
-    _add_scaled(field, out, g, field.neg(field.inv(g[lg])), _mono_div(lcm, lg))
-    return out
-
-
 def buchberger(field, gens, budget: Budget | None = None):
     """Reduced degrevlex Groebner basis of the ideal generated by `gens`
     (poly dicts)."""
     if budget is None:
         budget = Budget()
-    basis = []
-    for g in gens:
-        g = {e: c for e, c in g.items() if c != field.zero}
-        if g:
-            basis.append(_monic(field, g))
-    if not basis:
+    gens = [{e: c for e, c in g.items() if c != field.zero} for g in gens]
+    gens = [g for g in gens if g]
+    if not gens:
         raise UsageError("empty generator list")
-    lms = [_leading(g) for g in basis]
-    divisors = list(zip(basis, lms))
+    words = Words(len(next(iter(gens[0]))))
+    basis = Divisors(words, [_monic(field, words.pack_poly(g)) for g in gens])
+    entries, guards = basis.entries, words.guards
 
-    # `queue` is a heap of (degrevlex(lcm), (i, j)) over the queued pairs, a
-    # total order; `pairs` holds the same pairs for the chain criterion
+    # `queue` is a heap of (lcm word, (i, j)) over the queued pairs, a total
+    # order; `pairs` holds the same pairs for the chain criterion
     pairs = set()
     queue = []
 
     def queue_pairs_with(t):
+        lead = entries[t][1]
         for k in range(t):
             pairs.add((k, t))
-            heapq.heappush(queue, (degrevlex(_mono_lcm(lms[k], lms[t])), (k, t)))
+            heapq.heappush(queue, (words.lcm(entries[k][1], lead), (k, t)))
 
-    for t in range(1, len(basis)):
+    for t in range(1, len(entries)):
         queue_pairs_with(t)
 
-    def reduce(poly, others):
+    def reduce(poly, divisors):
         try:
-            return normal_form_poly(field, poly, others, budget)
+            return normal_form_poly(field, poly, divisors, budget)
         except ResourceBudgetError as err:
-            err.basis_size = len(basis)
+            err.basis_size = len(entries)
             raise
 
     while queue:
-        _, (i, j) = heapq.heappop(queue)
+        lcm, (i, j) = heapq.heappop(queue)
         pairs.discard((i, j))
-        lcm = _mono_lcm(lms[i], lms[j])
-        if lcm == _mono_mul(lms[i], lms[j]):
+        f, lf, _ = entries[i]
+        g, lg, _ = entries[j]
+        if lcm == lf + lg:
             continue  # coprime leading monomials
         chain = False
-        for k in range(len(basis)):
-            if k in (i, j) or not _divides(lms[k], lcm):
+        lcm_exps = -lcm & words.emask | guards
+        for k, (_, _, lead_exps) in enumerate(entries):
+            if k in (i, j) or (lcm_exps - lead_exps) & guards != guards:
                 continue
             a = (min(i, k), max(i, k))
             b = (min(j, k), max(j, k))
@@ -178,34 +252,31 @@ def buchberger(field, gens, budget: Budget | None = None):
                 break
         if chain:
             continue
-        s = _s_poly(field, basis[i], lms[i], basis[j], lms[j])
-        h = reduce(s, divisors)
+        s = {}
+        _add_scaled(field, s, f, field.inv(f[lf]), lcm - lf)
+        _add_scaled(field, s, g, field.neg(field.inv(g[lg])), lcm - lg)
+        h = reduce(s, basis)
         if h:
-            h = _monic(field, h)
-            basis.append(h)
-            lms.append(_leading(h))
-            divisors.append((h, lms[-1]))
-            queue_pairs_with(len(basis) - 1)
+            basis.append(_monic(field, h))
+            queue_pairs_with(len(entries) - 1)
 
     # minimalize: drop elements whose leading monomial another one divides
-    keep = []
-    for i, lm in enumerate(lms):
+    minimal = [
+        g for i, (g, lead, _) in enumerate(entries)
         if not any(
-            _divides(lms[k], lm) and (lms[k] != lm or k < i)
-            for k in range(len(basis))
+            words.divides(other, lead) and (other != lead or k < i)
+            for k, (_, other, _) in enumerate(entries)
             if k != i
-        ):
-            keep.append(i)
-    minimal = [basis[i] for i in keep]
+        )
+    ]
     # fully interreduce
     reduced = []
     for idx, g in enumerate(minimal):
-        others = [(h, _leading(h)) for k, h in enumerate(minimal) if k != idx]
-        r = reduce(g, others)
+        r = reduce(g, Divisors(words, minimal[:idx] + minimal[idx + 1:]))
         if r:
             reduced.append(_monic(field, r))
-    reduced.sort(key=lambda g: degrevlex(_leading(g)))
-    return reduced
+    reduced.sort(key=max)
+    return [words.unpack_poly(g) for g in reduced]
 
 
 # --- quotient algebras --------------------------------------------------------
@@ -220,6 +291,7 @@ class QuotientAlgebra:
     are the n inverse variables followed by the n originals.  `leads[i]` is
     the leading monomial of `gb[i]`.  `budget` is the one the quotient was
     built under; every normal form the quotient computes is reduced under it.
+    The packed basis and staircase words are made once, when it is built.
     """
 
     field: object
@@ -232,12 +304,18 @@ class QuotientAlgebra:
     source_ring: LaurentRing | None = None
     source_gens: list = dc_field(default_factory=list)
     unit_index: int | None = dc_field(init=False, default=None)
+    _words: Words = dc_field(init=False, repr=False)
+    _divisors: Divisors = dc_field(init=False, repr=False)
+    _stair: list = dc_field(init=False, repr=False)
     _index: dict = dc_field(init=False, repr=False)
     _algebra: FiniteAlgebra | None = dc_field(default=None, repr=False)
 
     def __post_init__(self):
-        self._index = {m: i for i, m in enumerate(self.staircase)}
-        self.unit_index = self._index.get((0,) * len(self.names))
+        self._words = Words(len(self.names))
+        self._divisors = Divisors(self._words, map(self._words.pack_poly, self.gb))
+        self._stair = [self._words.pack(m) for m in self.staircase]
+        self._index = {k: i for i, k in enumerate(self._stair)}
+        self.unit_index = self._index.get(0)
 
     @property
     def dim(self):
@@ -258,16 +336,22 @@ class QuotientAlgebra:
         return _encode(p)
 
     def reduce_poly(self, poly_dict):
-        basis = list(zip(self.gb, self.leads))
-        return normal_form_poly(self.field, poly_dict, basis, self.budget)
+        words = self._words
+        return words.unpack_poly(normal_form_poly(
+            self.field, words.pack_poly(poly_dict), self._divisors, self.budget))
 
     def nf_coords(self, p):
         """Coordinates of the normal form over the staircase basis."""
         self._require_finite()
-        poly = self.encode_laurent(p) if isinstance(p, LaurentPoly) else dict(p)
+        poly = self.encode_laurent(p) if isinstance(p, LaurentPoly) else p
+        return self._coords(self._words.pack_poly(poly))
+
+    def _coords(self, packed):
+        """Staircase coordinates of the normal form of a packed polynomial."""
         coords = [self.field.zero] * self.dim
-        for m, c in self.reduce_poly(poly).items():
-            coords[self._index[m]] = c
+        for k, c in normal_form_poly(
+                self.field, packed, self._divisors, self.budget).items():
+            coords[self._index[k]] = c
         return coords
 
     def monomial_label(self, mono) -> str:
@@ -296,11 +380,8 @@ class QuotientAlgebra:
         """Multiplication matrix of the j-th staircase basis monomial: column k
         is the normal form of staircase[j] * staircase[k]."""
         self._require_finite()
-        mono = self.staircase[j]
-        return linalg.transpose(
-            [self.nf_coords({_mono_mul(mono, m): self.field.one})
-             for m in self.staircase]
-        )
+        mono, one = self._stair[j], self.field.one
+        return linalg.transpose([self._coords({mono + m: one}) for m in self._stair])
 
     def finite_algebra(self):
         """The presented FiniteAlgebra, built on first use and then kept."""
@@ -315,9 +396,11 @@ class QuotientAlgebra:
         return self.finite_algebra().mult(u, v)
 
     def unit_coords(self):
+        """Coordinates of 1; the zero vector of the zero ring (unit ideal)."""
         self._require_finite()
         coords = [self.field.zero] * self.dim
-        coords[self.unit_index] = self.field.one
+        if self.unit_index is not None:
+            coords[self.unit_index] = self.field.one
         return coords
 
     def graded_dims(self):
@@ -344,50 +427,53 @@ class QuotientAlgebra:
         return data
 
 
-def _staircase_from_leads(names, leads):
-    """BFS over the divisor-closed set of standard monomials.
+def _staircase_from_leads(words, leads):
+    """BFS over the divisor-closed set of standard monomials, as lead words in
+    ascending (degrevlex) order.
 
     Returns None when some variable has no pure power among the leading
     monomials (infinite-dimensional quotient).
     """
-    nvars = len(names)
-    zero = (0,) * nvars
-    if any(lm == zero for lm in leads):
+    if 0 in leads:
         return []  # unit ideal
-    for v in range(nvars):
-        if not any(
-            lm[v] > 0 and all(lm[w] == 0 for w in range(nvars) if w != v)
-            for lm in leads
-        ):
+    lead_exps = [words.exps(lm) for lm in leads]
+    for v in range(words.n):
+        others = words.emask & ~(_FIELD << (W * v))
+        if not any(e and not e & others for e in lead_exps):
             return None
-    seen = {zero}
-    queue = [zero]
+    emask, guards = words.emask, words.guards
+    steps = [words.pack(tuple(int(w == v) for w in range(words.n)))
+             for v in range(words.n)]
+    seen = {0}
+    queue = [0]
     out = []
     while queue:
         m = queue.pop()
         out.append(m)
-        for v in range(nvars):
-            nxt = m[:v] + (m[v] + 1,) + m[v + 1 :]
+        for step in steps:
+            nxt = m + step
             if nxt in seen:
                 continue
             seen.add(nxt)
-            if not any(_divides(lm, nxt) for lm in leads):
+            exps = -nxt & emask | guards
+            if not any((exps - e) & guards == guards for e in lead_exps):
                 queue.append(nxt)
-    return out
+    return sorted(out)
 
 
 def _build_quotient(field, names, gen_dicts, budget, source_ring=None,
                     source_gens=()):
     gb = buchberger(field, gen_dicts, budget)
-    leads = [_leading(g) for g in gb]
-    staircase = _staircase_from_leads(names, leads)
+    words = Words(len(names))
+    leads = [max(map(words.pack, g)) for g in gb]
+    staircase = _staircase_from_leads(words, leads)
     return QuotientAlgebra(
         field=field,
         names=tuple(names),
         gb=gb,
-        leads=leads,
+        leads=[words.unpack(lm) for lm in leads],
         finite=staircase is not None,
-        staircase=sorted(staircase, key=degrevlex) if staircase is not None else [],
+        staircase=[words.unpack(m) for m in staircase] if staircase is not None else [],
         budget=budget,
         source_ring=source_ring,
         source_gens=list(source_gens),

@@ -182,6 +182,31 @@ def test_spectrum_and_decompose(capsys, polytope_file):
     assert code == 1
 
 
+ZERO_RING_W = {"variables": ["z"], "field": "Q",
+               "terms": [{"exps": [1], "coeff": "1"}, {"exps": [0], "coeff": "1"}]}
+
+
+@pytest.mark.parametrize("command, field, key", [
+    ("spectrum", "Q", "eigenspaces"), ("decompose", "F7", "factors"),
+])
+def test_zero_ring_reports(capsys, tmp_path, command, field, key):
+    # W = z + 1 has no critical point: the Jacobian ideal is the unit ideal
+    # and the ring is 0-dimensional, with no eigenspace and no local factor
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(ZERO_RING_W))
+    argv = [command, "--superpotential", str(path), "--field", field]
+    code, out, err = invoke(capsys, argv + ["--format", "json"])
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    assert data["dim"] == 0
+    report = data["spectrum"] if command == "spectrum" else data
+    assert report[key] == []
+    code, out, err = invoke(capsys, argv)
+    assert code == 0 and err == ""
+    lines = [line.strip() for line in out.splitlines()]
+    assert "dim: 0" in lines and f"{key}: []" in lines
+
+
 def test_qh_and_co0(capsys, polytope_file):
     code, out, _ = invoke(capsys, [
         "qh", "--polytope", polytope_file("CP2"), "--field", "F7",

@@ -19,6 +19,8 @@ POLYTOPE_COMMANDS = ("validate", "cohomology", "superpotential", "jac", "qh",
                      "co0", "spectrum", "decompose", "toric-gen", "real-gen")
 TEXT_COMMANDS = ("toric-gen", "real-gen")
 FIELDS = ("Q", "F2", "F7")
+# the largest real loci, kept out of demos/data so the matrix above stays small
+REAL_GEN_PINS = {"tests/data/dp6.json": (6, 96), "tests/data/dp6xcp1.json": (12, 384)}
 
 
 def invocations():
@@ -35,6 +37,8 @@ def invocations():
                 out.append(base + ["--format", "json"])
                 if command in TEXT_COMMANDS:
                     out.append(base)
+    out.extend(["real-gen", "--polytope", path, "--field", "F2", "--format", "json"]
+               for path in REAL_GEN_PINS)
     out.append(["smod2", "--field", "F3", "--rho", "1,2"])
     out.extend(["ainfty-check", "--ainfty", path, "--format", "json"]
                for path in structures)
@@ -56,3 +60,17 @@ def test_cli_reports_match_recorded_digests(capsys, monkeypatch):
     changed = [" ".join(a) for a in argvs
                if digest(a, capsys) != recorded[" ".join(a)]]
     assert changed == []
+
+
+def test_real_gen_pins_hold_the_real_locus_statements(capsys, monkeypatch):
+    # ker(squaring) <= ker(reduction), and dim QH_R = 2^(N-n) dim QH for N
+    # facets in dimension n: 2^4 * 6 on dP6, 2^5 * 12 on dP6 x CP1
+    monkeypatch.chdir(ROOT)
+    for path, (dim_qh, dim_qh_r) in REAL_GEN_PINS.items():
+        polytope = json.loads((ROOT / path).read_text(encoding="utf-8"))
+        assert dim_qh_r == 2 ** (len(polytope["normals"]) - polytope["dim"]) * dim_qh
+        assert run(["real-gen", "--polytope", path, "--field", "F2",
+                    "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["containment"] is True
+        assert (report["dim_qh"], report["dim_qh_r"]) == (dim_qh, dim_qh_r)

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import dp6, lpoly
 from floergen import grobner, linalg
-from floergen.errors import ResourceBudgetError, UsageError
+from floergen.errors import DomainError, ResourceBudgetError, UsageError
 from floergen.grobner import (
     Budget,
     algebra_morphism,
@@ -211,7 +211,8 @@ def test_membership_agrees_with_truncated_linear_oracle():
             if not gens:
                 continue
             gb = buchberger(field, gens)
-            basis = [(g, max(g, key=degrevlex)) for g in gb]
+            words = grobner.Words(2)
+            basis = grobner.Divisors(words, [words.pack_poly(g) for g in gb])
             # oracle: span of all m*g with deg(m*g) <= 8
             monos8 = [
                 (i, j) for i in range(9) for j in range(9) if i + j <= 8
@@ -235,7 +236,7 @@ def test_membership_agrees_with_truncated_linear_oracle():
                     mono = (rng.randint(0, 2), rng.randint(0, 2))
                     trial[mono] = rng.randrange(p)
                 trial = {m: c for m, c in trial.items() if c}
-                nf = normal_form_poly(field, trial, basis, Budget())
+                nf = normal_form_poly(field, words.pack_poly(trial), basis, Budget())
                 vec = [field.zero] * len(monos8)
                 for e, c in trial.items():
                     vec[mono_index[e]] = c
@@ -433,7 +434,7 @@ def reference_basis_mult(qa, j):
     encoded variable from normal forms, multiplied along the monomial."""
     F = qa.field
     per_variable = [
-        linalg.transpose([qa.nf_coords({grobner._mono_mul(m, x): F.one})
+        linalg.transpose([qa.nf_coords({tuple(a + b for a, b in zip(m, x)): F.one})
                           for m in qa.staircase])
         for x in unit_monomials(len(qa.names))
     ]
@@ -558,3 +559,147 @@ def test_every_normal_form_ticks_the_quotient_budget():
     images = [jac.source_ring.monomial(tuple(nu)) for nu in P.normals]
     assert algebra_morphism(qh, jac, images).well_defined
     assert jac.budget.steps > steps
+
+
+# --- packed monomial words ------------------------------------------------------
+
+
+def test_packed_words_agree_with_exponent_tuples():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    half = grobner.DEGREE_CAP // 2
+
+    @st.composite
+    def monomial_pairs(draw):
+        # a and b of total degree < cap / 2, so a * b and lcm(a, b) stay
+        # under the cap; b often lies below a, so divisibility often holds
+        n = draw(st.integers(1, 12))
+        exponent = st.one_of(st.integers(0, 3), st.integers(0, (half - 1) // n))
+        a = tuple(draw(st.lists(exponent, min_size=n, max_size=n)))
+        if draw(st.booleans()):
+            b = tuple(draw(st.integers(0, x)) for x in a)
+        else:
+            b = tuple(draw(st.lists(exponent, min_size=n, max_size=n)))
+        return a, b
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None,
+                         max_examples=200)
+    @hypothesis.given(monomial_pairs())
+    def check(case):
+        a, b = case
+        words = grobner.Words(len(a))
+        ka, kb = words.pack(a), words.pack(b)
+        assert words.unpack(ka) == a and words.unpack(kb) == b
+        assert (ka < kb) == (degrevlex(a) < degrevlex(b))
+        assert (ka == kb) == (a == b)
+        product = tuple(x + y for x, y in zip(a, b))
+        assert ka + kb == words.pack(product)
+        assert words.unpack(ka + kb) == product
+        assert words.divides(kb, ka) == all(y <= x for x, y in zip(a, b))
+        assert words.divides(ka, kb) == all(x <= y for x, y in zip(a, b))
+        assert words.lcm(ka, kb) == words.pack(tuple(map(max, a, b)))
+
+    check()
+    top = grobner.DEGREE_CAP - 1
+    for n in (1, 2, 12):
+        words = grobner.Words(n)
+        for e in [(top // n,) * n, (top,) + (0,) * (n - 1), (0,) * (n - 1) + (top,)]:
+            assert words.unpack(words.pack(e)) == e
+
+
+def test_packed_words_refuse_degrees_at_the_cap():
+    cap = grobner.DEGREE_CAP
+    words = grobner.Words(2)
+    with pytest.raises(DomainError):
+        words.pack((cap - 1, 1))
+    with pytest.raises(DomainError):
+        words.pack((cap, 0))
+    x, y = words.pack((1, 0)), words.pack((0, 1))
+    below = words.pack((cap - 2, 0))
+    assert words.lcm(below, y) == words.pack((cap - 2, 1)) == below + y
+    with pytest.raises(DomainError):
+        words.lcm(below + x, y)
+    with pytest.raises(DomainError):
+        buchberger(QQ, [{(cap - 1, 1): Fraction(1)}])
+    with pytest.raises(DomainError):
+        buchberger(QQ, [{(cap - 1, 0): Fraction(1)}, {(0, 1): Fraction(1), (0, 0): Fraction(1)}])
+
+
+def test_quotient_surface_keeps_exponent_tuples():
+    R = LaurentRing(["z"], QQ)
+    qa = laurent_quotient([lpoly(R, {(3,): 1, (0,): -1})])  # k[z]/(z^3 - 1)
+    # encoded variables (w, z) with w = z^-1: z^2 = w, so z^4 = z
+    assert qa.staircase == [(0, 0), (0, 1), (1, 0)]
+    assert all(lm == max(g, key=degrevlex) for g, lm in zip(qa.gb, qa.leads))
+    assert qa.reduce_poly({(0, 4): Fraction(2), (1, 0): Fraction(1)}) == {
+        (1, 0): Fraction(1), (0, 1): Fraction(2)}
+
+
+def reference_normal_form(field, poly, basis, budget):
+    """The tuple-keyed reduction the packed kernel replaced, kept as an
+    oracle: `basis` is a list of (poly, leading monomial) pairs."""
+
+    def divides(a, b):
+        return all(x <= y for x, y in zip(a, b))
+
+    work = dict(poly)
+    remainder = {}
+    while work:
+        m = max(work, key=degrevlex)
+        c = work[m]
+        for g, lm in basis:
+            if divides(lm, m):
+                budget.tick("(normal form)")
+                factor = field.neg(field.div(c, g[lm]))
+                for e, d in g.items():
+                    k = tuple(x + y - z for x, y, z in zip(e, m, lm))
+                    acc = field.add(work.get(k, field.zero), field.mul(factor, d))
+                    if acc == field.zero:
+                        work.pop(k, None)
+                    else:
+                        work[k] = acc
+                break
+        else:
+            remainder[m] = c
+            del work[m]
+    return remainder
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), F7], ids=["Q", "F2", "F7"])
+def test_packed_kernel_takes_the_reference_route(field):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coeff = st.builds(
+        lambda a, b: field.div(field.from_int(a), field.from_int(b)),
+        st.integers(-6, 6), st.sampled_from([1, 3, 5]),
+    ).filter(lambda c: c != field.zero)
+
+    @st.composite
+    def cases(draw):
+        # divisors of low degree in few variables, so that several of them
+        # often divide the same monomial and the first one in list order
+        # must be the one taken
+        n = draw(st.integers(1, 3))
+
+        def polys(top, max_size):
+            mono = st.tuples(*[st.integers(0, top)] * n)
+            return st.dictionaries(mono, coeff, min_size=1, max_size=max_size)
+
+        divisors = draw(st.lists(polys(2, 3), min_size=1, max_size=5))
+        return draw(polys(4, 6)), divisors
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None,
+                         max_examples=100)
+    @hypothesis.given(cases())
+    def check(case):
+        poly, divisors = case
+        words = grobner.Words(len(next(iter(poly))))
+        expected_budget, budget = Budget(), Budget()
+        expected = reference_normal_form(
+            field, poly, [(g, max(g, key=degrevlex)) for g in divisors], expected_budget)
+        packed = grobner.Divisors(words, [words.pack_poly(g) for g in divisors])
+        got = normal_form_poly(field, words.pack_poly(poly), packed, budget)
+        assert list(words.unpack_poly(got).items()) == list(expected.items())
+        assert budget.steps == expected_budget.steps
+
+    check()
