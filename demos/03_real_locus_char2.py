@@ -11,8 +11,8 @@ for name in ("CP2", "CP3", "CP1xCP1"):
     data = real_gen_data(P)
     print(f"{name}: dim QH_R = {data.qh_r.dim} = 2^{P.num_facets - P.n} * "
           f"{data.qh.dim} = 2^(N-n) * dim QH")
-    print(f"  ker(reduction) dim {len(data.pi_kernel)}, "
-          f"ker(squaring) dim {len(data.frobenius_kernel)}, "
+    print(f"  ker(reduction) dim {data.pi_kernel_dim}, "
+          f"ker(squaring) dim {data.frobenius_kernel_dim}, "
           f"contained: {data.contained}")
     rep = real_generation_report(P)
     print(f"  minimal Chern {rep.minimal_chern}: "

@@ -77,12 +77,19 @@ class AInftyStructure:
     def __post_init__(self):
         if self.labels is None:
             self.labels = [f"b{i}" for i in range(self.dim)]
+        basis = range(self.dim)
+        if self.unit is not None and self.unit not in basis:
+            raise UsageError(f"unit {self.unit} is not a basis index below {self.dim}")
         for k, tensor in self.ops.items():
             if k > self.arity_cap:
                 raise UsageError(f"mu^{k} given above the arity cap {self.arity_cap}")
             for key, out in tensor.items():
                 if len(key) != k:
                     raise UsageError(f"arity-{k} tensor keyed by {len(key)} inputs")
+                if any(i not in basis for i in (*key, *out)):
+                    raise UsageError(
+                        f"mu^{k}{key} names a basis index outside 0..{self.dim - 1}"
+                    )
                 want = (sum(self.degrees[i] for i in key) + 2 - k) % 2
                 for idx, c in out.items():
                     if c != self.field.zero and self.degrees[idx] % 2 != want:
@@ -150,6 +157,7 @@ class AInftyStructure:
                 if tensor:
                     ops[k] = tensor
             unit = data.get("unit")
+            unit = int(unit) if unit is not None else None
             cap = max(ops, default=1)
         except (KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"malformed A-infinity JSON: {exc}") from exc
@@ -158,7 +166,7 @@ class AInftyStructure:
             degrees=degrees,
             arity_cap=cap,
             ops=ops,
-            unit=int(unit) if unit is not None else None,
+            unit=unit,
             labels=list(data.get("labels", [])) or None,
         )
 
@@ -459,40 +467,6 @@ def hom_bimodule(M: Module, N: Module) -> BimoduleStructure:
     return BimoduleStructure(algebra=A, degrees=degrees, labels=labels, op=op)
 
 
-def end_bimodule_tensors(A: AInftyStructure, k, l):
-    """Direct endomorphism-bimodule tensors for comparison tests:
-    mu^{0|1|0}(z)(x) = (-1)^{|x|+1}(mu^1(z(x)) - z(mu^1(x))),
-    mu^{k|1|0}(a..., z)(x) = (-1)^{|x|+1} mu(a..., z(x)),
-    mu^{0|1|l}(z, a...)(x) = (-1)^{|x|} z(mu(a..., x))."""
-    F = A.field
-    dim = A.dim
-    units = [(p, q) for p in range(dim) for q in range(dim)]
-    index = {pq: i for i, pq in enumerate(units)}
-    out = {}
-    for left in itertools.product(range(dim), repeat=k):
-        for right in itertools.product(range(dim), repeat=l):
-            for zi, (p, q) in enumerate(units):
-                val = {}
-                if k == 0 and l == 0:
-                    for pp, c in A.op(1, (p,)).items():
-                        _vadd(F, val, {index[(pp, q)]: c}, _sign(F, A.degrees[q] + 1))
-                    for qq in range(dim):
-                        c = A.op(1, (qq,)).get(q)
-                        if c is not None:
-                            _vadd(F, val, {index[(p, qq)]: c}, _sign(F, A.degrees[qq]))
-                elif l == 0:
-                    for pp, c in A.op(k + 1, tuple(left) + (p,)).items():
-                        _vadd(F, val, {index[(pp, q)]: c}, _sign(F, A.degrees[q] + 1))
-                elif k == 0:
-                    for qq in range(dim):
-                        c = A.op(l + 1, tuple(right) + (qq,)).get(q)
-                        if c is not None:
-                            _vadd(F, val, {index[(p, qq)]: c}, _sign(F, A.degrees[qq]))
-                if val:
-                    out[(left, zi, right)] = val
-    return out
-
-
 # --- Hochschild cochains ----------------------------------------------------------
 
 
@@ -589,50 +563,6 @@ def hochschild_diff(A: AInftyStructure, P: BimoduleStructure,
                 _vadd(F, totals.setdefault(key, {}), phi_val, F.mul(inner_sgn, c))
     for key, total in totals.items():
         out.set_value(len(key), key, total)
-    return out
-
-
-def hochschild_diff_diagonal_direct(A: AInftyStructure, phi: HochschildCochain,
-                                    cap: int | None = None) -> HochschildCochain:
-    """Independent expansion of the classical diagonal-coefficient formula,
-    kept as an oracle against the bimodule specialization."""
-    F = A.field
-    if cap is None:
-        cap = phi.cap
-    if cap >= 10**9:
-        raise UsageError("pass an explicit length cap for unbounded cochains")
-    out = HochschildCochain(
-        A, list(A.degrees), (phi.degree + 1) % 2, cap=cap,
-        exact_upto=min(phi.window(), cap),
-    )
-    top = min(cap, out.window())
-    for r in range(top + 1):
-        for key in itertools.product(range(A.dim), repeat=r):
-            total = {}
-            for i in range(r + 1):
-                for j in range(r - i + 1):
-                    mid = key[r - i - j : r - i]
-                    phi_val = phi.value(j, mid)
-                    if not phi_val:
-                        continue
-                    malt = sum(A.degrees[t] - 1 for t in key[r - i :]) % 2
-                    sgn = _sign(F, (phi.degree + 1) * malt)
-                    for b, c in phi_val.items():
-                        outer = key[: r - i - j] + (b,) + key[r - i :]
-                        _vadd(F, total, A.op(r - j + 1, outer), F.mul(sgn, c))
-            for i in range(r + 1):
-                for j in range(1, r - i + 1):
-                    inner = A.op(j, key[r - i - j : r - i])
-                    if not inner:
-                        continue
-                    malt = sum(A.degrees[t] - 1 for t in key[r - i :]) % 2
-                    sgn = _sign(F, phi.degree + malt)
-                    for b, c in inner.items():
-                        new_key = key[: r - i - j] + (b,) + key[r - i :]
-                        val = phi.value(r - j + 1, new_key)
-                        if val:
-                            _vadd(F, total, val, F.mul(sgn, c))
-            out.set_value(r, key, total)
     return out
 
 
@@ -817,26 +747,6 @@ def check_bimodule_relations(P: BimoduleStructure, cap: int = 3) -> bool:
                 if not twice.is_zero_within(twice.window()):
                     return False
     return True
-
-
-# --- cochain linearization (rank arguments in tests) ------------------------------
-
-
-def cochain_coordinates(A: AInftyStructure, coeff_dim: int, cap: int):
-    coords = []
-    for r in range(cap + 1):
-        for key in itertools.product(range(A.dim), repeat=r):
-            for p in range(coeff_dim):
-                coords.append((r, key, p))
-    return coords
-
-
-def flatten_cochain(phi: HochschildCochain, coords):
-    F = phi.algebra.field
-    out = []
-    for r, key, p in coords:
-        out.append(phi.value(r, key).get(p, F.zero))
-    return out
 
 
 def load_example(name: str) -> AInftyStructure:

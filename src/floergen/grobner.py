@@ -534,7 +534,6 @@ def laurent_quotient(gens, budget=None) -> QuotientAlgebra:
 class Morphism:
     well_defined: bool
     failing_relation: int | None
-    reason: str | None
     matrix: list | None
     kernel_dim: int | None
     surjective: bool | None
@@ -553,62 +552,48 @@ class Morphism:
 
 
 def algebra_morphism(domain: QuotientAlgebra, codomain: QuotientAlgebra, images):
-    """Linear data of the algebra map sending domain generators to `images`.
+    """Linear data of the algebra map sending the domain's Laurent generators
+    z_i to the codomain monomials `images`, z^(a_i) with coefficient 1.
 
-    The map is well defined exactly when every domain relation evaluates to
-    zero in the codomain (and every generator image is invertible, as Laurent
-    generators are units).  Failures are reported in the result, not raised.
+    Such a map sends z^e to z^(sum_i e_i a_i), so a domain relation and a
+    staircase monomial each have one image in the codomain's source ring, and
+    their coordinates are its normal form.  The map is well defined exactly
+    when every domain relation reduces to zero; the first that does not is
+    reported in the result, not raised.
     """
     domain._require_finite()
     codomain._require_finite()
-    if domain.source_ring is None:
-        raise UsageError("domain must be a Laurent quotient")
+    if domain.source_ring is None or codomain.source_ring is None:
+        raise UsageError("domain and codomain must be Laurent quotients")
     n = domain.source_ring.nvars
     if len(images) != n:
         raise UsageError("need one image per domain generator")
-    F = codomain.field
-    mats = [codomain.element_mult_matrix(codomain.nf_coords(p)) for p in images]
-    inverses = [linalg.invert(F, m) for m in mats]
-    memo = {(0,) * n: codomain.unit_coords()}
+    ring, F = codomain.source_ring, codomain.field
+    exps = []
+    for i, p in enumerate(images):
+        if (not isinstance(p, LaurentPoly) or p.ring != ring
+                or list(p.terms.values()) != [F.one]):
+            raise UsageError(f"image of generator {i} is not a monomial of the "
+                             "codomain's ring with coefficient 1")
+        exps.append(next(iter(p.terms)))
 
     def image(e):
-        """Coordinates of z^e for a signed exponent vector e, one mat_vec per
-        step from the nearest memoized exponent towards zero."""
-        path = []
-        while e not in memo:
-            i = next(k for k, x in enumerate(e) if x)
-            step = 1 if e[i] > 0 else -1
-            path.append((e, mats[i] if step > 0 else inverses[i]))
-            e = e[:i] + (e[i] - step,) + e[i + 1 :]
-        vec = memo[e]
-        for e, m in reversed(path):
-            vec = memo[e] = linalg.mat_vec(F, m, vec)
-        return vec
+        """The exponent sum_i e_i a_i of the image of z^e."""
+        return tuple(sum(x * a[j] for x, a in zip(e, exps)) for j in range(ring.nvars))
 
-    def failure(ridx, reason):
-        return Morphism(False, ridx, reason, None, None, None, domain.dim, codomain.dim)
-
-    # relations first: report the offending index rather than raising
     for ridx, rel in enumerate(domain.source_gens):
-        for e in rel.terms:
-            for i, exp in enumerate(e):
-                if exp < 0 and inverses[i] is None:
-                    return failure(ridx, f"image of generator {i} is not invertible")
-        val = [F.zero] * codomain.dim
-        for e, c in rel.terms.items():
-            val = [F.add(x, F.mul(c, y)) for x, y in zip(val, image(e))]
+        val = codomain.nf_coords(ring.from_terms(
+            (image(e), c) for e, c in rel.terms.items()))
         if any(x != F.zero for x in val):
-            return failure(ridx, "relation does not map to zero")
-    # invertibility is still required to push staircase monomials through
-    for i, inv in enumerate(inverses):
-        if inv is None:
-            return failure(None, f"image of generator {i} is not invertible")
+            return Morphism(False, ridx, None, None, None, domain.dim, codomain.dim)
     # a staircase monomial w^a z^b stands for z^(b - a)
-    matrix = linalg.transpose(
-        [image(tuple(m[n + i] - m[i] for i in range(n))) for m in domain.staircase]
-    )
+    matrix = linalg.transpose([
+        codomain.nf_coords(ring.from_terms(
+            [(image(tuple(m[n + i] - m[i] for i in range(n))), F.one)]))
+        for m in domain.staircase
+    ])
     rk = linalg.rank(F, matrix)
     return Morphism(
-        True, None, None, matrix,
+        True, None, matrix,
         domain.dim - rk, rk == codomain.dim, domain.dim, codomain.dim,
     )

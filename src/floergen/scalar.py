@@ -123,7 +123,10 @@ class Rationals(Field):
         return Fraction(n)
 
     def from_str(self, s: str):
-        return Fraction(s)
+        try:
+            return Fraction(s)
+        except ZeroDivisionError:
+            raise DomainError("division by zero") from None
 
 
 class PrimeField(Field):

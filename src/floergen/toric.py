@@ -43,7 +43,7 @@ class DelzantPolytope:
         try:
             n = int(data["dim"])
             normals = [[int(x) for x in row] for row in data["normals"]]
-            lambdas = [Fraction(str(x)) for x in data["lambda"]]
+            lambdas = [QQ.from_str(str(x)) for x in data["lambda"]]
             name = str(data.get("name", ""))
         except (KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"malformed polytope JSON: {exc}") from exc
@@ -185,7 +185,9 @@ def monotone_normalize(P: DelzantPolytope) -> DelzantPolytope:
     """Translate and rescale so every support constant equals 1.
 
     Solves lambda_j + <nu_j, a> = c exactly; inconsistency means the polytope
-    is not monotone.  Idempotent on already-normalized input.
+    is not monotone.  Idempotent on already-normalized input.  The input is
+    validated once: the output is its translate dilated by c > 0, which is
+    Delzant exactly when the input is.
     """
     validate(P)
     n, N = P.n, P.num_facets
@@ -200,15 +202,13 @@ def monotone_normalize(P: DelzantPolytope) -> DelzantPolytope:
     a, c = sol[:n], sol[n]
     if c <= 0:
         raise NotMonotoneError("support constants equalize at a nonpositive value")
-    out = DelzantPolytope(
+    return DelzantPolytope(
         n=P.n,
         normals=[list(r) for r in P.normals],
         lambdas=[Fraction(1)] * N,
         name=P.name,
         normalization={"translation": [str(x) for x in a], "scale": str(c)},
     )
-    validate(out)
-    return out
 
 
 def is_normalized(P: DelzantPolytope) -> bool:

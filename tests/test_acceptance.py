@@ -173,9 +173,13 @@ def test_criterion_5_char2_real_locus():
         assert data.qh_r.dim == want["dim_r"]
         assert data.qh.dim == want["dim"]
         assert data.qh_r.dim == 2 ** (P.num_facets - P.n) * data.qh.dim
-        assert len(data.pi_kernel) == len(data.frobenius_kernel) == want["ker"]
-        assert linalg.subspace_contained(F2, data.frobenius_kernel, data.pi_kernel)
-        assert linalg.subspace_contained(F2, data.pi_kernel, data.frobenius_kernel)
+        ker_f = linalg.kernel_basis(F2, data.frobenius)
+        ker_pi = linalg.kernel_basis(F2, data.pi.matrix)
+        assert data.frobenius_kernel_dim == len(ker_f) == want["ker"]
+        assert data.pi_kernel_dim == len(ker_pi) == want["ker"]
+        assert data.contained
+        assert linalg.subspace_contained(F2, ker_f, ker_pi)
+        assert linalg.subspace_contained(F2, ker_pi, ker_f)
         assert data.minimal_chern == want["nx"]
         rep = real_generation_report(P)
         assert not rep.anomaly
@@ -187,8 +191,9 @@ def test_criterion_5_char2_real_locus():
     ring = qa.source_ring
     expected = [qa.nf_coords(lpoly(ring, {(3 + k, 0, 0): 1, (k, 0, 0): 1}))
                 for k in range(3)]
-    assert linalg.subspace_contained(F2, data.frobenius_kernel, expected)
-    assert linalg.subspace_contained(F2, expected, data.frobenius_kernel)
+    ker_f = linalg.kernel_basis(F2, data.frobenius)
+    assert linalg.subspace_contained(F2, ker_f, expected)
+    assert linalg.subspace_contained(F2, expected, ker_f)
     announce(5, "characteristic-2 real locus: dimension identity, "
                 "ker(squaring) = ker(reduction), positive verdicts for "
                 "CP2, CP3, CP1xCP1")

@@ -4,6 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from ainfty_oracles import (
+    cochain_coordinates,
+    end_bimodule_tensors,
+    flatten_cochain,
+    hochschild_diff_diagonal_direct,
+)
 from floergen import linalg
 from floergen.ainfty import (
     AInftyStructure,
@@ -12,15 +18,11 @@ from floergen.ainfty import (
     check_ainfty_relations,
     check_bimodule_relations,
     check_module_relations,
-    cochain_coordinates,
     cohomology,
     diagonal_bimodule,
     element_cochain,
-    end_bimodule_tensors,
-    flatten_cochain,
     from_dga,
     hochschild_diff,
-    hochschild_diff_diagonal_direct,
     hochschild_prod,
     hom_bimodule,
     load_example,

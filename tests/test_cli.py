@@ -272,6 +272,57 @@ def test_ainfty_check(capsys, tmp_path):
     ]
 
 
+def _lambda_x_with(**changes):
+    from floergen.ainfty import load_example
+
+    data = load_example("lambda_x").to_json()
+    data.update(changes)
+    return data
+
+
+@pytest.mark.parametrize("data", [
+    _lambda_x_with(mu={"2": [{"inputs": [0, 5], "output": {"0": "1"}}]}),
+    _lambda_x_with(mu={"2": [{"inputs": [0, -1], "output": {"1": "1"}}]}),
+    _lambda_x_with(mu={"2": [{"inputs": [0, 0], "output": {"7": "1"}}]}),
+    _lambda_x_with(unit=9),
+], ids=["input-5", "input-minus-1", "output-7", "unit-9"])
+def test_ainfty_check_rejects_out_of_range_indices(capsys, tmp_path, data):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = invoke(capsys, [
+        "ainfty-check", "--ainfty", str(path), "--format", "json",
+    ])
+    assert code == 1
+    assert json.loads(out)["error"] == "UsageError"
+
+
+@pytest.mark.parametrize("case", ["jac", "polytope-lambda", "ainfty-output", "smod2-rho"])
+def test_zero_denominator_is_an_error_record(capsys, tmp_path, case):
+    path = tmp_path / "input.json"
+    if case == "jac":
+        path.write_text(json.dumps({
+            "variables": ["x"], "field": "Q",
+            "terms": [{"coeff": "1/0", "exps": [1]}, {"coeff": "1", "exps": [-1]}],
+        }))
+        argv = ["jac", "--superpotential", str(path), "--field", "Q"]
+    elif case == "polytope-lambda":
+        data = corpus()["CP2"].to_json()
+        data["lambda"][0] = "1/0"
+        path.write_text(json.dumps(data))
+        argv = ["validate", "--polytope", str(path)]
+    elif case == "ainfty-output":
+        path.write_text(json.dumps(_lambda_x_with(
+            mu={"2": [{"inputs": [0, 0], "output": {"0": "1/0"}}]})))
+        argv = ["ainfty-check", "--ainfty", str(path)]
+    else:
+        argv = ["smod2", "--field", "Q", "--rho", "1/0"]
+    code, out, _ = invoke(capsys, argv + ["--format", "json"])
+    assert code == 1
+    record = json.loads(out)
+    assert record["error"] == "DomainError"
+    assert record["message"] == "division by zero"
+
+
 def test_budget_exhaustion_exit_2(capsys, polytope_file):
     code, _, err = invoke(capsys, [
         "co0", "--polytope", polytope_file("CP3"), "--field", "F5",
@@ -307,16 +358,16 @@ def test_budget_covers_whole_command(capsys, polytope_file):
 
 
 def test_budget_covers_every_normal_form(capsys, polytope_file):
-    # real-gen on CP2 builds its two quotients in 25 steps and reduces basis
-    # products in 4; the normal forms of the reduction map's images and of
-    # the squaring map take 10 more, all under the one --budget
+    # real-gen on CP2 builds its two quotients in 25 steps; the normal forms
+    # of the reduction map's relation images and staircase columns take 15
+    # and those of the squaring map 6 more, all under the one --budget
     path = polytope_file("CP2")
     code, out, _ = invoke(capsys, [
-        "real-gen", "--polytope", path, "--budget", "38", "--format", "json",
+        "real-gen", "--polytope", path, "--budget", "45", "--format", "json",
     ])
     assert code == 2
-    assert json.loads(out)["steps"] == 39
-    code, _, _ = invoke(capsys, ["real-gen", "--polytope", path, "--budget", "39"])
+    assert json.loads(out)["steps"] == 46
+    code, _, _ = invoke(capsys, ["real-gen", "--polytope", path, "--budget", "46"])
     assert code == 0
 
 def test_text_output_byte_stable(capsys, polytope_file):

@@ -281,43 +281,30 @@ def test_algebra_morphism_identity():
 
 
 def test_algebra_morphism_relation_violation():
+    # Z -> w sends Z^3 - 1 to w^3 - 1 = w - 1, which is not zero mod w^2 - 1
     Rz = LaurentRing(["Z"], QQ)
-    domain = laurent_quotient([lpoly(Rz, {(2,): 1, (0,): -1})])
-    Rw = LaurentRing(["w"], QQ)
-    point = laurent_quotient([lpoly(Rw, {(1,): 1, (0,): -1})])  # k
-    mor = algebra_morphism(domain, point, [Rw.zero()])
-    assert not mor.well_defined
-    assert mor.failing_relation == 0
-
-
-def _zero_divisor_image_case(extra_relations):
-    # domain k[Z1^+-1, Z2^+-1]/(Z1 - 1, Z2^2 - 2 Z2, ...), codomain
-    # k[w^+-1]/(w^2 - 1); Z2 -> w + 1 satisfies Z2^2 = 2 Z2 but is a zero
-    # divisor, (w + 1)(w - 1) = 0, so it has no inverse
-    R = LaurentRing(["Z1", "Z2"], QQ)
-    rels = [lpoly(R, {(1, 0): 1, (0, 0): -1}), lpoly(R, {(0, 2): 1, (0, 1): -2})]
-    domain = laurent_quotient(rels + [lpoly(R, t) for t in extra_relations])
+    domain = laurent_quotient([lpoly(Rz, {(3,): 1, (0,): -1})])
     Rw = LaurentRing(["w"], QQ)
     codomain = laurent_quotient([lpoly(Rw, {(2,): 1, (0,): -1})])
-    assert domain.dim == 1 and codomain.dim == 2
-    return algebra_morphism(domain, codomain, [Rw.one(), lpoly(Rw, {(1,): 1, (0,): 1})])
-
-
-def test_algebra_morphism_image_not_invertible():
-    mor = _zero_divisor_image_case([])
+    mor = algebra_morphism(domain, codomain, [Rw.variable(0)])
     assert not mor.well_defined
-    assert mor.failing_relation is None
-    assert mor.reason == "image of generator 1 is not invertible"
+    assert mor.failing_relation == 0
     assert mor.matrix is None
 
 
-def test_algebra_morphism_negative_exponent_on_non_unit_image():
-    # relation 2, 2 Z1 Z2^-1 - 1, holds in the domain but needs the inverse
-    # of Z2's image, so it is the one reported
-    mor = _zero_divisor_image_case([{(1, -1): 2, (0, 0): -1}])
-    assert not mor.well_defined
-    assert mor.failing_relation == 2
-    assert mor.reason == "image of generator 1 is not invertible"
+@pytest.mark.parametrize("image", [
+    lambda Rz, Rw: lpoly(Rw, {(1,): 1, (0,): 1}),
+    lambda Rz, Rw: lpoly(Rw, {(1,): 2}),
+    lambda Rz, Rw: Rw.zero(),
+    lambda Rz, Rw: Rz.variable(0),
+], ids=["binomial", "coefficient-2", "zero", "other-ring"])
+def test_algebra_morphism_takes_only_monic_monomials(image):
+    Rz = LaurentRing(["Z"], QQ)
+    domain = laurent_quotient([lpoly(Rz, {(2,): 1, (0,): -1})])
+    Rw = LaurentRing(["w"], QQ)
+    codomain = laurent_quotient([lpoly(Rw, {(2,): 1, (0,): -1})])
+    with pytest.raises(UsageError, match="image of generator 0"):
+        algebra_morphism(domain, codomain, [image(Rz, Rw)])
 
 
 def test_polynomial_quotient_graded_dims():
@@ -537,6 +524,28 @@ def test_encoding_matches_cleared_reference_on_random_laurent_ideals(field):
 
     check()
     assert finite_flags == {True, False}
+
+
+@pytest.mark.parametrize("name", ["CP2", "CP1xCP1", "CP1xCP1xCP1"])
+def test_co0_matrix_is_an_algebra_map(name):
+    """The normal-form matrix of co0 against the product tables of both
+    quotients: it sends 1 to 1, Z_j to the coordinates of z^(nu_j), and
+    products of basis elements to products of their images."""
+    P = corpus()[name]
+    qh = qh_presentation(P, F7)
+    jac = jacobian_ring(superpotential(P, F7))
+    images = [jac.source_ring.monomial(tuple(nu)) for nu in P.normals]
+    m = algebra_morphism(qh, jac, images).matrix
+
+    def image(u):
+        return linalg.mat_vec(F7, m, u)
+
+    assert image(qh.unit_coords()) == jac.unit_coords()
+    for j, z in enumerate(images):
+        assert image(qh.nf_coords(qh.source_ring.variable(j))) == jac.nf_coords(z)
+    basis = linalg.identity(F7, qh.dim)
+    for u, v in itertools.combinations_with_replacement(basis, 2):
+        assert image(qh.element_product(u, v)) == jac.element_product(image(u), image(v))
 
 
 def test_every_normal_form_ticks_the_quotient_budget():

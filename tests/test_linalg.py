@@ -23,6 +23,7 @@ from sympy.matrices.normalforms import invariant_factors  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from floergen import linalg, realgen  # noqa: E402
+from floergen.grobner import Morphism  # noqa: E402
 from floergen.quantum import qh_presentation  # noqa: E402
 from floergen.scalar import QQ, PrimeField  # noqa: E402
 from floergen.toric import polytope_product, projective_space  # noqa: E402
@@ -257,10 +258,35 @@ def test_containment_check_at_dim_256():
     assert qh_r.dim == 256
     pi = realgen.reduction_pi(qh_r, qh)
     frob = realgen.frobenius_matrix(qh_r)
-    ker_f, ker_pi, contained = realgen.kernel_containment_check(pi, frob)
+    ker_f_dim, ker_pi_dim, contained = realgen.kernel_containment_check(pi, frob)
     ref_f = reference_kernel(F2, frob)
     ref_pi = reference_kernel(F2, pi.matrix)
-    assert ker_f == ref_f and ker_pi == ref_pi
+    assert (ker_f_dim, ker_pi_dim) == (len(ref_f), len(ref_pi))
     ref_contained = reference_rank(F2, ref_pi + ref_f) == reference_rank(F2, ref_pi)
     assert contained == ref_contained
     assert contained
+
+
+@SETTINGS
+@given(data=st.data())
+def test_containment_by_ranks_matches_kernels(data):
+    """ker f <= ker pi by ranks of row spaces agrees with the containment of
+    the kernels themselves, read off `reference_rref`.  The rows of pi are
+    sums of rows of f, so contained, and then some drawn rows, which often
+    are not."""
+    F2 = realgen.F2
+    d = data.draw(st.integers(1, 7))
+    frob = data.draw(matrices(F2, rows=data.draw(st.integers(1, 7)), cols=d))
+    sums = data.draw(st.lists(
+        st.lists(st.booleans(), min_size=len(frob), max_size=len(frob)), max_size=4))
+    rows = [[sum(x for x, pick in zip(col, picks) if pick) % 2 for col in zip(*frob)]
+            for picks in sums]
+    extra = data.draw(st.integers(0 if rows else 1, 2))
+    pi_matrix = rows + data.draw(matrices(F2, rows=extra, cols=d))
+    pi = Morphism(True, None, pi_matrix, d - reference_rank(F2, pi_matrix), None,
+                  d, len(pi_matrix))
+    ker_f_dim, ker_pi_dim, contained = realgen.kernel_containment_check(pi, frob)
+    ref_f = reference_kernel(F2, frob)
+    ref_pi = reference_kernel(F2, pi_matrix)
+    assert (ker_f_dim, ker_pi_dim) == (len(ref_f), len(ref_pi))
+    assert contained == (reference_rank(F2, ref_pi + ref_f) == reference_rank(F2, ref_pi))

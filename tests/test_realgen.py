@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import types
 
@@ -20,7 +21,8 @@ def test_reduction_pi_cp2():
     P = corpus()["CP2"]
     data = real_gen_data(P)
     assert data.qh_r.dim == 6 and data.qh.dim == 3
-    assert len(data.pi_kernel) == 3
+    ker_pi = linalg.kernel_basis(F2, data.pi.matrix)
+    assert data.pi_kernel_dim == len(ker_pi) == 3
     # kernel is (Z^3 + 1) * {1, Z, Z^2} inside F2[Z]/(Z^6 - 1)
     qa = data.qh_r
     ring = qa.source_ring
@@ -28,20 +30,21 @@ def test_reduction_pi_cp2():
     for k in range(3):
         elem = lpoly(ring, {(3 + k, 0, 0): 1, (k, 0, 0): 1})
         expected.append(qa.nf_coords(elem))
-    assert linalg.subspace_contained(F2, expected, data.pi_kernel)
-    assert linalg.subspace_contained(F2, data.pi_kernel, expected)
+    assert linalg.subspace_contained(F2, expected, ker_pi)
+    assert linalg.subspace_contained(F2, ker_pi, expected)
 
 
 def test_reduction_pi_cp1():
     data = real_gen_data(corpus()["CP1"])
     assert data.qh_r.dim == 4 and data.qh.dim == 2
-    assert len(data.pi_kernel) == 2
+    assert data.pi_kernel_dim == len(linalg.kernel_basis(F2, data.pi.matrix)) == 2
 
 
 def test_reduction_pi_cp1xcp1():
     data = real_gen_data(corpus()["CP1xCP1"])
     assert data.qh_r.dim == 16 and data.qh.dim == 4
-    assert len(data.pi_kernel) == 12  # rank-nullity with surjectivity
+    # rank-nullity with surjectivity
+    assert data.pi_kernel_dim == len(linalg.kernel_basis(F2, data.pi.matrix)) == 12
     assert data.pi.surjective
 
 
@@ -97,9 +100,31 @@ def test_kernel_containment_and_equality():
     for name in ("CP1", "CP2", "CP3", "CP1xCP1"):
         data = real_gen_data(corpus()[name])
         assert data.contained
+        ker_f = linalg.kernel_basis(F2, data.frobenius)
+        ker_pi = linalg.kernel_basis(F2, data.pi.matrix)
+        assert (data.frobenius_kernel_dim, data.pi_kernel_dim) == (len(ker_f), len(ker_pi))
         # the sharper fact: both kernels coincide
-        assert linalg.subspace_contained(F2, data.pi_kernel, data.frobenius_kernel)
-        assert linalg.subspace_contained(F2, data.frobenius_kernel, data.pi_kernel)
+        assert linalg.subspace_contained(F2, ker_pi, ker_f)
+        assert linalg.subspace_contained(F2, ker_f, ker_pi)
+
+
+def test_pi_row_outside_frobenius_rowspace_flips_containment(monkeypatch):
+    P = corpus()["CP2"]
+    data = real_gen_data(P)
+    assert data.contained
+    frob, rows = data.frobenius, data.pi.matrix
+    rank_f = linalg.rank(F2, frob)
+    escape = next(e for e in linalg.identity(F2, data.qh_r.dim)
+                  if linalg.rank(F2, frob + [e]) > rank_f)
+    matrix = [[F2.add(x, y) for x, y in zip(rows[0], escape)]] + rows[1:]
+    bad = dataclasses.replace(
+        data.pi, matrix=matrix, kernel_dim=data.qh_r.dim - linalg.rank(F2, matrix))
+    assert realgen.kernel_containment_check(data.pi, frob)[2]
+    assert not realgen.kernel_containment_check(bad, frob)[2]
+    monkeypatch.setattr(realgen, "reduction_pi", lambda qh_r, qh: bad)
+    rep = real_generation_report(P)
+    assert rep.anomaly and rep.extra["containment"] is False
+    assert rep.summands == []
 
 
 def test_pi_kills_weight_monomials():

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import dp6
+from floergen import toric
 from floergen.errors import NotMonotoneError, UsageError, ValidationError
 from floergen.scalar import QQ, PrimeField
 from floergen.toric import (
@@ -94,6 +96,32 @@ def test_monotone_normalize_idempotent():
     assert Q.lambdas == [Fraction(1)] * 3
     assert Q.normalization["translation"] == ["0", "0"]
     assert Q.normalization["scale"] == "1"
+
+
+def _monotone_inputs():
+    """The corpus and dP6, each as given and as 3P - e_1, which is monotone
+    but not normalized."""
+    for P in [*corpus().values(), dp6()]:
+        yield P
+        yield DelzantPolytope(n=P.n, normals=P.normals, name=P.name,
+                              lambdas=[Fraction(3) + nu[0] for nu in P.normals])
+
+
+def test_monotone_normalize_validates_once(monkeypatch):
+    calls = []
+
+    def counting_validate(P):
+        calls.append(P)
+        return validate(P)
+
+    monkeypatch.setattr(toric, "validate", counting_validate)
+    for P in _monotone_inputs():
+        calls.clear()
+        Q = monotone_normalize(P)
+        assert calls == [P]
+        assert Q.lambdas == [Fraction(1)] * P.num_facets
+        # the output is Delzant, with the input's vertex-facet incidence
+        assert validate(Q).incidence == validate(P).incidence
 
 
 def test_monotone_normalize_failure():
