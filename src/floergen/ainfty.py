@@ -35,9 +35,10 @@ The chain-level differentials scatter: they loop over the nonzero entries of
 their input (operations, cochain components, premorphism components) and add
 into every output they reach, so their cost follows the nonzero terms rather
 than the number of output keys.  The "insert mu^j inside" term they share is
-`_expansions`.  Module/bimodule coherence is verified operationally, by
-squaring the relevant differentials on a spanning set of elementary cochains
-within the window.
+`_expansions`.  Module/bimodule coherence is verified operationally on a
+spanning set of elementary cochains within the window: each elementary input
+is differentiated once, and d^2 of an input is assembled, by linearity, from
+the memoized columns of the terms of its d.
 """
 
 from __future__ import annotations
@@ -57,9 +58,10 @@ def _sign(field, exponent):
 
 
 def _vadd(field, target, src, coeff):
+    zero = field.zero
     for i, c in src.items():
-        acc = field.add(target.get(i, field.zero), field.mul(coeff, c))
-        if acc == field.zero:
+        acc = field.add(target.get(i, zero), field.mul(coeff, c))
+        if acc == zero:
             target.pop(i, None)
         else:
             target[i] = acc
@@ -384,13 +386,17 @@ class Module:
 
 
 def self_module(A: AInftyStructure) -> Module:
-    """A as a left module over itself, with the standard sign mu_M = -mu."""
-
+    """A as a left module over itself, with the standard sign mu_M = -mu.
+    The negated tensors are built once; like `A.op`, `action` returns shared
+    dicts that callers only read."""
     F = A.field
+    negated = {
+        k: {key: {i: F.neg(c) for i, c in out.items()} for key, out in tensor.items()}
+        for k, tensor in A.ops.items()
+    }
 
     def action(r, a_key, m_idx):
-        out = A.op(r + 1, tuple(a_key) + (m_idx,))
-        return {i: F.neg(c) for i, c in out.items()}
+        return negated.get(r + 1, {}).get(tuple(a_key) + (m_idx,), {})
 
     return Module(algebra=A, degrees=list(A.degrees), action=action)
 
@@ -709,42 +715,79 @@ def premorphism_diff(M: Module, N: Module, psi_components, psi_degree, cap):
 
 
 def check_module_relations(M: Module, cap: int = 2) -> bool:
-    """Square the premorphism differential on elementary premorphisms."""
+    """The premorphism differential squares to zero on elementary premorphisms.
+    Each elementary premorphism is differentiated once; d^2 of one is the sum
+    of the memoized columns of the terms of its d."""
     A = M.algebra
+    F = A.field
+    columns = {}
+
+    def column(key, mi, mo, deg):
+        memo = (key, mi, mo, deg)
+        col = columns.get(memo)
+        if col is None:
+            col = premorphism_diff(M, M, {len(key): {(key, mi): {mo: F.one}}}, deg, cap)
+            columns[memo] = col
+        return col
+
     for r in range(cap + 1):
         for key in itertools.product(range(A.dim), repeat=r):
             for mi in range(M.dim):
                 for mo in range(M.dim):
-                    psi = {r: {(key, mi): {mo: A.field.one}}}
                     deg = (M.degrees[mo] + M.degrees[mi] + sum(
                         A.degrees[t] - 1 for t in key
                     )) % 2
-                    once = premorphism_diff(M, M, psi, deg, cap)
-                    twice = premorphism_diff(M, M, once, (deg + 1) % 2, cap)
                     # component rr only reads inputs of index <= rr, so the
                     # whole computed range is exact
-                    for tensor in twice.values():
-                        for val in tensor.values():
-                            if val:
-                                return False
+                    twice = {}
+                    for tensor in column(key, mi, mo, deg).values():
+                        for (k2, m2), val in tensor.items():
+                            for m_out, c in val.items():
+                                col = column(k2, m2, m_out, (deg + 1) % 2)
+                                for tensor2 in col.values():
+                                    for pair, val2 in tensor2.items():
+                                        _vadd(F, twice.setdefault(pair, {}), val2, c)
+                    if any(twice.values()):
+                        return False
     return True
 
 
 def check_bimodule_relations(P: BimoduleStructure, cap: int = 3) -> bool:
-    """Square the Hochschild differential on elementary cochains; linearity
-    makes this a complete check within the window."""
+    """The Hochschild differential squares to zero on elementary cochains;
+    linearity makes this a complete check within the window.  Each elementary
+    cochain is differentiated once; d^2 of one is the sum of the memoized
+    columns of the terms of its d."""
     A = P.algebra
     F = A.field
+    columns = {}
+
+    def column(key, p, deg):
+        memo = (key, p, deg)
+        col = columns.get(memo)
+        if col is None:
+            phi = HochschildCochain(A, list(P.degrees), deg, cap=cap)
+            phi.set_value(len(key), key, {p: F.one})
+            col = hochschild_diff(A, P, phi)
+            columns[memo] = col
+        return col
+
     for r in range(cap + 1):
         for key in itertools.product(range(A.dim), repeat=r):
             for p in range(P.dim):
-                phi = HochschildCochain(A, list(P.degrees), 0, cap=cap)
                 deg = (P.degrees[p] + sum(A.degrees[t] - 1 for t in key)) % 2
-                phi.degree = deg
-                phi.set_value(r, key, {p: F.one})
-                once = hochschild_diff(A, P, phi)
-                twice = hochschild_diff(A, P, once)
-                if not twice.is_zero_within(twice.window()):
+                once = column(key, p, deg)
+                top = once.window()
+                twice = {}
+                for tensor in once.components.values():
+                    for key2, val in tensor.items():
+                        for p2, c in val.items():
+                            col = column(key2, p2, once.degree)
+                            for j2, tensor2 in col.components.items():
+                                if j2 > top:
+                                    continue
+                                for key3, val2 in tensor2.items():
+                                    _vadd(F, twice.setdefault(key3, {}), val2, c)
+                if any(twice.values()):
                     return False
     return True
 

@@ -127,6 +127,8 @@ class Rationals(Field):
             return Fraction(s)
         except ZeroDivisionError:
             raise DomainError("division by zero") from None
+        except ValueError:
+            raise UsageError(f"malformed {self!r} literal {s!r}") from None
 
 
 class PrimeField(Field):
@@ -159,10 +161,15 @@ class PrimeField(Field):
         return n % self.p
 
     def from_str(self, s: str):
-        if "/" in s:
-            num, den = s.split("/")
-            return self.div(self.from_int(int(num)), self.from_int(int(den)))
-        return self.from_int(int(s))
+        try:
+            parts = [self.from_int(int(x)) for x in s.split("/")]
+        except ValueError:
+            parts = []
+        if len(parts) == 1:
+            return parts[0]
+        if len(parts) == 2:
+            return self.div(*parts)
+        raise UsageError(f"malformed {self!r} literal {s!r}")
 
 
 QQ = Rationals()

@@ -1,10 +1,20 @@
 """Test-only oracles for the A-infinity layer: a direct endomorphism-bimodule
-construction, the classical diagonal-coefficient Hochschild differential, and
+construction, the classical diagonal-coefficient Hochschild differential, the
+module and bimodule relation checks that apply each differential twice, and
 the flattening of cochains to coordinate vectors for rank arguments."""
 
 import itertools
 
-from floergen.ainfty import AInftyStructure, HochschildCochain, _sign, _vadd
+from floergen.ainfty import (
+    AInftyStructure,
+    BimoduleStructure,
+    HochschildCochain,
+    Module,
+    _sign,
+    _vadd,
+    hochschild_diff,
+    premorphism_diff,
+)
 from floergen.errors import UsageError
 
 
@@ -84,6 +94,50 @@ def hochschild_diff_diagonal_direct(A: AInftyStructure, phi: HochschildCochain,
                             _vadd(F, total, val, F.mul(sgn, c))
             out.set_value(r, key, total)
     return out
+
+
+# --- relation checks by squaring (oracles for the memoized checks) -------------
+
+
+def check_module_relations_direct(M: Module, cap: int = 2) -> bool:
+    """Square the premorphism differential on elementary premorphisms."""
+    A = M.algebra
+    for r in range(cap + 1):
+        for key in itertools.product(range(A.dim), repeat=r):
+            for mi in range(M.dim):
+                for mo in range(M.dim):
+                    psi = {r: {(key, mi): {mo: A.field.one}}}
+                    deg = (M.degrees[mo] + M.degrees[mi] + sum(
+                        A.degrees[t] - 1 for t in key
+                    )) % 2
+                    once = premorphism_diff(M, M, psi, deg, cap)
+                    twice = premorphism_diff(M, M, once, (deg + 1) % 2, cap)
+                    # component rr only reads inputs of index <= rr, so the
+                    # whole computed range is exact
+                    for tensor in twice.values():
+                        for val in tensor.values():
+                            if val:
+                                return False
+    return True
+
+
+def check_bimodule_relations_direct(P: BimoduleStructure, cap: int = 3) -> bool:
+    """Square the Hochschild differential on elementary cochains; linearity
+    makes this a complete check within the window."""
+    A = P.algebra
+    F = A.field
+    for r in range(cap + 1):
+        for key in itertools.product(range(A.dim), repeat=r):
+            for p in range(P.dim):
+                phi = HochschildCochain(A, list(P.degrees), 0, cap=cap)
+                deg = (P.degrees[p] + sum(A.degrees[t] - 1 for t in key)) % 2
+                phi.degree = deg
+                phi.set_value(r, key, {p: F.one})
+                once = hochschild_diff(A, P, phi)
+                twice = hochschild_diff(A, P, once)
+                if not twice.is_zero_within(twice.window()):
+                    return False
+    return True
 
 
 # --- cochain linearization (rank arguments) ------------------------------------

@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 
 from ainfty_oracles import (
+    check_bimodule_relations_direct,
+    check_module_relations_direct,
     cochain_coordinates,
     end_bimodule_tensors,
     flatten_cochain,
@@ -67,12 +69,17 @@ def test_relations_hold_on_corpus():
         assert check_ainfty_relations(A, 4), name
 
 
+def corrupted(A, k, key, i, c):
+    """A copy of A with the coefficient of output i in mu^k(key) set to c."""
+    ops = {kk: {kk2: dict(v) for kk2, v in t.items()} for kk, t in A.ops.items()}
+    ops[k][key][i] = c
+    return AInftyStructure(field=A.field, degrees=list(A.degrees),
+                           arity_cap=A.arity_cap, ops=ops, unit=A.unit)
+
+
 def corrupted_lambda_x():
-    A = load_example("lambda_x")
-    bad_ops = {k: {key: dict(v) for key, v in t.items()} for k, t in A.ops.items()}
-    bad_ops[2][(1, 0)] = {1: Fraction(-1)}  # flip mu^2(x, 1): breaks arity 3
-    return AInftyStructure(field=A.field, degrees=list(A.degrees), arity_cap=2,
-                           ops=bad_ops, unit=A.unit)
+    # flip mu^2(x, 1): breaks arity 3
+    return corrupted(load_example("lambda_x"), 2, (1, 0), 1, Fraction(-1))
 
 
 def test_relations_catch_corruption():
@@ -204,6 +211,97 @@ def test_bimodule_relations_hom_and_diagonal():
         assert check_bimodule_relations(diagonal_bimodule(A), cap=3), name
     Axy = load_example("lambda_xy")
     assert check_bimodule_relations(diagonal_bimodule(Axy), cap=2)
+
+
+def test_self_module_action_is_negated_mu():
+    # absent keys, and r + 1 above the cap, read as {}
+    for name, A in structures().items():
+        action = self_module(A).action
+        absent = 0
+        for r in range(A.arity_cap + 1):
+            for key in itertools.product(range(A.dim), repeat=r):
+                for m in range(A.dim):
+                    raw = A.op(r + 1, key + (m,))
+                    assert action(r, key, m) == {i: -c for i, c in raw.items()}, (
+                        name, r, key, m)
+                    absent += not raw
+        above = [action(A.arity_cap, key, m) for m in range(A.dim)
+                 for key in itertools.product(range(A.dim), repeat=A.arity_cap)]
+        assert above and not any(above), name
+        assert absent > len(above), name
+
+
+# (check, structure, cap): the relation checks of the ainfty-lab benchmark
+SHIPPED_CHECKS = (
+    [("module", name, 3) for name in EXAMPLES]
+    + [("bimodule-hom", name, 3) for name in ("lambda_x", "dga3")]
+    + [("bimodule-diag", name, 3) for name in ("lambda_x", "dga3")]
+    + [("bimodule-diag", "lambda_xy", 2)]
+)
+
+
+def memoized_and_direct(check, A, cap):
+    """The library check and its square-twice oracle on one structure."""
+    M = self_module(A)
+    if check == "module":
+        return (check_module_relations(M, cap=cap),
+                check_module_relations_direct(M, cap=cap))
+    P = hom_bimodule(M, M) if check == "bimodule-hom" else diagonal_bimodule(A)
+    return (check_bimodule_relations(P, cap=cap),
+            check_bimodule_relations_direct(P, cap=cap))
+
+
+@pytest.mark.parametrize("check, name, cap", SHIPPED_CHECKS,
+                         ids=[f"{c}-{n}-cap{k}" for c, n, k in SHIPPED_CHECKS])
+def test_memoized_checks_match_square_twice_on_corpus(check, name, cap):
+    assert memoized_and_direct(check, load_example(name), cap) == (True, True)
+
+
+def test_memoized_checks_match_square_twice_on_corruptions():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def corruptions(draw):
+        A = load_example(draw(st.sampled_from(["lambda_x", "dga3", "triangular"])))
+        entries = sorted((k, key, i, c) for k, t in A.ops.items()
+                         for key, out in t.items() for i, c in out.items())
+        k, key, i, old = draw(st.sampled_from(entries))
+        new = draw(st.fractions(-3, 3, max_denominator=3)
+                   .filter(lambda c: c != 0 and c != old))
+        return corrupted(A, k, key, i, new), draw(st.sampled_from([2, 3]))
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None,
+                         max_examples=30)
+    @hypothesis.given(corruptions())
+    def check(case):
+        A, cap = case
+        for kind in ("module", "bimodule-hom", "bimodule-diag"):
+            memo, direct = memoized_and_direct(kind, A, cap)
+            assert memo == direct, (kind, cap)
+
+    check()
+
+
+@pytest.mark.parametrize("name", ["lambda_x", "dga3"])
+def test_corruption_only_in_the_top_component_is_caught(name):
+    # rescaling mu^2(1, 1) leaves the diagonal d^2 zero through length 2 and
+    # breaks it only at length 3, the top of the cap-3 window
+    A = load_example(name)
+    bad = corrupted(A, 2, (0, 0), 0, Fraction(2))
+    P = diagonal_bimodule(bad)
+    lengths = set()
+    for r in range(4):
+        for key in itertools.product(range(A.dim), repeat=r):
+            for p in range(P.dim):
+                phi = HochschildCochain(bad, list(P.degrees), 0, cap=3)
+                phi.degree = (P.degrees[p] + sum(A.degrees[t] - 1 for t in key)) % 2
+                phi.set_value(r, key, {p: Fraction(1)})
+                twice = hochschild_diff(bad, P, hochschild_diff(bad, P, phi))
+                lengths |= {j for j, t in twice.components.items() if any(t.values())}
+    assert lengths == {3}
+    assert memoized_and_direct("bimodule-diag", bad, 2) == (True, True)
+    assert memoized_and_direct("bimodule-diag", bad, 3) == (False, False)
 
 
 def test_premorphism_diff_is_twisted_hom_bimodule_diff():

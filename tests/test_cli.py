@@ -323,6 +323,24 @@ def test_zero_denominator_is_an_error_record(capsys, tmp_path, case):
     assert record["message"] == "division by zero"
 
 
+@pytest.mark.parametrize("field, rho", [
+    ("Q", "abc"), ("Q", "1/x"), ("Q", "1,2.5.1"),
+    ("F7", "x"), ("F7", "1/x"), ("F7", "1/2/3"), ("F7", "1.5"), ("F7", "1,,2"),
+])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_malformed_field_literal_is_an_error_record(capsys, field, rho, fmt):
+    code, out, err = invoke(capsys, ["smod2", "--field", field, "--rho", rho,
+                                     "--format", fmt])
+    assert code == 1
+    if fmt == "json":
+        record = json.loads(out)
+        assert record["error"] == "UsageError"
+        assert record["message"].startswith(f"malformed {field} literal")
+    else:
+        assert out == ""
+        assert err.startswith(f"error[UsageError]: malformed {field} literal")
+
+
 def test_budget_exhaustion_exit_2(capsys, polytope_file):
     code, _, err = invoke(capsys, [
         "co0", "--polytope", polytope_file("CP3"), "--field", "F5",
