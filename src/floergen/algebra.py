@@ -14,11 +14,19 @@ splittings, and m-adic filtration profiles.  Idempotents have one
 construction, the CRT splitter `_split_along`, and a block e*A is restricted
 through one fixed left inverse of its basis.
 
-The local decomposition splits along minimal polynomials of designated
-generators first.  That alone can miss splittings (two independent degree-d
-residue field extensions give every generator a primary minimal polynomial),
-so a fallback splits along the Frobenius-fixed space modulo the radical,
-whose dimension equals the number of local factors.
+The local decomposition decides locality first: the Frobenius-fixed space
+modulo the radical of a block has dimension equal to its number of local
+factors (Berlekamp's count), so a block whose count is 1 is final, with the
+radical already computed for it.  When its residue field is F_p, each
+generator is c + (a radical element), and c is read off a functional that
+kills the radical, with no factorization.  A block with count above 1 is
+split along the minimal polynomial of a designated generator or basis
+vector, or else along a Frobenius-fixed element.  Generators alone can miss
+the split (two independent degree-d residue field extensions give every
+generator a primary minimal polynomial); the basis vectors span the block,
+and they cannot all have primary minimal polynomials when it has several
+local factors.  A block with count above 1 that neither splits is an
+anomaly.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import reduce
 
 from . import linalg
-from .errors import DomainError, UsageError
+from .errors import AnomalyError, DomainError, UsageError
 from .scalar import DEFAULT_SEED, PrimeField, UniPoly, univariate_factor
 
 
@@ -104,13 +112,7 @@ class FiniteAlgebra:
 
     def eval_poly(self, poly: UniPoly, u):
         """poly(u) by Horner's rule on the multiplication matrix of u."""
-        F = self.field
-        m = self.mult_matrix(u)
-        acc = [F.zero] * self.dim
-        for c in reversed(poly.coeffs):
-            acc = linalg.mat_vec(F, m, acc)
-            acc = [F.add(x, F.mul(c, y)) for x, y in zip(acc, self.unit)]
-        return acc
+        return _horner(self.field, poly, self.mult_matrix(u), self.unit)
 
     def is_commutative(self):
         return all(
@@ -134,6 +136,15 @@ class FiniteAlgebra:
         return linalg.minimal_polynomial(self.field, self.mult_matrix(u))
 
 
+def _horner(F, poly: UniPoly, m, v):
+    """poly(u) * v = poly(m) v, m being the multiplication matrix of u."""
+    acc = [F.zero] * len(v)
+    for c in reversed(poly.coeffs):
+        acc = linalg.mat_vec(F, m, acc)
+        acc = [F.add(x, F.mul(c, y)) for x, y in zip(acc, v)]
+    return acc
+
+
 def _require_char_p(A: FiniteAlgebra):
     if not isinstance(A.field, PrimeField):
         raise UsageError("operation requires a prime field F_p")
@@ -154,15 +165,17 @@ def frobenius_matrix_of(A: FiniteAlgebra):
 def radical_char_p(A: FiniteAlgebra):
     """Nilradical basis: kernel of the k-fold p-power map with p^k >= dim."""
     _require_char_p(A)
-    p = A.field.char
-    frob = frobenius_matrix_of(A)
+    return _frobenius_kernel(A.field, frobenius_matrix_of(A))
+
+
+def _frobenius_kernel(F, frob):
+    """Kernel of frob^k, k the least with p^k >= dim (and at least 1)."""
     k = 0
     pk = 1
-    while pk < max(A.dim, 1):
-        pk *= p
+    while pk < max(len(frob), 1):
+        pk *= F.char
         k += 1
-    m = linalg.mat_pow(A.field, frob, max(k, 1))
-    return linalg.kernel_basis(A.field, m)
+    return linalg.kernel_basis(F, linalg.mat_pow(F, frob, max(k, 1)))
 
 
 @dataclass
@@ -226,9 +239,10 @@ def _split_along(A, idempotent, elem, factors):
         g, (s, t) = _ext_gcd(g, cof[i])
         combo = [c * s for c in combo]
         combo[i] = t
-    # each result is multiplied by e, so u_i cof_i may be taken modulo mu
+    # each result is (u_i cof_i)(elem) * e, so u_i cof_i may be taken modulo mu
     scale = F.inv(g.coeffs[0])
-    return [A.mult(A.eval_poly((u * q % mu).scale(scale), elem), idempotent)
+    m = A.mult_matrix(elem)
+    return [_horner(F, (u * q % mu).scale(scale), m, idempotent)
             for u, q in zip(combo, cof)]
 
 
@@ -246,27 +260,24 @@ def _ext_gcd(a: UniPoly, b: UniPoly):
 
 
 def _frobenius_fixed_split_candidates(block: FiniteAlgebra):
-    """Elements fixed by Frobenius modulo the radical; their minimal
-    polynomials split into linear factors, exposing any missed idempotents."""
+    """Elements fixed by Frobenius modulo the radical, the radical, and the
+    number of local factors (the rank of the fixed elements modulo the
+    radical).  The minimal polynomials of fixed elements split into linear
+    factors, exposing any idempotents the pool misses."""
     F = block.field
     frob = frobenius_matrix_of(block)
-    rad = radical_char_p(block)
+    rad = _frobenius_kernel(F, frob)
     n = block.dim
     fmi = linalg.mat_sub(F, frob, linalg.identity(F, n))
     if not rad:
         fixed = linalg.kernel_basis(F, fmi)
-        return fixed, len(fixed)
+        return fixed, rad, len(fixed)
     # solve (frob - id) x in span(rad): kernel of [frob - id | -rad]
     aug_cols = linalg.transpose(fmi) + [[F.neg(x) for x in r] for r in rad]
     big = linalg.transpose(aug_cols)
-    ker = linalg.kernel_basis(F, big)
-    fixed = []
-    for v in ker:
-        fixed.append(v[:n])
-    # count distinct residues: rank of fixed modulo radical
-    stacked = fixed + rad
-    r_count = linalg.rank(F, stacked) - linalg.rank(F, rad)
-    return fixed, r_count
+    fixed = [v[:n] for v in linalg.kernel_basis(F, big)]
+    r_count = linalg.rank(F, fixed + rad) - linalg.rank(F, rad)
+    return fixed, rad, r_count
 
 
 def local_decompose(A: FiniteAlgebra, seed: int = DEFAULT_SEED):
@@ -284,6 +295,10 @@ def local_decompose(A: FiniteAlgebra, seed: int = DEFAULT_SEED):
     while pending:
         e = pending.pop()
         block, basis, coords = restrict_to_block(A, e)
+        fixed, rad, n_factors = _frobenius_fixed_split_candidates(block)
+        if n_factors == 1:
+            finished.append(_finalize_factor(e, block, basis, rad))
+            continue
         split = None
         for elem in pool:
             restricted = A.mult(e, elem)
@@ -291,37 +306,37 @@ def local_decompose(A: FiniteAlgebra, seed: int = DEFAULT_SEED):
             if len(factors) > 1:
                 split = _split_along(A, e, restricted, factors)
                 break
-        if split is None:
-            fixed, n_factors = _frobenius_fixed_split_candidates(block)
-            if n_factors > 1:
-                for v in fixed:
-                    factors = univariate_factor(block.element_min_poly(v), seed)
-                    if len(factors) > 1:
-                        lifted = linalg.mat_vec(F, linalg.transpose(basis), v)
-                        split = _split_along(A, e, lifted, factors)
-                        break
-        if split is None:
-            finished.append(_finalize_factor(e, block, basis, seed))
         else:
-            pending.extend(split)
+            for v in fixed:
+                factors = univariate_factor(block.element_min_poly(v), seed)
+                if len(factors) > 1:
+                    lifted = linalg.mat_vec(F, linalg.transpose(basis), v)
+                    split = _split_along(A, e, lifted, factors)
+                    break
+        if split is None:
+            raise AnomalyError(
+                f"block of dim {block.dim} has {n_factors} local factors "
+                "but no element splits it"
+            )
+        pending.extend(split)
     finished.sort(key=lambda lf: (lf.dim, lf.residue_degree, tuple(lf.idempotent)))
     return finished
 
 
-def _finalize_factor(e, block, basis, seed):
-    rad = radical_char_p(block)
+def _finalize_factor(e, block, basis, rad):
     residue_degree = block.dim - len(rad)
     point = None
     if residue_degree == 1 and block.generators:
-        point = []
-        for g in block.generators:
-            roots = [
-                f.coeffs[0]
-                for f, _ in univariate_factor(block.element_min_poly(g), seed)
-                if f.degree == 1
-            ]
-            # primary (t - c)^k: the unique eigenvalue is c = -constant term
-            point.append(block.field.neg(roots[0]))
+        # block / rad = F_p, so each generator is c + (radical element): c is
+        # phi(g) / phi(1) for the functional phi that kills the radical
+        F = block.field
+        phi = linalg.kernel_basis(F, rad)[0] if rad else [F.one]
+
+        def at(v):
+            return F.sum(F.mul(a, b) for a, b in zip(phi, v))
+
+        scale = F.inv(at(block.unit))
+        point = [F.mul(at(g), scale) for g in block.generators]
     return LocalFactor(
         idempotent=e,
         algebra=block,

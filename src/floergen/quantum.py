@@ -21,7 +21,6 @@ from .algebra import (
     LocalFactor,
     _split_along,
     local_decompose,
-    restrict_to_block,
     strip_roots,
 )
 from .errors import AnomalyError, UsageError
@@ -305,7 +304,8 @@ def _rational_summands(W: LaurentPoly, jac: QuotientAlgebra):
     """CRT route over Q: split along rational eigenvalues of quantum
     multiplication by the first Chern class, chi = charpoly(c1) being
     prod (t - lam)^m * residual; one idempotent per root, and one for the
-    residual when it has positive degree."""
+    residual when it has positive degree.  Each summand is read from its
+    idempotent e: its dim is the rank of multiplication by e."""
     F = jac.field
     A = jac.finite_algebra()
     c1 = jac.nf_coords(W)
@@ -315,10 +315,11 @@ def _rational_summands(W: LaurentPoly, jac: QuotientAlgebra):
         factors.append((residual, 1))
     out = []
     for (f, _), e in zip(factors, _split_along(A, A.unit, c1, factors)):
+        dim = linalg.rank(F, A.mult_matrix(e))
         if f is residual:
             out.append(
                 GenerationSummand(
-                    dim=linalg.rank(F, A.mult_matrix(e)),
+                    dim=dim,
                     residue_degree=0,
                     point=None,
                     critical_value=None,
@@ -332,18 +333,25 @@ def _rational_summands(W: LaurentPoly, jac: QuotientAlgebra):
                 )
             )
             continue
-        block, _, _ = restrict_to_block(A, e)
-        # try to read off a critical point: each coordinate variable must act
-        # with a single rational eigenvalue on the summand
-        mps = [block.element_min_poly(g) for g in block.generators]
-        point = [F.neg(mp.coeffs[0]) for mp in mps]
-        if any(mp.degree != 1 for mp in mps) or any(
+        # try to read off a critical point: each coordinate variable g must
+        # act on the ideal e*A as a scalar c, that is g*e = c*e, with c read
+        # from the first nonzero entry of e
+        k = next(i for i, x in enumerate(e) if x)
+        point = []
+        for g in A.generators:
+            ge = A.mult(g, e)
+            c = F.div(ge[k], e[k])
+            if ge != [F.mul(c, x) for x in e]:
+                point = None
+                break
+            point.append(c)
+        if point is not None and any(
             W.log_derivative(i).evaluate(point) != F.zero for i in range(W.ring.nvars)
         ):
             point = None
         out.append(
             GenerationSummand(
-                dim=block.dim,
+                dim=dim,
                 residue_degree=1,
                 point=point,
                 critical_value=F.neg(f.coeffs[0]),

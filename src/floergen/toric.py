@@ -5,7 +5,9 @@ superpotential of the monotone fibre.
 Vertices are enumerated by one exact inverse per n-subset of facets; no LP
 machinery at desk scale.  Compactness is certified by showing the
 recession cone is trivial (no kernel line, no extreme ray on any rank-(n-1)
-subset of facet normals).
+subset of facet normals).  The sign tests against the facets run on
+integers: each candidate ray or vertex is scaled once by a positive common
+denominator, and the Fraction vectors are kept for the error messages.
 
 Polytope JSON:
     {"name": "CP2", "dim": 2, "normals": [[1,0],[0,1],[-1,-1]],
@@ -17,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from . import linalg
 from .errors import NotMonotoneError, UsageError, ValidationError
@@ -81,8 +83,21 @@ def _dot(u, v):
     return sum(x * y for x, y in zip(u, v))
 
 
+def _scaled(v):
+    """(v * d, d) for d the least common denominator of v's entries: an
+    integer vector whose dot products have the signs of v's."""
+    d = lcm(*(x.denominator for x in v))
+    return [x.numerator * (d // x.denominator) for x in v], d
+
+
+def _point_str(v):
+    return f"({', '.join(str(x) for x in v)})"
+
+
 def validate(P: DelzantPolytope) -> VertexData:
-    """Full Delzant validation; raises ValidationError naming the culprit."""
+    """Full Delzant validation; raises ValidationError naming the culprit.
+    Sign tests run on integers: each ray or vertex is scaled once by its
+    common denominator, the support constants by theirs."""
     n, N = P.n, P.num_facets
     if N < n + 1:
         raise ValidationError("facet_count", f"need at least {n + 1} facets, got {N}")
@@ -94,10 +109,10 @@ def validate(P: DelzantPolytope) -> VertexData:
         )
     # ... and no extreme ray
     if n == 1:
-        for d in ([Fraction(1)], [Fraction(-1)]):
-            if all(_dot(P.normals[i], d) >= 0 for i in range(N)):
+        for d in (1, -1):
+            if all(nu[0] * d >= 0 for nu in P.normals):
                 raise ValidationError(
-                    "compactness", f"unbounded along recession ray {d}"
+                    "compactness", f"unbounded along recession ray ({d})"
                 )
     # check every rank-(n-1) subset's kernel direction
     for subset in itertools.combinations(range(N), max(n - 1, 1)):
@@ -106,16 +121,23 @@ def validate(P: DelzantPolytope) -> VertexData:
         if len(ker) != 1:
             continue
         ray = ker[0]
-        for cand in (ray, [-x for x in ray]):
-            if all(_dot(P.normals[i], cand) >= 0 for i in range(N)):
+        scaled = _scaled(ray)[0]
+        dots = [_dot(nu, scaled) for nu in P.normals]
+        for sign in (1, -1):
+            if all(sign * x >= 0 for x in dots):
+                facets = [i + 1 for i in subset]
                 raise ValidationError(
                     "compactness",
-                    f"unbounded along recession ray {cand} (facets {sorted(subset)})",
-                    facets=sorted(i + 1 for i in subset),
+                    f"unbounded along recession ray {_point_str(sign * x for x in ray)} "
+                    f"(facets {facets})",
+                    facets=facets,
                 )
 
     # vertex enumeration over n-subsets, one inverse each; a vertex keeps the
-    # inverse of its facet normals for the unimodularity check
+    # inverse of its facet normals for the unimodularity check, and its slacks
+    # lam_den * <nu_i, num> + lam_i * den, the signs of <nu_i, x> + lambda_i
+    # at x = num / den
+    lam, lam_den = _scaled(P.lambdas)
     points = {}
     for subset in itertools.combinations(range(N), n):
         mat = [[Fraction(x) for x in P.normals[i]] for i in subset]
@@ -123,18 +145,19 @@ def validate(P: DelzantPolytope) -> VertexData:
         if inverse is None:
             continue
         sol = linalg.mat_vec(QQ, inverse, [-P.lambdas[i] for i in subset])
-        if any(_dot(P.normals[i], sol) < -P.lambdas[i] for i in range(N)):
+        num, den = _scaled(sol)
+        slack = [lam_den * _dot(nu, num) + l * den for nu, l in zip(P.normals, lam)]
+        if any(x < 0 for x in slack):
             continue
-        points[tuple(sol)] = inverse
+        points[tuple(sol)] = inverse, slack
     vertices = []
     incidence = []
     for pt in sorted(points):
-        on = [i for i in range(N) if _dot(P.normals[i], pt) == -P.lambdas[i]]
+        on = [i for i, x in enumerate(points[pt][1]) if x == 0]
         if len(on) > n:
             raise ValidationError(
                 "simplicity",
-                f"point ({', '.join(str(x) for x in pt)}) lies on facets "
-                f"{[i + 1 for i in on]}",
+                f"point {_point_str(pt)} lies on facets {[i + 1 for i in on]}",
                 facets=[i + 1 for i in on],
                 vertex=[str(x) for x in pt],
             )
@@ -146,13 +169,13 @@ def validate(P: DelzantPolytope) -> VertexData:
     # an integer matrix is unimodular exactly when its inverse is integral;
     # a simple vertex lies on exactly the facets of the subset it came from
     for pt, on in zip(vertices, incidence):
-        if any(x.denominator != 1 for row in points[tuple(pt)] for x in row):
+        if any(x.denominator != 1 for row in points[tuple(pt)][0] for x in row):
             mat = [[Fraction(x) for x in P.normals[i]] for i in on]
             det = linalg.charpoly(QQ, mat).coeffs[0]
             raise ValidationError(
                 "unimodularity",
-                f"facets {[i + 1 for i in on]} meet at "
-                f"({', '.join(str(x) for x in pt)}) with |det| = {abs(det)}",
+                f"facets {[i + 1 for i in on]} meet at {_point_str(pt)} "
+                f"with |det| = {abs(det)}",
                 facets=[i + 1 for i in on],
                 vertex=[str(x) for x in pt],
             )

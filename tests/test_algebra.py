@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import lpoly
+from conftest import ladder, lpoly
 from floergen import algebra, linalg
 from floergen.algebra import (
     FiniteAlgebra,
@@ -16,12 +16,13 @@ from floergen.algebra import (
     restrict_to_block,
     strip_roots,
 )
-from floergen.errors import UsageError
+from floergen.errors import AnomalyError, UsageError
 from floergen.grobner import laurent_quotient
 from floergen.laurent import LaurentRing
 from floergen.quantum import jacobian_ring
-from floergen.scalar import QQ, PrimeField, UniPoly, rational_roots
+from floergen.scalar import DEFAULT_SEED, QQ, PrimeField, UniPoly, rational_roots
 from floergen.toric import corpus, polytope_product, projective_space, superpotential
+from toric_gen_oracles import pool_first_decompose
 
 
 def univariate_algebra(field, coeffs):
@@ -403,3 +404,83 @@ def test_restrict_to_block_matches_solve_reference(name, monkeypatch):
         for j in range(A.dim):
             v = A.mult(e, [F7.one if k == j else F7.zero for k in range(A.dim)])
             assert coords(v) == ref_coords(v)
+
+
+def factor_key(factors):
+    return [(f.idempotent, f.dim, f.residue_degree, f.point, f.maximal_ideal, f.block_basis)
+            for f in factors]
+
+
+@pytest.mark.parametrize("name", list(ladder()))
+def test_local_decompose_matches_pool_first_reference_on_ladder(name):
+    for p in (2, 3, 5, 7):
+        jac = jacobian_ring(superpotential(ladder()[name], PrimeField(p)))
+        A = jac.finite_algebra()
+        factors = local_decompose(A)
+        assert factor_key(factors) == factor_key(pool_first_decompose(A)), p
+        assert sum(f.dim for f in factors) == A.dim
+
+
+def test_local_decompose_matches_pool_first_reference_on_field_products():
+    # F4 (x) F4 over F2 and F9 (x) F9 over F3: both generators have primary
+    # minimal polynomials, and the basis vector uv splits the algebra
+    for p, gens in ((2, {(2, 0): 1, (1, 0): 1, (0, 0): 1}), (3, {(2, 0): 1, (0, 0): 1})):
+        F = PrimeField(p)
+        R = LaurentRing(["u", "v"], F)
+        swap = {(b, a): c for (a, b), c in gens.items()}
+        A = FiniteAlgebra.from_quotient(laurent_quotient([lpoly(R, gens), lpoly(R, swap)]))
+        factors = local_decompose(A)
+        assert [(f.dim, f.residue_degree) for f in factors] == [(2, 2), (2, 2)]
+        assert factor_key(factors) == factor_key(pool_first_decompose(A))
+
+
+def test_local_decompose_matches_pool_first_reference_on_random_univariate():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def quotients(draw):
+        p = draw(st.sampled_from([2, 3, 5, 7]))
+        middle = draw(st.lists(st.integers(0, p - 1), max_size=7))
+        # a nonzero constant term, so z is a unit and the degree is the dim
+        return p, [draw(st.integers(1, p - 1))] + middle + [draw(st.integers(1, p - 1))]
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None,
+                         max_examples=80)
+    @hypothesis.given(quotients())
+    def check(case):
+        p, coeffs = case
+        A, _ = univariate_algebra(PrimeField(p), coeffs)
+        assert A.dim == len(coeffs) - 1
+        assert factor_key(local_decompose(A)) == factor_key(pool_first_decompose(A))
+
+    check()
+
+
+def test_local_decompose_factor_calls_cp1_4_f7(monkeypatch):
+    """Locality is decided before any factorization, and a leaf reads its
+    point from the radical: every call comes from the pool scan of a block
+    with several local factors, none from the 16 one-dimensional leaves of
+    CP1^4/F7.  The pool-first loop, which scanned every leaf's pool and
+    factored its generators' minimal polynomials, made 433 calls here."""
+    calls = []
+    original = algebra.univariate_factor
+
+    def counted(f, seed=DEFAULT_SEED):
+        calls.append(f.degree)
+        return original(f, seed)
+
+    monkeypatch.setattr(algebra, "univariate_factor", counted)
+    jac = jacobian_ring(superpotential(ladder()["CP1^4"], PrimeField(7)))
+    factors = local_decompose(jac.finite_algebra())
+    assert [(f.dim, f.residue_degree) for f in factors] == [(1, 1)] * 16
+    assert len(calls) == 49
+
+
+def test_local_decompose_raises_on_a_nonlocal_block_it_cannot_split(monkeypatch):
+    # z^6 - 1 over F7 has six local factors; with a factorizer that never
+    # splits, no element exposes them
+    A, _ = univariate_algebra(PrimeField(7), [-1, 0, 0, 0, 0, 0, 1])
+    monkeypatch.setattr(algebra, "univariate_factor", lambda f, seed=DEFAULT_SEED: [(f, 1)])
+    with pytest.raises(AnomalyError):
+        local_decompose(A)

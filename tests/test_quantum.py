@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import dp6, lpoly
+from conftest import dp6, ladder, lpoly
 from floergen import linalg
 from floergen.algebra import FiniteAlgebra
 from floergen.errors import AnomalyError, UsageError
@@ -22,6 +22,7 @@ from floergen.quantum import (
 )
 from floergen.scalar import QQ, PrimeField, UniPoly
 from floergen.toric import classical_cohomology, corpus, superpotential
+from toric_gen_oracles import rational_summands_by_blocks
 
 FIELDS = ["Q", "F2", "F3", "F5", "F7"]
 
@@ -438,3 +439,22 @@ def test_toric_generation_builds_jacobian_algebra_once(field, monkeypatch):
     report = toric_generation_report(corpus()["CP2"], field)
     assert not report.anomaly
     assert built == [report.co0.codomain_dim]
+
+
+# rungs whose rational summands include a split summand with no point (the
+# critical value 0 summand of dim 2 on CP1xCP1) and a complement summand (CP2)
+RATIONAL_COVERS = {
+    "CP1xCP1": (2, None, 0, "split-generates"),
+    "CP2": (2, None, None, "nonsplit"),
+}
+
+
+@pytest.mark.parametrize("name", list(ladder()))
+def test_rational_summands_read_from_idempotents_match_blocks(name):
+    W = superpotential(ladder()[name], QQ)
+    jac = jacobian_ring(W)
+    summands = quantum._rational_summands(W, jac)
+    assert summands == rational_summands_by_blocks(W, jac)
+    if name in RATIONAL_COVERS:
+        assert RATIONAL_COVERS[name] in [
+            (s.dim, s.point, s.critical_value, s.verdict) for s in summands]

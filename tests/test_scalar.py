@@ -143,3 +143,41 @@ def test_rational_roots_multiset_union_under_products():
             combined[r] = combined.get(r, 0) + m
         product = {r: m for r, m in rational_roots(f * g)}
         assert product == combined
+
+
+def test_factor_matches_sympy_factor_list():
+    """The multiset of monic irreducible factors with their multiplicities
+    equals sympy's factorization over GF(p)."""
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    t = sympy.Symbol("t")
+
+    @st.composite
+    def polynomials(draw):
+        # a product of small powers, so repeated and p-th power factors occur
+        p = draw(st.sampled_from([2, 3, 5, 7]))
+        field = PrimeField(p)
+        f = UniPoly(field, [draw(st.integers(1, p - 1))])
+        for _ in range(draw(st.integers(1, 3))):
+            g = UniPoly(field, draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=4))
+                        + [1])
+            for _ in range(draw(st.integers(1, 3))):
+                f = f * g
+        return f, draw(st.integers(0, 3))
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None,
+                         max_examples=100)
+    @hypothesis.given(polynomials())
+    def check(case):
+        f, seed = case
+        p = f.field.char
+        ours = sorted((tuple(g.coeffs), m) for g, m in univariate_factor(f, seed=seed))
+        _, theirs = sympy.Poly(list(reversed(f.coeffs)), t, modulus=p).factor_list()
+        expected = sorted(
+            (tuple(int(c) % p for c in reversed(g.monic().all_coeffs())), m)
+            for g, m in theirs
+        )
+        assert ours == expected
+
+    check()

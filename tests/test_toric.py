@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import random
+
 import pytest
 
 from conftest import dp6
@@ -20,6 +22,7 @@ from floergen.toric import (
     superpotential,
     validate,
 )
+from toric_gen_oracles import validate_by_fractions
 
 
 def cp2():
@@ -68,6 +71,8 @@ def test_validate_compactness_failure():
     with pytest.raises(ValidationError) as info:
         validate(P)
     assert info.value.check == "compactness"
+    assert info.value.facets == [1]
+    assert str(info.value) == "unbounded along recession ray (0, 1) (facets [1])"
 
 
 def test_validate_redundant_facet():
@@ -214,3 +219,37 @@ def test_product_polytope_validates():
     P = polytope_product(projective_space(1), projective_space(2))
     V = validate(P)
     assert len(V.vertices) == 6  # 2 * 3
+
+
+def validation_outcome(check, P):
+    """VertexData, or the error's check, facets and vertex; the message too
+    except for compactness, whose ray the Fraction reference prints as reprs."""
+    try:
+        V = check(P)
+    except ValidationError as exc:
+        message = None if exc.check == "compactness" else str(exc)
+        return exc.check, exc.facets, exc.vertex, message
+    return V.vertices, V.incidence
+
+
+def random_polytope(rng, n):
+    bounded = rng.random() < 0.7  # a simplex's normals make it bounded
+    normals = [[rng.randint(-2, 2) for _ in range(n)]
+               for _ in range(rng.randint(1, 3) if bounded else rng.randint(n + 1, n + 3))]
+    if bounded:
+        normals += projective_space(n).normals
+    rng.shuffle(normals)
+    lambdas = [Fraction(rng.randint(0, 4), rng.randint(1, 2)) for _ in normals]
+    return DelzantPolytope(n=n, normals=normals, lambdas=lambdas)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_validate_integer_sign_tests_match_fraction_reference(n):
+    rng = random.Random(n)
+    checks = set()
+    for _ in range(100):
+        P = random_polytope(rng, n)
+        outcome = validation_outcome(validate, P)
+        assert outcome == validation_outcome(validate_by_fractions, P), P
+        checks.add(outcome[0] if isinstance(outcome[0], str) else "ok")
+    assert {"ok", "compactness", "unimodularity", "simplicity", "irredundancy"} <= checks

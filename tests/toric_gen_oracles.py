@@ -1,0 +1,268 @@
+"""Reference versions of the toric-gen summand stage and of polytope
+validation, kept as test oracles for the faster code in `src/`.
+
+- `pool_first_decompose`: the local decomposition that scans the pool
+  (generators, then basis vectors) of every block for a splitting minimal
+  polynomial before it counts the block's local factors, with its own
+  Frobenius-fixed fallback, finalizer and CRT splitter (Horner on
+  `FiniteAlgebra.eval_poly`, one multiplication matrix per factor).
+- `rational_summands_by_blocks`: the rational summands read from restricted
+  blocks, a point being the roots of degree-1 generator minimal polynomials.
+- `validate_by_fractions`: Delzant validation with every sign test on
+  Fraction vectors.
+"""
+
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+from functools import reduce
+
+from floergen import linalg
+from floergen.algebra import (
+    LocalFactor,
+    _ext_gcd,
+    _require_char_p,
+    frobenius_matrix_of,
+    radical_char_p,
+    restrict_to_block,
+    strip_roots,
+)
+from floergen.errors import ValidationError
+from floergen.quantum import _SPLIT_STATEMENT, GenerationSummand
+from floergen.scalar import DEFAULT_SEED, QQ, UniPoly, rational_roots, univariate_factor
+from floergen.toric import VertexData
+
+
+def _split_along(A, idempotent, elem, factors):
+    F = A.field
+    qs = [reduce(UniPoly.__mul__, [f] * m) for f, m in factors]
+    mu = reduce(UniPoly.__mul__, qs)
+    cof = [mu // q for q in qs]
+    combo = [UniPoly(F, [F.one])] + [UniPoly(F, [])] * (len(cof) - 1)
+    g = cof[0]
+    for i in range(1, len(cof)):
+        g, (s, t) = _ext_gcd(g, cof[i])
+        combo = [c * s for c in combo]
+        combo[i] = t
+    scale = F.inv(g.coeffs[0])
+    return [A.mult(A.eval_poly((u * q % mu).scale(scale), elem), idempotent)
+            for u, q in zip(combo, cof)]
+
+
+def _frobenius_fixed_split_candidates(block):
+    F = block.field
+    frob = frobenius_matrix_of(block)
+    rad = radical_char_p(block)
+    n = block.dim
+    fmi = linalg.mat_sub(F, frob, linalg.identity(F, n))
+    if not rad:
+        fixed = linalg.kernel_basis(F, fmi)
+        return fixed, len(fixed)
+    aug_cols = linalg.transpose(fmi) + [[F.neg(x) for x in r] for r in rad]
+    big = linalg.transpose(aug_cols)
+    ker = linalg.kernel_basis(F, big)
+    fixed = []
+    for v in ker:
+        fixed.append(v[:n])
+    stacked = fixed + rad
+    r_count = linalg.rank(F, stacked) - linalg.rank(F, rad)
+    return fixed, r_count
+
+
+def _finalize_factor(e, block, basis, seed):
+    rad = radical_char_p(block)
+    residue_degree = block.dim - len(rad)
+    point = None
+    if residue_degree == 1 and block.generators:
+        point = []
+        for g in block.generators:
+            roots = [
+                f.coeffs[0]
+                for f, _ in univariate_factor(block.element_min_poly(g), seed)
+                if f.degree == 1
+            ]
+            point.append(block.field.neg(roots[0]))
+    return LocalFactor(
+        idempotent=e,
+        algebra=block,
+        block_basis=basis,
+        maximal_ideal=rad,
+        residue_degree=residue_degree,
+        point=point,
+    )
+
+
+def pool_first_decompose(A, seed=DEFAULT_SEED):
+    _require_char_p(A)
+    if A.dim == 0:
+        return []
+    F = A.field
+    pool = list(A.generators) + [
+        [F.one if k == j else F.zero for k in range(A.dim)] for j in range(A.dim)
+    ]
+    pending = [A.unit]
+    finished = []
+    while pending:
+        e = pending.pop()
+        block, basis, coords = restrict_to_block(A, e)
+        split = None
+        for elem in pool:
+            restricted = A.mult(e, elem)
+            factors = univariate_factor(block.element_min_poly(coords(restricted)), seed)
+            if len(factors) > 1:
+                split = _split_along(A, e, restricted, factors)
+                break
+        if split is None:
+            fixed, n_factors = _frobenius_fixed_split_candidates(block)
+            if n_factors > 1:
+                for v in fixed:
+                    factors = univariate_factor(block.element_min_poly(v), seed)
+                    if len(factors) > 1:
+                        lifted = linalg.mat_vec(F, linalg.transpose(basis), v)
+                        split = _split_along(A, e, lifted, factors)
+                        break
+        if split is None:
+            finished.append(_finalize_factor(e, block, basis, seed))
+        else:
+            pending.extend(split)
+    finished.sort(key=lambda lf: (lf.dim, lf.residue_degree, tuple(lf.idempotent)))
+    return finished
+
+
+def rational_summands_by_blocks(W, jac):
+    F = jac.field
+    A = jac.finite_algebra()
+    c1 = jac.nf_coords(W)
+    chi = linalg.charpoly(F, A.mult_matrix(c1))
+    factors, residual = strip_roots(chi, [lam for lam, _ in rational_roots(chi)])
+    if residual.degree > 0:
+        factors.append((residual, 1))
+    out = []
+    for (f, _), e in zip(factors, _split_along(A, A.unit, c1, factors)):
+        if f is residual:
+            out.append(
+                GenerationSummand(
+                    dim=linalg.rank(F, A.mult_matrix(e)),
+                    residue_degree=0,
+                    point=None,
+                    critical_value=None,
+                    kernel_dim=0,
+                    verdict="nonsplit",
+                    statement=(
+                        "complementary summand for the irrational part of the "
+                        "first-Chern-class spectrum; no rational critical local "
+                        "system"
+                    ),
+                )
+            )
+            continue
+        block, _, _ = restrict_to_block(A, e)
+        mps = [block.element_min_poly(g) for g in block.generators]
+        point = [F.neg(mp.coeffs[0]) for mp in mps]
+        if any(mp.degree != 1 for mp in mps) or any(
+            W.log_derivative(i).evaluate(point) != F.zero for i in range(W.ring.nvars)
+        ):
+            point = None
+        out.append(
+            GenerationSummand(
+                dim=block.dim,
+                residue_degree=1,
+                point=point,
+                critical_value=F.neg(f.coeffs[0]),
+                kernel_dim=0,
+                verdict="split-generates",
+                statement=_SPLIT_STATEMENT,
+            )
+        )
+    return out
+
+
+def _dot(u, v):
+    return sum(x * y for x, y in zip(u, v))
+
+
+def validate_by_fractions(P):
+    n, N = P.n, P.num_facets
+    if N < n + 1:
+        raise ValidationError("facet_count", f"need at least {n + 1} facets, got {N}")
+    if linalg.rank(QQ, [[Fraction(x) for x in row] for row in P.normals]) < n:
+        raise ValidationError(
+            "compactness", "facet normals do not span; polytope is unbounded"
+        )
+    if n == 1:
+        for d in ([Fraction(1)], [Fraction(-1)]):
+            if all(_dot(P.normals[i], d) >= 0 for i in range(N)):
+                raise ValidationError(
+                    "compactness", f"unbounded along recession ray {d}"
+                )
+    for subset in itertools.combinations(range(N), max(n - 1, 1)):
+        mat = [[Fraction(x) for x in P.normals[i]] for i in subset]
+        ker = linalg.kernel_basis(QQ, mat)
+        if len(ker) != 1:
+            continue
+        ray = ker[0]
+        for cand in (ray, [-x for x in ray]):
+            if all(_dot(P.normals[i], cand) >= 0 for i in range(N)):
+                raise ValidationError(
+                    "compactness",
+                    f"unbounded along recession ray {cand} (facets {sorted(subset)})",
+                    facets=sorted(i + 1 for i in subset),
+                )
+    points = {}
+    for subset in itertools.combinations(range(N), n):
+        mat = [[Fraction(x) for x in P.normals[i]] for i in subset]
+        inverse = linalg.invert(QQ, mat)
+        if inverse is None:
+            continue
+        sol = linalg.mat_vec(QQ, inverse, [-P.lambdas[i] for i in subset])
+        if any(_dot(P.normals[i], sol) < -P.lambdas[i] for i in range(N)):
+            continue
+        points[tuple(sol)] = inverse
+    vertices = []
+    incidence = []
+    for pt in sorted(points):
+        on = [i for i in range(N) if _dot(P.normals[i], pt) == -P.lambdas[i]]
+        if len(on) > n:
+            raise ValidationError(
+                "simplicity",
+                f"point ({', '.join(str(x) for x in pt)}) lies on facets "
+                f"{[i + 1 for i in on]}",
+                facets=[i + 1 for i in on],
+                vertex=[str(x) for x in pt],
+            )
+        vertices.append(list(pt))
+        incidence.append(on)
+    if not vertices:
+        raise ValidationError("nonempty", "no vertices found; polytope empty")
+    for pt, on in zip(vertices, incidence):
+        if any(x.denominator != 1 for row in points[tuple(pt)] for x in row):
+            mat = [[Fraction(x) for x in P.normals[i]] for i in on]
+            det = linalg.charpoly(QQ, mat).coeffs[0]
+            raise ValidationError(
+                "unimodularity",
+                f"facets {[i + 1 for i in on]} meet at "
+                f"({', '.join(str(x) for x in pt)}) with |det| = {abs(det)}",
+                facets=[i + 1 for i in on],
+                vertex=[str(x) for x in pt],
+            )
+    covered = set()
+    for on in incidence:
+        covered.update(on)
+    for i in range(N):
+        if i not in covered:
+            raise ValidationError(
+                "irredundancy",
+                f"facet {i + 1} contains no vertex (redundant inequality)",
+                facets=[i + 1],
+            )
+    k = len(vertices)
+    bary = [sum(v[j] for v in vertices) / k for j in range(P.n)]
+    for i in range(N):
+        if _dot(P.normals[i], bary) <= -P.lambdas[i]:
+            raise ValidationError(
+                "full_dimension",
+                f"polytope has empty interior (tight at facet {i + 1})",
+                facets=[i + 1],
+            )
+    return VertexData(vertices=vertices, incidence=incidence)
