@@ -25,8 +25,9 @@ Conventions, fixed once and used everywhere:
     all other components zero; a structure viewed as a module over itself
     carries mu_M = -mu.
 
-Truncation discipline: a structure is complete, so operations above its
-arity cap vanish and the structure constructor rejects any that are given.
+Arities start at 1: the structure constructor rejects a curved mu^0 (and any
+lower arity).  Truncation discipline: a structure is complete, so operations
+above its arity cap vanish and the constructor rejects any that are given.
 Cochains carry a length cap; every operation reports the component range on
 which the computation is exact (`exact window`, here the smaller of the input
 window and the output cap), and test assertions only fire inside it.
@@ -35,9 +36,23 @@ The chain-level differentials scatter: they loop over the nonzero entries of
 their input (operations, cochain components, premorphism components) and add
 into every output they reach, so their cost follows the nonzero terms rather
 than the number of output keys.  The "insert mu^j inside" term they share is
-`_expansions`.  Module/bimodule coherence is verified operationally on a
-spanning set of elementary cochains within the window: each elementary input
-is differentiated once, and d^2 of an input is assembled, by linearity, from
+`_expansions`, which reads the operations through an index by output.
+Modules and bimodules are finite sparse tensors, built once from the
+structure's operations (so bounded by its arity cap): a module is indexed by
+module input and by module output, a bimodule by its slot p, and the action
+terms scatter over those entries.
+
+Arithmetic is plain ring arithmetic.  A sign (-1)^e times c is c or -c by
+the parity of e, never a field multiplication; coefficients combine with
+`+`, `*` and unary `-`, and a sum is reduced `% p` only over F_p.  Over Q
+the structure constructor stores an integral coefficient as an int, which
+compares, hashes and prints as the equal Fraction does, so an integral
+structure runs on ints and a non-integral one runs the same code on
+Fractions.
+
+Module/bimodule coherence is verified operationally on a spanning set of
+elementary cochains within the window: each elementary input is
+differentiated once, and d^2 of an input is assembled, by linearity, from
 the memoized columns of the terms of its d.
 """
 
@@ -54,17 +69,23 @@ from .scalar import Field, field_name, parse_field
 
 
 def _sign(field, exponent):
-    return field.one if exponent % 2 == 0 else field.neg(field.one)
+    """(-1)^exponent as a field element; the chain-level loops negate by
+    parity instead of multiplying by this."""
+    return 1 if exponent % 2 == 0 else field.neg(1)
 
 
 def _vadd(field, target, src, coeff):
-    zero = field.zero
+    """target += coeff * src on sparse vectors, with the raw operators.  Over
+    F_p each sum is reduced `% p`, so coeff may be any integer, -c included."""
+    p = field.char
     for i, c in src.items():
-        acc = field.add(target.get(i, zero), field.mul(coeff, c))
-        if acc == zero:
-            target.pop(i, None)
-        else:
+        acc = target.get(i, 0) + coeff * c
+        if p:
+            acc %= p
+        if acc:
             target[i] = acc
+        else:
+            target.pop(i, None)
 
 
 @dataclass
@@ -75,16 +96,28 @@ class AInftyStructure:
     ops: dict  # k -> {written-order input tuple -> {output index -> coeff}}
     unit: int | None = None
     labels: list | None = None
+    # output index -> [(j, inputs, coeff)] over every mu^j, by increasing j
+    by_output: dict = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.labels is None:
             self.labels = [f"b{i}" for i in range(self.dim)]
+        if len(self.labels) != self.dim:
+            raise UsageError(f"{len(self.labels)} labels for a basis of dim {self.dim}")
         basis = range(self.dim)
         if self.unit is not None and self.unit not in basis:
             raise UsageError(f"unit {self.unit} is not a basis index below {self.dim}")
+        p = self.field.char
+        ops = {}
         for k, tensor in self.ops.items():
+            if k < 1:
+                raise UsageError(
+                    f"mu^{k} given: arity {k} is below 1 (curved structures "
+                    "are not supported)"
+                )
             if k > self.arity_cap:
                 raise UsageError(f"mu^{k} given above the arity cap {self.arity_cap}")
+            new = ops[k] = {}
             for key, out in tensor.items():
                 if len(key) != k:
                     raise UsageError(f"arity-{k} tensor keyed by {len(key)} inputs")
@@ -93,11 +126,23 @@ class AInftyStructure:
                         f"mu^{k}{key} names a basis index outside 0..{self.dim - 1}"
                     )
                 want = (sum(self.degrees[i] for i in key) + 2 - k) % 2
+                # canonical coefficients: reduced mod p, and over Q an
+                # integral one as an int, so integral structures run on ints
+                new[key] = out = {
+                    idx: c % p if p else (c.numerator if c.denominator == 1 else c)
+                    for idx, c in out.items()
+                }
                 for idx, c in out.items():
-                    if c != self.field.zero and self.degrees[idx] % 2 != want:
+                    if c and self.degrees[idx] % 2 != want:
                         raise UsageError(
                             f"mu^{k}{key} output {idx} violates degree parity"
                         )
+        self.ops = ops
+        self.by_output = {}
+        for k in sorted(ops):
+            for key, out in ops[k].items():
+                for idx, c in out.items():
+                    self.by_output.setdefault(idx, []).append((k, key, c))
 
     @property
     def dim(self):
@@ -153,7 +198,7 @@ class AInftyStructure:
                         int(i): F.from_str(str(c))
                         for i, c in entry["output"].items()
                     }
-                    out = {i: c for i, c in out.items() if c != F.zero}
+                    out = {i: c for i, c in out.items() if c}
                     if out:
                         tensor[key] = out
                 if tensor:
@@ -180,7 +225,7 @@ def from_dga(field, degrees, diff, prod, unit=None, labels=None) -> AInftyStruct
     for j in range(dim):
         out = {}
         for i, c in diff.get(j, {}).items():
-            if c != field.zero:
+            if c:
                 out[i] = field.mul(_sign(field, degrees[j]), c)
         if out:
             mu1[(j,)] = out
@@ -188,7 +233,7 @@ def from_dga(field, degrees, diff, prod, unit=None, labels=None) -> AInftyStruct
     for (i, j), val in prod.items():
         out = {}
         for r, c in val.items():
-            if c != field.zero:
+            if c:
                 out[r] = field.mul(_sign(field, degrees[j]), c)
         if out:
             mu2[(i, j)] = out
@@ -206,21 +251,23 @@ def from_dga(field, degrees, diff, prod, unit=None, labels=None) -> AInftyStruct
 # --- relations and basic constructions -----------------------------------------
 
 
-def _expansions(A: AInftyStructure, key, room):
+def _expansions(A: AInftyStructure, key, room, flip=0):
     """Every key that contracts to `key` by one mu^j, 1 <= j <= room + 1,
-    with (-1)^{maltese of the inputs right of mu^j} times mu^j's coefficient
-    on the entry of `key` it replaces."""
-    F = A.field
-    for pos, b in enumerate(key):
-        left, right = key[:pos], key[pos + 1 :]
-        sgn = _sign(F, A.maltese(right))
-        for j, tensor in A.ops.items():
-            if not 1 <= j <= room + 1:
-                continue
-            for inner, out in tensor.items():
-                c = out.get(b)
-                if c is not None:
-                    yield left + inner + right, F.mul(sgn, c)
+    with (-1)^{flip + maltese of the inputs right of mu^j} times mu^j's
+    coefficient on the entry of `key` it replaces.  Over F_p the yielded
+    coefficient may be negative; `_vadd` reduces it."""
+    degrees = A.degrees
+    odd = flip % 2
+    for pos in range(len(key) - 1, -1, -1):
+        b = key[pos]
+        inserts = A.by_output.get(b)
+        if inserts:
+            left, right = key[:pos], key[pos + 1 :]
+            for j, inner, c in inserts:
+                if j > room + 1:
+                    break
+                yield left + inner + right, -c if odd else c
+        odd ^= (degrees[b] - 1) % 2  # b joins the inputs right of the next one
 
 
 def ainfty_residuals(A: AInftyStructure, up_to_arity: int):
@@ -373,104 +420,135 @@ def cohomology(A: AInftyStructure) -> GradedAlgebra:
 
 @dataclass
 class Module:
-    """Left module over A: op(r, a_tuple, m) -> sparse output, r >= 0 algebra
-    inputs in written order, op(0, (), m) the differential."""
+    """Left module over A as a finite sparse tensor: ops[(a_key, m)] is the
+    sparse output of the operation on r = len(a_key) >= 0 algebra inputs in
+    written order and module input m; r = 0 is the differential.  The
+    operations are indexed by module input and by module output, each list
+    by increasing r."""
 
     algebra: AInftyStructure
     degrees: list
-    action: object  # callable (r, a_key, m_idx) -> {m_out: coeff}
+    ops: dict  # (a_key, m_in) -> {m_out: coeff}, no empty outputs
+    # m_in -> [(a_key, output)] and m_out -> [(a_key, m_in, coeff)]
+    by_input: dict = dc_field(init=False, repr=False, compare=False)
+    by_output: dict = dc_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.by_input, self.by_output = {}, {}
+        for (a_key, m), out in sorted(self.ops.items(), key=lambda kv: len(kv[0][0])):
+            self.by_input.setdefault(m, []).append((a_key, out))
+            for m_out, c in out.items():
+                self.by_output.setdefault(m_out, []).append((a_key, m, c))
 
     @property
     def dim(self):
         return len(self.degrees)
 
+    def action(self, r, a_key, m):
+        """Sparse output on the r = len(a_key) algebra inputs a_key and module
+        input m; like `A.op`, a shared dict that callers only read."""
+        return self.ops.get((tuple(a_key), m), {})
+
 
 def self_module(A: AInftyStructure) -> Module:
-    """A as a left module over itself, with the standard sign mu_M = -mu.
-    The negated tensors are built once; like `A.op`, `action` returns shared
-    dicts that callers only read."""
+    """A as a left module over itself, with the standard sign mu_M = -mu."""
     F = A.field
-    negated = {
-        k: {key: {i: F.neg(c) for i, c in out.items()} for key, out in tensor.items()}
-        for k, tensor in A.ops.items()
+    ops = {
+        (key[:-1], key[-1]): {i: F.neg(c) for i, c in out.items()}
+        for tensor in A.ops.values()
+        for key, out in tensor.items()
+        if out
     }
-
-    def action(r, a_key, m_idx):
-        return negated.get(r + 1, {}).get(tuple(a_key) + (m_idx,), {})
-
-    return Module(algebra=A, degrees=list(A.degrees), action=action)
+    return Module(algebra=A, degrees=list(A.degrees), ops=ops)
 
 
 @dataclass
 class BimoduleStructure:
-    """Bimodule over A with basis degrees and operations mu^{k|1|l}."""
+    """Bimodule over A as a finite sparse tensor: ops[(left, p, right)] is
+    the sparse output of mu^{k|1|l}(left..., b_p, right...), k = len(left),
+    l = len(right).  The operations are indexed by the bimodule slot p, each
+    list by increasing k + l."""
 
     algebra: AInftyStructure
     degrees: list
     labels: list
-    op: object  # callable (k, l, left_key, p_idx, right_key) -> {p_out: coeff}
+    ops: dict  # (left_key, p_in, right_key) -> {p_out: coeff}, no empty outputs
+    # p_in -> [(k + l, left_key, right_key, maltese(right_key), output)]
+    by_slot: dict = dc_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        A = self.algebra
+        self.by_slot = {}
+        for (left, p, right), out in sorted(
+            self.ops.items(), key=lambda kv: len(kv[0][0]) + len(kv[0][2])
+        ):
+            self.by_slot.setdefault(p, []).append(
+                (len(left) + len(right), left, right, A.maltese(right), out)
+            )
 
     @property
     def dim(self):
         return len(self.degrees)
 
+    def op(self, k, l, left_key, p_idx, right_key):
+        """Sparse output of mu^{k|1|l}; a shared dict that callers only read."""
+        return self.ops.get((tuple(left_key), p_idx, tuple(right_key)), {})
+
     def tensor(self, k, l):
         """Materialize one operation family (used by equality tests)."""
-        A = self.algebra
-        out = {}
-        for left in itertools.product(range(A.dim), repeat=k):
-            for right in itertools.product(range(A.dim), repeat=l):
-                for p in range(self.dim):
-                    val = self.op(k, l, left, p, right)
-                    if val:
-                        out[(left, p, right)] = dict(val)
-        return out
+        return {
+            key: dict(val)
+            for key, val in self.ops.items()
+            if len(key[0]) == k and len(key[2]) == l
+        }
 
 
 def diagonal_bimodule(A: AInftyStructure) -> BimoduleStructure:
+    """mu^{k|1|l}(a..., b, a'...) =
+    (-1)^{maltese(a'...) + 1} mu^{k+1+l}(a..., b, a'...)."""
     F = A.field
-
-    def op(k, l, left_key, p_idx, right_key):
-        sgn = _sign(F, A.maltese(right_key) + 1)
-        raw = A.op(k + 1 + l, tuple(left_key) + (p_idx,) + tuple(right_key))
-        return {i: F.mul(sgn, c) for i, c in raw.items()}
-
+    ops = {}
+    for tensor in A.ops.values():
+        for key, out in tensor.items():
+            if not out:
+                continue
+            for pos, b in enumerate(key):
+                right = key[pos + 1 :]
+                odd = (A.maltese(right) + 1) % 2
+                ops[(key[:pos], b, right)] = {
+                    i: F.neg(c) if odd else c for i, c in out.items()
+                }
     return BimoduleStructure(
-        algebra=A, degrees=list(A.degrees), labels=list(A.labels), op=op
+        algebra=A, degrees=list(A.degrees), labels=list(A.labels), ops=ops
     )
 
 
 def hom_bimodule(M: Module, N: Module) -> BimoduleStructure:
-    """hom_k(M, N) with matrix-unit basis z_{p,q}: m_q -> n_p."""
+    """hom_k(M, N) with matrix-unit basis z_{p,q}: m_q -> n_p, index
+    p * dim M + q."""
     A = M.algebra
     F = A.field
-    dim_m, dim_n = M.dim, N.dim
-    units = [(p, q) for p in range(dim_n) for q in range(dim_m)]
-    index = {pq: i for i, pq in enumerate(units)}
+    dim_m = M.dim
+    units = [(p, q) for p in range(N.dim) for q in range(dim_m)]
     degrees = [(N.degrees[p] + M.degrees[q]) % 2 for p, q in units]
     labels = [f"E[{p},{q}]" for p, q in units]
-
-    def op(k, l, left_key, z_idx, right_key):
-        p, q = units[z_idx]
-        out = {}
-        # at k == l == 0 both terms below apply: the mu_N^1 and mu_M^1 parts
-        if l == 0:
-            for pp, c in N.action(k, left_key, p).items():
-                _vadd(F, out, {index[(pp, q)]: c}, _sign(F, M.degrees[q]))
-        if k == 0:
-            for qq in range(dim_m):
-                act = M.action(l, right_key, qq)
-                c = act.get(q)
-                if c is not None:
-                    _vadd(
-                        F,
-                        out,
-                        {index[(p, qq)]: c},
-                        _sign(F, M.degrees[qq] + 1),
-                    )
-        return out
-
-    return BimoduleStructure(algebra=A, degrees=degrees, labels=labels, op=op)
+    ops = {}
+    # mu^{k|1|0}(a..., z_{p,q}) = (-1)^{|m_q|} mu_N(a..., n_p) m_q^*; at
+    # k = 0 this and the next term share the key of mu^{0|1|0}
+    for (left, p), out in N.ops.items():
+        for q in range(dim_m):
+            _vadd(F, ops.setdefault((left, p * dim_m + q, ()), {}),
+                  {pp * dim_m + q: c for pp, c in out.items()},
+                  -1 if M.degrees[q] % 2 else 1)
+    # mu^{0|1|l}(z_{p,q}, a...) = (-1)^{|m_qq|+1} z_{p,q} mu_M(a..., m_qq)
+    for (right, qq), out in M.ops.items():
+        sgn = 1 if M.degrees[qq] % 2 else -1
+        for q, c in out.items():
+            for p in range(N.dim):
+                _vadd(F, ops.setdefault(((), p * dim_m + q, right), {}),
+                      {p * dim_m + qq: c}, sgn)
+    ops = {key: val for key, val in ops.items() if val}
+    return BimoduleStructure(algebra=A, degrees=degrees, labels=labels, ops=ops)
 
 
 # --- Hochschild cochains ----------------------------------------------------------
@@ -547,26 +625,24 @@ def hochschild_diff(A: AInftyStructure, P: BimoduleStructure,
         exact_upto=min(phi.window(), cap),
     )
     top = out.window()
-    inner_sgn = _sign(F, phi.degree)
+    degree = phi.degree % 2
     totals = {}
     for j, tensor in phi.components.items():
         if j > top:
             continue
+        room = top - j
         for mid, phi_val in tensor.items():
-            # bimodule action terms mu^{k|1|l}(left..., phi(mid...), right...)
-            for extra in range(top - j + 1):
-                for around in itertools.product(range(A.dim), repeat=extra):
-                    for k in range(extra + 1):
-                        left, right = around[:k], around[k:]
-                        sgn = _sign(F, phi.degree * A.maltese(right) + 1)
-                        for p, c in phi_val.items():
-                            res = P.op(k, extra - k, left, p, right)
-                            if res:
-                                _vadd(F, totals.setdefault(left + mid + right, {}),
-                                      res, F.mul(sgn, c))
+            # bimodule action terms (-1)^{|phi| maltese_l + 1}
+            # mu^{k|1|l}(left..., phi(mid...), right...)
+            for p, c in phi_val.items():
+                for extra, left, right, malt, res in P.by_slot.get(p, ()):
+                    if extra > room:
+                        break
+                    _vadd(F, totals.setdefault(left + mid + right, {}), res,
+                          c if degree * malt else -c)
             # inner mu insertions phi(..., mu(...), ...)
-            for key, c in _expansions(A, mid, top - j):
-                _vadd(F, totals.setdefault(key, {}), phi_val, F.mul(inner_sgn, c))
+            for key, c in _expansions(A, mid, room, degree):
+                _vadd(F, totals.setdefault(key, {}), phi_val, c)
     for key, total in totals.items():
         out.set_value(len(key), key, total)
     return out
@@ -685,28 +761,28 @@ def premorphism_diff(M: Module, N: Module, psi_components, psi_degree, cap):
     + sum (-1)^{|psi| + maltese_i + |m| + 1} psi(..., mu(...), ...^i, m)."""
     A = M.algebra
     F = A.field
-    flip = _sign(F, psi_degree + 1)
+    even = psi_degree % 2 == 0  # (-1)^{|psi|+1} = -1
     totals = {}
     for j, tensor in psi_components.items():
         if j > cap:
             continue
+        room = cap - j
         for (key, m), psi_val in tensor.items():
-            for extra in range(cap - j + 1):
-                for more in itertools.product(range(A.dim), repeat=extra):
-                    # mu_N(more..., psi(key..., m))
-                    for m_out, c in psi_val.items():
-                        res = N.action(extra, more, m_out)
-                        if res:
-                            _vadd(F, totals.setdefault((more + key, m), {}), res, c)
-                    # psi(key..., mu_M(more..., mi)) for every mi sent to m
-                    for mi in range(M.dim):
-                        c = M.action(extra, more, mi).get(m)
-                        if c is not None:
-                            _vadd(F, totals.setdefault((key + more, mi), {}), psi_val,
-                                  F.mul(flip, c))
-            sgn = _sign(F, psi_degree + M.degrees[m] + 1)
-            for longer, c in _expansions(A, key, cap - j):
-                _vadd(F, totals.setdefault((longer, m), {}), psi_val, F.mul(sgn, c))
+            # mu_N(more..., psi(key..., m))
+            for m_out, c in psi_val.items():
+                for more, res in N.by_input.get(m_out, ()):
+                    if len(more) > room:
+                        break
+                    _vadd(F, totals.setdefault((more + key, m), {}), res, c)
+            # psi(key..., mu_M(more..., mi)) for every mi sent to m
+            for more, mi, c in M.by_output.get(m, ()):
+                if len(more) > room:
+                    break
+                _vadd(F, totals.setdefault((key + more, mi), {}), psi_val,
+                      -c if even else c)
+            flip = psi_degree + M.degrees[m] + 1
+            for longer, c in _expansions(A, key, room, flip):
+                _vadd(F, totals.setdefault((longer, m), {}), psi_val, c)
     out = {}
     for (key, mi), total in totals.items():
         if total:
@@ -726,17 +802,16 @@ def check_module_relations(M: Module, cap: int = 2) -> bool:
         memo = (key, mi, mo, deg)
         col = columns.get(memo)
         if col is None:
-            col = premorphism_diff(M, M, {len(key): {(key, mi): {mo: F.one}}}, deg, cap)
+            col = premorphism_diff(M, M, {len(key): {(key, mi): {mo: 1}}}, deg, cap)
             columns[memo] = col
         return col
 
     for r in range(cap + 1):
         for key in itertools.product(range(A.dim), repeat=r):
+            malt = A.maltese(key)
             for mi in range(M.dim):
                 for mo in range(M.dim):
-                    deg = (M.degrees[mo] + M.degrees[mi] + sum(
-                        A.degrees[t] - 1 for t in key
-                    )) % 2
+                    deg = (M.degrees[mo] + M.degrees[mi] + malt) % 2
                     # component rr only reads inputs of index <= rr, so the
                     # whole computed range is exact
                     twice = {}
@@ -766,15 +841,16 @@ def check_bimodule_relations(P: BimoduleStructure, cap: int = 3) -> bool:
         col = columns.get(memo)
         if col is None:
             phi = HochschildCochain(A, list(P.degrees), deg, cap=cap)
-            phi.set_value(len(key), key, {p: F.one})
+            phi.set_value(len(key), key, {p: 1})
             col = hochschild_diff(A, P, phi)
             columns[memo] = col
         return col
 
     for r in range(cap + 1):
         for key in itertools.product(range(A.dim), repeat=r):
+            malt = A.maltese(key)
             for p in range(P.dim):
-                deg = (P.degrees[p] + sum(A.degrees[t] - 1 for t in key)) % 2
+                deg = (P.degrees[p] + malt) % 2
                 once = column(key, p, deg)
                 top = once.window()
                 twice = {}

@@ -21,12 +21,11 @@ radical already computed for it.  When its residue field is F_p, each
 generator is c + (a radical element), and c is read off a functional that
 kills the radical, with no factorization.  A block with count above 1 is
 split along the minimal polynomial of a designated generator or basis
-vector, or else along a Frobenius-fixed element.  Generators alone can miss
-the split (two independent degree-d residue field extensions give every
-generator a primary minimal polynomial); the basis vectors span the block,
-and they cannot all have primary minimal polynomials when it has several
-local factors.  A block with count above 1 that neither splits is an
-anomaly.
+vector.  Generators alone can miss the split (two independent degree-d
+residue field extensions give every generator a primary minimal
+polynomial); the basis vectors span the block, and they cannot all have
+primary minimal polynomials when it has several local factors.  A block
+with count above 1 that none of them splits is an anomaly.
 """
 
 from __future__ import annotations
@@ -259,25 +258,21 @@ def _ext_gcd(a: UniPoly, b: UniPoly):
     return r0, (s0, t0)
 
 
-def _frobenius_fixed_split_candidates(block: FiniteAlgebra):
-    """Elements fixed by Frobenius modulo the radical, the radical, and the
-    number of local factors (the rank of the fixed elements modulo the
-    radical).  The minimal polynomials of fixed elements split into linear
-    factors, exposing any idempotents the pool misses."""
+def _frobenius_fixed_count(block: FiniteAlgebra):
+    """The radical and the number of local factors: the rank, modulo the
+    radical, of the elements fixed by Frobenius modulo the radical."""
     F = block.field
     frob = frobenius_matrix_of(block)
     rad = _frobenius_kernel(F, frob)
     n = block.dim
     fmi = linalg.mat_sub(F, frob, linalg.identity(F, n))
     if not rad:
-        fixed = linalg.kernel_basis(F, fmi)
-        return fixed, rad, len(fixed)
+        return rad, len(linalg.kernel_basis(F, fmi))
     # solve (frob - id) x in span(rad): kernel of [frob - id | -rad]
     aug_cols = linalg.transpose(fmi) + [[F.neg(x) for x in r] for r in rad]
     big = linalg.transpose(aug_cols)
     fixed = [v[:n] for v in linalg.kernel_basis(F, big)]
-    r_count = linalg.rank(F, fixed + rad) - linalg.rank(F, rad)
-    return fixed, rad, r_count
+    return rad, linalg.rank(F, fixed + rad) - linalg.rank(F, rad)
 
 
 def local_decompose(A: FiniteAlgebra, seed: int = DEFAULT_SEED):
@@ -295,10 +290,13 @@ def local_decompose(A: FiniteAlgebra, seed: int = DEFAULT_SEED):
     while pending:
         e = pending.pop()
         block, basis, coords = restrict_to_block(A, e)
-        fixed, rad, n_factors = _frobenius_fixed_split_candidates(block)
+        rad, n_factors = _frobenius_fixed_count(block)
         if n_factors == 1:
             finished.append(_finalize_factor(e, block, basis, rad))
             continue
+        # modulo the radical, the pool elements with a primary minimal
+        # polynomial lie in one proper subspace while the pool spans the
+        # block, so some pool element splits it
         split = None
         for elem in pool:
             restricted = A.mult(e, elem)
@@ -306,13 +304,6 @@ def local_decompose(A: FiniteAlgebra, seed: int = DEFAULT_SEED):
             if len(factors) > 1:
                 split = _split_along(A, e, restricted, factors)
                 break
-        else:
-            for v in fixed:
-                factors = univariate_factor(block.element_min_poly(v), seed)
-                if len(factors) > 1:
-                    lifted = linalg.mat_vec(F, linalg.transpose(basis), v)
-                    split = _split_along(A, e, lifted, factors)
-                    break
         if split is None:
             raise AnomalyError(
                 f"block of dim {block.dim} has {n_factors} local factors "

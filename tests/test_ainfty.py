@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -36,7 +37,7 @@ from floergen.ainfty import (
     unit_cochain,
 )
 from floergen.errors import DomainError, UsageError
-from floergen.scalar import QQ
+from floergen.scalar import QQ, PrimeField
 
 EXAMPLES = ["lambda_x", "lambda_xy", "triangular", "dga3"]
 
@@ -103,6 +104,37 @@ def test_operations_above_arity_cap_rejected():
     with pytest.raises(UsageError):
         AInftyStructure(field=QQ, degrees=[0, 1], arity_cap=2,
                         ops={3: {(0, 0, 0): {1: Fraction(1)}}})
+
+
+CURVED_OPS = {0: {(): {0: Fraction(1)}},
+              2: {(0, 0): {0: Fraction(1)}, (0, 1): {1: Fraction(1)}}}
+
+
+@pytest.mark.parametrize("ops, labels, words", [
+    (CURVED_OPS, None, "mu^0"),
+    ({-1: {(1,): {1: Fraction(1)}}}, None, "mu^-1"),
+    ({2: {(0, 0): {0: Fraction(1)}}}, ["a"], "1 labels"),
+], ids=["mu0-curvature", "arity-minus-1", "one-label-for-dim-2"])
+def test_arity_below_one_and_label_count_rejected(ops, labels, words):
+    # a curved mu^0 used to be accepted and then ignored by the residuals
+    with pytest.raises(UsageError, match=re.escape(words)):
+        AInftyStructure(field=QQ, degrees=[0, 0], arity_cap=2, ops=ops,
+                        labels=labels)
+    data = {"field": "Q", "degrees": [0, 0],
+            "mu": {str(k): [{"inputs": list(key),
+                             "output": {str(i): str(c) for i, c in out.items()}}
+                            for key, out in t.items()] for k, t in ops.items()}}
+    if labels is not None:
+        data["labels"] = labels
+    with pytest.raises(UsageError, match=re.escape(words)):
+        AInftyStructure.from_json(data)
+
+
+def test_integral_rational_coefficients_are_stored_as_ints():
+    A = AInftyStructure(field=QQ, degrees=[0, 1], arity_cap=2,
+                        ops={2: {(0, 0): {0: Fraction(1)}, (0, 1): {1: Fraction(1, 2)}}})
+    assert type(A.op(2, (0, 0))[0]) is int
+    assert A.op(2, (0, 1)) == {1: Fraction(1, 2)}
 
 
 # --- opposite --------------------------------------------------------------------
@@ -636,3 +668,140 @@ def test_json_roundtrip():
 def test_malformed_json():
     with pytest.raises(UsageError):
         AInftyStructure.from_json({"field": "Q"})
+
+
+# --- the corpus over F_p and with non-integral rational coefficients ----------------
+
+
+def reduced_mod(A, p):
+    """A's integral coefficients read in F_p."""
+    F = PrimeField(p)
+    ops = {k: {key: {i: F.from_int(c) for i, c in out.items() if c % p}
+               for key, out in t.items()} for k, t in A.ops.items()}
+    return AInftyStructure(field=F, degrees=list(A.degrees), arity_cap=A.arity_cap,
+                           ops=ops, unit=A.unit, labels=list(A.labels))
+
+
+def rescaled(A, t):
+    """mu'^k = t^{k-2} mu^k, written in the basis b'_i = t b_i for every
+    non-unit b_i.  Both steps keep the A-infinity relations, and the second
+    is a strict isomorphism fixing the unit.  Products with the unit keep
+    their coefficients; which structures turn non-integral is pinned by
+    `test_rescaled_corpus_is_not_integral`."""
+    s = [Fraction(1) if i == A.unit else t for i in range(A.dim)]
+    ops = {}
+    for k, tensor in A.ops.items():
+        ops[k] = {}
+        for key, out in tensor.items():
+            scale = t ** (k - 2)
+            for j in key:
+                scale *= s[j]
+            ops[k][key] = {i: c * scale / s[i] for i, c in out.items()}
+    return AInftyStructure(field=QQ, degrees=list(A.degrees), arity_cap=A.arity_cap,
+                           ops=ops, unit=A.unit, labels=list(A.labels))
+
+
+VARIANTS = {
+    "F2": lambda A: reduced_mod(A, 2),
+    "F3": lambda A: reduced_mod(A, 3),
+    "F5": lambda A: reduced_mod(A, 5),
+    "Q-t1/2": lambda A: rescaled(A, Fraction(1, 2)),
+    "Q-t2/3": lambda A: rescaled(A, Fraction(2, 3)),
+}
+
+
+def test_rescaled_corpus_is_not_integral():
+    for variant in ("Q-t1/2", "Q-t2/3"):
+        fractional = {name for name in EXAMPLES
+                      for t in VARIANTS[variant](load_example(name)).ops.values()
+                      for out in t.values() for c in out.values()
+                      if c.denominator != 1}
+        want = {"lambda_xy", "triangular"} | ({"dga3"} if variant == "Q-t2/3" else set())
+        assert fractional == want, variant
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_relations_and_hom_tensors_hold_over_other_coefficients(variant):
+    for name in EXAMPLES:
+        B = VARIANTS[variant](load_example(name))
+        assert ainfty_residuals(B, 4) == [], (variant, name)
+        assert opposite(opposite(B)).ops == B.ops, (variant, name)
+        P = hom_bimodule(self_module(B), self_module(B))
+        for k, l in [(0, 0), (1, 0), (2, 0), (0, 1), (0, 2), (1, 1)]:
+            assert P.tensor(k, l) == end_bimodule_tensors(B, k, l), (variant, name, k, l)
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+@pytest.mark.parametrize("check, name, cap", SHIPPED_CHECKS,
+                         ids=[f"{c}-{n}-cap{k}" for c, n, k in SHIPPED_CHECKS])
+def test_memoized_checks_hold_over_other_coefficients(variant, check, name, cap):
+    B = VARIANTS[variant](load_example(name))
+    assert memoized_and_direct(check, B, cap) == (True, True)
+
+
+def field_cochain(rng, A, cap, degree):
+    """random_cochain with its integer coefficients read in A's field over
+    F_p, and divided by 3 over Q."""
+    phi = random_cochain(rng, A, cap, degree)
+    p = A.field.char
+    for comp in phi.components.values():
+        for key, val in comp.items():
+            comp[key] = {i: int(c) % p if p else c / 3 for i, c in val.items()
+                         if not p or c % p}
+    return phi
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_diagonal_differential_matches_direct_over_other_coefficients(variant):
+    rng = random.Random(variant)
+    for name in EXAMPLES:
+        B = VARIANTS[variant](load_example(name))
+        diag = diagonal_bimodule(B)
+        for degree in (0, 1):
+            phi = field_cochain(rng, B, 3, degree)
+            once = hochschild_diff(B, diag, phi)
+            assert once.components == hochschild_diff_diagonal_direct(B, phi).components, (
+                variant, name, degree)
+            assert hochschild_diff(B, diag, once).is_zero_within(3), (variant, name, degree)
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+@pytest.mark.parametrize("name", ["lambda_x", "dga3"])
+def test_unit_corruption_is_caught_over_other_coefficients(variant, name):
+    # mu^2(1, 1) = 1 becomes 1 + 1: 2 over F_p (p odd) and Q, 0 over F2
+    B = VARIANTS[variant](load_example(name))
+    F = B.field
+    bad = corrupted(B, 2, (0, 0), 0, F.add(B.op(2, (0, 0))[0], F.from_int(1)))
+    assert any(k == 3 for k, _, _ in ainfty_residuals(bad, 3)), variant
+    for kind in ("module", "bimodule-hom", "bimodule-diag"):
+        assert memoized_and_direct(kind, bad, 3) == (False, False), (variant, kind)
+
+
+def test_memoized_checks_match_square_twice_on_corruptions_over_other_coefficients():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def corruptions(draw):
+        variant = draw(st.sampled_from(sorted(VARIANTS)))
+        name = draw(st.sampled_from(["lambda_x", "dga3", "triangular"]))
+        A = VARIANTS[variant](load_example(name))
+        F = A.field
+        entries = sorted((k, key, i, c) for k, t in A.ops.items()
+                         for key, out in t.items() for i, c in out.items())
+        k, key, i, old = draw(st.sampled_from(entries))
+        values = (st.integers(0, F.char - 1) if F.char
+                  else st.fractions(-3, 3, max_denominator=3))
+        new = draw(values.filter(lambda c: c != old))
+        return corrupted(A, k, key, i, new), draw(st.sampled_from([2, 3]))
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None,
+                         max_examples=40)
+    @hypothesis.given(corruptions())
+    def check(case):
+        A, cap = case
+        for kind in ("module", "bimodule-hom", "bimodule-diag"):
+            memo, direct = memoized_and_direct(kind, A, cap)
+            assert memo == direct, (kind, cap)
+
+    check()

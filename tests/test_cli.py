@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -428,3 +432,37 @@ def test_cli_seed_does_not_leak_into_library(capsys, polytope_file, monkeypatch)
     W = superpotential(corpus()["CP2"], scalar.PrimeField(7))
     local_decompose(FiniteAlgebra.from_quotient(jacobian_ring(W)))
     assert seeds and set(seeds) == {scalar.DEFAULT_SEED}
+
+
+CURVED = {"field": "Q", "degrees": [0, 0], "mu": {
+    "0": [{"inputs": [], "output": {"0": "1"}}],
+    "2": [{"inputs": [0, 0], "output": {"0": "1"}},
+          {"inputs": [0, 1], "output": {"1": "1"}}]}}
+
+
+@pytest.mark.parametrize("data, words", [
+    (CURVED, "mu^0"),
+    (_lambda_x_with(mu={"-1": [{"inputs": [1], "output": {"1": "1"}}]}), "mu^-1"),
+    (_lambda_x_with(labels=["a"]), "1 labels"),
+], ids=["mu0-curvature", "arity-minus-1", "one-label-for-dim-2"])
+def test_ainfty_check_rejects_arity_below_one_and_label_count(capsys, tmp_path,
+                                                              data, words):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = invoke(capsys, [
+        "ainfty-check", "--ainfty", str(path), "--format", "json",
+    ])
+    assert code == 1
+    record = json.loads(out)
+    assert record["error"] == "UsageError"
+    assert words in record["message"]
+
+
+def test_python_dash_m_floergen_help():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "floergen", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: floergen")
