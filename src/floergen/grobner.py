@@ -51,6 +51,7 @@ from . import linalg
 from .algebra import FiniteAlgebra
 from .errors import DomainError, ResourceBudgetError, UsageError
 from .laurent import LaurentPoly, LaurentRing
+from .scalar import field_name
 
 DEFAULT_BUDGET = 10**6
 W = 32  # bits per exponent field of a packed word, guard bit included
@@ -416,7 +417,7 @@ class QuotientAlgebra:
 
     def to_json(self):
         data = {
-            "field": "Q" if self.field.char == 0 else f"F{self.field.char}",
+            "field": field_name(self.field),
             "dim": len(self.staircase) if self.finite else None,
             "finite": self.finite,
             "staircase": self.basis_labels() if self.finite else None,

@@ -6,6 +6,17 @@ from floergen.laurent import LaurentRing
 from floergen.scalar import QQ, PrimeField
 from floergen.toric import DelzantPolytope, corpus, polytope_product, projective_space
 
+try:
+    import hypothesis
+except ImportError:  # the property tests skip themselves without it
+    pass
+else:
+    # reproducible runs: a fixed example sequence, no example database and no
+    # per-example deadline; each test sets its own max_examples
+    hypothesis.settings.register_profile(
+        "floergen", derandomize=True, database=None, deadline=None)
+    hypothesis.settings.load_profile("floergen")
+
 ACCEPTANCE_LINES = []
 
 

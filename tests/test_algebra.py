@@ -127,9 +127,10 @@ def test_local_decompose_idempotent_properties():
         assert all(c == 0 for c in A.mult(f.idempotent, g.idempotent))
 
 
-def test_local_decompose_needs_frobenius_fallback():
-    # F4 (x) F4: every generator has primary minimal polynomial but the
-    # algebra still splits into two residue-degree-2 fields
+def test_local_decompose_splits_f4_tensor_f4_by_a_pool_basis_vector():
+    # F4 (x) F4: both generators u, v have the primary minimal polynomial
+    # t^2 + t + 1, but the basis vector uv of the pool does not, and splits
+    # the algebra into two residue-degree-2 fields
     F2 = PrimeField(2)
     R = LaurentRing(["u", "v"], F2)
     u, v = R.variable(0), R.variable(1)
@@ -445,8 +446,7 @@ def test_local_decompose_matches_pool_first_reference_on_random_univariate():
         # a nonzero constant term, so z is a unit and the degree is the dim
         return p, [draw(st.integers(1, p - 1))] + middle + [draw(st.integers(1, p - 1))]
 
-    @hypothesis.settings(derandomize=True, database=None, deadline=None,
-                         max_examples=80)
+    @hypothesis.settings(max_examples=80)
     @hypothesis.given(quotients())
     def check(case):
         p, coeffs = case

@@ -406,8 +406,7 @@ def test_reduced_basis_invariant_under_permutation_and_rescaling(field):
         ]
         return gens, moved
 
-    @hypothesis.settings(derandomize=True, database=None, deadline=None,
-                         max_examples=60)
+    @hypothesis.settings(max_examples=60)
     @hypothesis.given(moved_generators())
     def check(case):
         gens, moved = case
@@ -514,8 +513,7 @@ def test_encoding_matches_cleared_reference_on_random_laurent_ideals(field):
 
     finite_flags = set()
 
-    @hypothesis.settings(derandomize=True, database=None, deadline=None,
-                         max_examples=60)
+    @hypothesis.settings(max_examples=60)
     @hypothesis.given(laurent_ideals())
     def check(gens):
         qa = laurent_quotient(gens)
@@ -591,8 +589,7 @@ def test_packed_words_agree_with_exponent_tuples():
             b = tuple(draw(st.lists(exponent, min_size=n, max_size=n)))
         return a, b
 
-    @hypothesis.settings(derandomize=True, database=None, deadline=None,
-                         max_examples=200)
+    @hypothesis.settings(max_examples=200)
     @hypothesis.given(monomial_pairs())
     def check(case):
         a, b = case
@@ -697,8 +694,7 @@ def test_packed_kernel_takes_the_reference_route(field):
         divisors = draw(st.lists(polys(2, 3), min_size=1, max_size=5))
         return draw(polys(4, 6)), divisors
 
-    @hypothesis.settings(derandomize=True, database=None, deadline=None,
-                         max_examples=100)
+    @hypothesis.settings(max_examples=100)
     @hypothesis.given(cases())
     def check(case):
         poly, divisors = case

@@ -29,7 +29,7 @@ from floergen.scalar import QQ, PrimeField  # noqa: E402
 from floergen.toric import polytope_product, projective_space  # noqa: E402
 
 FIELDS = {"F2": PrimeField(2), "F3": PrimeField(3), "F7": PrimeField(7), "Q": QQ}
-SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+SETTINGS = settings(max_examples=60)
 
 
 def reference_rref(field, mat):

@@ -166,8 +166,7 @@ def test_factor_matches_sympy_factor_list():
                 f = f * g
         return f, draw(st.integers(0, 3))
 
-    @hypothesis.settings(derandomize=True, database=None, deadline=None,
-                         max_examples=100)
+    @hypothesis.settings(max_examples=100)
     @hypothesis.given(polynomials())
     def check(case):
         f, seed = case
