@@ -71,7 +71,7 @@ from dataclasses import dataclass, field as dc_field
 from . import linalg
 from .algebra import FiniteAlgebra
 from .errors import DomainError, UsageError
-from .scalar import Field, field_name, parse_field
+from .scalar import Field, field_name, json_int, parse_field
 
 
 def _vadd(field, target, src, coeff):
@@ -193,13 +193,13 @@ class AInftyStructure:
     def from_json(cls, data):
         try:
             F = parse_field(data["field"])
-            degrees = [int(d) % 2 for d in data["degrees"]]
+            degrees = [json_int(d, "degree") % 2 for d in data["degrees"]]
             ops = {}
             for k_str, entries in data.get("mu", {}).items():
                 k = int(k_str)
                 tensor = {}
                 for entry in entries:
-                    key = tuple(int(i) for i in entry["inputs"])
+                    key = tuple(json_int(i, "input index") for i in entry["inputs"])
                     out = {
                         int(i): F.from_str(str(c))
                         for i, c in entry["output"].items()
@@ -210,7 +210,7 @@ class AInftyStructure:
                 if tensor:
                     ops[k] = tensor
             unit = data.get("unit")
-            unit = int(unit) if unit is not None else None
+            unit = json_int(unit, "unit") if unit is not None else None
             cap = max(ops, default=1)
         except (KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"malformed A-infinity JSON: {exc}") from exc
@@ -264,7 +264,10 @@ def _expansions(A: AInftyStructure, key, room, flip=0):
 
 def ainfty_residuals(A: AInftyStructure, up_to_arity: int):
     """All nonzero A-infinity relation residuals up to the given arity,
-    ordered by (arity, inputs)."""
+    ordered by (arity, inputs).  The relations start at arity 1."""
+    if up_to_arity < 1:
+        raise UsageError(
+            f"relations are checked up to an arity of at least 1, not {up_to_arity}")
     F = A.field
     totals = {}
     for k, tensor in A.ops.items():

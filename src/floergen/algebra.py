@@ -6,7 +6,8 @@ Every other product (of elements, by an element, powers, polynomials) is
 computed from these; `mult` and `mult_matrix` accumulate with native `+` and
 `*` and reduce once with `% p` over F_p.  A QuotientAlgebra is a
 presentation that yields one, column k of basis_mult[j] being the normal form
-of the product of staircase monomials j and k.
+of the product of staircase monomials j and k.  The minimal polynomial of an
+element u is the first linear dependence among 1, u, u^2, ...
 
 Covers the nilradical in characteristic p (iterated Frobenius kernel),
 decomposition into local factors, idempotents for generalized eigenspace
@@ -14,18 +15,18 @@ splittings, and m-adic filtration profiles.  Idempotents have one
 construction, the CRT splitter `_split_along`, and a block e*A is restricted
 through one fixed left inverse of its basis.
 
-The local decomposition decides locality first: the Frobenius-fixed space
-modulo the radical of a block has dimension equal to its number of local
-factors (Berlekamp's count), so a block whose count is 1 is final, with the
-radical already computed for it.  When its residue field is F_p, each
-generator is c + (a radical element), and c is read off a functional that
-kills the radical, with no factorization.  A block with count above 1 is
-split along the minimal polynomial of a designated generator or basis
-vector.  Generators alone can miss the split (two independent degree-d
-residue field extensions give every generator a primary minimal
-polynomial); the basis vectors span the block, and they cannot all have
-primary minimal polynomials when it has several local factors.  A block
-with count above 1 that none of them splits is an anomaly.
+The local decomposition works on Berlekamp's subalgebra: in a commutative
+finite F_p-algebra the solutions of x^p = x are the F_p-span S of the
+primitive idempotents, so one kernel, ker(Frob - 1), gives both the number
+of local factors (dim S) and elements that separate them.  Starting from the
+unit, each basis vector s of S refines every current idempotent e along the
+factored minimal polynomial of e*s, whose roots are the values of s on the
+local factors under e, and 0 unless e = 1.  A basis of S separates every
+pair of local factors, so the refinement ends with dim S idempotents; fewer
+is an anomaly.
+Only the leaves are restricted to blocks.  When a leaf's residue field is
+F_p, each generator is c + (a radical element), and c is read off a
+functional that kills the radical, with no factorization.
 """
 
 from __future__ import annotations
@@ -132,7 +133,17 @@ class FiniteAlgebra:
         return True
 
     def element_min_poly(self, u) -> UniPoly:
-        return linalg.minimal_polynomial(self.field, self.mult_matrix(u))
+        """The first linear dependence among 1, u, u^2, ...: p(u) = p(L_u) 1,
+        so it is the minimal polynomial of the matrix L_u of v -> u * v."""
+        F = self.field
+        m = self.mult_matrix(u)
+        powers = [list(self.unit)]
+        while True:
+            r, pivots = linalg.rref(F, linalg.transpose(powers))
+            k = len(powers) - 1
+            if k not in pivots:  # u^k = sum of r[i][k] u^i over i < k
+                return UniPoly(F, [F.neg(row[k]) for row in r[:k]] + [F.one])
+            powers.append(linalg.mat_vec(F, m, powers[-1]))
 
 
 def _horner(F, poly: UniPoly, m, v):
@@ -164,17 +175,11 @@ def frobenius_matrix_of(A: FiniteAlgebra):
 def radical_char_p(A: FiniteAlgebra):
     """Nilradical basis: kernel of the k-fold p-power map with p^k >= dim."""
     _require_char_p(A)
-    return _frobenius_kernel(A.field, frobenius_matrix_of(A))
-
-
-def _frobenius_kernel(F, frob):
-    """Kernel of frob^k, k the least with p^k >= dim (and at least 1)."""
-    k = 0
-    pk = 1
-    while pk < max(len(frob), 1):
-        pk *= F.char
-        k += 1
-    return linalg.kernel_basis(F, linalg.mat_pow(F, frob, max(k, 1)))
+    F = A.field
+    k, pk = 1, F.char
+    while pk < A.dim:
+        k, pk = k + 1, pk * F.char
+    return linalg.kernel_basis(F, linalg.mat_pow(F, frobenius_matrix_of(A), k))
 
 
 @dataclass
@@ -258,23 +263,6 @@ def _ext_gcd(a: UniPoly, b: UniPoly):
     return r0, (s0, t0)
 
 
-def _frobenius_fixed_count(block: FiniteAlgebra):
-    """The radical and the number of local factors: the rank, modulo the
-    radical, of the elements fixed by Frobenius modulo the radical."""
-    F = block.field
-    frob = frobenius_matrix_of(block)
-    rad = _frobenius_kernel(F, frob)
-    n = block.dim
-    fmi = linalg.mat_sub(F, frob, linalg.identity(F, n))
-    if not rad:
-        return rad, len(linalg.kernel_basis(F, fmi))
-    # solve (frob - id) x in span(rad): kernel of [frob - id | -rad]
-    aug_cols = linalg.transpose(fmi) + [[F.neg(x) for x in r] for r in rad]
-    big = linalg.transpose(aug_cols)
-    fixed = [v[:n] for v in linalg.kernel_basis(F, big)]
-    return rad, linalg.rank(F, fixed + rad) - linalg.rank(F, rad)
-
-
 def local_decompose(A: FiniteAlgebra, seed: int = DEFAULT_SEED):
     """Pairwise-orthogonal idempotents with local factors, summing to 1.
     `seed` drives the factorization randomness.  The zero algebra has none."""
@@ -282,34 +270,27 @@ def local_decompose(A: FiniteAlgebra, seed: int = DEFAULT_SEED):
     if A.dim == 0:
         return []
     F = A.field
-    pool = list(A.generators) + [
-        [F.one if k == j else F.zero for k in range(A.dim)] for j in range(A.dim)
-    ]
-    pending = [A.unit]
+    fixed = linalg.kernel_basis(
+        F, linalg.mat_sub(F, frobenius_matrix_of(A), linalg.identity(F, A.dim)))
+    idempotents = [A.unit]
+    for s in fixed:
+        if len(idempotents) == len(fixed):
+            break
+        refined = []
+        for e in idempotents:
+            es = A.mult(e, s)
+            factors = univariate_factor(A.element_min_poly(es), seed)
+            refined.extend(x for x in _split_along(A, e, es, factors) if any(x))
+        idempotents = refined
+    if len(idempotents) < len(fixed):
+        raise AnomalyError(
+            f"algebra of dim {A.dim} has {len(fixed)} local factors "
+            f"but its Frobenius-fixed elements split it into {len(idempotents)}"
+        )
     finished = []
-    while pending:
-        e = pending.pop()
-        block, basis, coords = restrict_to_block(A, e)
-        rad, n_factors = _frobenius_fixed_count(block)
-        if n_factors == 1:
-            finished.append(_finalize_factor(e, block, basis, rad))
-            continue
-        # modulo the radical, the pool elements with a primary minimal
-        # polynomial lie in one proper subspace while the pool spans the
-        # block, so some pool element splits it
-        split = None
-        for elem in pool:
-            restricted = A.mult(e, elem)
-            factors = univariate_factor(block.element_min_poly(coords(restricted)), seed)
-            if len(factors) > 1:
-                split = _split_along(A, e, restricted, factors)
-                break
-        if split is None:
-            raise AnomalyError(
-                f"block of dim {block.dim} has {n_factors} local factors "
-                "but no element splits it"
-            )
-        pending.extend(split)
+    for e in idempotents:
+        block, basis, _ = restrict_to_block(A, e)
+        finished.append(_finalize_factor(e, block, basis, radical_char_p(block)))
     finished.sort(key=lambda lf: (lf.dim, lf.residue_degree, tuple(lf.idempotent)))
     return finished
 

@@ -14,7 +14,7 @@ with coefficients as decimal strings ("a/b" allowed over Q).
 from __future__ import annotations
 
 from .errors import DomainError, UsageError
-from .scalar import Field, field_name, parse_field
+from .scalar import Field, field_name, json_int, parse_field
 
 # exponents stay far from any machine bound at desk scale, but guard anyway
 _EXP_BOUND = 10**9
@@ -234,7 +234,9 @@ def laurent_from_json(data: dict, field: Field | None = None) -> LaurentPoly:
         fld = field if field is not None else parse_field(data["field"])
         ring = LaurentRing(variables, fld)
         pairs = [
-            (tuple(t["exps"]), fld.from_str(str(t["coeff"]))) for t in data["terms"]
+            (tuple(json_int(e, "exponent") for e in t["exps"]),
+             fld.from_str(str(t["coeff"])))
+            for t in data["terms"]
         ]
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed Laurent polynomial JSON: {exc}") from exc

@@ -185,6 +185,14 @@ def parse_field(spec: str) -> Field:
     raise UsageError(f"unrecognized field spec {spec!r}; expected Q or F<p>")
 
 
+def json_int(value, what: str) -> int:
+    """An integer field of a JSON input; floats, strings and bools are
+    rejected rather than truncated or parsed."""
+    if type(value) is not int:
+        raise UsageError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
 def field_name(field: Field) -> str:
     return "Q" if field.char == 0 else f"F{field.char}"
 

@@ -25,7 +25,7 @@ from . import linalg
 from .errors import NotMonotoneError, UsageError, ValidationError
 from .grobner import polynomial_quotient
 from .laurent import LaurentPoly, LaurentRing
-from .scalar import QQ, Field, PrimeField
+from .scalar import QQ, Field, PrimeField, json_int
 
 
 @dataclass
@@ -43,12 +43,15 @@ class DelzantPolytope:
     @classmethod
     def from_json(cls, data: dict) -> "DelzantPolytope":
         try:
-            n = int(data["dim"])
-            normals = [[int(x) for x in row] for row in data["normals"]]
+            n = json_int(data["dim"], "polytope dim")
+            normals = [[json_int(x, "polytope normal entry") for x in row]
+                       for row in data["normals"]]
             lambdas = [QQ.from_str(str(x)) for x in data["lambda"]]
             name = str(data.get("name", ""))
         except (KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"malformed polytope JSON: {exc}") from exc
+        if n < 1:
+            raise UsageError(f"polytope dim must be at least 1, not {n}")
         if any(len(row) != n for row in normals):
             raise UsageError("normal vectors must have length dim")
         if len(lambdas) != len(normals):

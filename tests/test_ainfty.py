@@ -717,6 +717,21 @@ def test_malformed_json():
         AInftyStructure.from_json({"field": "Q"})
 
 
+@pytest.mark.parametrize("field", ["degree", "input index", "unit"])
+@pytest.mark.parametrize("value", [1.0, 0.7, "1", True])
+def test_json_integer_fields_reject_non_integers(field, value):
+    # int() used to truncate 0.7 to 0 and parse "1"
+    data = load_example("lambda_x").to_json()
+    if field == "degree":
+        data["degrees"][1] = value
+    elif field == "input index":
+        data["mu"]["2"][0]["inputs"][0] = value
+    else:
+        data["unit"] = value
+    with pytest.raises(UsageError, match=f"{field} must be an integer"):
+        AInftyStructure.from_json(data)
+
+
 # --- the corpus over F_p and with non-integral rational coefficients ----------------
 
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -127,10 +128,10 @@ def test_local_decompose_idempotent_properties():
         assert all(c == 0 for c in A.mult(f.idempotent, g.idempotent))
 
 
-def test_local_decompose_splits_f4_tensor_f4_by_a_pool_basis_vector():
+def test_local_decompose_splits_f4_tensor_f4_though_no_generator_does():
     # F4 (x) F4: both generators u, v have the primary minimal polynomial
-    # t^2 + t + 1, but the basis vector uv of the pool does not, and splits
-    # the algebra into two residue-degree-2 fields
+    # t^2 + t + 1, yet the Frobenius-fixed elements split the algebra into
+    # two residue-degree-2 fields
     F2 = PrimeField(2)
     R = LaurentRing(["u", "v"], F2)
     u, v = R.variable(0), R.variable(1)
@@ -395,8 +396,8 @@ def test_restrict_to_block_matches_solve_reference(name, monkeypatch):
     monkeypatch.setattr(algebra, "restrict_to_block", recording)
     factors = local_decompose(A)
     assert sum(f.dim for f in factors) == A.dim
-    assert len(seen) > len(factors)  # the unit and every intermediate split
-    for e in seen:
+    assert len(seen) == len(factors)  # the leaves only
+    for e in seen + [A.unit]:
         block, basis, coords = original(A, e)
         ref_basis, ref_mult, ref_unit, ref_generators, ref_coords = restrict_by_solving(A, e)
         assert basis == ref_basis
@@ -457,12 +458,53 @@ def test_local_decompose_matches_pool_first_reference_on_random_univariate():
     check()
 
 
+@functools.cache
+def ladder_algebra(name, p):
+    """The Jacobian ring of a ladder polytope over Q (p None) or F_p."""
+    field = QQ if p is None else PrimeField(p)
+    return jacobian_ring(superpotential(ladder()[name], field)).finite_algebra()
+
+
+LADDER_FIELDS = [None, 2, 3, 5, 7]
+
+
+def assert_krylov_min_poly(A, u):
+    assert A.element_min_poly(u).coeffs == \
+        linalg.minimal_polynomial(A.field, A.mult_matrix(u)).coeffs
+
+
+@pytest.mark.parametrize("name", list(ladder()))
+def test_element_min_poly_matches_matrix_reference_on_generators(name):
+    for p in LADDER_FIELDS:
+        A = ladder_algebra(name, p)
+        for u in A.generators + [A.unit, [A.field.zero] * A.dim]:
+            assert_krylov_min_poly(A, u)
+
+
+def test_element_min_poly_matches_matrix_reference_on_random_elements():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60)
+    @hypothesis.given(st.sampled_from(list(ladder())), st.sampled_from(LADDER_FIELDS),
+                      st.data())
+    def check(name, p, data):
+        A = ladder_algebra(name, p)
+        # F_p elements are ints in range(p), rational ones Fractions
+        entries = st.integers(0, p - 1) if p else st.fractions(-3, 3, max_denominator=3)
+        assert_krylov_min_poly(A, data.draw(st.lists(entries, min_size=A.dim, max_size=A.dim)))
+
+    check()
+
+
 def test_local_decompose_factor_calls_cp1_4_f7(monkeypatch):
-    """Locality is decided before any factorization, and a leaf reads its
-    point from the radical: every call comes from the pool scan of a block
-    with several local factors, none from the 16 one-dimensional leaves of
-    CP1^4/F7.  The pool-first loop, which scanned every leaf's pool and
-    factored its generators' minimal polynomials, made 433 calls here."""
+    """Each basis vector of the Frobenius-fixed space refines the current
+    idempotents by one factorization each, until there are as many
+    idempotents as local factors, and a leaf reads its point from the
+    radical: 16 calls on the 16 one-dimensional leaves of CP1^4/F7.  The
+    local-first loop, which counted each block's local factors and scanned
+    its pool of generators and basis vectors for a split, made 49 calls
+    here, and the pool-first loop before it 433."""
     calls = []
     original = algebra.univariate_factor
 
@@ -474,7 +516,7 @@ def test_local_decompose_factor_calls_cp1_4_f7(monkeypatch):
     jac = jacobian_ring(superpotential(ladder()["CP1^4"], PrimeField(7)))
     factors = local_decompose(jac.finite_algebra())
     assert [(f.dim, f.residue_degree) for f in factors] == [(1, 1)] * 16
-    assert len(calls) == 49
+    assert len(calls) == 16
 
 
 def test_local_decompose_raises_on_a_nonlocal_block_it_cannot_split(monkeypatch):

@@ -61,6 +61,18 @@ def test_validate_bad_polytope_json_error(capsys, tmp_path):
     assert data["facets"] == [1, 3]
 
 
+@pytest.mark.parametrize("dim", [0, -1])
+def test_validate_polytope_dim_below_one_is_an_error_record(capsys, tmp_path, dim):
+    # dim -1 used to crash inside validate, and dim 0 to fail irredundancy
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"dim": dim, "normals": [], "lambda": []}))
+    code, out, _ = invoke(capsys, ["validate", "--polytope", str(path), "--format", "json"])
+    assert code == 1
+    record = json.loads(out)
+    assert record["error"] == "UsageError"
+    assert record["message"] == f"polytope dim must be at least 1, not {dim}"
+
+
 def test_missing_input_exit_1(capsys):
     code, _, err = invoke(capsys, ["validate"])
     assert code == 1
@@ -458,11 +470,47 @@ def test_ainfty_check_rejects_arity_below_one_and_label_count(capsys, tmp_path,
     assert words in record["message"]
 
 
-def test_python_dash_m_floergen_help():
+@pytest.mark.parametrize("arity", [0, -2])
+def test_ainfty_check_rejects_checked_arity_below_one(capsys, tmp_path, arity):
+    # --arity -2 used to report relations_hold: true with nothing checked
+    path = tmp_path / "lx.json"
+    path.write_text(json.dumps(_lambda_x_with()))
+    code, out, _ = invoke(capsys, [
+        "ainfty-check", "--ainfty", str(path), "--arity", str(arity), "--format", "json",
+    ])
+    assert code == 1
+    record = json.loads(out)
+    assert record["error"] == "UsageError"
+    assert f"at least 1, not {arity}" in record["message"]
+
+
+def _run_python(args):
+    """A fresh interpreter with this checkout's src/ on its path."""
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "floergen", "--help"], env=env,
+    return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=60)
+
+
+def test_python_dash_m_floergen_help():
+    proc = _run_python(["-m", "floergen", "--help"])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: floergen")
+
+
+STDLIB_ONLY = """
+import importlib, pkgutil, sys
+before = set(sys.modules)
+import floergen
+for info in pkgutil.iter_modules(floergen.__path__):
+    importlib.import_module("floergen." + info.name)
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(" ".join(sorted(loaded - set(sys.stdlib_module_names) - {"floergen"})))
+"""
+
+
+def test_runtime_imports_only_the_standard_library():
+    proc = _run_python(["-c", STDLIB_ONLY])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

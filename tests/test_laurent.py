@@ -139,3 +139,11 @@ def test_json_roundtrip():
 def test_json_malformed():
     with pytest.raises(UsageError):
         laurent_from_json({"variables": ["x"], "terms": [{}]})
+
+
+@pytest.mark.parametrize("exp", [1.5, 2.0, "2", True])
+def test_json_exponents_must_be_integers(exp):
+    data = {"variables": ["x"], "field": "Q",
+            "terms": [{"coeff": "1", "exps": [exp]}, {"coeff": "1", "exps": [-1]}]}
+    with pytest.raises(UsageError, match="exponent must be an integer"):
+        laurent_from_json(data)

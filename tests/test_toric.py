@@ -215,6 +215,19 @@ def test_polytope_json_roundtrip():
         DelzantPolytope.from_json({"dim": 2, "normals": [[1]], "lambda": ["1"]})
 
 
+@pytest.mark.parametrize("value", [1.7, 1.0, "1", True])
+@pytest.mark.parametrize("field", ["dim", "normal entry"])
+def test_polytope_json_integer_fields_reject_non_integers(field, value):
+    # CP1 with one field replaced; int() used to truncate 1.7 to 1 and accept it
+    data = {"dim": 1, "normals": [[1], [-1]], "lambda": ["1", "1"]}
+    if field == "dim":
+        data["dim"] = value
+    else:
+        data["normals"][0][0] = value
+    with pytest.raises(UsageError, match=f"polytope {field} must be an integer"):
+        DelzantPolytope.from_json(data)
+
+
 def test_product_polytope_validates():
     P = polytope_product(projective_space(1), projective_space(2))
     V = validate(P)
