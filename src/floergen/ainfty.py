@@ -48,10 +48,10 @@ Arithmetic is plain ring arithmetic, and every sign is a parity: (-1)^e c is
 c or -c by the parity of e, never a multiplication by a field element.
 Coefficients combine with `+`, `*` and unary `-`, reduced `% p` only over
 F_p.  The structure constructor keeps its tensors canonical: reduced mod p,
-no zero coefficient or empty output, and over Q an integral coefficient as
-an int, which compares, hashes and prints as the equal Fraction does, so an
-integral structure runs on ints and a non-integral one runs the same code
-on Fractions.
+no zero coefficient or empty output, and over Q each coefficient in the
+canonical form of `scalar.canonical`, an int when integral, so an integral
+structure runs on ints and a non-integral one runs the same code on
+Fractions.
 
 Module and bimodule coherence is verified operationally by one routine on a
 spanning set of elementary inputs within the window: each is differentiated
@@ -71,7 +71,7 @@ from dataclasses import dataclass, field as dc_field
 from . import linalg
 from .algebra import FiniteAlgebra
 from .errors import DomainError, UsageError
-from .scalar import Field, field_name, json_int, parse_field
+from .scalar import Field, canonical, field_name, json_int, parse_field
 
 
 def _vadd(field, target, src, coeff):
@@ -129,10 +129,7 @@ class AInftyStructure:
                 # canonical coefficients: reduced mod p, over Q an integral
                 # one as an int (so integral structures run on ints), and no
                 # zero coefficient, empty output or empty tensor
-                out = {
-                    idx: c % p if p else (c.numerator if c.denominator == 1 else c)
-                    for idx, c in out.items()
-                }
+                out = {idx: c % p if p else canonical(c) for idx, c in out.items()}
                 out = {idx: c for idx, c in out.items() if c}
                 for idx in out:
                     if self.degrees[idx] % 2 != want:

@@ -12,8 +12,10 @@ element u is the first linear dependence among 1, u, u^2, ...
 Covers the nilradical in characteristic p (iterated Frobenius kernel),
 decomposition into local factors, idempotents for generalized eigenspace
 splittings, and m-adic filtration profiles.  Idempotents have one
-construction, the CRT splitter `_split_along`, and a block e*A is restricted
-through one fixed left inverse of its basis.
+construction, the CRT splitter `_split_along`, which takes the
+multiplication matrix of the split element from its caller, so each matrix
+is built once, and a block e*A is restricted through one fixed left inverse
+of its basis.
 
 The local decomposition works on Berlekamp's subalgebra: in a commutative
 finite F_p-algebra the solutions of x^p = x are the F_p-span S of the
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import reduce
+from math import lcm
 
 from . import linalg
 from .errors import AnomalyError, DomainError, UsageError
@@ -112,7 +115,7 @@ class FiniteAlgebra:
 
     def eval_poly(self, poly: UniPoly, u):
         """poly(u) by Horner's rule on the multiplication matrix of u."""
-        return _horner(self.field, poly, self.mult_matrix(u), self.unit)
+        return _horner(self.field, poly.coeffs, self.mult_matrix(u), self.unit)
 
     def is_commutative(self):
         return all(
@@ -135,21 +138,26 @@ class FiniteAlgebra:
     def element_min_poly(self, u) -> UniPoly:
         """The first linear dependence among 1, u, u^2, ...: p(u) = p(L_u) 1,
         so it is the minimal polynomial of the matrix L_u of v -> u * v."""
-        F = self.field
-        m = self.mult_matrix(u)
-        powers = [list(self.unit)]
-        while True:
-            r, pivots = linalg.rref(F, linalg.transpose(powers))
-            k = len(powers) - 1
-            if k not in pivots:  # u^k = sum of r[i][k] u^i over i < k
-                return UniPoly(F, [F.neg(row[k]) for row in r[:k]] + [F.one])
-            powers.append(linalg.mat_vec(F, m, powers[-1]))
+        return _unit_min_poly(self.field, self.mult_matrix(u), self.unit)
 
 
-def _horner(F, poly: UniPoly, m, v):
-    """poly(u) * v = poly(m) v, m being the multiplication matrix of u."""
+def _unit_min_poly(F, m, unit):
+    """The first linear dependence among unit, m unit, m^2 unit, ..., m being
+    the multiplication matrix of an element u: the minimal polynomial of u."""
+    powers = [list(unit)]
+    while True:
+        r, pivots = linalg.rref(F, linalg.transpose(powers))
+        k = len(powers) - 1
+        if k not in pivots:  # u^k = sum of r[i][k] u^i over i < k
+            return UniPoly(F, [F.neg(row[k]) for row in r[:k]] + [F.one])
+        powers.append(linalg.mat_vec(F, m, powers[-1]))
+
+
+def _horner(F, coeffs, m, v):
+    """p(u) * v = p(m) v for the polynomial p with coefficient list coeffs,
+    lowest degree first, m being the multiplication matrix of u."""
     acc = [F.zero] * len(v)
-    for c in reversed(poly.coeffs):
+    for c in reversed(coeffs):
         acc = linalg.mat_vec(F, m, acc)
         acc = [F.add(x, F.mul(c, y)) for x, y in zip(acc, v)]
     return acc
@@ -227,15 +235,18 @@ def restrict_to_block(A: FiniteAlgebra, idempotent):
     return block, basis, coords
 
 
-def _split_along(A, idempotent, elem, factors):
-    """CRT idempotents from pairwise coprime factors f^m of a polynomial mu
-    that kills elem on e*A (its minimal or characteristic polynomial): the
-    i-th one projects e*A onto the kernel of f_i(elem)^m_i."""
-    F = A.field
-    qs = [reduce(UniPoly.__mul__, [f] * m) for f, m in factors]
+def _split_along(F, m, idempotent, factors):
+    """CRT idempotents from pairwise coprime factors f^k of a polynomial mu
+    that kills an element u on e*A (its minimal or characteristic
+    polynomial), m being the multiplication matrix of u and e the
+    idempotent: the i-th one projects e*A onto the kernel of f_i(u)^k_i.
+    Each CRT polynomial is cleared to an integer polynomial h and one
+    denominator d, so over Q Horner's rule runs on ints whenever m and e are
+    integral; over F_p, d is 1."""
+    qs = [reduce(UniPoly.__mul__, [f] * k) for f, k in factors]
     mu = reduce(UniPoly.__mul__, qs)
-    # cofactors mu / q_i; an iterated extended gcd finds u_i with
-    # sum u_i cof_i = g, a nonzero constant since the q_i are coprime
+    # cofactors mu / q_i; an iterated extended gcd finds b_i with
+    # sum b_i cof_i = g, a nonzero constant since the q_i are coprime
     cof = [mu // q for q in qs]
     combo = [UniPoly(F, [F.one])] + [UniPoly(F, [])] * (len(cof) - 1)
     g = cof[0]
@@ -243,11 +254,16 @@ def _split_along(A, idempotent, elem, factors):
         g, (s, t) = _ext_gcd(g, cof[i])
         combo = [c * s for c in combo]
         combo[i] = t
-    # each result is (u_i cof_i)(elem) * e, so u_i cof_i may be taken modulo mu
+    # each result is (b_i cof_i)(u) * e, so b_i cof_i may be taken modulo mu
     scale = F.inv(g.coeffs[0])
-    m = A.mult_matrix(elem)
-    return [_horner(F, (u * q % mu).scale(scale), m, idempotent)
-            for u, q in zip(combo, cof)]
+    out = []
+    for b, q in zip(combo, cof):
+        coeffs = (b * q % mu).scale(scale).coeffs
+        d = lcm(1, *(c.denominator for c in coeffs))
+        h = [c.numerator * (d // c.denominator) for c in coeffs]
+        x = _horner(F, h, m, idempotent)
+        out.append(x if d == 1 else [F.div(y, d) for y in x])
+    return out
 
 
 def _ext_gcd(a: UniPoly, b: UniPoly):
@@ -278,9 +294,9 @@ def local_decompose(A: FiniteAlgebra, seed: int = DEFAULT_SEED):
             break
         refined = []
         for e in idempotents:
-            es = A.mult(e, s)
-            factors = univariate_factor(A.element_min_poly(es), seed)
-            refined.extend(x for x in _split_along(A, e, es, factors) if any(x))
+            m = A.mult_matrix(A.mult(e, s))
+            factors = univariate_factor(_unit_min_poly(F, m, A.unit), seed)
+            refined.extend(x for x in _split_along(F, m, e, factors) if any(x))
         idempotents = refined
     if len(idempotents) < len(fixed):
         raise AnomalyError(
@@ -342,11 +358,12 @@ def bezout_idempotents(A: FiniteAlgebra, a, lam):
     (e, e_perp, found) with e = 0 and found=False when lam is not a root.
     """
     F = A.field
-    chi = linalg.charpoly(F, A.mult_matrix(a))
+    m = A.mult_matrix(a)
+    chi = linalg.charpoly(F, m)
     factors, q = strip_roots(chi, [lam])
     if not factors:
         return [F.zero] * A.dim, list(A.unit), False
-    e, e_perp = _split_along(A, A.unit, a, factors + [(q, 1)])
+    e, e_perp = _split_along(F, m, A.unit, factors + [(q, 1)])
     return e, e_perp, True
 
 

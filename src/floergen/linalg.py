@@ -13,15 +13,16 @@ per call and hands the matrix to one kernel per field kind:
   entry is zero skipped;
 - Q: each row cleared of denominators once, then integer row operations
   `a*x - f*y` with the row's content divided out, and one division by the
-  pivot per entry at the end.
+  pivot per entry at the end, which gives the canonical rational of
+  `scalar.canonical`: `x // pivot` when the pivot divides x, else a Fraction.
 
 RREF is unique, so every kernel returns the same matrix and pivots as plain
 Gauss-Jordan elimination with the field's own operations.  `rank`,
 `kernel_basis`, `image_basis`, `solve`, `invert` and `subspace_contained` all
 go through `rref`.  `mat_vec`, `mat_mul` and `charpoly` accumulate each
-output entry with native `+` and `*` from the field's zero, so over Q it is a
-`Fraction`, and over F_p reduce it once with `% p`, as `kernel_basis` does
-with its negated entries.
+output entry with native `+` and `*` from the field's zero, so over Q it is
+an int or a Fraction (an int on all-int input), and over F_p reduce it once
+with `% p`, as `kernel_basis` does with its negated entries.
 """
 
 from __future__ import annotations
@@ -143,7 +144,7 @@ def _rref_fp(p, mat):
 
 
 def _integer_row(row):
-    """A row of Fractions scaled by the lcm of its denominators."""
+    """A row of rationals scaled by the lcm of its denominators."""
     d = 1
     for x in row:
         den = x.denominator
@@ -182,10 +183,11 @@ def _rref_q(mat):
         r += 1
         if r == rows:
             break
-    zero = Fraction(0)
-    out = [[Fraction(x, row[c]) if x else zero for x in row]
-           for row, c in zip(m, pivots)]
-    return out + [[zero] * cols for _ in range(rows - r)], pivots
+    out = []
+    for row, c in zip(m, pivots):
+        a = row[c]
+        out.append([x // a if x % a == 0 else Fraction(x, a) for x in row])
+    return out + [[0] * cols for _ in range(rows - r)], pivots
 
 
 def rank(field, mat):

@@ -308,13 +308,13 @@ def _rational_summands(W: LaurentPoly, jac: QuotientAlgebra):
     idempotent e: its dim is the rank of multiplication by e."""
     F = jac.field
     A = jac.finite_algebra()
-    c1 = jac.nf_coords(W)
-    chi = linalg.charpoly(F, A.mult_matrix(c1))
+    m = A.mult_matrix(jac.nf_coords(W))
+    chi = linalg.charpoly(F, m)
     factors, residual = strip_roots(chi, [lam for lam, _ in rational_roots(chi)])
     if residual.degree > 0:
         factors.append((residual, 1))
     out = []
-    for (f, _), e in zip(factors, _split_along(A, A.unit, c1, factors)):
+    for (f, _), e in zip(factors, _split_along(F, m, A.unit, factors)):
         dim = linalg.rank(F, A.mult_matrix(e))
         if f is residual:
             out.append(

@@ -1,8 +1,13 @@
 """Exact scalar arithmetic: the rationals and prime fields F_p.
 
-Field elements are plain Python values (Fraction over Q, ints in [0, p) over
-F_p); a Field object carries the operations.  Univariate polynomials are dense
-coefficient lists, lowest degree first, with a nonzero leading coefficient.
+Field elements are plain Python values (ints in [0, p) over F_p; over Q an
+int when integral and a Fraction otherwise); a Field object carries the
+operations.  `canonical` is the one rule for Q: `from_int`, `from_str`, `inv`
+and `div` return canonical values, while `add`, `mul`, `sub` and `neg` are
+the raw operators, so a Fraction with denominator 1 may come out of them and
+compares, hashes and prints as the equal int does.  Integral input thus runs
+on native ints.  Univariate polynomials are dense coefficient lists, lowest
+degree first, with a nonzero leading coefficient.
 
 Factorization over F_p is squarefree decomposition, then distinct-degree,
 then Cantor-Zassenhaus equal-degree splitting.  The equal-degree stage draws
@@ -13,6 +18,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import DomainError, UsageError
 
@@ -98,6 +104,12 @@ class Field:
         return acc
 
 
+def canonical(x):
+    """The canonical form of a rational x: an int when integral, else the
+    Fraction with denominator > 1."""
+    return x.numerator if x.denominator == 1 else x
+
+
 class Rationals(Field):
     kind = "rationals"
     char = 0
@@ -115,16 +127,19 @@ class Rationals(Field):
         return a * b
 
     def inv(self, a):
-        if a == 0:
+        return self.div(1, a)
+
+    def div(self, a, b):
+        if b == 0:
             raise DomainError("division by zero")
-        return Fraction(1) / a
+        return canonical(Fraction(a, b))
 
     def from_int(self, n):
-        return Fraction(n)
+        return n
 
     def from_str(self, s: str):
         try:
-            return Fraction(s)
+            return canonical(Fraction(s))
         except ZeroDivisionError:
             raise DomainError("division by zero") from None
         except ValueError:
@@ -480,7 +495,8 @@ def rational_roots(f: UniPoly):
     """All rational roots of f over Q, with multiplicities.
 
     Candidates come from the rational root theorem applied to the primitive
-    integer form.  Returned sorted by root, largest first.
+    integer form, each in canonical form, so an integral root is an int.
+    Returned sorted by root, largest first.
     """
     if f.field != QQ:
         raise UsageError("rational_roots requires rational coefficients")
@@ -494,29 +510,23 @@ def rational_roots(f: UniPoly):
         g = UniPoly(QQ, g.coeffs[1:])
         t_mult += 1
     if t_mult:
-        roots.append((Fraction(0), t_mult))
+        roots.append((0, t_mult))
     if g.degree < 1:
         return roots
-    from math import lcm
-
     den = lcm(*[c.denominator for c in g.coeffs])
-    ints = [int(c * den) for c in g.coeffs]
-    from math import gcd
-
-    content = 0
-    for v in ints:
-        content = gcd(content, v)
+    ints = [c.numerator * (den // c.denominator) for c in g.coeffs]
+    content = gcd(*ints)
     ints = [v // content for v in ints]
     a0, an = ints[0], ints[-1]
     candidates = set()
     for num in _int_divisors(a0):
         for d in _int_divisors(an):
-            candidates.add(Fraction(num, d))
-            candidates.add(Fraction(-num, d))
+            candidates.add(canonical(Fraction(num, d)))
+            candidates.add(canonical(Fraction(-num, d)))
     for r in candidates:
         mult = 0
         while g.degree >= 1 and g.evaluate(r) == 0:
-            g = g // UniPoly(QQ, [-r, Fraction(1)])
+            g = g // UniPoly(QQ, [-r, 1])
             mult += 1
         if mult:
             roots.append((r, mult))

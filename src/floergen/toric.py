@@ -7,7 +7,7 @@ machinery at desk scale.  Compactness is certified by showing the
 recession cone is trivial (no kernel line, no extreme ray on any rank-(n-1)
 subset of facet normals).  The sign tests against the facets run on
 integers: each candidate ray or vertex is scaled once by a positive common
-denominator, and the Fraction vectors are kept for the error messages.
+denominator, and the rational vectors are kept for the error messages.
 
 Polytope JSON:
     {"name": "CP2", "dim": 2, "normals": [[1,0],[0,1],[-1,-1]],
@@ -106,7 +106,7 @@ def validate(P: DelzantPolytope) -> VertexData:
         raise ValidationError("facet_count", f"need at least {n + 1} facets, got {N}")
 
     # recession cone must be trivial: no kernel line ...
-    if linalg.rank(QQ, [[Fraction(x) for x in row] for row in P.normals]) < n:
+    if linalg.rank(QQ, P.normals) < n:
         raise ValidationError(
             "compactness", "facet normals do not span; polytope is unbounded"
         )
@@ -119,8 +119,7 @@ def validate(P: DelzantPolytope) -> VertexData:
                 )
     # check every rank-(n-1) subset's kernel direction
     for subset in itertools.combinations(range(N), max(n - 1, 1)):
-        mat = [[Fraction(x) for x in P.normals[i]] for i in subset]
-        ker = linalg.kernel_basis(QQ, mat)
+        ker = linalg.kernel_basis(QQ, [P.normals[i] for i in subset])
         if len(ker) != 1:
             continue
         ray = ker[0]
@@ -143,8 +142,7 @@ def validate(P: DelzantPolytope) -> VertexData:
     lam, lam_den = _scaled(P.lambdas)
     points = {}
     for subset in itertools.combinations(range(N), n):
-        mat = [[Fraction(x) for x in P.normals[i]] for i in subset]
-        inverse = linalg.invert(QQ, mat)
+        inverse = linalg.invert(QQ, [P.normals[i] for i in subset])
         if inverse is None:
             continue
         sol = linalg.mat_vec(QQ, inverse, [-P.lambdas[i] for i in subset])
@@ -173,8 +171,7 @@ def validate(P: DelzantPolytope) -> VertexData:
     # a simple vertex lies on exactly the facets of the subset it came from
     for pt, on in zip(vertices, incidence):
         if any(x.denominator != 1 for row in points[tuple(pt)][0] for x in row):
-            mat = [[Fraction(x) for x in P.normals[i]] for i in on]
-            det = linalg.charpoly(QQ, mat).coeffs[0]
+            det = linalg.charpoly(QQ, [P.normals[i] for i in on]).coeffs[0]
             raise ValidationError(
                 "unimodularity",
                 f"facets {[i + 1 for i in on]} meet at {_point_str(pt)} "
@@ -196,7 +193,7 @@ def validate(P: DelzantPolytope) -> VertexData:
 
     # nonempty interior: the vertex barycenter must satisfy all strictly
     k = len(vertices)
-    bary = [sum(v[j] for v in vertices) / k for j in range(P.n)]
+    bary = [Fraction(sum(v[j] for v in vertices), k) for j in range(P.n)]
     for i in range(N):
         if _dot(P.normals[i], bary) <= -P.lambdas[i]:
             raise ValidationError(
@@ -218,7 +215,7 @@ def monotone_normalize(P: DelzantPolytope) -> DelzantPolytope:
     validate(P)
     n, N = P.n, P.num_facets
     # unknowns (a_1..a_n, c): <nu_j, a> - c = -lambda_j
-    mat = [[Fraction(x) for x in P.normals[j]] + [Fraction(-1)] for j in range(N)]
+    mat = [P.normals[j] + [-1] for j in range(N)]
     rhs = [-l for l in P.lambdas]
     sol = linalg.solve(QQ, mat, rhs)
     if sol is None:
@@ -231,7 +228,7 @@ def monotone_normalize(P: DelzantPolytope) -> DelzantPolytope:
     return DelzantPolytope(
         n=P.n,
         normals=[list(r) for r in P.normals],
-        lambdas=[Fraction(1)] * N,
+        lambdas=[1] * N,
         name=P.name,
         normalization={"translation": [str(x) for x in a], "scale": str(c)},
     )
@@ -379,7 +376,7 @@ def projective_space(n: int) -> DelzantPolytope:
     return DelzantPolytope(
         n=n,
         normals=normals,
-        lambdas=[Fraction(1)] * (n + 1),
+        lambdas=[1] * (n + 1),
         name=f"CP{n}",
     )
 

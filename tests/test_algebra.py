@@ -350,7 +350,7 @@ def test_one_crt_split_over_q(name):
     assert residual.degree == residual_degree
     if residual.degree > 0:
         factors.append((residual, 1))
-    idempotents = _split_along(A, A.unit, c1, factors)
+    idempotents = _split_along(F, A.mult_matrix(c1), A.unit, factors)
     assert len(idempotents) == len(factors)
     total = [F.zero] * A.dim
     for i, e in enumerate(idempotents):

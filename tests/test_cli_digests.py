@@ -21,6 +21,17 @@ TEXT_COMMANDS = ("toric-gen", "real-gen")
 FIELDS = ("Q", "F2", "F7")
 # the largest real loci, kept out of demos/data so the matrix above stays small
 REAL_GEN_PINS = {"tests/data/dp6.json": (6, 96), "tests/data/dp6xcp1.json": (12, 384)}
+# non-integral rational input, so the Fraction side of Q arithmetic is pinned
+# too: a Laurent polynomial with coefficients 1/2 and 3, and lambda_xy in the
+# basis rescaled by t = 1/2 (its relations hold, its coefficients are not all
+# integers)
+FRACTIONAL_PINS = (
+    ["jac", "--superpotential", "tests/data/half_three.json", "--field", "Q",
+     "--format", "json"],
+    ["spectrum", "--superpotential", "tests/data/half_three.json", "--field", "Q",
+     "--format", "json"],
+    ["ainfty-check", "--ainfty", "tests/data/lambda_xy_half.json", "--format", "json"],
+)
 
 
 def invocations():
@@ -42,6 +53,7 @@ def invocations():
     out.append(["smod2", "--field", "F3", "--rho", "1,2"])
     out.extend(["ainfty-check", "--ainfty", path, "--format", "json"]
                for path in structures)
+    out.extend(list(argv) for argv in FRACTIONAL_PINS)
     return out
 
 

@@ -89,23 +89,38 @@ def reference_mat_vec(field, a, v):
 
 
 def assert_canonical(field, rows):
+    """Entries read off `rref`: ints in [0, p) over F_p; over Q an int when
+    integral and a Fraction with denominator > 1 otherwise."""
     for row in rows:
         for x in row:
             if field.char:
                 assert type(x) is int and 0 <= x < field.char, x
             else:
-                assert type(x) is Fraction, x
+                assert type(x) is int or type(x) is Fraction and x.denominator > 1, x
+
+
+def assert_accumulated(field, rows, inputs):
+    """Entries accumulated with native + and *: over F_p reduced like those
+    read off `rref`; over Q an int or a Fraction, and an int throughout when
+    every input entry is an int."""
+    if field.char:
+        return assert_canonical(field, rows)
+    integral = all(type(x) is int for m in inputs for row in m for x in row)
+    for row in rows:
+        for x in row:
+            assert type(x) is int if integral else type(x) in (int, Fraction), x
 
 
 def element(field, code):
     """Zero for a negative code (about half the draws); over Q numerators in
-    [-5, 5] and denominators in [1, 4]."""
+    [-5, 5] and denominators in [1, 4], an integral value as an int."""
     if code < 0:
         return field.zero
     if field.char:
         return code % (field.char - 1) + 1
     num, den = divmod(code, 4)
-    return Fraction(num - 5, den + 1)
+    x = Fraction(num - 5, den + 1)
+    return x.numerator if x.denominator == 1 else x
 
 
 def vectors(field, size):
@@ -178,7 +193,7 @@ def test_charpoly_and_minimal_polynomial_against_sympy(name, data):
     before = copy.deepcopy(mat)
     chi = linalg.charpoly(field, mat)
     assert chi.coeffs == sympy_charpoly(field, mat)
-    assert_canonical(field, [chi.coeffs])
+    assert_accumulated(field, [chi.coeffs], [mat])
     mu = linalg.minimal_polynomial(field, mat)
     assert mu.coeffs == sympy_minimal_polynomial(field, mat)
     assert_canonical(field, [mu.coeffs])
@@ -209,10 +224,10 @@ def test_mat_vec_and_mat_mul_match_triple_loop(name, data):
     v = data.draw(vectors(field, inner))
     product = linalg.mat_mul(field, a, b)
     assert product == reference_mat_mul(field, a, b)
-    assert_canonical(field, product)
+    assert_accumulated(field, product, [a, b])
     image = linalg.mat_vec(field, a, v)
     assert image == reference_mat_vec(field, a, v)
-    assert_canonical(field, [image])
+    assert_accumulated(field, [image], [a, [v]])
 
 
 @pytest.mark.parametrize("name", FIELDS)

@@ -417,9 +417,9 @@ def test_rational_summand_dims_are_checked(monkeypatch):
     # a residual idempotent that misses its block must trip the summand-sum check
     original = quantum._split_along
 
-    def lossy(A, idempotent, elem, factors):
-        out = original(A, idempotent, elem, factors)
-        return out[:-1] + [[A.field.zero] * A.dim]
+    def lossy(F, m, idempotent, factors):
+        out = original(F, m, idempotent, factors)
+        return out[:-1] + [[F.zero] * len(idempotent)]
 
     monkeypatch.setattr(quantum, "_split_along", lossy)
     with pytest.raises(AnomalyError):
@@ -447,6 +447,21 @@ RATIONAL_COVERS = {
     "CP1xCP1": (2, None, 0, "split-generates"),
     "CP2": (2, None, None, "nonsplit"),
 }
+
+
+@pytest.mark.parametrize("name", list(ladder()))
+def test_ladder_jacobian_rings_over_q_are_ints(name):
+    """Every ladder Jacobian ring is integral over Q: the reduced Groebner
+    basis, every basis_mult entry, the unit, c1's matrix and charpoly(c1)
+    are ints, not Fractions, so the Q path runs on native ints."""
+    W = superpotential(ladder()[name], QQ)
+    jac = jacobian_ring(W)
+    A = jac.finite_algebra()
+    m = A.mult_matrix(jac.nf_coords(W))
+    entries = [c for g in jac.gb for c in g.values()]
+    entries += [x for mat in A.basis_mult + [m] for row in mat for x in row]
+    entries += A.unit + linalg.charpoly(QQ, m).coeffs
+    assert {type(x) for x in entries} == {int}
 
 
 @pytest.mark.parametrize("name", list(ladder()))

@@ -145,6 +145,69 @@ def test_rational_roots_multiset_union_under_products():
         assert product == combined
 
 
+def is_canonical_rational(x):
+    return type(x) is int or type(x) is Fraction and x.denominator > 1
+
+
+def test_q_constructors_and_division_are_canonical():
+    """from_str, inv and div return the canonical rational (an int when
+    integral) equal to the Fraction reference, whether their input is an
+    int or a Fraction."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    rationals = st.builds(lambda n, d, as_int: n // d if as_int and n % d == 0
+                          else Fraction(n, d),
+                          st.integers(-30, 30), st.integers(1, 6), st.booleans())
+
+    @hypothesis.settings(max_examples=200)
+    @hypothesis.given(st.integers(-30, 30), st.integers(0, 6), rationals, rationals)
+    def check(n, d, a, b):
+        text = f"{n}/{d}" if d else str(n)
+        got = QQ.from_str(text)
+        assert got == Fraction(text) and is_canonical_rational(got)
+        for x in (a, b):
+            if x:
+                got = QQ.inv(x)
+                assert got == 1 / Fraction(x) and is_canonical_rational(got)
+        if b:
+            got = QQ.div(a, b)
+            assert got == Fraction(a) / b and is_canonical_rational(got)
+        assert is_canonical_rational(QQ.from_int(n))
+
+    check()
+
+
+def test_rational_roots_of_planted_roots_match_sympy():
+    """Integer polynomials c * prod (d t - n)^m * (a cofactor): the roots and
+    multiplicities equal sympy's rational roots, each root is canonical (an
+    int when integral, 0 for the zero root), and every planted root is
+    found."""
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    t = sympy.Symbol("t")
+    planted = st.tuples(st.integers(-6, 6), st.integers(1, 4), st.integers(1, 3))
+
+    @hypothesis.settings(max_examples=100)
+    @hypothesis.given(st.lists(planted, min_size=0, max_size=3),
+                      st.lists(st.integers(-5, 5), min_size=0, max_size=3),
+                      st.integers(1, 4), st.integers(-3, 3).filter(bool))
+    def check(roots, cofactor, top, scale):
+        f = poly(QQ, [scale])
+        for n, d, m in roots:
+            for _ in range(m):
+                f = f * poly(QQ, [-n, d])
+        f = f * poly(QQ, cofactor + [top])
+        got = rational_roots(f)
+        assert all(is_canonical_rational(r) for r, _ in got)
+        assert [r for r, _ in got] == sorted({r for r, _ in got}, reverse=True)
+        theirs = sympy.roots(sympy.Poly(list(reversed(f.coeffs)), t), filter="Q")
+        assert dict(got) == {Fraction(int(r.p), int(r.q)): m for r, m in theirs.items()}
+        assert {Fraction(n, d) for n, d, _ in roots} <= dict(got).keys()
+
+    check()
+
+
 def test_factor_matches_sympy_factor_list():
     """The multiset of monic irreducible factors with their multiplicities
     equals sympy's factorization over GF(p)."""
