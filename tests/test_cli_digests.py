@@ -21,6 +21,9 @@ TEXT_COMMANDS = ("toric-gen", "real-gen")
 FIELDS = ("Q", "F2", "F7")
 # the largest real loci, kept out of demos/data so the matrix above stays small
 REAL_GEN_PINS = {"tests/data/dp6.json": (6, 96), "tests/data/dp6xcp1.json": (12, 384)}
+# toric-gen on the same two polytopes: over Q, dP6 x CP1 splits into six
+# summands with multiplicities 2 and 3
+TORIC_GEN_PIN_FIELDS = ("Q", "F7")
 # non-integral rational input, so the Fraction side of Q arithmetic is pinned
 # too: a Laurent polynomial with coefficients 1/2 and 3, and lambda_xy in the
 # basis rescaled by t = 1/2 (its relations hold, its coefficients are not all
@@ -50,6 +53,8 @@ def invocations():
                     out.append(base)
     out.extend(["real-gen", "--polytope", path, "--field", "F2", "--format", "json"]
                for path in REAL_GEN_PINS)
+    out.extend(["toric-gen", "--polytope", path, "--field", field, "--format", "json"]
+               for path in REAL_GEN_PINS for field in TORIC_GEN_PIN_FIELDS)
     out.append(["smod2", "--field", "F3", "--rho", "1,2"])
     out.extend(["ainfty-check", "--ainfty", path, "--format", "json"]
                for path in structures)
