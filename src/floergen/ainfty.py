@@ -418,11 +418,6 @@ class Module:
     def dim(self):
         return len(self.degrees)
 
-    def action(self, r, a_key, m):
-        """Sparse output on the r = len(a_key) algebra inputs a_key and module
-        input m; like `A.op`, a shared dict that callers only read."""
-        return self.ops.get((tuple(a_key), m), {})
-
 
 def self_module(A: AInftyStructure) -> Module:
     """A as a left module over itself, with the standard sign mu_M = -mu."""

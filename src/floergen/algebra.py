@@ -12,18 +12,20 @@ element u is the first linear dependence among 1, u, u^2, ...
 Covers the nilradical in characteristic p (iterated Frobenius kernel),
 decomposition into local factors, idempotents for generalized eigenspace
 splittings, and m-adic filtration profiles.  Idempotents have one
-construction, the CRT splitter `_split_along`, which takes the
-multiplication matrix of the split element from its caller, so each matrix
-is built once, and a block e*A is restricted through one fixed left inverse
-of its basis.
+construction, the CRT splitter `_split_along`: from pairwise coprime factors
+q_i of a polynomial mu it takes one inverse of mu / q_i modulo each q_i, and
+it takes the multiplication matrix of the split element from its caller, so
+each matrix is built once.  A block e*A is restricted through one fixed left
+inverse of its basis.
 
 The local decomposition works on Berlekamp's subalgebra: in a commutative
 finite F_p-algebra the solutions of x^p = x are the F_p-span S of the
 primitive idempotents, so one kernel, ker(Frob - 1), gives both the number
 of local factors (dim S) and elements that separate them.  Starting from the
 unit, each basis vector s of S refines every current idempotent e along the
-factored minimal polynomial of e*s, whose roots are the values of s on the
-local factors under e, and 0 unless e = 1.  A basis of S separates every
+factored minimal polynomial of s on e*A, the first linear dependence among
+e, s e, s^2 e, ... on the one multiplication matrix of s; its roots are the
+values of s on the local factors under e.  A basis of S separates every
 pair of local factors, so the refinement ends with dim S idempotents; fewer
 is an anomaly.
 Only the leaves are restricted to blocks.  When a leaf's residue field is
@@ -138,13 +140,15 @@ class FiniteAlgebra:
     def element_min_poly(self, u) -> UniPoly:
         """The first linear dependence among 1, u, u^2, ...: p(u) = p(L_u) 1,
         so it is the minimal polynomial of the matrix L_u of v -> u * v."""
-        return _unit_min_poly(self.field, self.mult_matrix(u), self.unit)
+        return _krylov_min_poly(self.field, self.mult_matrix(u), self.unit)
 
 
-def _unit_min_poly(F, m, unit):
-    """The first linear dependence among unit, m unit, m^2 unit, ..., m being
-    the multiplication matrix of an element u: the minimal polynomial of u."""
-    powers = [list(unit)]
+def _krylov_min_poly(F, m, v):
+    """The first linear dependence among v, m v, m^2 v, ..., m being the
+    multiplication matrix of an element u: for v = e an idempotent, p(u) e = 0
+    iff p(u) kills e*A, so this is the minimal polynomial of u on e*A, and of
+    u itself for the unit."""
+    powers = [list(v)]
     while True:
         r, pivots = linalg.rref(F, linalg.transpose(powers))
         k = len(powers) - 1
@@ -240,25 +244,19 @@ def _split_along(F, m, idempotent, factors):
     that kills an element u on e*A (its minimal or characteristic
     polynomial), m being the multiplication matrix of u and e the
     idempotent: the i-th one projects e*A onto the kernel of f_i(u)^k_i.
-    Each CRT polynomial is cleared to an integer polynomial h and one
-    denominator d, so over Q Horner's rule runs on ints whenever m and e are
-    integral; over F_p, d is 1."""
+    With q_i = f_i^k_i and cof_i = mu / q_i, one inverse s_i of cof_i
+    modulo q_i gives the CRT polynomial cof_i s_i of degree < deg mu, which
+    is 1 modulo q_i and 0 modulo every other q_j; for a linear f_i and
+    k_i = 1 it is the Lagrange form cof_i / cof_i(a).  Each is cleared to an
+    integer polynomial h and one denominator d, so over Q Horner's rule runs
+    on ints whenever m and e are integral; over F_p, d is 1."""
     qs = [reduce(UniPoly.__mul__, [f] * k) for f, k in factors]
     mu = reduce(UniPoly.__mul__, qs)
-    # cofactors mu / q_i; an iterated extended gcd finds b_i with
-    # sum b_i cof_i = g, a nonzero constant since the q_i are coprime
-    cof = [mu // q for q in qs]
-    combo = [UniPoly(F, [F.one])] + [UniPoly(F, [])] * (len(cof) - 1)
-    g = cof[0]
-    for i in range(1, len(cof)):
-        g, (s, t) = _ext_gcd(g, cof[i])
-        combo = [c * s for c in combo]
-        combo[i] = t
-    # each result is (b_i cof_i)(u) * e, so b_i cof_i may be taken modulo mu
-    scale = F.inv(g.coeffs[0])
     out = []
-    for b, q in zip(combo, cof):
-        coeffs = (b * q % mu).scale(scale).coeffs
+    for q in qs:
+        cof = mu // q
+        g, (s, _) = _ext_gcd(cof % q, q)  # g is a nonzero constant
+        coeffs = (cof * s).scale(F.inv(g.coeffs[0])).coeffs
         d = lcm(1, *(c.denominator for c in coeffs))
         h = [c.numerator * (d // c.denominator) for c in coeffs]
         x = _horner(F, h, m, idempotent)
@@ -292,11 +290,11 @@ def local_decompose(A: FiniteAlgebra, seed: int = DEFAULT_SEED):
     for s in fixed:
         if len(idempotents) == len(fixed):
             break
+        m = A.mult_matrix(s)
         refined = []
         for e in idempotents:
-            m = A.mult_matrix(A.mult(e, s))
-            factors = univariate_factor(_unit_min_poly(F, m, A.unit), seed)
-            refined.extend(x for x in _split_along(F, m, e, factors) if any(x))
+            factors = univariate_factor(_krylov_min_poly(F, m, e), seed)
+            refined.extend(_split_along(F, m, e, factors))
         idempotents = refined
     if len(idempotents) < len(fixed):
         raise AnomalyError(

@@ -142,17 +142,23 @@ class Words:
 
 
 class Divisors:
-    """Packed polynomials tried as reducers in list order: `entries` holds
-    (poly, lead word, exponent word of the lead) triples."""
+    """Monic packed polynomials tried as reducers in list order: `entries`
+    holds (poly, lead word, exponent word of the lead) triples."""
 
-    def __init__(self, words, polys=()):
+    def __init__(self, field, words, polys=()):
+        self.field = field
         self.words = words
         self.entries = []
         for g in polys:
             self.append(g)
 
     def append(self, g):
+        """Add g, scaled to leading coefficient one."""
+        F = self.field
         lead = max(g)
+        if g[lead] != F.one:
+            inv = F.inv(g[lead])
+            g = {e: F.mul(inv, c) for e, c in g.items()}
         self.entries.append((g, lead, self.words.exps(lead)))
 
 
@@ -171,15 +177,10 @@ def _add_scaled(field, target, src, coeff, mono):
             target[m] = acc
 
 
-def _monic(field, poly):
-    inv = field.inv(poly[max(poly)])
-    return {e: field.mul(inv, c) for e, c in poly.items()}
-
-
 def normal_form_poly(field, poly, basis, budget):
     """Full reduction of the packed polynomial `poly` modulo `basis`, a
     Divisors: each step cancels the leading term with the first divisor in
-    list order whose lead divides it, and ticks the budget once."""
+    list order whose (monic) lead divides it, and ticks the budget once."""
     emask, guards = basis.words.emask, basis.words.guards
     divisors = basis.entries
     work = dict(poly)
@@ -191,7 +192,7 @@ def normal_form_poly(field, poly, basis, budget):
         for g, lead, lead_exps in divisors:
             if (exps - lead_exps) & guards == guards:
                 budget.tick("(normal form)")
-                factor = field.neg(field.div(c, g[lead]))
+                factor = field.neg(c)
                 _add_scaled(field, work, g, factor, m - lead)
                 break
         else:
@@ -210,8 +211,10 @@ def buchberger(field, gens, budget: Budget | None = None):
     if not gens:
         raise UsageError("empty generator list")
     words = Words(len(next(iter(gens[0]))))
-    basis = Divisors(words, [_monic(field, words.pack_poly(g)) for g in gens])
+    basis = Divisors(field, words, map(words.pack_poly, gens))
     entries, guards = basis.entries, words.guards
+    one = field.one
+    minus_one = field.neg(one)
 
     # `queue` is a heap of (lcm word, (i, j)) over the queued pairs, a total
     # order; `pairs` holds the same pairs for the chain criterion
@@ -254,11 +257,11 @@ def buchberger(field, gens, budget: Budget | None = None):
         if chain:
             continue
         s = {}
-        _add_scaled(field, s, f, field.inv(f[lf]), lcm - lf)
-        _add_scaled(field, s, g, field.neg(field.inv(g[lg])), lcm - lg)
+        _add_scaled(field, s, f, one, lcm - lf)
+        _add_scaled(field, s, g, minus_one, lcm - lg)
         h = reduce(s, basis)
         if h:
-            basis.append(_monic(field, h))
+            basis.append(h)
             queue_pairs_with(len(entries) - 1)
 
     # minimalize: drop elements whose leading monomial another one divides
@@ -270,12 +273,10 @@ def buchberger(field, gens, budget: Budget | None = None):
             if k != i
         )
     ]
-    # fully interreduce
-    reduced = []
-    for idx, g in enumerate(minimal):
-        r = reduce(g, Divisors(words, minimal[:idx] + minimal[idx + 1:]))
-        if r:
-            reduced.append(_monic(field, r))
+    # fully interreduce: no other lead divides g's, so each remainder keeps
+    # g's monic leading term
+    reduced = [reduce(g, Divisors(field, words, minimal[:idx] + minimal[idx + 1:]))
+               for idx, g in enumerate(minimal)]
     reduced.sort(key=max)
     return [words.unpack_poly(g) for g in reduced]
 
@@ -313,7 +314,8 @@ class QuotientAlgebra:
 
     def __post_init__(self):
         self._words = Words(len(self.names))
-        self._divisors = Divisors(self._words, map(self._words.pack_poly, self.gb))
+        self._divisors = Divisors(self.field, self._words,
+                                  map(self._words.pack_poly, self.gb))
         self._stair = [self._words.pack(m) for m in self.staircase]
         self._index = {k: i for i, k in enumerate(self._stair)}
         self.unit_index = self._index.get(0)

@@ -21,9 +21,16 @@ from floergen.errors import AnomalyError, UsageError
 from floergen.grobner import laurent_quotient
 from floergen.laurent import LaurentRing
 from floergen.quantum import jacobian_ring
-from floergen.scalar import DEFAULT_SEED, QQ, PrimeField, UniPoly, rational_roots
+from floergen.scalar import (
+    DEFAULT_SEED,
+    QQ,
+    PrimeField,
+    UniPoly,
+    canonical,
+    rational_roots,
+)
 from floergen.toric import corpus, polytope_product, projective_space, superpotential
-from toric_gen_oracles import pool_first_decompose
+from toric_gen_oracles import _split_along as bezout_chain_split_along, pool_first_decompose
 
 
 def univariate_algebra(field, coeffs):
@@ -526,3 +533,99 @@ def test_local_decompose_raises_on_a_nonlocal_block_it_cannot_split(monkeypatch)
     monkeypatch.setattr(algebra, "univariate_factor", lambda f, seed=DEFAULT_SEED: [(f, 1)])
     with pytest.raises(AnomalyError):
         local_decompose(A)
+
+
+# --- the CRT splitter against the iterated-Bezout reference ---------------------
+
+
+def c1_factors(A, c1):
+    """chi = charpoly(c1) as prod (t - lam)^m * residual, as the Q summand
+    stage splits it."""
+    chi = linalg.charpoly(A.field, A.mult_matrix(c1))
+    factors, residual = strip_roots(chi, [lam for lam, _ in rational_roots(chi)])
+    return factors + [(residual, 1)] if residual.degree > 0 else factors
+
+
+def test_split_along_matches_bezout_chain_on_ladder_c1_over_q():
+    multiplicities, residual_degrees = set(), set()
+    for name, P in ladder().items():
+        W = superpotential(P, QQ)
+        jac = jacobian_ring(W)
+        A, c1 = jac.finite_algebra(), jac.nf_coords(W)
+        factors = c1_factors(A, c1)
+        got = _split_along(QQ, A.mult_matrix(c1), A.unit, factors)
+        assert got == bezout_chain_split_along(A, A.unit, c1, factors), name
+        multiplicities.update(k for _, k in factors)
+        residual_degrees.update(f.degree for f, _ in factors if f.degree > 1)
+    assert max(multiplicities) == 6 and {2, 6} <= residual_degrees
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_split_along_matches_bezout_chain_in_local_decompose(p, monkeypatch):
+    # each refinement splits e along the minimal polynomial of a Berlekamp
+    # vector s on e*A; m is the matrix of s, so s = m * unit
+    calls = []
+    original = algebra._split_along
+
+    def recorded(F, m, e, factors):
+        out = original(F, m, e, factors)
+        calls.append((m, e, factors, out))
+        return out
+
+    monkeypatch.setattr(algebra, "_split_along", recorded)
+    splits = 0
+    for name in ladder():
+        A = ladder_algebra(name, p)
+        calls.clear()
+        local_decompose(A)
+        for m, e, factors, out in calls:
+            s = linalg.mat_vec(A.field, m, A.unit)
+            assert out == bezout_chain_split_along(A, e, s, factors), name
+            splits += len(factors) > 1
+    assert splits > 0
+
+
+def univariate_quotient(field, mu):
+    """F[t]/(mu) for a monic mu, on the basis 1, t, ..., t^(n-1), and the
+    coordinates of t: basis_mult[j] is the j-th power of the companion
+    matrix of mu, whose first column is t."""
+    n = mu.degree
+    companion = [[field.one if r == k + 1 else field.zero for k in range(n - 1)]
+                 + [field.neg(mu.coeffs[r])] for r in range(n)]
+    powers = [linalg.identity(field, n)]
+    for _ in range(n - 1):
+        powers.append(linalg.mat_mul(field, companion, powers[-1]))
+    A = FiniteAlgebra(field=field, dim=n, labels=[f"t^{j}" for j in range(n)],
+                      basis_mult=powers, unit=[row[0] for row in powers[0]])
+    return A, [row[0] for row in companion]
+
+
+def test_split_along_matches_bezout_chain_on_random_coprime_factors():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        field = draw(st.sampled_from([QQ, PrimeField(2), PrimeField(3), PrimeField(7)]))
+        coeff = (st.fractions(-3, 3, max_denominator=3).map(canonical) if field is QQ
+                 else st.integers(0, field.char - 1))
+        factors, dim = [], 0
+        for _ in range(draw(st.integers(1, 4))):
+            f = UniPoly(field, draw(st.lists(coeff, min_size=1, max_size=3)) + [field.one])
+            k = draw(st.integers(1, 3))
+            if dim + k * f.degree <= 10 and all(f.gcd(g).degree == 0 for g, _ in factors):
+                factors.append((f, k))
+                dim += k * f.degree
+        return field, factors
+
+    @hypothesis.settings(max_examples=80, derandomize=True)
+    @hypothesis.given(cases())
+    def check(case):
+        field, factors = case
+        mu = functools.reduce(UniPoly.__mul__, [f for f, k in factors for _ in range(k)])
+        A, t = univariate_quotient(field, mu)
+        assert A.is_associative() and A.element_min_poly(t) == mu
+        got = _split_along(field, A.mult_matrix(t), A.unit, factors)
+        assert got == bezout_chain_split_along(A, A.unit, t, factors)
+
+    check()

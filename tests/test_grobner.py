@@ -212,7 +212,7 @@ def test_membership_agrees_with_truncated_linear_oracle():
                 continue
             gb = buchberger(field, gens)
             words = grobner.Words(2)
-            basis = grobner.Divisors(words, [words.pack_poly(g) for g in gb])
+            basis = grobner.Divisors(field, words, [words.pack_poly(g) for g in gb])
             # oracle: span of all m*g with deg(m*g) <= 8
             monos8 = [
                 (i, j) for i in range(9) for j in range(9) if i + j <= 8
@@ -702,7 +702,7 @@ def test_packed_kernel_takes_the_reference_route(field):
         expected_budget, budget = Budget(), Budget()
         expected = reference_normal_form(
             field, poly, [(g, max(g, key=degrevlex)) for g in divisors], expected_budget)
-        packed = grobner.Divisors(words, [words.pack_poly(g) for g in divisors])
+        packed = grobner.Divisors(field, words, [words.pack_poly(g) for g in divisors])
         got = normal_form_poly(field, words.pack_poly(poly), packed, budget)
         assert list(words.unpack_poly(got).items()) == list(expected.items())
         assert budget.steps == expected_budget.steps
