@@ -3,8 +3,17 @@
 A QuotientAlgebra is a presentation: generators, Groebner basis and
 staircase.  The finite-dimensional algebra it presents is a FiniteAlgebra on
 per-basis multiplication matrices, built when first needed from the normal
-forms of the staircase products under the quotient's budget; products of
-elements are delegated to it.
+forms of the staircase products under the quotient's budget, one per
+unordered pair since the quotient is commutative; products of elements are
+delegated to it.
+
+A ring map between quotients that sends each encoded variable to a product
+of encoded variables (the morphisms of `algebra_morphism`, and squaring in
+characteristic 2) is built by walking the domain's staircase, as in FGLM
+(Faugere, Gianni, Lazard and Mora, JSC 1993): each staircase monomial but 1
+is an earlier one times one variable, so its image is the earlier image
+times the variable's image, and every normal form is of one monomial
+"staircase monomial times one variable" of the codomain, reduced once.
 
 Polynomials live in ordinary (nonnegative-exponent) rings as dicts from
 exponent tuples to coefficients.  Laurent ideals are handled through the
@@ -51,7 +60,7 @@ from . import linalg
 from .algebra import FiniteAlgebra
 from .errors import DomainError, ResourceBudgetError, UsageError
 from .laurent import LaurentPoly, LaurentRing
-from .scalar import field_name
+from .scalar import canonical, field_name
 
 DEFAULT_BUDGET = 10**6
 W = 32  # bits per exponent field of a packed word, guard bit included
@@ -104,6 +113,10 @@ class Words:
             raise DomainError(f"monomial {e} is outside the packed range: "
                               f"exponents >= 0, total degree < 2^{W - 1}")
         return (deg << self.shift) - sum(x << (W * i) for i, x in enumerate(e))
+
+    def variables(self):
+        """The lead words of the n variables, pack of the unit vectors."""
+        return [(1 << self.shift) - (1 << (W * i)) for i in range(self.n)]
 
     def unpack(self, k):
         """The exponent tuple of the lead word k."""
@@ -310,6 +323,7 @@ class QuotientAlgebra:
     _divisors: Divisors = dc_field(init=False, repr=False)
     _stair: list = dc_field(init=False, repr=False)
     _index: dict = dc_field(init=False, repr=False)
+    _products: dict = dc_field(init=False, repr=False, default_factory=dict)
     _algebra: FiniteAlgebra | None = dc_field(default=None, repr=False)
 
     def __post_init__(self):
@@ -381,10 +395,18 @@ class QuotientAlgebra:
 
     def basis_mult_matrix(self, j):
         """Multiplication matrix of the j-th staircase basis monomial: column k
-        is the normal form of staircase[j] * staircase[k]."""
+        is the normal form of staircase[j] * staircase[k].  The quotient is
+        commutative, so when matrix k was built before, column k is its column
+        j, reduced once for both; built columns are kept until every matrix
+        is built."""
         self._require_finite()
-        mono, one = self._stair[j], self.field.one
-        return linalg.transpose([self._coords({mono + m: one}) for m in self._stair])
+        mono, one, done = self._stair[j], self.field.one, self._products
+        cols = [done[k][j] if k in done else self._coords({mono + m: one})
+                for k, m in enumerate(self._stair)]
+        done[j] = cols
+        if len(done) == len(self._stair):
+            done.clear()
+        return linalg.transpose(cols)
 
     def finite_algebra(self):
         """The presented FiniteAlgebra, built on first use and then kept."""
@@ -445,8 +467,7 @@ def _staircase_from_leads(words, leads):
         if not any(e and not e & others for e in lead_exps):
             return None
     emask, guards = words.emask, words.guards
-    steps = [words.pack(tuple(int(w == v) for w in range(words.n)))
-             for v in range(words.n)]
+    steps = words.variables()
     seen = {0}
     queue = [0]
     out = []
@@ -533,6 +554,68 @@ def laurent_quotient(gens, budget=None) -> QuotientAlgebra:
 # --- algebra morphisms ---------------------------------------------------------
 
 
+def _map_staircase(domain: QuotientAlgebra, codomain: QuotientAlgebra, steps):
+    """Matrix of the ring map sending the domain's encoded variable v to the
+    product of the codomain's encoded variables listed in steps[v]: column k
+    holds the coordinates of the image of the domain's k-th staircase
+    monomial.
+
+    The map is built by walking the domain's staircase in ascending order.
+    The staircase is an order ideal, so each of its monomials but 1 is an
+    earlier one, its parent, times one variable v, and its image is the
+    parent's image multiplied by the variables in steps[v], one at a time, as
+    sparse vectors.  Multiplying by the codomain variable u reads the columns
+    "staircase[s] * u", each the normal form of one monomial, reduced once,
+    when first needed, under the codomain's budget.  Entries are reduced mod
+    p over F_p and canonical over Q.
+    """
+    F, p = codomain.field, codomain.field.char
+    zero, one = F.zero, F.one
+    cwords, dwords = codomain._words, domain._words
+    cstair, cindex = codomain._stair, codomain._index
+    cvars, dvars = cwords.variables(), dwords.variables()
+    columns = {}
+
+    def column(u, s):
+        col = columns.get((u, s))
+        if col is None:
+            word = cstair[s] + cvars[u]
+            if word in cindex:
+                col = {cindex[word]: one}
+            else:
+                col = {cindex[k]: c for k, c in normal_form_poly(
+                    F, {word: one}, codomain._divisors, codomain.budget).items()}
+            columns[(u, s)] = col
+        return col
+
+    def times(vec, u):
+        acc = {}
+        for s, c in vec.items():
+            for t, d in column(u, s).items():
+                acc[t] = acc.get(t, zero) + c * d
+        if p:
+            return {t: x % p for t, x in acc.items() if x % p}
+        return {t: canonical(x) for t, x in acc.items() if x}
+
+    images = {}
+    for m in domain._stair:
+        if m == 0:
+            image = {} if codomain.unit_index is None else {codomain.unit_index: one}
+        else:
+            # the lowest exponent field that is set names v
+            exps = dwords.exps(m)
+            v = ((exps & -exps).bit_length() - 1) // W
+            image = images[m - dvars[v]]
+            for u in steps[v]:
+                image = times(image, u)
+        images[m] = image
+    matrix = [[zero] * len(domain._stair) for _ in cstair]
+    for k, image in enumerate(images.values()):
+        for t, c in image.items():
+            matrix[t][k] = c
+    return matrix
+
+
 @dataclass
 class Morphism:
     well_defined: bool
@@ -558,11 +641,12 @@ def algebra_morphism(domain: QuotientAlgebra, codomain: QuotientAlgebra, images)
     """Linear data of the algebra map sending the domain's Laurent generators
     z_i to the codomain monomials `images`, z^(a_i) with coefficient 1.
 
-    Such a map sends z^e to z^(sum_i e_i a_i), so a domain relation and a
-    staircase monomial each have one image in the codomain's source ring, and
-    their coordinates are its normal form.  The map is well defined exactly
-    when every domain relation reduces to zero; the first that does not is
-    reported in the result, not raised.
+    Such a map sends z^e to z^(sum_i e_i a_i), so a domain relation has one
+    image in the codomain's source ring, and its coordinates are its normal
+    form.  The map is well defined exactly when every domain relation reduces
+    to zero; the first that does not is reported in the result, not raised.
+    The matrix comes from `_map_staircase`, with each encoded variable sent
+    to the codomain's encoded variables that make up its image.
     """
     domain._require_finite()
     codomain._require_finite()
@@ -589,12 +673,17 @@ def algebra_morphism(domain: QuotientAlgebra, codomain: QuotientAlgebra, images)
             (image(e), c) for e, c in rel.terms.items()))
         if any(x != F.zero for x in val):
             return Morphism(False, ridx, None, None, None, domain.dim, codomain.dim)
-    # a staircase monomial w^a z^b stands for z^(b - a)
-    matrix = linalg.transpose([
-        codomain.nf_coords(ring.from_terms(
-            [(image(tuple(m[n + i] - m[i] for i in range(n))), F.one)]))
-        for m in domain.staircase
-    ])
+
+    def encoded_factors(a):
+        """The codomain's encoded variables, with repetition, whose product
+        is the encoding of z^a."""
+        (e,) = _encode(ring.monomial(a))
+        return [u for u, k in enumerate(e) for _ in range(k)]
+
+    # the encoded w_i stands for z_i^-1
+    matrix = _map_staircase(domain, codomain, (
+        [encoded_factors(tuple(-x for x in a)) for a in exps]
+        + [encoded_factors(a) for a in exps]))
     rk = linalg.rank(F, matrix)
     return Morphism(
         True, None, matrix,

@@ -6,8 +6,12 @@ or modular-exact; no pivot thresholds, no floating point.
 `rref` is the one dispatch point for elimination.  It reads `field.char` once
 per call and hands the matrix to one kernel per field kind:
 
-- F_2: each row packed into a Python int (bit c is column c), pivots found
-  with `&`, rows eliminated with `^=`, unpacked once at the end;
+- F_2: each row packed into a Python int (bit c is column c) by `f2_bits`
+  and inserted with `f2_insert` into an echelon, a dict from each row's
+  lowest set bit to the row, so every elimination is one `^=`; the RREF is
+  that echelon back-substituted from the highest pivot down and unpacked
+  once.  `rank` over F_2 is the size of the echelon, and callers that test
+  containment of row spaces insert rows into one echelon themselves;
 - F_p: plain ints, one `pow(a, p - 2, p)` per pivot and one list
   comprehension `(x - f*y) % p` per row operation, rows whose pivot-column
   entry is zero skipped;
@@ -17,9 +21,10 @@ per call and hands the matrix to one kernel per field kind:
   `scalar.canonical`: `x // pivot` when the pivot divides x, else a Fraction.
 
 RREF is unique, so every kernel returns the same matrix and pivots as plain
-Gauss-Jordan elimination with the field's own operations.  `rank`,
-`kernel_basis`, `image_basis`, `solve`, `invert` and `subspace_contained` all
-go through `rref`.  `mat_vec`, `mat_mul` and `charpoly` accumulate each
+Gauss-Jordan elimination with the field's own operations.  `kernel_basis`,
+`image_basis`, `solve` and `invert` go through `rref`, and so do `rank` and
+`subspace_contained` except over F_2, where they read the echelon's size.
+`mat_vec`, `mat_mul` and `charpoly` accumulate each
 output entry with native `+` and `*` from the field's zero, so over Q it is
 an int or a Fraction (an int on all-int input), and over F_p reduce it once
 with `% p`, as `kernel_basis` does with its negated entries.
@@ -28,6 +33,7 @@ with `% p`, as `kernel_basis` does with its negated entries.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import gcd
 
 from .errors import UsageError
@@ -90,29 +96,52 @@ def rref(field, mat):
     return _rref_q(mat)
 
 
+def f2_bits(row):
+    """A row over F_2 as an int: bit c is column c."""
+    return sum(1 << c for c in compress(range(len(row)), row))
+
+
+def f2_insert(echelon, bits):
+    """Reduce the bit row `bits` by `echelon`, a dict from each row's lowest
+    set bit to the row, and add what remains; True when it adds a pivot.
+    Each XOR clears the lowest bit and changes only higher ones."""
+    while bits:
+        low = bits & -bits
+        row = echelon.get(low)
+        if row is None:
+            echelon[low] = bits
+            return True
+        bits ^= row
+    return False
+
+
+def _f2_echelon(mat):
+    echelon = {}
+    for row in mat:
+        f2_insert(echelon, f2_bits(row))
+    return echelon
+
+
 def _rref_f2(mat):
     rows = len(mat)
     cols = len(mat[0]) if rows else 0
-    m = [sum(1 << c for c, x in enumerate(row) if x) for row in mat]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        bit = 1 << c
-        for i in range(r, rows):
-            if m[i] & bit:
-                break
-        else:
-            continue
-        m[r], m[i] = m[i], m[r]
-        pr = m[r]
-        for i in range(rows):
-            if m[i] & bit and i != r:
-                m[i] ^= pr
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return [[(v >> c) & 1 for c in range(cols)] for v in m], pivots
+    echelon = _f2_echelon(mat)
+    # back-substitute from the highest pivot down: a reduced row has no
+    # other pivot bit, so XORing it in clears one bit and sets no pivot bit
+    done = {}
+    pivot_mask = 0
+    for low in sorted(echelon, reverse=True):
+        row = echelon[low]
+        rest = row & pivot_mask
+        while rest:
+            bit = rest & -rest
+            row ^= done[bit]
+            rest ^= bit
+        done[low] = row
+        pivot_mask |= low
+    out = [[(done[low] >> c) & 1 for c in range(cols)] for low in sorted(done)]
+    pivots = [low.bit_length() - 1 for low in sorted(done)]
+    return out + [[0] * cols for _ in range(rows - len(out))], pivots
 
 
 def _rref_fp(p, mat):
@@ -191,6 +220,8 @@ def _rref_q(mat):
 
 
 def rank(field, mat):
+    if field.char == 2:
+        return len(_f2_echelon(mat))
     return len(rref(field, mat)[1])
 
 

@@ -4,9 +4,11 @@ toric manifold.
 Builds the divisor presentation over F_2 with squared sphere-class weights
 (QH_R) and with plain weights (QH), the reduction map pi (Z_j -> Z_j, well
 defined because Z^{2A} - 1 = (Z^A - 1)^2 in characteristic 2), and the
-squaring map f_R on QH_R, then decides ker f_R <= ker pi by two F_2 ranks,
-with no kernel vector built.  Containment plus minimal Chern number at least
-2 yields the positive verdict for the real locus.
+squaring map f_R on QH_R, both by the staircase walk in `grobner`, then
+decides ker f_R <= ker pi in one F_2 echelon: f_R's rows first, then pi's,
+none of which may add a pivot, with no kernel vector built.  Containment plus
+minimal Chern number at least 2 yields the positive verdict for the real
+locus.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from dataclasses import dataclass
 
 from . import linalg
 from .errors import AnomalyError, UsageError
-from .grobner import Budget, Morphism, QuotientAlgebra, algebra_morphism
+from .grobner import (Budget, Morphism, QuotientAlgebra, _map_staircase,
+                      algebra_morphism)
 from .quantum import GenerationReport, GenerationSummand, qh_presentation
 from .scalar import PrimeField
 from .toric import DelzantPolytope, is_normalized, minimal_chern
@@ -52,20 +55,25 @@ def reduction_pi(qh_r: QuotientAlgebra, qh: QuotientAlgebra) -> Morphism:
 
 
 def frobenius_matrix(qa: QuotientAlgebra):
-    """Squaring on the staircase basis; F_2-linear in characteristic 2."""
+    """Squaring on the staircase basis; F_2-linear in characteristic 2.  It
+    is the ring map x_v -> x_v * x_v on the encoded variables, so it is built
+    by the staircase walk of `algebra_morphism`."""
     if qa.field.char != 2:
         raise UsageError("the squaring map is linear only in characteristic 2")
-    return linalg.transpose(
-        [qa.nf_coords({tuple(2 * e for e in mono): qa.field.one}) for mono in qa.staircase]
-    )
+    return _map_staircase(qa, qa, [[v, v] for v in range(len(qa.names))])
 
 
 def kernel_containment_check(data_pi: Morphism, frob_matrix):
     """(dim ker f_R, dim ker pi, ker f_R <= ker pi).  A kernel is the
-    annihilator of the row space, so the containment holds exactly when
-    stacking pi's rows under f_R's leaves the rank unchanged."""
-    rank_f = linalg.rank(F2, frob_matrix)
-    contained = linalg.rank(F2, frob_matrix + data_pi.matrix) == rank_f
+    annihilator of the row space, so the containment holds exactly when pi's
+    rows lie in the row space of f_R: f_R's rows go into one F_2 echelon,
+    then pi's, and none of pi's may add a pivot."""
+    echelon = {}
+    for row in frob_matrix:
+        linalg.f2_insert(echelon, linalg.f2_bits(row))
+    rank_f = len(echelon)
+    contained = not any(linalg.f2_insert(echelon, linalg.f2_bits(row))
+                        for row in data_pi.matrix)
     return data_pi.domain_dim - rank_f, data_pi.kernel_dim, contained
 
 

@@ -495,8 +495,10 @@ def rational_roots(f: UniPoly):
     """All rational roots of f over Q, with multiplicities.
 
     Candidates come from the rational root theorem applied to the primitive
-    integer form, each in canonical form, so an integral root is an int.
-    Returned sorted by root, largest first.
+    integer form of the squarefree part g // gcd(g, g'), which has the same
+    roots as g and a constant term that does not grow with multiplicities;
+    each candidate is canonical, so an integral root is an int.  Multiplicities
+    are counted on g.  Returned sorted by root, largest first.
     """
     if f.field != QQ:
         raise UsageError("rational_roots requires rational coefficients")
@@ -513,8 +515,9 @@ def rational_roots(f: UniPoly):
         roots.append((0, t_mult))
     if g.degree < 1:
         return roots
-    den = lcm(*[c.denominator for c in g.coeffs])
-    ints = [c.numerator * (den // c.denominator) for c in g.coeffs]
+    squarefree = g // g.gcd(g.derivative())
+    den = lcm(*[c.denominator for c in squarefree.coeffs])
+    ints = [c.numerator * (den // c.denominator) for c in squarefree.coeffs]
     content = gcd(*ints)
     ints = [v // content for v in ints]
     a0, an = ints[0], ints[-1]

@@ -67,3 +67,16 @@ def ladder():
         "CP1^4": polytope_product(cp1xcp1, cp1xcp1, name="CP1^4"),
         "CP2xCP2": polytope_product(cp[2], cp[2]),
     }
+
+
+def reparametrised():
+    """CP2xCP1 with its facets in reverse order and the unimodular shear
+    (x, y, z) -> (x + y, y, y + z) applied to its normals: the same toric
+    manifold in other coordinates, whose co0 images z^(nu_j) have exponents
+    up to 2 and of mixed signs."""
+    P = ladder()["CP2xCP1"]
+    shear = [[1, 1, 0], [0, 1, 0], [0, 1, 1]]
+    normals = [[sum(a * x for a, x in zip(row, nu)) for row in shear]
+               for nu in reversed(P.normals)]
+    return DelzantPolytope(n=3, normals=normals, lambdas=[Fraction(1)] * len(normals),
+                           name="CP2xCP1-sheared")

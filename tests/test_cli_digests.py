@@ -24,6 +24,11 @@ REAL_GEN_PINS = {"tests/data/dp6.json": (6, 96), "tests/data/dp6xcp1.json": (12,
 # toric-gen on the same two polytopes: over Q, dP6 x CP1 splits into six
 # summands with multiplicities 2 and 3
 TORIC_GEN_PIN_FIELDS = ("Q", "F7")
+# toric-gen over Q on CP2^3: charpoly(c1) is t^6 times a polynomial with
+# constant term -3^33 (about 5.6e15), whose squarefree part has constant term
+# -3^15, so the rational root search is cheap only on the squarefree part
+ROOT_SEARCH_PIN = ["toric-gen", "--polytope", "tests/data/cp2x3.json", "--field", "Q",
+                   "--format", "json"]
 # non-integral rational input, so the Fraction side of Q arithmetic is pinned
 # too: a Laurent polynomial with coefficients 1/2 and 3, and lambda_xy in the
 # basis rescaled by t = 1/2 (its relations hold, its coefficients are not all
@@ -55,6 +60,7 @@ def invocations():
                for path in REAL_GEN_PINS)
     out.extend(["toric-gen", "--polytope", path, "--field", field, "--format", "json"]
                for path in REAL_GEN_PINS for field in TORIC_GEN_PIN_FIELDS)
+    out.append(ROOT_SEARCH_PIN)
     out.append(["smod2", "--field", "F3", "--rho", "1,2"])
     out.extend(["ainfty-check", "--ainfty", path, "--format", "json"]
                for path in structures)

@@ -263,6 +263,83 @@ def test_invert_against_sympy(name, data):
     assert_canonical(field, inverse)
 
 
+def dense_rref_f2(mat):
+    """The F_2 kernel `rref` ran before the bit-row echelon: Gauss-Jordan by
+    columns on rows packed into ints, unpacked at the end."""
+    rows = len(mat)
+    cols = len(mat[0]) if rows else 0
+    m = [sum(1 << c for c, x in enumerate(row) if x) for row in mat]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        bit = 1 << c
+        for i in range(r, rows):
+            if m[i] & bit:
+                break
+        else:
+            continue
+        m[r], m[i] = m[i], m[r]
+        pr = m[r]
+        for i in range(rows):
+            if m[i] & bit and i != r:
+                m[i] ^= pr
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return [[(v >> c) & 1 for c in range(cols)] for v in m], pivots
+
+
+def dense_containment(pi, frob):
+    """`kernel_containment_check` before the one echelon: two dense ranks."""
+    rank_f = len(dense_rref_f2(frob)[1])
+    contained = len(dense_rref_f2(frob + pi.matrix)[1]) == rank_f
+    return pi.domain_dim - rank_f, pi.kernel_dim, contained
+
+
+@st.composite
+def f2_maps(draw):
+    """f_R (r x d) and pi (k x d) over F_2 with d, r, k in 0..12: d = 0 is
+    the zero ring, r = 0 or k = 0 an empty matrix; some of pi's rows are sums
+    of f_R's rows, so both containment outcomes occur."""
+    F2 = realgen.F2
+    d = draw(st.integers(0, 12))
+    bits = st.lists(st.booleans(), min_size=d, max_size=d).map(
+        lambda row: [int(x) for x in row])
+    frob = draw(st.lists(bits, max_size=12))
+    picks = st.lists(st.booleans(), min_size=len(frob), max_size=len(frob))
+    sums = [[sum(x for x, pick in zip(col, ps) if pick) % 2 for col in zip(*frob)]
+            if frob else [0] * d for ps in draw(st.lists(picks, max_size=6))]
+    pi_matrix = sums + draw(st.lists(bits, max_size=6))
+    pi = Morphism(True, None, pi_matrix, d - reference_rank(F2, pi_matrix), None,
+                  d, len(pi_matrix))
+    return frob, pi
+
+
+@SETTINGS
+@given(f2_maps())
+def test_f2_bit_rows_match_dense_reference(maps):
+    """The F_2 echelon on bit rows against the dense kernel it replaced: the
+    same RREF and pivots, the same rank, and the same containment verdict
+    and kernel dimensions, including the zero ring and empty inputs."""
+    F2 = realgen.F2
+    frob, pi = maps
+    for mat in (frob, pi.matrix, frob + pi.matrix):
+        assert linalg.rref(F2, mat) == dense_rref_f2(mat)
+        assert linalg.rank(F2, mat) == len(dense_rref_f2(mat)[1])
+    assert realgen.kernel_containment_check(pi, frob) == dense_containment(pi, frob)
+
+
+def test_f2_echelon_on_the_zero_ring_and_empty_inputs():
+    F2 = realgen.F2
+    assert linalg.rref(F2, []) == ([], [])
+    assert linalg.rref(F2, [[], []]) == ([[], []], [])
+    assert linalg.rank(F2, []) == linalg.rank(F2, [[], []]) == 0
+    assert linalg.rank(F2, [[0, 0], [0, 0]]) == 0
+    zero_ring = Morphism(True, None, [], 0, True, 0, 0)
+    assert realgen.kernel_containment_check(zero_ring, []) == (0, 0, True)
+
+
 def test_containment_check_at_dim_256():
     """CP1^4: dim QH_R = 256, the size the real-locus check runs at."""
     cp1 = projective_space(1)

@@ -4,9 +4,9 @@ import types
 
 import pytest
 
-from conftest import lpoly
+from conftest import dp6, ladder, lpoly, reparametrised
 from floergen import linalg, realgen
-from floergen.errors import AnomalyError
+from floergen.errors import AnomalyError, UsageError
 from floergen.quantum import qh_presentation
 from floergen.realgen import (
     F2,
@@ -14,6 +14,7 @@ from floergen.realgen import (
     real_gen_data,
     real_generation_report,
 )
+from floergen.scalar import PrimeField
 from floergen.toric import corpus, h2_lattice
 
 
@@ -78,6 +79,27 @@ def test_frobenius_cp1_kernel_basis():
     ]
     assert linalg.subspace_contained(F2, ker, expected)
     assert linalg.subspace_contained(F2, expected, ker)
+
+
+def reference_frobenius(qa):
+    """Squaring as `frobenius_matrix` built it before the staircase walk: one
+    normal form of x^(2e) per staircase monomial x^e."""
+    return linalg.transpose(
+        [qa.nf_coords({tuple(2 * e for e in mono): qa.field.one}) for mono in qa.staircase])
+
+
+@pytest.mark.parametrize("name", ["CP1", "CP1xCP1", "CP1^3", "CP1^4", "dP6",
+                                  "CP2xCP1-sheared"])
+def test_frobenius_walk_matches_squared_monomials(name):
+    P = {"dP6": dp6, "CP2xCP1-sheared": reparametrised}.get(name, lambda: ladder()[name])()
+    qh_r = qh_presentation(P, F2, "mod2_weights")
+    assert frobenius_matrix(qh_r) == reference_frobenius(qh_r)
+
+
+def test_frobenius_needs_characteristic_2():
+    qa = qh_presentation(corpus()["CP1"], PrimeField(3))
+    with pytest.raises(UsageError, match="characteristic 2"):
+        frobenius_matrix(qa)
 
 
 def test_frobenius_is_squaring_linearly():

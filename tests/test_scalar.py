@@ -145,6 +145,24 @@ def test_rational_roots_multiset_union_under_products():
         assert product == combined
 
 
+def test_rational_roots_beyond_trial_division_of_the_constant_term():
+    """(t - 6)^30 (t + 4)^20 (t^2 + 1): the constant term 6^30 4^20 is about
+    2.4e35, whose divisors trial division up to its square root cannot list;
+    the squarefree part (t - 6)(t + 4)(t^2 + 1) has constant term -24."""
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    f = poly(QQ, [1, 0, 1])
+    for root, mult in ((6, 30), (-4, 20)):
+        for _ in range(mult):
+            f = f * poly(QQ, [-root, 1])
+    assert abs(f.coeffs[0]) == 6**30 * 4**20
+    got = rational_roots(f)
+    assert got == [(6, 30), (-4, 20)]
+    assert all(type(r) is int for r, _ in got)
+    theirs = sympy.roots(sympy.Poly(list(reversed(f.coeffs)), t), filter="Q")
+    assert dict(got) == {int(r): m for r, m in theirs.items()}
+
+
 def is_canonical_rational(x):
     return type(x) is int or type(x) is Fraction and x.denominator > 1
 

@@ -11,10 +11,6 @@ import inspect
 import pathlib
 import sys
 
-from floergen import grobner, linalg
-from floergen.laurent import LaurentRing
-from floergen.scalar import QQ
-
 from conftest import lpoly
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -47,15 +43,20 @@ def _snapshot():
 
 
 def test_tracer_installs_and_restores_originals():
+    """Everything runs on the module objects handed to `install`: another
+    test may have imported floergen afresh, leaving this file's own imports
+    bound to modules the tracer does not patch."""
     tracing = _load_tracing()
     fg = {m: importlib.import_module(f"floergen.{m}") for m in MODULES}
+    grobner, linalg = fg["grobner"], fg["linalg"]
+    QQ = fg["scalar"].QQ
     before = _snapshot()
     original_buchberger = grobner.buchberger
     tracer = tracing.Tracer()
     tracer.install(fg)
     try:
         assert grobner.buchberger is not original_buchberger
-        R = LaurentRing(["z"], QQ)
+        R = fg["laurent"].LaurentRing(["z"], QQ)
         qa = grobner.laurent_quotient([lpoly(R, {(2,): 1, (0,): -1})])
         zmat = qa.element_mult_matrix(qa.nf_coords(R.variable(0)))
         assert linalg.rank(QQ, zmat) == 2
