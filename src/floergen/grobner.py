@@ -1,7 +1,10 @@
 """Groebner bases and finite-dimensional quotient algebras.
 
 A QuotientAlgebra is a presentation: generators, Groebner basis and
-staircase.  The finite-dimensional algebra it presents is a FiniteAlgebra on
+staircase.  The staircase, the standard monomials, is an order ideal walked
+as a tree: the parent of a monomial is it divided by its lowest variable, so
+each monomial is reached once, and a child m*x_v is tested only against the
+leads whose v-exponent is that of m plus one.  The finite-dimensional algebra it presents is a FiniteAlgebra on
 per-basis multiplication matrices, built when first needed from the normal
 forms of the staircase products under the quotient's budget, one per
 unordered pair since the quotient is commutative; products of elements are
@@ -25,9 +28,11 @@ generators and elements are encoded the same way.
 
 Degree reverse lexicographic order is the only monomial order.  Buchberger
 takes its S-pairs from a heap in (degrevlex(lcm), i, j) order, the normal
-selection strategy with ties broken by index, and runs with the coprimality
-and chain criteria and full final interreduction, so the emitted basis is the
-unique reduced Groebner basis for degrevlex.  Every reduction step ticks a
+selection strategy with ties broken by index.  A pair whose leading
+monomials are coprime is dropped when it is made (Buchberger's product
+criterion): it is never queued, and the chain criterion counts it as
+handled.  Full final interreduction makes the emitted basis the unique
+reduced Groebner basis for degrevlex.  Every reduction step ticks a
 step budget: Buchberger's own, and every normal form of a quotient's elements
 under the budget that quotient was built under.
 
@@ -54,6 +59,7 @@ exponent tuples.
 from __future__ import annotations
 
 import heapq
+import struct
 from dataclasses import dataclass, field as dc_field
 
 from . import linalg
@@ -63,7 +69,8 @@ from .laurent import LaurentPoly, LaurentRing
 from .scalar import canonical, field_name
 
 DEFAULT_BUDGET = 10**6
-W = 32  # bits per exponent field of a packed word, guard bit included
+W = 32  # bits per exponent field of a packed word, guard bit included:
+# one little-endian uint32 per field, as `Words` packs and unpacks them
 DEGREE_CAP = 1 << (W - 1)
 _FIELD = (1 << W) - 1
 
@@ -103,6 +110,7 @@ class Words:
         self.emask = (1 << self.shift) - 1
         self.ones = sum(1 << (W * i) for i in range(n))
         self.guards = self.ones << (W - 1)
+        self.fields = struct.Struct(f"<{n}I")
 
     def pack(self, e):
         """The lead word of the exponent tuple e."""
@@ -112,7 +120,7 @@ class Words:
         if deg >= DEGREE_CAP or min(e, default=0) < 0:
             raise DomainError(f"monomial {e} is outside the packed range: "
                               f"exponents >= 0, total degree < 2^{W - 1}")
-        return (deg << self.shift) - sum(x << (W * i) for i, x in enumerate(e))
+        return (deg << self.shift) - int.from_bytes(self.fields.pack(*e), "little")
 
     def variables(self):
         """The lead words of the n variables, pack of the unit vectors."""
@@ -120,8 +128,7 @@ class Words:
 
     def unpack(self, k):
         """The exponent tuple of the lead word k."""
-        exps = -k & self.emask
-        return tuple((exps >> (W * i)) & _FIELD for i in range(self.n))
+        return self.fields.unpack((-k & self.emask).to_bytes(self.shift // 8, "little"))
 
     def pack_poly(self, poly):
         return {self.pack(e): c for e, c in poly.items()}
@@ -225,22 +232,29 @@ def buchberger(field, gens, budget: Budget | None = None):
         raise UsageError("empty generator list")
     words = Words(len(next(iter(gens[0]))))
     basis = Divisors(field, words, map(words.pack_poly, gens))
-    entries, guards = basis.entries, words.guards
+    entries, guards, ones = basis.entries, words.guards, words.ones
     one = field.one
     minus_one = field.neg(one)
 
     # `queue` is a heap of (lcm word, (i, j)) over the queued pairs, a total
-    # order; `pairs` holds the same pairs for the chain criterion
+    # order; `pairs` holds the same pairs for the chain criterion.  A pair
+    # whose leads share no variable is never queued (product criterion): its
+    # S-polynomial has a standard representation, so the chain criterion may
+    # count it as handled from the start
     pairs = set()
     queue = []
+    supports = []  # per lead, the guard bits of the fields it uses
 
     def queue_pairs_with(t):
-        lead = entries[t][1]
+        _, lead, exps = entries[t]
+        support = ((exps | guards) - ones) & guards
         for k in range(t):
-            pairs.add((k, t))
-            heapq.heappush(queue, (words.lcm(entries[k][1], lead), (k, t)))
+            if supports[k] & support:
+                pairs.add((k, t))
+                heapq.heappush(queue, (words.lcm(entries[k][1], lead), (k, t)))
+        supports.append(support)
 
-    for t in range(1, len(entries)):
+    for t in range(len(entries)):
         queue_pairs_with(t)
 
     def reduce(poly, divisors):
@@ -253,14 +267,10 @@ def buchberger(field, gens, budget: Budget | None = None):
     while queue:
         lcm, (i, j) = heapq.heappop(queue)
         pairs.discard((i, j))
-        f, lf, _ = entries[i]
-        g, lg, _ = entries[j]
-        if lcm == lf + lg:
-            continue  # coprime leading monomials
         chain = False
         lcm_exps = -lcm & words.emask | guards
         for k, (_, _, lead_exps) in enumerate(entries):
-            if k in (i, j) or (lcm_exps - lead_exps) & guards != guards:
+            if (lcm_exps - lead_exps) & guards != guards or k in (i, j):
                 continue
             a = (min(i, k), max(i, k))
             b = (min(j, k), max(j, k))
@@ -269,6 +279,8 @@ def buchberger(field, gens, budget: Budget | None = None):
                 break
         if chain:
             continue
+        f, lf, _ = entries[i]
+        g, lg, _ = entries[j]
         s = {}
         _add_scaled(field, s, f, one, lcm - lf)
         _add_scaled(field, s, g, minus_one, lcm - lg)
@@ -277,19 +289,27 @@ def buchberger(field, gens, budget: Budget | None = None):
             basis.append(h)
             queue_pairs_with(len(entries) - 1)
 
-    # minimalize: drop elements whose leading monomial another one divides
-    minimal = [
-        g for i, (g, lead, _) in enumerate(entries)
-        if not any(
-            words.divides(other, lead) and (other != lead or k < i)
-            for k, (_, other, _) in enumerate(entries)
-            if k != i
-        )
-    ]
-    # fully interreduce: no other lead divides g's, so each remainder keeps
-    # g's monic leading term
-    reduced = [reduce(g, Divisors(field, words, minimal[:idx] + minimal[idx + 1:]))
-               for idx, g in enumerate(minimal)]
+    # minimalize: a lead that divides another is never larger, so in
+    # ascending lead order an element is redundant exactly when a lead kept
+    # before it divides its own; of equal leads the first index is kept
+    kept, kept_exps = [], []
+    for i in sorted(range(len(entries)), key=lambda i: entries[i][1]):
+        exps = entries[i][2] | guards
+        if all((exps - e) & guards != guards for e in kept_exps):
+            kept.append(i)
+            kept_exps.append(entries[i][2])
+    minimal = Divisors(field, words, (entries[i][0] for i in sorted(kept)))
+    # fully interreduce: each tail against all the minimal elements, in index
+    # order.  The reduction meets only monomials below the element's own
+    # lead, which that lead cannot divide, so it takes the route and ticks of
+    # a reduction against the others; no other lead divides the lead, which
+    # stays the first key
+    reduced = []
+    for g, lead, _ in minimal.entries:
+        tail = dict(g)
+        r = {lead: tail.pop(lead)}
+        r.update(reduce(tail, minimal))
+        reduced.append(r)
     reduced.sort(key=max)
     return [words.unpack_poly(g) for g in reduced]
 
@@ -306,7 +326,8 @@ class QuotientAlgebra:
     are the n inverse variables followed by the n originals.  `leads[i]` is
     the leading monomial of `gb[i]`.  `budget` is the one the quotient was
     built under; every normal form the quotient computes is reduced under it.
-    The packed basis and staircase words are made once, when it is built.
+    `_build_quotient` packs the basis and staircase words once and passes
+    them in with the tuple forms.
     """
 
     field: object
@@ -319,18 +340,14 @@ class QuotientAlgebra:
     source_ring: LaurentRing | None = None
     source_gens: list = dc_field(default_factory=list)
     unit_index: int | None = dc_field(init=False, default=None)
-    _words: Words = dc_field(init=False, repr=False)
-    _divisors: Divisors = dc_field(init=False, repr=False)
-    _stair: list = dc_field(init=False, repr=False)
+    _words: Words = dc_field(kw_only=True, repr=False)
+    _divisors: Divisors = dc_field(kw_only=True, repr=False)
+    _stair: list = dc_field(kw_only=True, repr=False)
     _index: dict = dc_field(init=False, repr=False)
     _products: dict = dc_field(init=False, repr=False, default_factory=dict)
     _algebra: FiniteAlgebra | None = dc_field(default=None, repr=False)
 
     def __post_init__(self):
-        self._words = Words(len(self.names))
-        self._divisors = Divisors(self.field, self._words,
-                                  map(self._words.pack_poly, self.gb))
-        self._stair = [self._words.pack(m) for m in self.staircase]
         self._index = {k: i for i, k in enumerate(self._stair)}
         self.unit_index = self._index.get(0)
 
@@ -453,35 +470,46 @@ class QuotientAlgebra:
 
 
 def _staircase_from_leads(words, leads):
-    """BFS over the divisor-closed set of standard monomials, as lead words in
-    ascending (degrevlex) order.
+    """The standard monomials, as lead words in ascending (degrevlex) order.
 
     Returns None when some variable has no pure power among the leading
-    monomials (infinite-dimensional quotient).
+    monomials (infinite-dimensional quotient), and [] for the unit ideal.
+
+    The standard monomials are an order ideal, walked as a tree: the parent
+    of m is m / x_v for the lowest variable v of m, so the children of m are
+    m * x_v for v up to that variable, and every monomial is reached once.
+    A lead that divides m * x_v but not the standard m has v-exponent
+    e_v(m) + 1, so only those leads are tested.
     """
     if 0 in leads:
         return []  # unit ideal
-    lead_exps = [words.exps(lm) for lm in leads]
-    for v in range(words.n):
-        others = words.emask & ~(_FIELD << (W * v))
-        if not any(e and not e & others for e in lead_exps):
-            return None
-    emask, guards = words.emask, words.guards
+    masks = [_FIELD << (W * v) for v in range(words.n)]
+    by_power = {}  # v-field e_v << W*v of a lead, e_v > 0 -> its exponent words
+    pure = 0
+    for lm in leads:
+        exps = words.exps(lm)
+        for v, mask in enumerate(masks):
+            if exps & mask:
+                by_power.setdefault(exps & mask, []).append(exps)
+                if exps & mask == exps:
+                    pure |= 1 << v
+    if pure != (1 << words.n) - 1:
+        return None
+    guards = words.guards
+    units = [1 << (W * v) for v in range(words.n)]
     steps = words.variables()
-    seen = {0}
-    queue = [0]
     out = []
-    while queue:
-        m = queue.pop()
+    stack = [(0, 0, words.n - 1)]  # (monomial, its exponent word, top child variable)
+    while stack:
+        m, exps, top = stack.pop()
         out.append(m)
-        for step in steps:
-            nxt = m + step
-            if nxt in seen:
-                continue
-            seen.add(nxt)
-            exps = -nxt & emask | guards
-            if not any((exps - e) & guards == guards for e in lead_exps):
-                queue.append(nxt)
+        for v in range(top + 1):
+            nxt = exps + units[v]
+            for e in by_power.get(nxt & masks[v], ()):
+                if ((nxt | guards) - e) & guards == guards:
+                    break
+            else:
+                stack.append((m + steps[v], nxt, v))
     return sorted(out)
 
 
@@ -489,18 +517,22 @@ def _build_quotient(field, names, gen_dicts, budget, source_ring=None,
                     source_gens=()):
     gb = buchberger(field, gen_dicts, budget)
     words = Words(len(names))
-    leads = [max(map(words.pack, g)) for g in gb]
-    staircase = _staircase_from_leads(words, leads)
+    divisors = Divisors(field, words, map(words.pack_poly, gb))
+    leads = [lead for _, lead, _ in divisors.entries]
+    stair = _staircase_from_leads(words, leads)
     return QuotientAlgebra(
         field=field,
         names=tuple(names),
         gb=gb,
         leads=[words.unpack(lm) for lm in leads],
-        finite=staircase is not None,
-        staircase=[words.unpack(m) for m in staircase] if staircase is not None else [],
+        finite=stair is not None,
+        staircase=[words.unpack(m) for m in stair or ()],
         budget=budget,
         source_ring=source_ring,
         source_gens=list(source_gens),
+        _words=words,
+        _divisors=divisors,
+        _stair=stair or [],
     )
 
 

@@ -392,17 +392,17 @@ def test_budget_covers_whole_command(capsys, polytope_file):
 
 
 def test_budget_covers_every_normal_form(capsys, polytope_file):
-    # real-gen on CP2 builds its two quotients in 25 steps; the normal forms
-    # of the reduction map's relation images take 11, the staircase walk's
-    # columns for the reduction map 3 and for the squaring map 5 more, all
-    # under the one --budget
+    # real-gen on CP2 builds its two quotients in 13 steps (8 and 5); the
+    # normal forms of the reduction map's relation images take 11, the
+    # staircase walk's columns for the reduction map 3 and for the squaring
+    # map 5 more, all under the one --budget
     path = polytope_file("CP2")
     code, out, _ = invoke(capsys, [
-        "real-gen", "--polytope", path, "--budget", "43", "--format", "json",
+        "real-gen", "--polytope", path, "--budget", "31", "--format", "json",
     ])
     assert code == 2
-    assert json.loads(out)["steps"] == 44
-    code, _, _ = invoke(capsys, ["real-gen", "--polytope", path, "--budget", "44"])
+    assert json.loads(out)["steps"] == 32
+    code, _, _ = invoke(capsys, ["real-gen", "--polytope", path, "--budget", "32"])
     assert code == 0
 
 def test_text_output_byte_stable(capsys, polytope_file):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import dp6, lpoly, reparametrised
+from conftest import dp6, ladder, lpoly, reparametrised
 from floergen import grobner, linalg
 from floergen.errors import DomainError, ResourceBudgetError, UsageError
 from floergen.grobner import (
@@ -80,10 +80,11 @@ def record_buchberger(monkeypatch):
 
 def test_pair_order_witness(monkeypatch):
     # Which S-pairs get reduced, and against which basis, depends on the
-    # order pairs are taken in, and every reduction step ticks the budget.
-    # These exact counts are those of the selection by smallest
-    # (degrevlex(lcm), (i, j)) as a linear scan over all queued pairs; the
-    # heap must take the same pairs in the same order, so they must not move.
+    # order pairs are taken in and on which pairs are queued at all, and
+    # every reduction step ticks the budget.  These exact counts are those of
+    # the selection by smallest (degrevlex(lcm), (i, j)) over the queued
+    # pairs, where pairs with coprime leads are never queued, so the chain
+    # criterion counts them as handled; they must not move.
     budget = Budget()
     buchberger(PrimeField(2), BUDGET_GENS, budget)
     assert budget.steps == 10
@@ -91,7 +92,7 @@ def test_pair_order_witness(monkeypatch):
     calls = record_buchberger(monkeypatch)
     qh = qh_presentation(dp6(), PrimeField(7))
     assert qh.dim == 6
-    assert [(steps, len(gb)) for _, steps, gb in calls] == [(400, 18)]
+    assert [(steps, len(gb)) for _, steps, gb in calls] == [(209, 18)]
 
 
 def test_laurent_quotient_dim2_example():
@@ -415,6 +416,43 @@ def test_reduced_basis_invariant_under_permutation_and_rescaling(field):
     check()
 
 
+def s_polynomial(field, f, g):
+    """S-polynomial of the monic poly dicts f and g: lcm/lead(f) * f minus
+    lcm/lead(g) * g."""
+    lf, lg = (max(h, key=degrevlex) for h in (f, g))
+    lcm = tuple(map(max, lf, lg))
+    s = {}
+    for h, lead, sign in ((f, lf, field.one), (g, lg, field.neg(field.one))):
+        for e, c in h.items():
+            k = tuple(x + y - z for x, y, z in zip(e, lcm, lead))
+            acc = field.add(s.get(k, field.zero), field.mul(sign, c))
+            if acc == field.zero:
+                s.pop(k, None)
+            else:
+                s[k] = acc
+    return s
+
+
+@pytest.mark.parametrize("name", list(ladder()))
+def test_every_s_polynomial_of_the_basis_reduces_to_zero(monkeypatch, name):
+    # Buchberger's criterion with no pair left out: the returned basis is a
+    # Groebner basis whatever pairs the product and chain criteria skipped
+    calls = record_buchberger(monkeypatch)
+    P = ladder()[name]
+    F2 = PrimeField(2)
+    qh_presentation(P, F2, "plain")
+    qh_presentation(P, F2, "mod2_weights")
+    for field in (F7, QQ):
+        jacobian_ring(superpotential(P, field))
+    assert len(calls) == 4
+    for (gens, _, gb), field in zip(calls, (F2, F2, F7, QQ)):
+        words = grobner.Words(len(next(iter(gens[0]))))
+        basis = grobner.Divisors(field, words, [words.pack_poly(g) for g in gb])
+        for f, g in itertools.combinations(gb, 2):
+            s = words.pack_poly(s_polynomial(field, f, g))
+            assert normal_form_poly(field, s, basis, Budget()) == {}
+
+
 def reference_basis_mult(qa, j):
     """Multiplication by staircase[j] built the other way: one matrix per
     encoded variable from normal forms, multiplied along the monomial."""
@@ -675,8 +713,92 @@ def test_packed_words_refuse_degrees_at_the_cap():
         words.lcm(below + x, y)
     with pytest.raises(DomainError):
         buchberger(QQ, [{(cap - 1, 1): Fraction(1)}])
+    # the leads x^(cap-1) and xy share x, so their lcm x^(cap-1) y is formed
     with pytest.raises(DomainError):
-        buchberger(QQ, [{(cap - 1, 0): Fraction(1)}, {(0, 1): Fraction(1), (0, 0): Fraction(1)}])
+        buchberger(QQ, [{(cap - 1, 0): Fraction(1)}, {(1, 1): Fraction(1), (0, 0): Fraction(1)}])
+
+
+def reference_staircase(words, leads):
+    """The search with a visited set that the parent-tree walk replaced,
+    kept as an oracle: every candidate is tested against every lead."""
+    if 0 in leads:
+        return []
+    lead_exps = [words.exps(lm) for lm in leads]
+    for v in range(words.n):
+        others = words.emask & ~(grobner._FIELD << (grobner.W * v))
+        if not any(e and not e & others for e in lead_exps):
+            return None
+    emask, guards = words.emask, words.guards
+    seen = {0}
+    queue = [0]
+    out = []
+    while queue:
+        m = queue.pop()
+        out.append(m)
+        for step in words.variables():
+            nxt = m + step
+            if nxt in seen:
+                continue
+            seen.add(nxt)
+            exps = -nxt & emask | guards
+            if not any((exps - e) & guards == guards for e in lead_exps):
+                queue.append(nxt)
+    return sorted(out)
+
+
+def box_staircase(n, leads):
+    """The standard monomials of the monomial ideal spanned by `leads`
+    (exponent tuples) by brute force, in ascending degrevlex order: None when
+    some x_v^K, K above every lead exponent, is standard (then every power of
+    x_v is), else every monomial of the box below the pure powers that no
+    lead divides."""
+
+    def standard(m):
+        return not any(all(a <= b for a, b in zip(lm, m)) for lm in leads)
+
+    top = 1 + max((x for lm in leads for x in lm), default=0)
+    if any(standard(tuple(top * (i == v) for i in range(n))) for v in range(n)):
+        return None
+    bounds = [min(lm[v] for lm in leads if sum(lm) == lm[v]) for v in range(n)]
+    box = itertools.product(*(range(b) for b in bounds))
+    return sorted(filter(standard, box), key=degrevlex)
+
+
+def test_staircase_walk_matches_box_enumeration():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def lead_sets(draw):
+        # small exponents in up to four variables; a pure power of each
+        # variable is often added so that most cases are finite, and the
+        # unit monomial sometimes, for the unit ideal
+        n = draw(st.integers(1, 4))
+        mono = st.tuples(*[st.integers(0, 3)] * n)
+        leads = draw(st.lists(mono, max_size=6))
+        for v in range(n):
+            if draw(st.integers(0, 4)):
+                leads.append(tuple(draw(st.integers(1, 4)) * (i == v) for i in range(n)))
+        return n, draw(st.permutations(leads))
+
+    @hypothesis.settings(max_examples=300)
+    @hypothesis.given(lead_sets())
+    def check(case):
+        n, leads = case
+        words = grobner.Words(n)
+        packed = [words.pack(lm) for lm in leads]
+        got = grobner._staircase_from_leads(words, packed)
+        assert got == reference_staircase(words, packed)
+        expected = box_staircase(n, leads)
+        if expected is None:
+            assert got is None
+        else:
+            assert got == [words.pack(m) for m in expected]
+
+    check()
+    words = grobner.Words(2)
+    assert grobner._staircase_from_leads(words, [words.pack((0, 2))]) is None
+    assert grobner._staircase_from_leads(words, [words.pack((0, 0)), words.pack((1, 1))]) == []
 
 
 def test_quotient_surface_keeps_exponent_tuples():
