@@ -5,9 +5,9 @@ matrices, basis_mult[j] being multiplication by the j-th basis element.
 Every other product (of elements, by an element, powers, polynomials) is
 computed from these; `mult` and `mult_matrix` accumulate with native `+` and
 `*` and reduce once with `% p` over F_p.  A QuotientAlgebra is a
-presentation that yields one, column k of basis_mult[j] being the normal form
-of the product of staircase monomials j and k.  The minimal polynomial of an
-element u is the first linear dependence among 1, u, u^2, ...
+presentation that yields one, column k of basis_mult[j] being the product of
+staircase monomials j and k, built by grobner's staircase walk.  The minimal
+polynomial of an element u is the first linear dependence among 1, u, u^2, ...
 
 Covers the nilradical in characteristic p (iterated Frobenius kernel),
 decomposition into local factors, idempotents for generalized eigenspace

@@ -4,19 +4,19 @@ A QuotientAlgebra is a presentation: generators, Groebner basis and
 staircase.  The staircase, the standard monomials, is an order ideal walked
 as a tree: the parent of a monomial is it divided by its lowest variable, so
 each monomial is reached once, and a child m*x_v is tested only against the
-leads whose v-exponent is that of m plus one.  The finite-dimensional algebra it presents is a FiniteAlgebra on
-per-basis multiplication matrices, built when first needed from the normal
-forms of the staircase products under the quotient's budget, one per
-unordered pair since the quotient is commutative; products of elements are
-delegated to it.
+leads whose v-exponent is that of m plus one.
 
-A ring map between quotients that sends each encoded variable to a product
-of encoded variables (the morphisms of `algebra_morphism`, and squaring in
-characteristic 2) is built by walking the domain's staircase, as in FGLM
-(Faugere, Gianni, Lazard and Mora, JSC 1993): each staircase monomial but 1
-is an earlier one times one variable, so its image is the earlier image
-times the variable's image, and every normal form is of one monomial
-"staircase monomial times one variable" of the codomain, reduced once.
+A quotient multiplies in one way, by the staircase walk of FGLM (Faugere,
+Gianni, Lazard and Mora, JSC 1993): each staircase monomial but 1 is its
+parent times one variable, so a linear map commuting with multiplication is
+fixed by the images of 1 and of the variables.  The walk multiplies by one
+encoded variable u through the border columns "staircase monomial times u",
+each a staircase monomial or one normal form under the quotient's budget,
+kept in one table per quotient.  Ring maps (`algebra_morphism`, squaring in
+characteristic 2) send 1 to 1; the multiplication matrix of a staircase
+monomial b is the walk sending 1 to b and each variable to itself.  The
+FiniteAlgebra on those matrices is built when first needed and takes
+products of elements.
 
 Polynomials live in ordinary (nonnegative-exponent) rings as dicts from
 exponent tuples to coefficients.  Laurent ideals are handled through the
@@ -50,10 +50,10 @@ monomial has total degree below DEGREE_CAP = 2^(W-1), so no field overflows;
 `Words.pack` and `Words.lcm` raise rather than wrap.  Under a degree-
 compatible order every term of a reduction has degree at most that of the
 leading term it starts from, so those two checks cover every word.
-`normal_form_poly` is the one reduction kernel; Buchberger, `reduce_poly` and
-`nf_coords` all reduce through it on packed polynomials, and everything public
-(`buchberger`'s input and output, `gb`, `leads`, `staircase`) stays in
-exponent tuples.
+`normal_form_poly` is the one reduction kernel; Buchberger, `reduce_poly`,
+`nf_coords` and the border columns all reduce through it on packed
+polynomials, and everything public (`buchberger`'s input and output, `gb`,
+`leads`, `staircase`) stays in exponent tuples.
 """
 
 from __future__ import annotations
@@ -344,12 +344,14 @@ class QuotientAlgebra:
     _divisors: Divisors = dc_field(kw_only=True, repr=False)
     _stair: list = dc_field(kw_only=True, repr=False)
     _index: dict = dc_field(init=False, repr=False)
-    _products: dict = dc_field(init=False, repr=False, default_factory=dict)
+    _border: list = dc_field(init=False, repr=False)
     _algebra: FiniteAlgebra | None = dc_field(default=None, repr=False)
 
     def __post_init__(self):
         self._index = {k: i for i, k in enumerate(self._stair)}
         self.unit_index = self._index.get(0)
+        # per variable u: its lead word and the border columns s -> column
+        self._border = [(x, {}) for x in self._words.variables()]
 
     @property
     def dim(self):
@@ -378,13 +380,9 @@ class QuotientAlgebra:
         """Coordinates of the normal form over the staircase basis."""
         self._require_finite()
         poly = self.encode_laurent(p) if isinstance(p, LaurentPoly) else p
-        return self._coords(self._words.pack_poly(poly))
-
-    def _coords(self, packed):
-        """Staircase coordinates of the normal form of a packed polynomial."""
         coords = [self.field.zero] * self.dim
-        for k, c in normal_form_poly(
-                self.field, packed, self._divisors, self.budget).items():
+        for k, c in normal_form_poly(self.field, self._words.pack_poly(poly),
+                                     self._divisors, self.budget).items():
             coords[self._index[k]] = c
         return coords
 
@@ -411,19 +409,37 @@ class QuotientAlgebra:
         return [self.monomial_label(m) for m in self.staircase]
 
     def basis_mult_matrix(self, j):
-        """Multiplication matrix of the j-th staircase basis monomial: column k
-        is the normal form of staircase[j] * staircase[k].  The quotient is
-        commutative, so when matrix k was built before, column k is its column
-        j, reduced once for both; built columns are kept until every matrix
-        is built."""
+        """Multiplication matrix of the j-th staircase monomial b_j: the
+        staircase walk on the quotient itself sending 1 to b_j and each
+        variable to itself, so column k, b_j * staircase[k], is b_j times the
+        parent of staircase[k] times one variable."""
         self._require_finite()
-        mono, one, done = self._stair[j], self.field.one, self._products
-        cols = [done[k][j] if k in done else self._coords({mono + m: one})
-                for k, m in enumerate(self._stair)]
-        done[j] = cols
-        if len(done) == len(self._stair):
-            done.clear()
-        return linalg.transpose(cols)
+        return _map_staircase(self, self, [[v] for v in range(len(self.names))],
+                              {j: 1})
+
+    def _times(self, vec, u):
+        """vec * x_u on sparse staircase coordinates, reduced mod p over F_p
+        and canonical over Q; the native ints 0 and 1 are zero and one of
+        both.  Column s, the border column staircase[s] * x_u, is taken when
+        first needed and kept."""
+        F, (x_u, cols), acc = self.field, self._border[u], {}
+        for s, c in vec.items():
+            col = cols.get(s)
+            if col is None:
+                word = self._stair[s] + x_u
+                index = self._index
+                if word in index:
+                    col = {index[word]: 1}
+                else:
+                    col = {index[k]: d for k, d in normal_form_poly(
+                        F, {word: 1}, self._divisors, self.budget).items()}
+                cols[s] = col
+            for t, d in col.items():
+                acc[t] = acc.get(t, 0) + c * d
+        p = F.char
+        if p:
+            return {t: x % p for t, x in acc.items() if x % p}
+        return {t: canonical(x) for t, x in acc.items() if x}
 
     def finite_algebra(self):
         """The presented FiniteAlgebra, built on first use and then kept."""
@@ -586,53 +602,27 @@ def laurent_quotient(gens, budget=None) -> QuotientAlgebra:
 # --- algebra morphisms ---------------------------------------------------------
 
 
-def _map_staircase(domain: QuotientAlgebra, codomain: QuotientAlgebra, steps):
-    """Matrix of the ring map sending the domain's encoded variable v to the
-    product of the codomain's encoded variables listed in steps[v]: column k
-    holds the coordinates of the image of the domain's k-th staircase
-    monomial.
-
-    The map is built by walking the domain's staircase in ascending order.
-    The staircase is an order ideal, so each of its monomials but 1 is an
-    earlier one, its parent, times one variable v, and its image is the
-    parent's image multiplied by the variables in steps[v], one at a time, as
-    sparse vectors.  Multiplying by the codomain variable u reads the columns
-    "staircase[s] * u", each the normal form of one monomial, reduced once,
-    when first needed, under the codomain's budget.  Entries are reduced mod
-    p over F_p and canonical over Q.
+def _map_staircase(domain: QuotientAlgebra, codomain: QuotientAlgebra, steps,
+                   unit_image=None):
+    """Matrix of the linear map sending 1 to the sparse codomain vector
+    `unit_image` (by default the codomain's unit: the ring map) and commuting
+    with the domain's encoded variable v acting as the product of the
+    codomain's encoded variables in steps[v].  Column k holds the image of the
+    domain's k-th staircase monomial: the domain's staircase is walked in
+    ascending order, and each monomial but 1 is an earlier one, its parent,
+    times one variable v, so its image is the parent's times the variables in
+    steps[v], one at a time, by the codomain's `_times`.
     """
-    F, p = codomain.field, codomain.field.char
-    zero, one = F.zero, F.one
-    cwords, dwords = codomain._words, domain._words
-    cstair, cindex = codomain._stair, codomain._index
-    cvars, dvars = cwords.variables(), dwords.variables()
-    columns = {}
-
-    def column(u, s):
-        col = columns.get((u, s))
-        if col is None:
-            word = cstair[s] + cvars[u]
-            if word in cindex:
-                col = {cindex[word]: one}
-            else:
-                col = {cindex[k]: c for k, c in normal_form_poly(
-                    F, {word: one}, codomain._divisors, codomain.budget).items()}
-            columns[(u, s)] = col
-        return col
-
-    def times(vec, u):
-        acc = {}
-        for s, c in vec.items():
-            for t, d in column(u, s).items():
-                acc[t] = acc.get(t, zero) + c * d
-        if p:
-            return {t: x % p for t, x in acc.items() if x % p}
-        return {t: canonical(x) for t, x in acc.items() if x}
-
+    F = codomain.field
+    if unit_image is None:
+        unit_image = ({} if codomain.unit_index is None
+                      else {codomain.unit_index: F.one})
+    dwords, times = domain._words, codomain._times
+    dvars = dwords.variables()
     images = {}
     for m in domain._stair:
         if m == 0:
-            image = {} if codomain.unit_index is None else {codomain.unit_index: one}
+            image = unit_image
         else:
             # the lowest exponent field that is set names v
             exps = dwords.exps(m)
@@ -641,7 +631,8 @@ def _map_staircase(domain: QuotientAlgebra, codomain: QuotientAlgebra, steps):
             for u in steps[v]:
                 image = times(image, u)
         images[m] = image
-    matrix = [[zero] * len(domain._stair) for _ in cstair]
+    row = [F.zero] * len(domain._stair)
+    matrix = [row[:] for _ in codomain._stair]
     for k, image in enumerate(images.values()):
         for t, c in image.items():
             matrix[t][k] = c

@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import linalg
-from .errors import NotMonotoneError, UsageError, ValidationError
+from .errors import DomainError, NotMonotoneError, UsageError, ValidationError
 from .grobner import polynomial_quotient
 from .laurent import LaurentPoly, LaurentRing
 from .scalar import QQ, Field, PrimeField, json_int
@@ -291,7 +291,9 @@ def h2_lattice(P: DelzantPolytope) -> H2Lattice:
         canon.append([-x for x in v] if lead < 0 else list(v))
     canon.sort(reverse=True)
     lat = H2Lattice(basis=canon)
-    assert lat.rank == N - n
+    if lat.rank != N - n:
+        raise DomainError(f"the {N} facet normals span rank {N - lat.rank}, not "
+                          f"n = {n}: the sphere-class lattice has rank {lat.rank}")
     return lat
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import dp6
 from floergen import toric
-from floergen.errors import NotMonotoneError, UsageError, ValidationError
+from floergen.errors import DomainError, NotMonotoneError, UsageError, ValidationError
 from floergen.scalar import QQ, PrimeField
 from floergen.toric import (
     DelzantPolytope,
@@ -149,6 +149,12 @@ def test_h2_lattice_pairs_to_zero_with_normals():
         for p in lat.basis:
             for i in range(P.n):
                 assert sum(p[j] * P.normals[j][i] for j in range(P.num_facets)) == 0
+
+
+def test_h2_lattice_rejects_normals_that_do_not_span():
+    P = DelzantPolytope(n=2, normals=[[1, 0], [2, 0], [-1, 0]], lambdas=[1, 1, 1])
+    with pytest.raises(DomainError, match="span rank 1, not n = 2.*has rank 2"):
+        h2_lattice(P)
 
 
 def test_minimal_chern():
