@@ -69,7 +69,7 @@ import json
 from dataclasses import dataclass, field as dc_field
 
 from . import linalg
-from .algebra import FiniteAlgebra
+from .algebra import FiniteAlgebra, sparse
 from .errors import DomainError, UsageError
 from .scalar import Field, canonical, field_name, json_int, parse_field
 
@@ -381,7 +381,7 @@ def cohomology(A: AInftyStructure) -> GradedAlgebra:
         field=F,
         dim=n,
         labels=[f"c{i}" for i in range(n)],
-        basis_mult=[linalg.transpose(row) for row in products],
+        basis_mult=[[sparse(c) for c in row] for row in products],
         unit=None if unit is None else [F.one if k == unit else F.zero for k in range(n)],
     )
     if not induced.is_associative():

@@ -1,12 +1,12 @@
 """Structure theory of finite-dimensional commutative algebras.
 
-A FiniteAlgebra has one product representation: per-basis multiplication
-matrices, basis_mult[j] being multiplication by the j-th basis element.
-Every other product (of elements, by an element, powers, polynomials) is
-computed from these; `mult` and `mult_matrix` accumulate with native `+` and
-`*` and reduce once with `% p` over F_p.  A QuotientAlgebra is a
-presentation that yields one, column k of basis_mult[j] being the product of
-staircase monomials j and k, built by grobner's staircase walk.  The minimal
+A FiniteAlgebra has one product representation: its structure constants as
+sparse columns, basis_mult[j][k] being the product of basis elements j and k
+as a dict {row: nonzero coefficient}.  Every other product (of elements, by
+an element, powers, polynomials) is computed from these; `mult` and
+`mult_matrix` accumulate with native `+` and `*` and reduce once with `% p`
+over F_p.  A QuotientAlgebra is a presentation that yields one from the
+columns of grobner's staircase walk.  The minimal
 polynomial of an element u is the first linear dependence among 1, u, u^2, ...
 
 Covers the nilradical in characteristic p (iterated Frobenius kernel),
@@ -46,12 +46,13 @@ from .scalar import DEFAULT_SEED, PrimeField, UniPoly, univariate_factor
 
 @dataclass
 class FiniteAlgebra:
-    """Algebra given by per-basis multiplication matrices.
+    """Algebra given by its structure constants as sparse columns.
 
-    basis_mult[j] is the matrix of v -> basis_j * v, so its column k is the
-    coordinate vector of basis_j * basis_k.  Designated generators
-    (coordinate vectors plus display names) drive the local decomposition
-    and point recovery.
+    basis_mult[j][k] is basis_j * basis_k as a dict from coordinate index to
+    nonzero coefficient, so basis_mult[j] lists the columns of v ->
+    basis_j * v.  No column stores a zero, so equal products are equal
+    dicts.  Designated generators (coordinate vectors plus display names)
+    drive the local decomposition and point recovery.
     """
 
     field: object
@@ -64,7 +65,7 @@ class FiniteAlgebra:
 
     @classmethod
     def from_quotient(cls, qa):
-        """The quotient's algebra on its basis multiplication matrices; for a
+        """The quotient's algebra on the staircase walk's columns; for a
         Laurent quotient the generators are the original variables."""
         qa._require_finite()
         ring = qa.source_ring
@@ -80,29 +81,31 @@ class FiniteAlgebra:
         )
 
     def mult(self, u, v):
-        """u * v = sum_j u_j (basis_mult[j] v)."""
+        """u * v = sum_{j,k} u_j v_k basis_mult[j][k]."""
+        if len(u) != self.dim or len(v) != self.dim:
+            raise UsageError(f"vector length does not match algebra dim {self.dim}")
         zero, p = self.field.zero, self.field.char
         out = [zero] * self.dim
         nonzero_v = [(k, b) for k, b in enumerate(v) if b]
-        for a, m in zip(u, self.basis_mult):
+        for a, cols in zip(u, self.basis_mult):
             if a:
                 for k, b in nonzero_v:
                     c = a * b
-                    for r, row in enumerate(m):
-                        if row[k]:
-                            out[r] += c * row[k]
+                    for r, x in cols[k].items():
+                        out[r] += c * x
         return [x % p for x in out] if p else out
 
     def mult_matrix(self, u):
-        """Matrix of v -> u * v: sum_j u_j basis_mult[j]."""
+        """Matrix of v -> u * v, its column s being sum_j u_j basis_mult[j][s]."""
+        if len(u) != self.dim:
+            raise UsageError(f"vector length does not match algebra dim {self.dim}")
         zero, p = self.field.zero, self.field.char
         out = [[zero] * self.dim for _ in range(self.dim)]
-        for c, m in zip(u, self.basis_mult):
+        for c, cols in zip(u, self.basis_mult):
             if c:
-                for row, mrow in zip(out, m):
-                    for s, x in enumerate(mrow):
-                        if x:
-                            row[s] += c * x
+                for s, col in enumerate(cols):
+                    for r, x in col.items():
+                        out[r][s] += c * x
         return [[x % p for x in row] for row in out] if p else out
 
     def power(self, u, e: int):
@@ -120,27 +123,26 @@ class FiniteAlgebra:
         return _horner(self.field, poly.coeffs, self.mult_matrix(u), self.unit)
 
     def is_commutative(self):
-        return all(
-            mi[r][j] == self.basis_mult[j][r][i]
-            for i, mi in enumerate(self.basis_mult)
-            for j in range(i)
-            for r in range(self.dim)
-        )
+        m = self.basis_mult
+        return all(m[i][j] == m[j][i] for i in range(self.dim) for j in range(i))
 
     def is_associative(self):
-        """(b_i b_j) b_k == b_i (b_j b_k) for all basis elements, that is,
-        multiplication by b_i b_j is basis_mult[i] basis_mult[j]."""
-        F = self.field
-        for mi in self.basis_mult:
-            for j, mj in enumerate(self.basis_mult):
-                if self.mult_matrix([row[j] for row in mi]) != linalg.mat_mul(F, mi, mj):
-                    return False
-        return True
+        """(b_i b_j) b_k == b_i (b_j b_k) for all basis elements."""
+        n = self.dim
+        basis = linalg.identity(self.field, n)
+        products = [[self.mult(b, c) for c in basis] for b in basis]
+        return all(self.mult(products[i][j], basis[k]) == self.mult(basis[i], products[j][k])
+                   for i in range(n) for j in range(n) for k in range(n))
 
     def element_min_poly(self, u) -> UniPoly:
         """The first linear dependence among 1, u, u^2, ...: p(u) = p(L_u) 1,
         so it is the minimal polynomial of the matrix L_u of v -> u * v."""
         return _krylov_min_poly(self.field, self.mult_matrix(u), self.unit)
+
+
+def sparse(v):
+    """The nonzero entries of the vector v as a sparse column {index: entry}."""
+    return {i: x for i, x in enumerate(v) if x}
 
 
 def _krylov_min_poly(F, m, v):
@@ -217,21 +219,17 @@ def restrict_to_block(A: FiniteAlgebra, idempotent):
     """
     F = A.field
     basis = linalg.image_basis(F, A.mult_matrix(idempotent))
-    bmat = linalg.transpose(basis)
     rows = linalg.rref(F, basis)[1]
-    left = linalg.invert(F, [bmat[r] for r in rows])
+    left = linalg.invert(F, [[b[r] for b in basis] for r in rows])
 
     def coords(v):
         return linalg.mat_vec(F, left, [v[r] for r in rows])
-
-    def restricted(m):
-        return linalg.mat_mul(F, left, linalg.mat_mul(F, [m[r] for r in rows], bmat))
 
     block = FiniteAlgebra(
         field=F,
         dim=len(basis),
         labels=[f"b{i}" for i in range(len(basis))],
-        basis_mult=[restricted(A.mult_matrix(b)) for b in basis],
+        basis_mult=[[sparse(coords(A.mult(b, c))) for c in basis] for b in basis],
         unit=coords(idempotent),
         generators=[coords(A.mult(idempotent, g)) for g in A.generators],
         generator_names=list(A.generator_names),

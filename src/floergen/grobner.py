@@ -12,11 +12,11 @@ parent times one variable, so a linear map commuting with multiplication is
 fixed by the images of 1 and of the variables.  The walk multiplies by one
 encoded variable u through the border columns "staircase monomial times u",
 each a staircase monomial or one normal form under the quotient's budget,
-kept in one table per quotient.  Ring maps (`algebra_morphism`, squaring in
-characteristic 2) send 1 to 1; the multiplication matrix of a staircase
-monomial b is the walk sending 1 to b and each variable to itself.  The
-FiniteAlgebra on those matrices is built when first needed and takes
-products of elements.
+kept in one table per quotient.  It returns sparse columns, one dict {row:
+nonzero coefficient} per domain staircase monomial.  Ring maps
+(`algebra_morphism`, squaring in characteristic 2) send 1 to 1; the columns
+of the walk sending 1 to a staircase monomial b and each variable to itself
+are b's structure constants in the FiniteAlgebra built when first needed.
 
 Polynomials live in ordinary (nonnegative-exponent) rings as dicts from
 exponent tuples to coefficients.  Laurent ideals are handled through the
@@ -409,10 +409,10 @@ class QuotientAlgebra:
         return [self.monomial_label(m) for m in self.staircase]
 
     def basis_mult_matrix(self, j):
-        """Multiplication matrix of the j-th staircase monomial b_j: the
-        staircase walk on the quotient itself sending 1 to b_j and each
-        variable to itself, so column k, b_j * staircase[k], is b_j times the
-        parent of staircase[k] times one variable."""
+        """Sparse columns of multiplication by the j-th staircase monomial
+        b_j: the staircase walk on the quotient itself sending 1 to b_j and
+        each variable to itself, so column k, b_j * staircase[k], is b_j
+        times the parent of staircase[k] times one variable."""
         self._require_finite()
         return _map_staircase(self, self, [[v] for v in range(len(self.names))],
                               {j: 1})
@@ -604,13 +604,14 @@ def laurent_quotient(gens, budget=None) -> QuotientAlgebra:
 
 def _map_staircase(domain: QuotientAlgebra, codomain: QuotientAlgebra, steps,
                    unit_image=None):
-    """Matrix of the linear map sending 1 to the sparse codomain vector
-    `unit_image` (by default the codomain's unit: the ring map) and commuting
-    with the domain's encoded variable v acting as the product of the
-    codomain's encoded variables in steps[v].  Column k holds the image of the
-    domain's k-th staircase monomial: the domain's staircase is walked in
-    ascending order, and each monomial but 1 is an earlier one, its parent,
-    times one variable v, so its image is the parent's times the variables in
+    """Sparse columns of the linear map sending 1 to the sparse codomain
+    vector `unit_image` (by default the codomain's unit: the ring map) and
+    commuting with the domain's encoded variable v acting as the product of
+    the codomain's encoded variables in steps[v].  Column k, a dict {row:
+    nonzero coefficient} that callers must not change (columns may be
+    shared), is the image of the domain's k-th staircase monomial, walked in
+    ascending order: each but 1 is an earlier one, its parent, times one
+    variable v, so its image is the parent's times the variables in
     steps[v], one at a time, by the codomain's `_times`.
     """
     F = codomain.field
@@ -631,12 +632,7 @@ def _map_staircase(domain: QuotientAlgebra, codomain: QuotientAlgebra, steps,
             for u in steps[v]:
                 image = times(image, u)
         images[m] = image
-    row = [F.zero] * len(domain._stair)
-    matrix = [row[:] for _ in codomain._stair]
-    for k, image in enumerate(images.values()):
-        for t, c in image.items():
-            matrix[t][k] = c
-    return matrix
+    return list(images.values())
 
 
 @dataclass
@@ -704,9 +700,10 @@ def algebra_morphism(domain: QuotientAlgebra, codomain: QuotientAlgebra, images)
         return [u for u, k in enumerate(e) for _ in range(k)]
 
     # the encoded w_i stands for z_i^-1
-    matrix = _map_staircase(domain, codomain, (
+    cols = _map_staircase(domain, codomain, (
         [encoded_factors(tuple(-x for x in a)) for a in exps]
         + [encoded_factors(a) for a in exps]))
+    matrix = [[col.get(t, F.zero) for col in cols] for t in range(codomain.dim)]
     rk = linalg.rank(F, matrix)
     return Morphism(
         True, None, matrix,

@@ -4,11 +4,11 @@ toric manifold.
 Builds the divisor presentation over F_2 with squared sphere-class weights
 (QH_R) and with plain weights (QH), the reduction map pi (Z_j -> Z_j, well
 defined because Z^{2A} - 1 = (Z^A - 1)^2 in characteristic 2), and the
-squaring map f_R on QH_R, both by the staircase walk in `grobner`, then
-decides ker f_R <= ker pi in one F_2 echelon: f_R's rows first, then pi's,
-none of which may add a pivot, with no kernel vector built.  Containment plus
-minimal Chern number at least 2 yields the positive verdict for the real
-locus.
+squaring map f_R on QH_R, both by the staircase walk in `grobner`, f_R's
+sparse columns packed straight into F_2 bit rows.  It decides ker f_R <=
+ker pi in one F_2 echelon: f_R's rows first, then pi's, none of which may
+add a pivot, with no kernel vector built.  Containment plus minimal Chern
+number at least 2 yields the positive verdict for the real locus.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ class RealGenData:
     qh_r: QuotientAlgebra
     qh: QuotientAlgebra
     pi: Morphism
-    frobenius: list  # matrix of squaring on QH_R's staircase basis
+    frobenius: list  # squaring on QH_R's staircase basis as F_2 bit rows
     pi_kernel_dim: int
     frobenius_kernel_dim: int
     contained: bool
@@ -55,22 +55,26 @@ def reduction_pi(qh_r: QuotientAlgebra, qh: QuotientAlgebra) -> Morphism:
 
 
 def frobenius_matrix(qa: QuotientAlgebra):
-    """Squaring on the staircase basis; F_2-linear in characteristic 2.  It
-    is the ring map x_v -> x_v * x_v on the encoded variables, so it is built
-    by the staircase walk of `algebra_morphism`."""
+    """Squaring, F_2-linear in characteristic 2, as bit rows: bit k of row t
+    is coordinate t of the square of staircase monomial k.  It is the ring
+    map x_v -> x_v * x_v, so its columns come from the staircase walk."""
     if qa.field.char != 2:
         raise UsageError("the squaring map is linear only in characteristic 2")
-    return _map_staircase(qa, qa, [[v, v] for v in range(len(qa.names))])
+    rows = [0] * qa.dim
+    for k, col in enumerate(_map_staircase(qa, qa, [[v, v] for v in range(len(qa.names))])):
+        for t in col:
+            rows[t] |= 1 << k
+    return rows
 
 
-def kernel_containment_check(data_pi: Morphism, frob_matrix):
-    """(dim ker f_R, dim ker pi, ker f_R <= ker pi).  A kernel is the
-    annihilator of the row space, so the containment holds exactly when pi's
-    rows lie in the row space of f_R: f_R's rows go into one F_2 echelon,
-    then pi's, and none of pi's may add a pivot."""
+def kernel_containment_check(data_pi: Morphism, frob_rows):
+    """(dim ker f_R, dim ker pi, ker f_R <= ker pi) for f_R's bit rows.  A
+    kernel is the annihilator of the row space, so the containment holds
+    exactly when pi's rows lie in the row space of f_R: f_R's rows go into
+    one F_2 echelon, then pi's, and none of pi's may add a pivot."""
     echelon = {}
-    for row in frob_matrix:
-        linalg.f2_insert(echelon, linalg.f2_bits(row))
+    for bits in frob_rows:
+        linalg.f2_insert(echelon, bits)
     rank_f = len(echelon)
     contained = not any(linalg.f2_insert(echelon, linalg.f2_bits(row))
                         for row in data_pi.matrix)

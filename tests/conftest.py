@@ -42,6 +42,18 @@ def lpoly(ring: LaurentRing, terms: dict):
     return ring.from_terms((e, F.from_int(c)) for e, c in terms.items())
 
 
+def dense_columns(columns, rows, zero=0):
+    """The dense matrix with `rows` rows whose column k is the sparse column
+    columns[k], a dict {row: entry}."""
+    return [[col.get(r, zero) for col in columns] for r in range(rows)]
+
+
+def dense_bit_rows(rows, cols):
+    """The dense F_2 matrix with `cols` columns whose row t has bit k of
+    rows[t] as its entry k."""
+    return [[row >> k & 1 for k in range(cols)] for row in rows]
+
+
 def F(p=None):
     return QQ if p is None else PrimeField(p)
 

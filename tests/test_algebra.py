@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import random
@@ -5,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import ladder, lpoly
+from conftest import dense_columns, ladder, lpoly
 from floergen import algebra, linalg
 from floergen.algebra import (
     FiniteAlgebra,
@@ -307,8 +308,119 @@ def test_products_reduce_mod_p():
 def test_is_associative_detects_a_corrupted_product():
     A, _ = univariate_algebra(PrimeField(5), [2, 0, 0, 1])  # z^3 + 2
     assert A.is_associative()
-    A.basis_mult[1][2][1] = (A.basis_mult[1][2][1] + 1) % 5  # perturb z * z
+    z_z = A.basis_mult[1][1]
+    A.basis_mult[1][1] = {**z_z, 2: (z_z.get(2, 0) + 1) % 5}  # perturb z * z
     assert not A.is_associative()
+
+
+def dense_mult(F, mats, u, v):
+    """u * v on dense per-basis multiplication matrices, mats[j] being the
+    matrix of v -> b_j * v: the product before the structure constants
+    became sparse columns."""
+    p = F.char
+    out = [F.zero] * len(mats)
+    nonzero_v = [(k, b) for k, b in enumerate(v) if b]
+    for a, m in zip(u, mats):
+        if a:
+            for k, b in nonzero_v:
+                c = a * b
+                for r, row in enumerate(m):
+                    if row[k]:
+                        out[r] += c * row[k]
+    return [x % p for x in out] if p else out
+
+
+def dense_mult_matrix(F, mats, u):
+    """Matrix of v -> u * v, sum_j u_j mats[j], on dense matrices."""
+    p, n = F.char, len(mats)
+    out = [[F.zero] * n for _ in range(n)]
+    for c, m in zip(u, mats):
+        if c:
+            for row, mrow in zip(out, m):
+                for s, x in enumerate(mrow):
+                    if x:
+                        row[s] += c * x
+    return [[x % p for x in row] for row in out] if p else out
+
+
+def dense_is_commutative(mats):
+    return all(mi[r][j] == mats[j][r][i] for i, mi in enumerate(mats)
+               for j in range(i) for r in range(len(mats)))
+
+
+def dense_is_associative(F, mats):
+    """Multiplication by b_i b_j is mats[i] mats[j] for every i and j."""
+    return all(dense_mult_matrix(F, mats, [row[j] for row in mi]) == linalg.mat_mul(F, mi, mj)
+               for mi in mats for j, mj in enumerate(mats))
+
+
+def assert_sparse_constants_match_dense_reference(A, rng):
+    """mult, mult_matrix, is_commutative and is_associative on A's sparse
+    columns agree with the dense reference, and so they do on a copy whose
+    column 1 * b_k carries an extra 1: that breaks commutativity, and
+    associativity too, as (1 * 1) * b_k = b_k + 1 but 1 * (1 * b_k) =
+    b_k + 2."""
+    F, n = A.field, A.dim
+    # no column stores a zero, so equal products are equal dicts
+    assert all(x for cols in A.basis_mult for col in cols for x in col.values())
+    mats = [dense_columns(cols, n, F.zero) for cols in A.basis_mult]
+    for _ in range(4):
+        u, v = ([F.from_int(rng.randint(-3, 3)) for _ in range(n)] for _ in range(2))
+        assert A.mult(u, v) == dense_mult(F, mats, u, v)
+        assert A.mult_matrix(u) == dense_mult_matrix(F, mats, u)
+    assert A.is_commutative() and dense_is_commutative(mats)
+    assert A.is_associative() and dense_is_associative(F, mats)
+    if n < 2:
+        return
+    one = A.unit.index(F.one)
+    assert A.unit == [F.one if i == one else F.zero for i in range(n)]
+    k = (one + 1) % n
+    bad = dataclasses.replace(A, basis_mult=[list(cols) for cols in A.basis_mult])
+    bad.basis_mult[one][k] = {**A.basis_mult[one][k], one: F.one}
+    bad_mats = [dense_columns(cols, n, F.zero) for cols in bad.basis_mult]
+    assert not bad.is_commutative() and not dense_is_commutative(bad_mats)
+    assert not bad.is_associative() and not dense_is_associative(F, bad_mats)
+
+
+@pytest.mark.parametrize("p", [None, 7], ids=["Q", "F7"])
+@pytest.mark.parametrize("name", list(ladder()))
+def test_sparse_structure_constants_match_dense_reference_on_the_ladder(name, p):
+    assert_sparse_constants_match_dense_reference(ladder_algebra(name, p), random.Random(name))
+
+
+def test_sparse_structure_constants_match_dense_reference_on_univariate_algebras():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def algebras(draw):
+        field = draw(st.sampled_from([QQ, PrimeField(2), PrimeField(3), PrimeField(7)]))
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=6)) + [1]
+        hypothesis.assume(field.from_int(coeffs[0]))
+        return field, coeffs
+
+    @hypothesis.settings(max_examples=60, derandomize=True)
+    @hypothesis.given(algebras(), st.integers(0, 2 ** 32))
+    def check(case, seed):
+        A, _ = univariate_algebra(*case)
+        assert A.dim == len(case[1]) - 1
+        assert_sparse_constants_match_dense_reference(A, random.Random(seed))
+
+    check()
+
+
+def test_products_refuse_vectors_of_the_wrong_length():
+    F7 = PrimeField(7)
+    A = FiniteAlgebra.from_quotient(jacobian_ring(superpotential(corpus()["CP2"], F7)))
+    assert A.dim == 3
+    assert A.mult([0, 1, 0], [0, 1, 0]) == [0, 0, 1]
+    for u, v in (([0, 1], [0, 1, 0]), ([0, 1, 0, 5], [0, 1, 0]),
+                 ([0, 1, 0], [0, 1]), ([0, 1, 0], [0, 1, 0, 5])):
+        with pytest.raises(UsageError, match="length"):
+            A.mult(u, v)
+    for u in ([0, 1], [0, 1, 0, 5], []):
+        with pytest.raises(UsageError, match="length"):
+            A.mult_matrix(u)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
@@ -408,7 +520,7 @@ def test_restrict_to_block_matches_solve_reference(name, monkeypatch):
         block, basis, coords = original(A, e)
         ref_basis, ref_mult, ref_unit, ref_generators, ref_coords = restrict_by_solving(A, e)
         assert basis == ref_basis
-        assert block.basis_mult == ref_mult
+        assert [dense_columns(cols, block.dim) for cols in block.basis_mult] == ref_mult
         assert block.unit == ref_unit and block.generators == ref_generators
         for j in range(A.dim):
             v = A.mult(e, [F7.one if k == j else F7.zero for k in range(A.dim)])
@@ -596,7 +708,9 @@ def univariate_quotient(field, mu):
     for _ in range(n - 1):
         powers.append(linalg.mat_mul(field, companion, powers[-1]))
     A = FiniteAlgebra(field=field, dim=n, labels=[f"t^{j}" for j in range(n)],
-                      basis_mult=powers, unit=[row[0] for row in powers[0]])
+                      basis_mult=[[algebra.sparse(col) for col in linalg.transpose(m)]
+                                  for m in powers],
+                      unit=[row[0] for row in powers[0]])
     return A, [row[0] for row in companion]
 
 

@@ -20,8 +20,9 @@ POLYTOPE_COMMANDS = ("validate", "cohomology", "superpotential", "jac", "qh",
 TEXT_COMMANDS = ("toric-gen", "real-gen")
 FIELDS = ("Q", "F2", "F7")
 # the largest real loci, kept out of demos/data so the matrix above stays small
-REAL_GEN_PINS = {"tests/data/dp6.json": (6, 96), "tests/data/dp6xcp1.json": (12, 384)}
-# toric-gen on the same two polytopes: over Q, dP6 x CP1 splits into six
+REAL_GEN_PINS = {"tests/data/dp6.json": (6, 96), "tests/data/dp6xcp1.json": (12, 384),
+                 "tests/data/cp1x6.json": (64, 4096)}
+# toric-gen on the same polytopes: over Q, dP6 x CP1 splits into six
 # summands with multiplicities 2 and 3
 TORIC_GEN_PIN_FIELDS = ("Q", "F7")
 # toric-gen over Q on CP2^3: charpoly(c1) is t^6 times a polynomial with
@@ -87,7 +88,8 @@ def test_cli_reports_match_recorded_digests(capsys, monkeypatch):
 
 def test_real_gen_pins_hold_the_real_locus_statements(capsys, monkeypatch):
     # ker(squaring) <= ker(reduction), and dim QH_R = 2^(N-n) dim QH for N
-    # facets in dimension n: 2^4 * 6 on dP6, 2^5 * 12 on dP6 x CP1
+    # facets in dimension n: 2^4 * 6 on dP6, 2^5 * 12 on dP6 x CP1, 2^6 * 64
+    # on CP1^6
     monkeypatch.chdir(ROOT)
     for path, (dim_qh, dim_qh_r) in REAL_GEN_PINS.items():
         polytope = json.loads((ROOT / path).read_text(encoding="utf-8"))

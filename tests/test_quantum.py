@@ -459,7 +459,8 @@ def test_ladder_jacobian_rings_over_q_are_ints(name):
     A = jac.finite_algebra()
     m = A.mult_matrix(jac.nf_coords(W))
     entries = [c for g in jac.gb for c in g.values()]
-    entries += [x for mat in A.basis_mult + [m] for row in mat for x in row]
+    entries += [x for cols in A.basis_mult for col in cols for x in col.values()]
+    entries += [x for row in m for x in row]
     entries += A.unit + linalg.charpoly(QQ, m).coeffs
     assert {type(x) for x in entries} == {int}
 

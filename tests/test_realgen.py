@@ -4,7 +4,7 @@ import types
 
 import pytest
 
-from conftest import dp6, ladder, lpoly, reparametrised
+from conftest import dense_bit_rows, dp6, ladder, lpoly, reparametrised
 from floergen import linalg, realgen
 from floergen.errors import AnomalyError, UsageError
 from floergen.quantum import qh_presentation
@@ -52,7 +52,7 @@ def test_reduction_pi_cp1xcp1():
 def test_frobenius_matrix_cp2():
     P = corpus()["CP2"]
     qh_r = qh_presentation(P, F2, "mod2_weights")
-    frob = frobenius_matrix(qh_r)
+    frob = dense_bit_rows(frobenius_matrix(qh_r), qh_r.dim)
     qa = qh_r
     # 1 -> 1
     unit = qa.unit_coords()
@@ -70,7 +70,7 @@ def test_frobenius_matrix_cp2():
 def test_frobenius_cp1_kernel_basis():
     qh_r = qh_presentation(corpus()["CP1"], F2, "mod2_weights")
     qa = qh_r
-    frob = frobenius_matrix(qh_r)
+    frob = dense_bit_rows(frobenius_matrix(qh_r), qh_r.dim)
     ker = linalg.kernel_basis(F2, frob)
     ring = qa.source_ring
     expected = [
@@ -93,7 +93,7 @@ def reference_frobenius(qa):
 def test_frobenius_walk_matches_squared_monomials(name):
     P = {"dP6": dp6, "CP2xCP1-sheared": reparametrised}.get(name, lambda: ladder()[name])()
     qh_r = qh_presentation(P, F2, "mod2_weights")
-    assert frobenius_matrix(qh_r) == reference_frobenius(qh_r)
+    assert dense_bit_rows(frobenius_matrix(qh_r), qh_r.dim) == reference_frobenius(qh_r)
 
 
 def test_frobenius_needs_characteristic_2():
@@ -106,7 +106,7 @@ def test_frobenius_is_squaring_linearly():
     rng = random.Random(31)
     qh_r = qh_presentation(corpus()["CP1xCP1"], F2, "mod2_weights")
     qa = qh_r
-    frob = frobenius_matrix(qh_r)
+    frob = dense_bit_rows(frobenius_matrix(qh_r), qh_r.dim)
     for _ in range(8):
         u = [rng.randrange(2) for _ in range(qa.dim)]
         v = [rng.randrange(2) for _ in range(qa.dim)]
@@ -122,7 +122,7 @@ def test_kernel_containment_and_equality():
     for name in ("CP1", "CP2", "CP3", "CP1xCP1"):
         data = real_gen_data(corpus()[name])
         assert data.contained
-        ker_f = linalg.kernel_basis(F2, data.frobenius)
+        ker_f = linalg.kernel_basis(F2, dense_bit_rows(data.frobenius, data.qh_r.dim))
         ker_pi = linalg.kernel_basis(F2, data.pi.matrix)
         assert (data.frobenius_kernel_dim, data.pi_kernel_dim) == (len(ker_f), len(ker_pi))
         # the sharper fact: both kernels coincide
@@ -134,15 +134,15 @@ def test_pi_row_outside_frobenius_rowspace_flips_containment(monkeypatch):
     P = corpus()["CP2"]
     data = real_gen_data(P)
     assert data.contained
-    frob, rows = data.frobenius, data.pi.matrix
+    frob, rows = dense_bit_rows(data.frobenius, data.qh_r.dim), data.pi.matrix
     rank_f = linalg.rank(F2, frob)
     escape = next(e for e in linalg.identity(F2, data.qh_r.dim)
                   if linalg.rank(F2, frob + [e]) > rank_f)
     matrix = [[F2.add(x, y) for x, y in zip(rows[0], escape)]] + rows[1:]
     bad = dataclasses.replace(
         data.pi, matrix=matrix, kernel_dim=data.qh_r.dim - linalg.rank(F2, matrix))
-    assert realgen.kernel_containment_check(data.pi, frob)[2]
-    assert not realgen.kernel_containment_check(bad, frob)[2]
+    assert realgen.kernel_containment_check(data.pi, data.frobenius)[2]
+    assert not realgen.kernel_containment_check(bad, data.frobenius)[2]
     monkeypatch.setattr(realgen, "reduction_pi", lambda qh_r, qh: bad)
     rep = real_generation_report(P)
     assert rep.anomaly and rep.extra["containment"] is False
