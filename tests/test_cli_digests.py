@@ -25,6 +25,19 @@ REAL_GEN_PINS = {"tests/data/dp6.json": (6, 96), "tests/data/dp6xcp1.json": (12,
 # toric-gen on the same polytopes: over Q, dP6 x CP1 splits into six
 # summands with multiplicities 2 and 3
 TORIC_GEN_PIN_FIELDS = ("Q", "F7")
+# the text reports of the minimal-Chern-1 branches on dP6: the inapplicable
+# real-locus summand, and the toric summands over Q and F7; JSON sorts its
+# keys, so only the text rendering pins their key order
+MIN_CHERN_1_TEXT_PINS = (
+    ["real-gen", "--polytope", "tests/data/dp6.json", "--field", "F2"],
+    ["toric-gen", "--polytope", "tests/data/dp6.json", "--field", "Q"],
+    ["toric-gen", "--polytope", "tests/data/dp6.json", "--field", "F7"],
+)
+# toric-gen over Q on CP1^7 (dim 128): c1 is semisimple there, so its
+# minimal polynomial has degree 8 while its characteristic polynomial has
+# degree 128 with root multiplicities up to 35
+SEMISIMPLE_Q_PIN = ["toric-gen", "--polytope", "tests/data/cp1x7.json", "--field", "Q",
+                    "--format", "json"]
 # toric-gen over Q on CP2^3: charpoly(c1) is t^6 times a polynomial with
 # constant term -3^33 (about 5.6e15), whose squarefree part has constant term
 # -3^15, so the rational root search is cheap only on the squarefree part
@@ -61,6 +74,8 @@ def invocations():
                for path in REAL_GEN_PINS)
     out.extend(["toric-gen", "--polytope", path, "--field", field, "--format", "json"]
                for path in REAL_GEN_PINS for field in TORIC_GEN_PIN_FIELDS)
+    out.extend(list(argv) for argv in MIN_CHERN_1_TEXT_PINS)
+    out.append(SEMISIMPLE_Q_PIN)
     out.append(ROOT_SEARCH_PIN)
     out.append(["smod2", "--field", "F3", "--rho", "1,2"])
     out.extend(["ainfty-check", "--ainfty", path, "--format", "json"]
