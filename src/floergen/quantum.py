@@ -1,7 +1,9 @@
 """Quantum cohomology presentations, Jacobian rings, the closed-open map,
 first-Chern-class spectra, critical local systems, and toric split-generation
-reports.  Over Q the report splits along one characteristic polynomial of
-c1, with one CRT call for all its rational-root and residual summands.
+reports.  Over Q the report splits along the minimal polynomial of c1, found
+by Krylov iteration from the unit, with one CRT call for all its
+rational-root and residual summands.  Every summand's verdict comes from one
+of the three `GenerationSummand` constructors.
 
 The divisor presentation uses one ambient variable Z_j per facet, the linear
 relations sum_j nu_j Z_j = 0, and one monomial relation Z^A - 1 per basis
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field as dc_field
 from . import linalg
 from .algebra import (
     FiniteAlgebra,
-    LocalFactor,
+    _krylov_min_poly,
     _split_along,
     local_decompose,
     strip_roots,
@@ -207,8 +209,18 @@ def _critical_points(W: LaurentPoly, jac: QuotientAlgebra, seed: int) -> Critica
     return CriticalPointReport(points=points, factors=factors, algebra=A)
 
 
+_SPLIT_STATEMENT = (
+    "monotone fibre with this local system split-generates the matching "
+    "summand: the closed-open map is an isomorphism and restricts to an "
+    "injection on the summand"
+)
+
+
 @dataclass
 class GenerationSummand:
+    """One summand of a generation report.  Build it with `split`,
+    `nonsplit` or `inapplicable`, which fix its verdict and kernel_dim."""
+
     dim: int
     residue_degree: int
     point: list | None
@@ -216,6 +228,23 @@ class GenerationSummand:
     kernel_dim: int
     verdict: str
     statement: str
+
+    @classmethod
+    def split(cls, dim, residue_degree, point=None, critical_value=None,
+              statement=_SPLIT_STATEMENT):
+        """CO^0 injective on the summand: split-generation, by Abouzaid's criterion."""
+        return cls(dim, residue_degree, point, critical_value, 0,
+                   "split-generates", statement)
+
+    @classmethod
+    def nonsplit(cls, dim, residue_degree, statement):
+        """No critical local system over the base field for the summand."""
+        return cls(dim, residue_degree, None, None, 0, "nonsplit", statement)
+
+    @classmethod
+    def inapplicable(cls, dim, kernel_dim, statement):
+        """The criterion does not apply; kernel_dim is the kernel it met."""
+        return cls(dim, 0, None, None, kernel_dim, "inapplicable", statement)
 
     def to_json(self, field):
         return {
@@ -256,82 +285,43 @@ class GenerationReport:
         return data
 
 
-_SPLIT_STATEMENT = (
-    "monotone fibre with this local system split-generates the matching "
-    "summand: the closed-open map is an isomorphism and restricts to an "
-    "injection on the summand"
-)
-
-
 def _fp_summands(W: LaurentPoly, jac: QuotientAlgebra, seed: int):
-    """Local decomposition route over a prime field."""
-    field = W.ring.field
-    out = []
-    cp = _critical_points(W, jac, seed)
-    for f in cp.factors:
-        if f.residue_degree == 1 and f.point is not None:
-            out.append(
-                GenerationSummand(
-                    dim=f.dim,
-                    residue_degree=f.residue_degree,
-                    point=f.point,
-                    critical_value=W.evaluate(f.point),
-                    kernel_dim=0,
-                    verdict="split-generates",
-                    statement=_SPLIT_STATEMENT,
-                )
-            )
-        else:
-            out.append(
-                GenerationSummand(
-                    dim=f.dim,
-                    residue_degree=f.residue_degree,
-                    point=None,
-                    critical_value=None,
-                    kernel_dim=0,
-                    verdict="nonsplit",
-                    statement=(
-                        f"critical local system defined over "
-                        f"F_{field.char ** f.residue_degree}, not split over "
-                        f"the base field F_{field.char}"
-                    ),
-                )
-            )
-    return out
+    """Local decomposition route over a prime field: a local factor with a
+    point splits, any other is defined over a larger residue field."""
+    p = W.ring.field.char
+    return [
+        GenerationSummand.split(f.dim, 1, f.point, W.evaluate(f.point))
+        if f.residue_degree == 1 and f.point is not None
+        else GenerationSummand.nonsplit(
+            f.dim, f.residue_degree,
+            f"critical local system defined over F_{p ** f.residue_degree}, "
+            f"not split over the base field F_{p}")
+        for f in _critical_points(W, jac, seed).factors
+    ]
 
 
 def _rational_summands(W: LaurentPoly, jac: QuotientAlgebra):
     """CRT route over Q: split along rational eigenvalues of quantum
-    multiplication by the first Chern class, chi = charpoly(c1) being
+    multiplication by the first Chern class, its minimal polynomial being
     prod (t - lam)^m * residual; one idempotent per root, and one for the
-    residual when it has positive degree.  Each summand is read from its
-    idempotent e: its dim is the rank of multiplication by e."""
+    residual when it has positive degree.  The idempotents are those of the
+    characteristic polynomial, whose roots are the same.  Each summand is
+    read from its idempotent e: its dim is the rank of multiplication by e."""
     F = jac.field
     A = jac.finite_algebra()
     m = A.mult_matrix(jac.nf_coords(W))
-    chi = linalg.charpoly(F, m)
-    factors, residual = strip_roots(chi, [lam for lam, _ in rational_roots(chi)])
+    mu = _krylov_min_poly(F, m, A.unit)
+    factors, residual = strip_roots(mu, [lam for lam, _ in rational_roots(mu)])
     if residual.degree > 0:
         factors.append((residual, 1))
     out = []
     for (f, _), e in zip(factors, _split_along(F, m, A.unit, factors)):
         dim = linalg.rank(F, A.mult_matrix(e))
         if f is residual:
-            out.append(
-                GenerationSummand(
-                    dim=dim,
-                    residue_degree=0,
-                    point=None,
-                    critical_value=None,
-                    kernel_dim=0,
-                    verdict="nonsplit",
-                    statement=(
-                        "complementary summand for the irrational part of the "
-                        "first-Chern-class spectrum; no rational critical local "
-                        "system"
-                    ),
-                )
-            )
+            out.append(GenerationSummand.nonsplit(
+                dim, 0,
+                "complementary summand for the irrational part of the "
+                "first-Chern-class spectrum; no rational critical local system"))
             continue
         # try to read off a critical point: each coordinate variable g must
         # act on the ideal e*A as a scalar c, that is g*e = c*e, with c read
@@ -349,17 +339,7 @@ def _rational_summands(W: LaurentPoly, jac: QuotientAlgebra):
             W.log_derivative(i).evaluate(point) != F.zero for i in range(W.ring.nvars)
         ):
             point = None
-        out.append(
-            GenerationSummand(
-                dim=dim,
-                residue_degree=1,
-                point=point,
-                critical_value=F.neg(f.coeffs[0]),
-                kernel_dim=0,
-                verdict="split-generates",
-                statement=_SPLIT_STATEMENT,
-            )
-        )
+        out.append(GenerationSummand.split(dim, 1, point, F.neg(f.coeffs[0])))
     return out
 
 

@@ -125,18 +125,10 @@ def real_generation_report(P: DelzantPolytope, budget: Budget | None = None) -> 
         },
     )
     if nx is None or nx < 2:
-        report.notes.append("criterion inapplicable (minimal Maslov < 2)")
-        report.summands.append(
-            GenerationSummand(
-                dim=data.qh.dim,
-                residue_degree=0,
-                point=None,
-                critical_value=None,
-                kernel_dim=data.frobenius_kernel_dim,
-                verdict="inapplicable",
-                statement="criterion inapplicable (minimal Maslov < 2)",
-            )
-        )
+        reason = "criterion inapplicable (minimal Maslov < 2)"
+        report.notes.append(reason)
+        report.summands.append(GenerationSummand.inapplicable(
+            data.qh.dim, data.frobenius_kernel_dim, reason))
         return report
     if not data.contained:
         report.anomaly = True
@@ -145,21 +137,11 @@ def real_generation_report(P: DelzantPolytope, budget: Budget | None = None) -> 
             "the characteristic-2 containment theorem for monotone toric input"
         )
         return report
-    report.summands.append(
-        GenerationSummand(
-            dim=data.qh.dim,
-            residue_degree=0,
-            point=None,
-            critical_value=None,
-            kernel_dim=0,
-            verdict="split-generates",
-            statement=(
-                "real locus split-generates the weight-0 Fukaya category over "
-                "characteristic 2: ker(squaring) is contained in ker(reduction), "
-                "so the completed closed-open map is injective"
-            ),
-        )
-    )
+    report.summands.append(GenerationSummand.split(
+        data.qh.dim, 0,
+        statement="real locus split-generates the weight-0 Fukaya category over "
+                  "characteristic 2: ker(squaring) is contained in ker(reduction), "
+                  "so the completed closed-open map is injective"))
     report.notes.append(
         f"dim QH_R = {data.qh_r.dim} = 2^(N-n) * dim QH = "
         f"2^{P.num_facets - P.n} * {data.qh.dim}"

@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -20,8 +22,9 @@ from floergen.quantum import (
     s_mod_m2,
     toric_generation_report,
 )
-from floergen.scalar import QQ, PrimeField, UniPoly
-from floergen.toric import classical_cohomology, corpus, superpotential
+from floergen.scalar import QQ, PrimeField, UniPoly, rational_roots
+from floergen.toric import (classical_cohomology, corpus, minimal_chern, polytope_product,
+                            superpotential)
 from toric_gen_oracles import rational_summands_by_blocks
 
 FIELDS = ["Q", "F2", "F3", "F5", "F7"]
@@ -382,18 +385,52 @@ def test_toric_generation_builds_jacobian_ring_once(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["CP2", "CP1xCP1"])
-def test_rational_report_computes_charpoly_once(name, monkeypatch):
-    calls = []
-    original = linalg.charpoly
+def test_rational_report_computes_one_krylov_min_poly(name, monkeypatch):
+    # one Krylov minimal polynomial of c1 per report, and no charpoly call
+    calls, charpolys = [], []
+    original = quantum._krylov_min_poly
 
-    def counted(field, mat):
-        calls.append(len(mat))
-        return original(field, mat)
+    def counted(F, m, v):
+        calls.append(len(m))
+        return original(F, m, v)
 
-    monkeypatch.setattr(linalg, "charpoly", counted)
+    monkeypatch.setattr(quantum, "_krylov_min_poly", counted)
+    monkeypatch.setattr(linalg, "charpoly", lambda F, m: charpolys.append(len(m)))
     report = toric_generation_report(corpus()[name], QQ)
     assert not report.anomaly
     assert calls == [report.co0.codomain_dim]
+    assert charpolys == []
+
+
+def cusp_times(other):
+    """W = z^3/3 - z^2 + z, plus W_other in further variables: z dW/dz is
+    z (z - 1)^2, so the Jacobian ring is Q[z]/(z - 1)^2 (tensor Jac W_other),
+    not semisimple, and W is 1/3 on the first factor."""
+    rest = len(other[0]) if other else 0
+    R = LaurentRing([f"z{i + 1}" for i in range(1 + rest)], QQ)
+    terms = [((k,) + (0,) * rest, c) for k, c in ((3, Fraction(1, 3)), (2, -1), (1, 1))]
+    return R.from_terms(terms + [((0,) + tuple(nu), 1) for nu in other])
+
+
+@pytest.mark.parametrize("other, summands", [
+    # c1 = 1/3: minimal polynomial t - 1/3, characteristic (t - 1/3)^2; z
+    # is not a scalar on the summand, so it has no point
+    ([], [(2, None, Fraction(1, 3))]),
+    # times CP1 (w + 1/w): c1 = 1/3 + w + 1/w, minimal polynomial
+    # (t - 7/3)(t + 5/3), characteristic polynomial its square
+    ([[1], [-1]], [(2, None, Fraction(7, 3)), (2, None, Fraction(-5, 3))]),
+], ids=["cusp", "cusp-x-CP1"])
+def test_rational_summands_match_charpoly_route_off_semisimple(other, summands):
+    W = cusp_times(other)
+    jac = jacobian_ring(W)
+    A = jac.finite_algebra()
+    c1 = jac.nf_coords(W)
+    mu = A.element_min_poly(c1)
+    assert linalg.charpoly(QQ, A.mult_matrix(c1)) == mu * mu
+    got = quantum._rational_summands(W, jac)
+    assert got == rational_summands_by_blocks(W, jac)
+    assert [(s.dim, s.point, s.critical_value) for s in got] == summands
+    assert all(s.verdict == "split-generates" for s in got)
 
 
 def test_rational_complement_summand_cp2():
@@ -474,3 +511,50 @@ def test_rational_summands_read_from_idempotents_match_blocks(name):
     if name in RATIONAL_COVERS:
         assert RATIONAL_COVERS[name] in [
             (s.dim, s.point, s.critical_value, s.verdict) for s in summands]
+
+
+# Jac(W_P + W_Q) is Jac(W_P) tensor Jac(W_Q) for the product P x Q, whose
+# superpotential is W_P + W_Q in disjoint variables; pairs of ladder rungs
+# with total dim at most 16, over Q and F7
+PRODUCT_PAIRS = [("CP1", "CP1"), ("CP1", "CP2"), ("CP2", "CP2"), ("CP1", "CP3"),
+                 ("CP1xCP1", "CP2"), ("CP1", "dP6"), ("CP3", "CP3"), ("CP2", "CP4")]
+
+
+def kronecker_sum(F, a, b):
+    """a x 1 + 1 x b on the tensor product, basis pair (i, j) at i * len(b) + j."""
+    p, q = len(a), len(b)
+    return [[F.add(a[i][k] if j == l else F.zero, b[j][l] if i == k else F.zero)
+             for k in range(p) for l in range(q)]
+            for i in range(p) for j in range(q)]
+
+
+def c1_matrix(P, field):
+    W = superpotential(P, field)
+    jac = jacobian_ring(W)
+    return jac.finite_algebra().mult_matrix(jac.nf_coords(W))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+@pytest.mark.parametrize("names", PRODUCT_PAIRS, ids=["x".join(p) for p in PRODUCT_PAIRS])
+def test_product_summands_come_from_factor_summands(names, field):
+    P, Q = (ladder()[name] for name in names)
+    rep_p, rep_q = (toric_generation_report(X, field) for X in (P, Q))
+    rep = toric_generation_report(polytope_product(P, Q), field)
+    assert not rep.anomaly
+    assert rep.co0.codomain_dim == rep_p.co0.codomain_dim * rep_q.co0.codomain_dim
+    assert rep.minimal_chern == gcd(minimal_chern(P), minimal_chern(Q))
+    split = [s for s in rep.summands if s.verdict == "split-generates"]
+    if field == QQ:
+        # c1 acts as c1_P x 1 + 1 x c1_Q, so the summand at a rational value v
+        # has dim sum_{lam + mu = v} d_P(lam) d_Q(mu) over all eigenvalues,
+        # the multiplicity of v in the characteristic polynomial of that sum
+        chi = linalg.charpoly(QQ, kronecker_sum(QQ, c1_matrix(P, QQ), c1_matrix(Q, QQ)))
+        assert sorted((s.critical_value, s.dim) for s in split) == sorted(rational_roots(chi))
+    else:
+        # a local factor of the tensor product has residue field F7 exactly
+        # when both of its factors do
+        pairs = Counter((tuple(a.point + b.point), a.dim * b.dim,
+                         field.add(a.critical_value, b.critical_value))
+                        for a in rep_p.summands if a.verdict == "split-generates"
+                        for b in rep_q.summands if b.verdict == "split-generates")
+        assert Counter((tuple(s.point), s.dim, s.critical_value) for s in split) == pairs

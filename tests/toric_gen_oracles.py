@@ -6,8 +6,9 @@ validation, kept as test oracles for the faster code in `src/`.
   polynomial before it counts the block's local factors, with its own
   Frobenius-fixed fallback, finalizer and CRT splitter (Horner on
   `FiniteAlgebra.eval_poly`, one multiplication matrix per factor).
-- `rational_summands_by_blocks`: the rational summands read from restricted
-  blocks, a point being the roots of degree-1 generator minimal polynomials.
+- `rational_summands_by_blocks`: the rational summands split along the
+  characteristic polynomial of c1 and read from restricted blocks, a point
+  being the roots of degree-1 generator minimal polynomials.
 - `validate_by_fractions`: Delzant validation with every sign test on
   Fraction vectors.
 """
@@ -29,7 +30,7 @@ from floergen.algebra import (
     strip_roots,
 )
 from floergen.errors import ValidationError
-from floergen.quantum import _SPLIT_STATEMENT, GenerationSummand
+from floergen.quantum import GenerationSummand
 from floergen.scalar import DEFAULT_SEED, QQ, UniPoly, rational_roots, univariate_factor
 from floergen.toric import VertexData
 
@@ -141,21 +142,10 @@ def rational_summands_by_blocks(W, jac):
     out = []
     for (f, _), e in zip(factors, _split_along(A, A.unit, c1, factors)):
         if f is residual:
-            out.append(
-                GenerationSummand(
-                    dim=linalg.rank(F, A.mult_matrix(e)),
-                    residue_degree=0,
-                    point=None,
-                    critical_value=None,
-                    kernel_dim=0,
-                    verdict="nonsplit",
-                    statement=(
-                        "complementary summand for the irrational part of the "
-                        "first-Chern-class spectrum; no rational critical local "
-                        "system"
-                    ),
-                )
-            )
+            out.append(GenerationSummand.nonsplit(
+                linalg.rank(F, A.mult_matrix(e)), 0,
+                "complementary summand for the irrational part of the "
+                "first-Chern-class spectrum; no rational critical local system"))
             continue
         block, _, _ = restrict_to_block(A, e)
         mps = [block.element_min_poly(g) for g in block.generators]
@@ -164,17 +154,7 @@ def rational_summands_by_blocks(W, jac):
             W.log_derivative(i).evaluate(point) != F.zero for i in range(W.ring.nvars)
         ):
             point = None
-        out.append(
-            GenerationSummand(
-                dim=block.dim,
-                residue_degree=1,
-                point=point,
-                critical_value=F.neg(f.coeffs[0]),
-                kernel_dim=0,
-                verdict="split-generates",
-                statement=_SPLIT_STATEMENT,
-            )
-        )
+        out.append(GenerationSummand.split(block.dim, 1, point, F.neg(f.coeffs[0])))
     return out
 
 
