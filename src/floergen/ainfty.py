@@ -71,7 +71,7 @@ from dataclasses import dataclass, field as dc_field
 from . import linalg
 from .algebra import FiniteAlgebra, sparse
 from .errors import DomainError, UsageError
-from .scalar import Field, canonical, field_name, json_int, parse_field
+from .scalar import Field, canonical, field_name, json_int, json_list, parse_field
 
 
 def _vadd(field, target, src, coeff):
@@ -217,7 +217,7 @@ class AInftyStructure:
             arity_cap=cap,
             ops=ops,
             unit=unit,
-            labels=list(data.get("labels", [])) or None,
+            labels=list(json_list(data.get("labels", []), "labels")) or None,
         )
 
 

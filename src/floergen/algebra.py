@@ -15,8 +15,8 @@ splittings, and m-adic filtration profiles.  Idempotents have one
 construction, the CRT splitter `_split_along`: from pairwise coprime factors
 q_i of a polynomial mu it takes one inverse of mu / q_i modulo each q_i, and
 it takes the multiplication matrix of the split element from its caller, so
-each matrix is built once.  A block e*A is restricted through one fixed left
-inverse of its basis.
+each matrix is built once.  A block e*A is read from one elimination: the
+reduced rows of the multiplication matrix of e, a projection onto e*A.
 
 The local decomposition works on Berlekamp's subalgebra: in a commutative
 finite F_p-algebra the solutions of x^p = x are the F_p-span S of the
@@ -179,11 +179,7 @@ def _require_char_p(A: FiniteAlgebra):
 def frobenius_matrix_of(A: FiniteAlgebra):
     """Matrix of x -> x^p, F_p-linear in characteristic p."""
     p = A.field.char
-    cols = []
-    for j in range(A.dim):
-        basis_vec = [A.field.one if k == j else A.field.zero for k in range(A.dim)]
-        cols.append(A.power(basis_vec, p))
-    return linalg.transpose(cols)
+    return linalg.transpose([A.power(b, p) for b in linalg.identity(A.field, A.dim)])
 
 
 def radical_char_p(A: FiniteAlgebra):
@@ -213,28 +209,33 @@ class LocalFactor:
 def restrict_to_block(A: FiniteAlgebra, idempotent):
     """Sub-FiniteAlgebra on the ideal e*A, with unit e.
 
-    Returns (block, basis, coords): basis spans e*A in A's coordinates, and
-    coords(v) is the coordinate vector in that basis of a vector v of e*A:
-    B[R]^-1 v[R], R being the k pivot rows of the n x k basis matrix B.
+    Returns (block, basis, coords).  L_e, multiplication by e, projects onto
+    e*A, so the nonzero rows R of rref(L_e) satisfy R L_e = R: the pivot
+    columns e*b_p of L_e are the basis, coords(v) = R v are the coordinates
+    of e*v, and the block product of e*b_p and e*b_q is R basis_mult[p][q].
     """
     F = A.field
-    basis = linalg.image_basis(F, A.mult_matrix(idempotent))
-    rows = linalg.rref(F, basis)[1]
-    left = linalg.invert(F, [[b[r] for b in basis] for r in rows])
+    m = A.mult_matrix(idempotent)
+    reduced, pivots = linalg.rref(F, m)
+    rows = reduced[:len(pivots)]
 
     def coords(v):
-        return linalg.mat_vec(F, left, [v[r] for r in rows])
+        return linalg.mat_vec(F, rows, v)
+
+    def product(col):
+        out = [sum([row[r] * x for r, x in col.items()], F.zero) for row in rows]
+        return sparse([x % F.char for x in out] if F.char else out)
 
     block = FiniteAlgebra(
         field=F,
-        dim=len(basis),
-        labels=[f"b{i}" for i in range(len(basis))],
-        basis_mult=[[sparse(coords(A.mult(b, c))) for c in basis] for b in basis],
-        unit=coords(idempotent),
-        generators=[coords(A.mult(idempotent, g)) for g in A.generators],
+        dim=len(pivots),
+        labels=[f"b{i}" for i in range(len(pivots))],
+        basis_mult=[[product(A.basis_mult[i][j]) for j in pivots] for i in pivots],
+        unit=coords(A.unit),
+        generators=[coords(g) for g in A.generators],
         generator_names=list(A.generator_names),
     )
-    return block, basis, coords
+    return block, [[row[c] for row in m] for c in pivots], coords
 
 
 def _split_along(F, m, idempotent, factors):
@@ -299,15 +300,13 @@ def local_decompose(A: FiniteAlgebra, seed: int = DEFAULT_SEED):
             f"algebra of dim {A.dim} has {len(fixed)} local factors "
             f"but its Frobenius-fixed elements split it into {len(idempotents)}"
         )
-    finished = []
-    for e in idempotents:
-        block, basis, _ = restrict_to_block(A, e)
-        finished.append(_finalize_factor(e, block, basis, radical_char_p(block)))
-    finished.sort(key=lambda lf: (lf.dim, lf.residue_degree, tuple(lf.idempotent)))
-    return finished
+    finished = [_finalize_factor(A, e) for e in idempotents]
+    return sorted(finished, key=lambda lf: (lf.dim, lf.residue_degree, tuple(lf.idempotent)))
 
 
-def _finalize_factor(e, block, basis, rad):
+def _finalize_factor(A, e):
+    block, basis, _ = restrict_to_block(A, e)
+    rad = radical_char_p(block)
     residue_degree = block.dim - len(rad)
     point = None
     if residue_degree == 1 and block.generators:
@@ -349,14 +348,14 @@ def strip_roots(chi: UniPoly, roots):
 def bezout_idempotents(A: FiniteAlgebra, a, lam):
     """Split off the generalized lam-eigenspace of mult-by-a.
 
-    chi = char poly of mult-by-a = (t - lam)^m q with q(lam) != 0; the CRT
-    idempotents of ((t - lam)^m, q) are (e, e_perp).  Returns
-    (e, e_perp, found) with e = 0 and found=False when lam is not a root.
+    mu = minimal polynomial of a (by Krylov iteration from the unit; its
+    roots are those of chi, so its idempotents too) = (t - lam)^m q with
+    q(lam) != 0; the CRT idempotents of ((t - lam)^m, q) are (e, e_perp).
+    Returns (e, e_perp, found) with e = 0 and found=False when lam is not a root.
     """
     F = A.field
     m = A.mult_matrix(a)
-    chi = linalg.charpoly(F, m)
-    factors, q = strip_roots(chi, [lam])
+    factors, q = strip_roots(_krylov_min_poly(F, m, A.unit), [lam])
     if not factors:
         return [F.zero] * A.dim, list(A.unit), False
     e, e_perp = _split_along(F, m, A.unit, factors + [(q, 1)])

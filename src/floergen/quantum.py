@@ -195,18 +195,19 @@ def _critical_points(W: LaurentPoly, jac: QuotientAlgebra, seed: int) -> Critica
         raise UsageError("Jacobian ring is infinite-dimensional")
     A = jac.finite_algebra()
     factors = local_decompose(A, seed)
-    points = []
-    for f in factors:
-        if f.residue_degree == 1 and f.point is not None:
-            pt = f.point
-            for i in range(W.ring.nvars):
-                val = W.log_derivative(i).evaluate(pt)
-                if val != W.ring.field.zero:
-                    raise AnomalyError(
-                        f"recovered point {pt} does not annihilate log-derivative {i}"
-                    )
-            points.append(pt)
+    points = [f.point for f in factors if f.residue_degree == 1 and f.point is not None]
+    for pt in points:
+        _check_critical(W, pt)
     return CriticalPointReport(points=points, factors=factors, algebra=A)
+
+
+def _check_critical(W: LaurentPoly, point):
+    """A point read off a residue-degree-1 summand is a critical point of W;
+    one that leaves a log-derivative nonzero is an anomaly."""
+    for i in range(W.ring.nvars):
+        if W.log_derivative(i).evaluate(point) != W.ring.field.zero:
+            raise AnomalyError(
+                f"recovered point {point} does not annihilate log-derivative {i}")
 
 
 _SPLIT_STATEMENT = (
@@ -304,9 +305,9 @@ def _rational_summands(W: LaurentPoly, jac: QuotientAlgebra):
     """CRT route over Q: split along rational eigenvalues of quantum
     multiplication by the first Chern class, its minimal polynomial being
     prod (t - lam)^m * residual; one idempotent per root, and one for the
-    residual when it has positive degree.  The idempotents are those of the
-    characteristic polynomial, whose roots are the same.  Each summand is
-    read from its idempotent e: its dim is the rank of multiplication by e."""
+    residual when it has positive degree (those of chi, whose roots are the
+    same).  Each summand is read from its idempotent e: its dim is the rank
+    of multiplication by e, and a root's summand of dim 1 has a point."""
     F = jac.field
     A = jac.finite_algebra()
     m = A.mult_matrix(jac.nf_coords(W))
@@ -323,22 +324,13 @@ def _rational_summands(W: LaurentPoly, jac: QuotientAlgebra):
                 "complementary summand for the irrational part of the "
                 "first-Chern-class spectrum; no rational critical local system"))
             continue
-        # try to read off a critical point: each coordinate variable g must
-        # act on the ideal e*A as a scalar c, that is g*e = c*e, with c read
-        # from the first nonzero entry of e
-        k = next(i for i, x in enumerate(e) if x)
-        point = []
-        for g in A.generators:
-            ge = A.mult(g, e)
-            c = F.div(ge[k], e[k])
-            if ge != [F.mul(c, x) for x in e]:
-                point = None
-                break
-            point.append(c)
-        if point is not None and any(
-            W.log_derivative(i).evaluate(point) != F.zero for i in range(W.ring.nvars)
-        ):
-            point = None
+        # the coordinates generate A, so they act on e*A as scalars exactly
+        # when dim e*A = 1: g e = c e, c read at the first nonzero entry of e
+        point = None
+        if dim == 1:
+            k = next(i for i, x in enumerate(e) if x)
+            point = [F.div(A.mult(g, e)[k], e[k]) for g in A.generators]
+            _check_critical(W, point)
         out.append(GenerationSummand.split(dim, 1, point, F.neg(f.coeffs[0])))
     return out
 

@@ -208,6 +208,14 @@ def json_int(value, what: str) -> int:
     return value
 
 
+def json_list(value, what: str) -> list:
+    """A list field of a JSON input; a string is rejected rather than read
+    as its characters."""
+    if type(value) is not list:
+        raise UsageError(f"{what} must be a JSON array, not {value!r}")
+    return value
+
+
 def field_name(field: Field) -> str:
     return "Q" if field.char == 0 else f"F{field.char}"
 

@@ -25,7 +25,7 @@ from . import linalg
 from .errors import DomainError, NotMonotoneError, UsageError, ValidationError
 from .grobner import polynomial_quotient
 from .laurent import LaurentPoly, LaurentRing
-from .scalar import QQ, Field, PrimeField, json_int
+from .scalar import QQ, Field, PrimeField, json_int, json_list
 
 
 @dataclass
@@ -46,7 +46,7 @@ class DelzantPolytope:
             n = json_int(data["dim"], "polytope dim")
             normals = [[json_int(x, "polytope normal entry") for x in row]
                        for row in data["normals"]]
-            lambdas = [QQ.from_str(str(x)) for x in data["lambda"]]
+            lambdas = [QQ.from_str(str(x)) for x in json_list(data["lambda"], "lambda")]
             name = str(data.get("name", ""))
         except (KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"malformed polytope JSON: {exc}") from exc

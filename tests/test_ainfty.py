@@ -717,6 +717,13 @@ def test_malformed_json():
         AInftyStructure.from_json({"field": "Q"})
 
 
+def test_json_labels_must_be_a_list():
+    # "1x" used to give the labels ['1', 'x']
+    data = {**load_example("lambda_x").to_json(), "labels": "1x"}
+    with pytest.raises(UsageError, match="labels must be a JSON array"):
+        AInftyStructure.from_json(data)
+
+
 @pytest.mark.parametrize("field", ["degree", "input index", "unit"])
 @pytest.mark.parametrize("value", [1.0, 0.7, "1", True])
 def test_json_integer_fields_reject_non_integers(field, value):

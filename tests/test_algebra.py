@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import itertools
@@ -31,7 +32,11 @@ from floergen.scalar import (
     rational_roots,
 )
 from floergen.toric import corpus, polytope_product, projective_space, superpotential
-from toric_gen_oracles import _split_along as bezout_chain_split_along, pool_first_decompose
+from toric_gen_oracles import (
+    _split_along as bezout_chain_split_along,
+    pool_first_decompose,
+    restrict_by_solving,
+)
 
 
 def univariate_algebra(field, coeffs):
@@ -487,44 +492,65 @@ def test_one_crt_split_over_q(name):
         assert restrict_to_block(A, e)[0].dim == m
 
 
-def restrict_by_solving(A, idempotent):
-    """Block product table with one linalg.solve per pair of basis vectors."""
-    F = A.field
-    basis = linalg.image_basis(F, A.mult_matrix(idempotent))
-    bmat = linalg.transpose(basis)
+# (polytope, p, expected blocks): over F_p the leaves of local_decompose as
+# (dim, residue degree); over Q (p = 0) the dims of the eigen-idempotents of
+# c1, whose coordinates have Fractions
+RESTRICT_CASES = [
+    pytest.param("CP2", 7, [(1, 1)] * 3, id="CP2"),
+    pytest.param("CP1xCP1xCP1", 7, [(1, 1)] * 8, id="CP1xCP1xCP1"),
+    pytest.param("CP1xCP1", 0, [1, 2, 1], id="Q-CP1xCP1"),
+    pytest.param("CP1xCP1xCP1", 0, [1, 3, 3, 1], id="Q-CP1xCP1xCP1"),
+    pytest.param("dP6", 0, [1, 3, 2], id="Q-dP6"),
+    pytest.param("CP2", 5, [(1, 1), (2, 2)], id="F5-CP2"),
+    pytest.param("CP3", 7, [(1, 1), (1, 1), (2, 2)], id="F7-CP3"),
+    pytest.param("CP1xCP1", 2, [(4, 1)], id="F2-CP1xCP1"),
+]
 
-    def coords(v):
-        return linalg.solve(F, bmat, v)
 
-    basis_mult = [linalg.transpose([coords(A.mult(b, c)) for c in basis]) for b in basis]
-    generators = [coords(A.mult(idempotent, g)) for g in A.generators]
-    return basis, basis_mult, coords(idempotent), generators, coords
-
-
-@pytest.mark.parametrize("name", ["CP2", "CP1xCP1xCP1"])
-def test_restrict_to_block_matches_solve_reference(name, monkeypatch):
-    F7 = PrimeField(7)
-    A = FiniteAlgebra.from_quotient(jacobian_ring(superpotential(corpus()[name], F7)))
+@pytest.mark.parametrize("name, p, expected", RESTRICT_CASES)
+def test_restrict_to_block_matches_solve_reference(name, p, expected, monkeypatch):
+    field = PrimeField(p) if p else QQ
+    W = superpotential({**ladder(), **corpus()}[name], field)
+    jac = jacobian_ring(W)
+    A = jac.finite_algebra()
     seen = []
-    original = algebra.restrict_to_block
+    if p:
+        original = algebra.restrict_to_block
+        with monkeypatch.context() as m:
+            m.setattr(algebra, "restrict_to_block", lambda A, e: seen.append(e) or original(A, e))
+            factors = local_decompose(A)
+        assert [(f.dim, f.residue_degree) for f in factors] == expected
+        # the leaves only
+        assert sorted(map(tuple, seen)) == sorted(tuple(f.idempotent) for f in factors)
+    else:
+        c1 = jac.nf_coords(W)
+        seen = [bezout_idempotents(A, c1, lam)[0]
+                for lam, _ in rational_roots(A.element_min_poly(c1))]
+        assert [restrict_to_block(A, e)[0].dim for e in seen] == expected
+        assert any(isinstance(x, Fraction) for e in seen for x in e)
+    calls = collections.Counter()
 
-    def recording(A, idempotent):
-        seen.append(idempotent)
-        return original(A, idempotent)
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
 
-    monkeypatch.setattr(algebra, "restrict_to_block", recording)
-    factors = local_decompose(A)
-    assert sum(f.dim for f in factors) == A.dim
-    assert len(seen) == len(factors)  # the leaves only
     for e in seen + [A.unit]:
-        block, basis, coords = original(A, e)
-        ref_basis, ref_mult, ref_unit, ref_generators, ref_coords = restrict_by_solving(A, e)
+        ref_block, ref_basis, ref_coords = restrict_by_solving(A, e)
+        calls.clear()
+        with monkeypatch.context() as m:
+            for fn in ("rref", "invert", "image_basis"):
+                m.setattr(linalg, fn, counted(fn, getattr(linalg, fn)))
+            m.setattr(FiniteAlgebra, "mult", counted("mult", FiniteAlgebra.mult))
+            block, basis, coords = restrict_to_block(A, e)
+        assert calls == {"rref": 1}
         assert basis == ref_basis
-        assert [dense_columns(cols, block.dim) for cols in block.basis_mult] == ref_mult
-        assert block.unit == ref_unit and block.generators == ref_generators
-        for j in range(A.dim):
-            v = A.mult(e, [F7.one if k == j else F7.zero for k in range(A.dim)])
-            assert coords(v) == ref_coords(v)
+        assert block == ref_block
+        # coords(v) is the coordinate vector of e*v for every v
+        for v in linalg.identity(field, A.dim):
+            ev = A.mult(e, v)
+            assert coords(ev) == coords(v) == ref_coords(ev)
 
 
 def factor_key(factors):

@@ -73,6 +73,26 @@ def test_validate_polytope_dim_below_one_is_an_error_record(capsys, tmp_path, di
     assert record["message"] == f"polytope dim must be at least 1, not {dim}"
 
 
+@pytest.mark.parametrize("key", ["lambda", "variables"])
+def test_string_where_a_list_is_meant_is_an_error_record(capsys, tmp_path, key):
+    # "111" used to validate as the support constants [1, 1, 1], and "ab" to
+    # build Q[a^+-1, b^+-1]
+    path = tmp_path / "input.json"
+    if key == "lambda":
+        data = {**corpus()["CP2"].to_json(), "lambda": "111"}
+        argv = ["validate", "--polytope", str(path)]
+    else:
+        data = {"variables": "ab", "field": "Q",
+                "terms": [{"coeff": "1", "exps": [1, 0]}, {"coeff": "1", "exps": [0, -1]}]}
+        argv = ["jac", "--superpotential", str(path), "--field", "Q"]
+    path.write_text(json.dumps(data))
+    code, out, _ = invoke(capsys, argv + ["--format", "json"])
+    assert code == 1
+    record = json.loads(out)
+    assert record["error"] == "UsageError"
+    assert record["message"] == f"{key} must be a JSON array, not {data[key]!r}"
+
+
 def test_missing_input_exit_1(capsys):
     code, _, err = invoke(capsys, ["validate"])
     assert code == 1

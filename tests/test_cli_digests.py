@@ -38,6 +38,11 @@ MIN_CHERN_1_TEXT_PINS = (
 # degree 128 with root multiplicities up to 35
 SEMISIMPLE_Q_PIN = ["toric-gen", "--polytope", "tests/data/cp1x7.json", "--field", "Q",
                     "--format", "json"]
+# toric-gen over F7 on CP1^7: 128 local factors, each a line F_7 e whose
+# idempotent has all 128 coordinates nonzero, so every block restriction
+# runs on a full 128 x 128 multiplication matrix
+LINE_LEAVES_F7_PIN = ["toric-gen", "--polytope", "tests/data/cp1x7.json", "--field", "F7",
+                      "--format", "json"]
 # toric-gen over Q on CP2^3: charpoly(c1) is t^6 times a polynomial with
 # constant term -3^33 (about 5.6e15), whose squarefree part has constant term
 # -3^15, so the rational root search is cheap only on the squarefree part
@@ -76,6 +81,7 @@ def invocations():
                for path in REAL_GEN_PINS for field in TORIC_GEN_PIN_FIELDS)
     out.extend(list(argv) for argv in MIN_CHERN_1_TEXT_PINS)
     out.append(SEMISIMPLE_Q_PIN)
+    out.append(LINE_LEAVES_F7_PIN)
     out.append(ROOT_SEARCH_PIN)
     out.append(["smod2", "--field", "F3", "--rho", "1,2"])
     out.extend(["ainfty-check", "--ainfty", path, "--format", "json"]

@@ -9,6 +9,8 @@ validation, kept as test oracles for the faster code in `src/`.
 - `rational_summands_by_blocks`: the rational summands split along the
   characteristic polynomial of c1 and read from restricted blocks, a point
   being the roots of degree-1 generator minimal polynomials.
+- `restrict_by_solving`: the block on e*A with one `linalg.solve` for the
+  coordinates of each product; both oracles above restrict through it.
 - `validate_by_fractions`: Delzant validation with every sign test on
   Fraction vectors.
 """
@@ -21,18 +23,42 @@ from functools import reduce
 
 from floergen import linalg
 from floergen.algebra import (
+    FiniteAlgebra,
     LocalFactor,
     _ext_gcd,
     _require_char_p,
     frobenius_matrix_of,
     radical_char_p,
-    restrict_to_block,
+    sparse,
     strip_roots,
 )
 from floergen.errors import ValidationError
 from floergen.quantum import GenerationSummand
 from floergen.scalar import DEFAULT_SEED, QQ, UniPoly, rational_roots, univariate_factor
 from floergen.toric import VertexData
+
+
+def restrict_by_solving(A, idempotent):
+    """(block, basis, coords) on e*A: the basis is the column-space basis of
+    the multiplication matrix of e, and coords(v) solves for the coordinates
+    of a vector v of e*A, one `linalg.solve` per product and generator."""
+    F = A.field
+    basis = linalg.image_basis(F, A.mult_matrix(idempotent))
+    bmat = linalg.transpose(basis)
+
+    def coords(v):
+        return linalg.solve(F, bmat, v)
+
+    block = FiniteAlgebra(
+        field=F,
+        dim=len(basis),
+        labels=[f"b{i}" for i in range(len(basis))],
+        basis_mult=[[sparse(coords(A.mult(b, c))) for c in basis] for b in basis],
+        unit=coords(idempotent),
+        generators=[coords(A.mult(idempotent, g)) for g in A.generators],
+        generator_names=list(A.generator_names),
+    )
+    return block, basis, coords
 
 
 def _split_along(A, idempotent, elem, factors):
@@ -106,7 +132,7 @@ def pool_first_decompose(A, seed=DEFAULT_SEED):
     finished = []
     while pending:
         e = pending.pop()
-        block, basis, coords = restrict_to_block(A, e)
+        block, basis, coords = restrict_by_solving(A, e)
         split = None
         for elem in pool:
             restricted = A.mult(e, elem)
@@ -147,7 +173,7 @@ def rational_summands_by_blocks(W, jac):
                 "complementary summand for the irrational part of the "
                 "first-Chern-class spectrum; no rational critical local system"))
             continue
-        block, _, _ = restrict_to_block(A, e)
+        block, _, _ = restrict_by_solving(A, e)
         mps = [block.element_min_poly(g) for g in block.generators]
         point = [F.neg(mp.coeffs[0]) for mp in mps]
         if any(mp.degree != 1 for mp in mps) or any(
