@@ -32,7 +32,7 @@ for name in ("lambda_x", "lambda_xy", "triangular", "dga3"):
     H = cohomology(A)
     Hop = cohomology(opposite(A))
     print("  H(A^op) = H(A)^op with Koszul signs:",
-          Hop.products == H.graded_opposite().products)
+          Hop.basis_mult == H.graded_opposite().basis_mult)
     diag = diagonal_bimodule(A)
     print("  diagonal bimodule coherent:", check_bimodule_relations(diag, cap=2))
     if A.unit is None:

@@ -71,7 +71,8 @@ from dataclasses import dataclass, field as dc_field
 from . import linalg
 from .algebra import FiniteAlgebra, sparse
 from .errors import DomainError, UsageError
-from .scalar import Field, canonical, field_name, json_int, json_list, parse_field
+from .scalar import (Field, canonical, field_name, json_int, json_list, json_object,
+                     parse_field)
 
 
 def _vadd(field, target, src, coeff):
@@ -192,14 +193,14 @@ class AInftyStructure:
             F = parse_field(data["field"])
             degrees = [json_int(d, "degree") % 2 for d in data["degrees"]]
             ops = {}
-            for k_str, entries in data.get("mu", {}).items():
+            for k_str, entries in json_object(data.get("mu", {}), "mu").items():
                 k = int(k_str)
                 tensor = {}
                 for entry in entries:
                     key = tuple(json_int(i, "input index") for i in entry["inputs"])
                     out = {
                         int(i): F.from_str(str(c))
-                        for i, c in entry["output"].items()
+                        for i, c in json_object(entry["output"], "output").items()
                     }
                     out = {i: c for i, c in out.items() if c}
                     if out:
@@ -299,37 +300,29 @@ def opposite(A: AInftyStructure) -> AInftyStructure:
     )
 
 
-@dataclass
-class GradedAlgebra:
-    """Cohomology output: representatives, degrees, and the induced product."""
+@dataclass(kw_only=True)
+class GradedAlgebra(FiniteAlgebra):
+    """A FiniteAlgebra with the parity degrees[i] of each basis element."""
 
-    field: Field
     degrees: list
-    representatives: list  # cocycle coordinate vectors in the ambient A
-    products: list  # products[i][j] = coordinate vector in this basis
-    unit: int | None = None
-
-    @property
-    def dim(self):
-        return len(self.degrees)
 
     def graded_opposite(self) -> "GradedAlgebra":
-        F = self.field
-        degs = self.degrees
-        prods = [
-            [
-                [F.neg(c) for c in self.products[j][i]]
-                if degs[i] * degs[j] % 2 else list(self.products[j][i])
-                for j in range(self.dim)
-            ]
-            for i in range(self.dim)
-        ]
-        return GradedAlgebra(F, list(degs), list(self.representatives), prods,
-                             self.unit)
+        """Column (i, j) becomes (-1)^{|c_i||c_j|} times column (j, i)."""
+        F, degs, m = self.field, self.degrees, self.basis_mult
+        n = self.dim
+        return GradedAlgebra(
+            field=F, dim=n, unit=self.unit, degrees=list(degs),
+            basis_mult=[[{r: F.neg(x) for r, x in m[j][i].items()}
+                         if degs[i] * degs[j] % 2 else m[j][i] for j in range(n)]
+                        for i in range(n)],
+        )
 
 
 def cohomology(A: AInftyStructure) -> GradedAlgebra:
-    """ker mu^1 / im mu^1 with product [c2][c1] = (-1)^{|c1|} [mu^2(c2, c1)]."""
+    """ker mu^1 / im mu^1 on the classes [c_i] of homogeneous cocycles c_i,
+    with product [c2][c1] = (-1)^{|c1|} [mu^2(c2, c1)] as sparse columns.
+    The unit is the coordinate vector of the class of A's unit, or None when
+    A has none.  Raises DomainError unless the product is associative."""
     F = A.field
     d = A.mu1_matrix()
     if any(any(x != F.zero for x in row) for row in linalg.mat_mul(F, d, d)):
@@ -349,11 +342,12 @@ def cohomology(A: AInftyStructure) -> GradedAlgebra:
             raise DomainError("product of cocycles is not a cocycle")
         return sol[: len(reps)]
 
-    def mu2_elem(u, v):
+    def product(i, j):
         out = {}
-        for (i, j), res in A.ops.get(2, {}).items():
-            _vadd(F, out, res, F.mul(u[i], v[j]))
-        return [out.get(i, F.zero) for i in range(A.dim)]
+        for (a, b), res in A.ops.get(2, {}).items():
+            _vadd(F, out, res, F.mul(reps[i][a], reps[j][b]))
+        coords = quotient_coords([out.get(i, F.zero) for i in range(A.dim)])
+        return sparse([F.neg(c) for c in coords] if degrees[j] % 2 else coords)
 
     degrees = []
     for r in reps:
@@ -361,32 +355,16 @@ def cohomology(A: AInftyStructure) -> GradedAlgebra:
         if len(degs) != 1:
             raise DomainError("inhomogeneous cohomology representative")
         degrees.append(degs.pop())
-    products = []
-    for i, u in enumerate(reps):
-        row = []
-        for j, v in enumerate(reps):
-            coords = quotient_coords(mu2_elem(u, v))
-            row.append([F.neg(c) for c in coords] if degrees[j] % 2 else coords)
-        products.append(row)
-    unit = None
-    if A.unit is not None:
-        unit_vec = [F.one if i == A.unit else F.zero for i in range(A.dim)]
-        coords = quotient_coords(unit_vec)
-        nz = [i for i, c in enumerate(coords) if c != F.zero]
-        if len(nz) == 1 and coords[nz[0]] == F.one:
-            unit = nz[0]
-    # spot-check associativity of the induced product
     n = len(reps)
-    induced = FiniteAlgebra(
-        field=F,
-        dim=n,
-        labels=[f"c{i}" for i in range(n)],
-        basis_mult=[[sparse(c) for c in row] for row in products],
-        unit=None if unit is None else [F.one if k == unit else F.zero for k in range(n)],
+    H = GradedAlgebra(
+        field=F, dim=n, degrees=degrees,
+        basis_mult=[[product(i, j) for j in range(n)] for i in range(n)],
+        unit=None if A.unit is None else quotient_coords(
+            [F.one if i == A.unit else F.zero for i in range(A.dim)]),
     )
-    if not induced.is_associative():
+    if not H.is_associative():
         raise DomainError("induced product is not associative")
-    return GradedAlgebra(F, degrees, reps, products, unit)
+    return H
 
 
 # --- modules and bimodules ------------------------------------------------------

@@ -51,17 +51,15 @@ class FiniteAlgebra:
     basis_mult[j][k] is basis_j * basis_k as a dict from coordinate index to
     nonzero coefficient, so basis_mult[j] lists the columns of v ->
     basis_j * v.  No column stores a zero, so equal products are equal
-    dicts.  Designated generators (coordinate vectors plus display names)
-    drive the local decomposition and point recovery.
+    dicts.  The unit and the designated generators are coordinate vectors;
+    the generators give the points of the local factors.
     """
 
     field: object
     dim: int
-    labels: list
     basis_mult: list
     unit: list
     generators: list = dc_field(default_factory=list)
-    generator_names: list = dc_field(default_factory=list)
 
     @classmethod
     def from_quotient(cls, qa):
@@ -73,11 +71,9 @@ class FiniteAlgebra:
         return cls(
             field=qa.field,
             dim=qa.dim,
-            labels=qa.basis_labels(),
             basis_mult=[qa.basis_mult_matrix(j) for j in range(qa.dim)],
             unit=qa.unit_coords(),
             generators=[qa.nf_coords(ring.variable(i)) for i in range(n)],
-            generator_names=[ring.variables[i] for i in range(n)],
         )
 
     def mult(self, u, v):
@@ -229,11 +225,9 @@ def restrict_to_block(A: FiniteAlgebra, idempotent):
     block = FiniteAlgebra(
         field=F,
         dim=len(pivots),
-        labels=[f"b{i}" for i in range(len(pivots))],
         basis_mult=[[product(A.basis_mult[i][j]) for j in pivots] for i in pivots],
         unit=coords(A.unit),
         generators=[coords(g) for g in A.generators],
-        generator_names=list(A.generator_names),
     )
     return block, [[row[c] for row in m] for c in pivots], coords
 

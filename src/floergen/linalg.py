@@ -227,13 +227,7 @@ def rank(field, mat):
 
 def kernel_basis(field, mat):
     """Basis of the right kernel {v : mat v = 0}, one vector per free column."""
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    if rows == 0:
-        return [
-            [field.one if i == j else field.zero for i in range(cols)]
-            for j in range(cols)
-        ]
+    cols = len(mat[0]) if mat else 0
     r, pivots = rref(field, mat)
     pivot_set = set(pivots)
     zero, one, p = field.zero, field.one, field.char

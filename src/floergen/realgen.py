@@ -28,7 +28,6 @@ F2 = PrimeField(2)
 
 @dataclass
 class RealGenData:
-    polytope: DelzantPolytope
     qh_r: QuotientAlgebra
     qh: QuotientAlgebra
     pi: Morphism
@@ -90,7 +89,6 @@ def real_gen_data(P: DelzantPolytope, budget: Budget | None = None) -> RealGenDa
     frob = frobenius_matrix(qh_r)
     ker_f_dim, ker_pi_dim, contained = kernel_containment_check(pi, frob)
     return RealGenData(
-        polytope=P,
         qh_r=qh_r,
         qh=qh,
         pi=pi,

@@ -192,6 +192,8 @@ QQ = Rationals()
 
 def parse_field(spec: str) -> Field:
     """Parse "Q" or "F<p>" into a Field instance."""
+    if type(spec) is not str:
+        raise UsageError(f"field spec must be a string, not {spec!r}")
     spec = spec.strip()
     if spec == "Q":
         return QQ
@@ -213,6 +215,14 @@ def json_list(value, what: str) -> list:
     as its characters."""
     if type(value) is not list:
         raise UsageError(f"{what} must be a JSON array, not {value!r}")
+    return value
+
+
+def json_object(value, what: str) -> dict:
+    """An object field of a JSON input; an array or a string is rejected
+    rather than failing on a missing `.items()`."""
+    if type(value) is not dict:
+        raise UsageError(f"{what} must be a JSON object, not {value!r}")
     return value
 
 

@@ -289,7 +289,7 @@ def test_criterion_8_chain_level_identities():
         # cohomology of the opposite is the graded opposite (Koszul signs)
         H = cohomology(A)
         Hop = cohomology(opposite(A))
-        assert Hop.products == H.graded_opposite().products, name
+        assert Hop.basis_mult == H.graded_opposite().basis_mult, name
         # Hochschild differential squares to zero within the window, cap 4
         diag = diagonal_bimodule(A)
         for degree in (0, 1):

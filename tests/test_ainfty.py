@@ -1,4 +1,6 @@
 import itertools
+import json
+import pathlib
 import random
 import re
 from fractions import Fraction
@@ -17,6 +19,7 @@ from ainfty_oracles import (
     theta_map_gather,
 )
 from floergen import linalg
+from floergen.algebra import FiniteAlgebra
 from floergen.ainfty import (
     AInftyStructure,
     HochschildCochain,
@@ -43,6 +46,7 @@ from floergen.errors import DomainError, UsageError
 from floergen.scalar import QQ, PrimeField
 
 EXAMPLES = ["lambda_x", "lambda_xy", "triangular", "dga3"]
+DATA = pathlib.Path(__file__).resolve().parent / "data"
 
 
 def structures():
@@ -177,7 +181,7 @@ def test_triangular_opposite_differs_but_cohomology_opposite():
     H = cohomology(T)
     Hop = cohomology(Top)
     assert Hop.degrees == H.degrees
-    assert Hop.products == H.graded_opposite().products
+    assert Hop.basis_mult == H.graded_opposite().basis_mult
 
 
 def random_structure(rng, field, degrees, arity_cap, entries, unit=None):
@@ -231,7 +235,7 @@ def test_cohomology_acyclic_two_term():
 
 def test_cohomology_dga3():
     H = cohomology(load_example("dga3"))
-    assert H.dim == 1 and H.degrees == [0] and H.unit == 0
+    assert H.dim == 1 and H.degrees == [0] and H.unit == [1]
 
 
 def test_cohomology_rejects_nonsquare_zero():
@@ -247,7 +251,32 @@ def test_opposite_cohomology_koszul_signs_all_examples():
     for name, A in structures().items():
         H = cohomology(A)
         Hop = cohomology(opposite(A))
-        assert Hop.products == H.graded_opposite().products, name
+        assert Hop.basis_mult == H.graded_opposite().basis_mult, name
+
+
+def cohomology_cases():
+    """The corpus, tests/data/lambda_xy_half.json (Fraction coefficients),
+    and lambda_xy over F_3."""
+    cases = structures()
+    half = json.loads((DATA / "lambda_xy_half.json").read_text())
+    cases["lambda_xy_half"] = AInftyStructure.from_json(half)
+    cases["lambda_xy-F3"] = reduced_mod(cases["lambda_xy"], 3)
+    return cases
+
+
+def test_cohomology_is_a_finite_algebra_with_its_unit():
+    for name, A in cohomology_cases().items():
+        H = cohomology(A)
+        assert isinstance(H, FiniteAlgebra) and H.is_associative(), name
+        assert H.dim == len(H.degrees) == len(H.basis_mult), name
+        if A.unit is None:
+            assert H.unit is None, name
+        else:
+            for b in linalg.identity(A.field, H.dim):
+                assert H.mult(H.unit, b) == b and H.mult(b, H.unit) == b, name
+        assert H.graded_opposite().graded_opposite() == H, name
+        Hop = cohomology(opposite(A))
+        assert Hop.basis_mult == H.graded_opposite().basis_mult, name
 
 
 # --- bimodules ---------------------------------------------------------------------

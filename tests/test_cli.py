@@ -505,6 +505,25 @@ def test_ainfty_check_rejects_checked_arity_below_one(capsys, tmp_path, arity):
     assert f"at least 1, not {arity}" in record["message"]
 
 
+@pytest.mark.parametrize("data, words", [
+    (_lambda_x_with(mu=[1]), "mu must be a JSON object"),
+    (_lambda_x_with(mu={"2": [{"inputs": [0, 0], "output": "1"}]}),
+     "output must be a JSON object"),
+    (_lambda_x_with(field=7), "field spec must be a string"),
+], ids=["mu-array", "output-string", "field-int"])
+def test_ainfty_check_rejects_json_of_the_wrong_type(capsys, tmp_path, data, words):
+    # each used to die with an uncaught AttributeError and an empty stdout
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = invoke(capsys, [
+        "ainfty-check", "--ainfty", str(path), "--format", "json",
+    ])
+    assert code == 1
+    record = json.loads(out)
+    assert record["error"] == "UsageError"
+    assert words in record["message"]
+
+
 def _run_python(args):
     """A fresh interpreter with this checkout's src/ on its path."""
     src = pathlib.Path(__file__).resolve().parents[1] / "src"

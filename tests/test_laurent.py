@@ -139,6 +139,9 @@ def test_json_roundtrip():
 def test_json_malformed():
     with pytest.raises(UsageError):
         laurent_from_json({"variables": ["x"], "terms": [{}]})
+    # a field spec that is not a string used to raise AttributeError
+    with pytest.raises(UsageError, match="field spec must be a string"):
+        laurent_from_json({"variables": ["x"], "field": 7, "terms": []})
 
 
 @pytest.mark.parametrize("exp", [1.5, 2.0, "2", True])

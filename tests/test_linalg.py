@@ -342,6 +342,13 @@ def test_f2_echelon_on_the_zero_ring_and_empty_inputs():
     assert realgen.kernel_containment_check(zero_ring, []) == (0, 0, True)
 
 
+@pytest.mark.parametrize("name", ["Q", "F2", "F7"])
+def test_kernel_of_the_empty_matrix_is_empty(name):
+    field = FIELDS[name]
+    assert linalg.kernel_basis(field, []) == []
+    assert linalg.kernel_basis(field, [[], []]) == []
+
+
 def test_containment_check_at_dim_256():
     """CP1^4: dim QH_R = 256, the size the real-locus check runs at."""
     cp1 = projective_space(1)

@@ -52,11 +52,9 @@ def restrict_by_solving(A, idempotent):
     block = FiniteAlgebra(
         field=F,
         dim=len(basis),
-        labels=[f"b{i}" for i in range(len(basis))],
         basis_mult=[[sparse(coords(A.mult(b, c))) for c in basis] for b in basis],
         unit=coords(idempotent),
         generators=[coords(A.mult(idempotent, g)) for g in A.generators],
-        generator_names=list(A.generator_names),
     )
     return block, basis, coords
 
