@@ -1,8 +1,9 @@
 """The characteristic-2 real-locus criterion: build the divisor presentation
-with squared sphere-class weights, reduce to plain weights, square, and check
-that the squaring kernel sits inside the reduction kernel.  Containment plus
-minimal Chern number >= 2 certifies that the real Lagrangian split-generates
-the weight-0 summand of the Fukaya category."""
+with squared sphere-class weights, reduce to plain weights, lift back by
+Z_j -> Z_j^2, and check that the squaring kernel, the kernel of the lift after
+the reduction, sits inside the reduction kernel.  Containment plus minimal
+Chern number >= 2 certifies that the real Lagrangian split-generates the
+weight-0 summand of the Fukaya category."""
 
 from floergen import corpus, real_gen_data, real_generation_report
 

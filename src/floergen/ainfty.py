@@ -147,6 +147,25 @@ class AInftyStructure:
             for key, out in ops[k].items():
                 for idx, c in out.items():
                     self.by_output.setdefault(idx, []).append((k, key, c))
+        if self.unit is not None:
+            self._require_strict_unit()
+
+    def _require_strict_unit(self):
+        """mu^1(e) = 0, mu^2(e, a) = +-a and mu^2(a, e) = +-a for every basis
+        element a, and e an input of no mu^k with k >= 3."""
+        e, name = self.unit, self.labels
+        bad = f"unit {name[e]} is not strict:"
+        if self.op(1, (e,)):
+            raise UsageError(f"{bad} mu^1({name[e]}) is not 0")
+        signs = (self.field.one, self.field.neg(self.field.one))
+        for a in range(self.dim):
+            for key in ((e, a), (a, e)):
+                if self.op(2, key) not in [{a: c} for c in signs]:
+                    raise UsageError(f"{bad} mu^2({name[key[0]]}, {name[key[1]]}) "
+                                     f"is not +-{name[a]}")
+        for k, tensor in self.ops.items():
+            if k >= 3 and any(e in key for key in tensor):
+                raise UsageError(f"{bad} it is an input of mu^{k}")
 
     @property
     def dim(self):

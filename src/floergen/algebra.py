@@ -12,7 +12,7 @@ polynomial of an element u is the first linear dependence among 1, u, u^2, ...
 Covers the nilradical in characteristic p (iterated Frobenius kernel),
 decomposition into local factors, idempotents for generalized eigenspace
 splittings, and m-adic filtration profiles.  Idempotents have one
-construction, the CRT splitter `_split_along`: from pairwise coprime factors
+construction, the CRT splitter `split_along`: from pairwise coprime factors
 q_i of a polynomial mu it takes one inverse of mu / q_i modulo each q_i, and
 it takes the multiplication matrix of the split element from its caller, so
 each matrix is built once.  A block e*A is read from one elimination: the
@@ -133,7 +133,7 @@ class FiniteAlgebra:
     def element_min_poly(self, u) -> UniPoly:
         """The first linear dependence among 1, u, u^2, ...: p(u) = p(L_u) 1,
         so it is the minimal polynomial of the matrix L_u of v -> u * v."""
-        return _krylov_min_poly(self.field, self.mult_matrix(u), self.unit)
+        return krylov_min_poly(self.field, self.mult_matrix(u), self.unit)
 
 
 def sparse(v):
@@ -141,7 +141,7 @@ def sparse(v):
     return {i: x for i, x in enumerate(v) if x}
 
 
-def _krylov_min_poly(F, m, v):
+def krylov_min_poly(F, m, v):
     """The first linear dependence among v, m v, m^2 v, ..., m being the
     multiplication matrix of an element u: for v = e an idempotent, p(u) e = 0
     iff p(u) kills e*A, so this is the minimal polynomial of u on e*A, and of
@@ -192,7 +192,6 @@ def radical_char_p(A: FiniteAlgebra):
 class LocalFactor:
     idempotent: list
     algebra: FiniteAlgebra
-    block_basis: list
     maximal_ideal: list
     residue_degree: int
     point: list | None
@@ -232,7 +231,7 @@ def restrict_to_block(A: FiniteAlgebra, idempotent):
     return block, [[row[c] for row in m] for c in pivots], coords
 
 
-def _split_along(F, m, idempotent, factors):
+def split_along(F, m, idempotent, factors):
     """CRT idempotents from pairwise coprime factors f^k of a polynomial mu
     that kills an element u on e*A (its minimal or characteristic
     polynomial), m being the multiplication matrix of u and e the
@@ -286,8 +285,8 @@ def local_decompose(A: FiniteAlgebra, seed: int = DEFAULT_SEED):
         m = A.mult_matrix(s)
         refined = []
         for e in idempotents:
-            factors = univariate_factor(_krylov_min_poly(F, m, e), seed)
-            refined.extend(_split_along(F, m, e, factors))
+            factors = univariate_factor(krylov_min_poly(F, m, e), seed)
+            refined.extend(split_along(F, m, e, factors))
         idempotents = refined
     if len(idempotents) < len(fixed):
         raise AnomalyError(
@@ -299,7 +298,7 @@ def local_decompose(A: FiniteAlgebra, seed: int = DEFAULT_SEED):
 
 
 def _finalize_factor(A, e):
-    block, basis, _ = restrict_to_block(A, e)
+    block = restrict_to_block(A, e)[0]
     rad = radical_char_p(block)
     residue_degree = block.dim - len(rad)
     point = None
@@ -317,7 +316,6 @@ def _finalize_factor(A, e):
     return LocalFactor(
         idempotent=e,
         algebra=block,
-        block_basis=basis,
         maximal_ideal=rad,
         residue_degree=residue_degree,
         point=point,
@@ -349,10 +347,10 @@ def bezout_idempotents(A: FiniteAlgebra, a, lam):
     """
     F = A.field
     m = A.mult_matrix(a)
-    factors, q = strip_roots(_krylov_min_poly(F, m, A.unit), [lam])
+    factors, q = strip_roots(krylov_min_poly(F, m, A.unit), [lam])
     if not factors:
         return [F.zero] * A.dim, list(A.unit), False
-    e, e_perp = _split_along(F, m, A.unit, factors + [(q, 1)])
+    e, e_perp = split_along(F, m, A.unit, factors + [(q, 1)])
     return e, e_perp, True
 
 

@@ -14,9 +14,9 @@ encoded variable u through the border columns "staircase monomial times u",
 each a staircase monomial or one normal form under the quotient's budget,
 kept in one table per quotient.  It returns sparse columns, one dict {row:
 nonzero coefficient} per domain staircase monomial.  Ring maps
-(`algebra_morphism`, squaring in characteristic 2) send 1 to 1; the columns
-of the walk sending 1 to a staircase monomial b and each variable to itself
-are b's structure constants in the FiniteAlgebra built when first needed.
+(`algebra_morphism`) send 1 to 1 and keep those columns; the columns of the
+walk sending 1 to a staircase monomial b and each variable to itself are b's
+structure constants in the FiniteAlgebra built when first needed.
 
 Polynomials live in ordinary (nonnegative-exponent) rings as dicts from
 exponent tuples to coefficients.  Laurent ideals are handled through the
@@ -639,7 +639,7 @@ def _map_staircase(domain: QuotientAlgebra, codomain: QuotientAlgebra, steps,
 class Morphism:
     well_defined: bool
     failing_relation: int | None
-    matrix: list | None
+    columns: list | None  # `_map_staircase`'s: images of the domain's staircase
     kernel_dim: int | None
     surjective: bool | None
     domain_dim: int
@@ -664,7 +664,7 @@ def algebra_morphism(domain: QuotientAlgebra, codomain: QuotientAlgebra, images)
     image in the codomain's source ring, and its coordinates are its normal
     form.  The map is well defined exactly when every domain relation reduces
     to zero; the first that does not is reported in the result, not raised.
-    The matrix comes from `_map_staircase`, with each encoded variable sent
+    The columns come from `_map_staircase`, with each encoded variable sent
     to the codomain's encoded variables that make up its image.
     """
     domain._require_finite()
@@ -703,9 +703,8 @@ def algebra_morphism(domain: QuotientAlgebra, codomain: QuotientAlgebra, images)
     cols = _map_staircase(domain, codomain, (
         [encoded_factors(tuple(-x for x in a)) for a in exps]
         + [encoded_factors(a) for a in exps]))
-    matrix = [[col.get(t, F.zero) for col in cols] for t in range(codomain.dim)]
-    rk = linalg.rank(F, matrix)
+    rk = linalg.column_rank(F, cols, codomain.dim)
     return Morphism(
-        True, None, matrix,
+        True, None, cols,
         domain.dim - rk, rk == codomain.dim, domain.dim, codomain.dim,
     )

@@ -6,12 +6,12 @@ or modular-exact; no pivot thresholds, no floating point.
 `rref` is the one dispatch point for elimination.  It reads `field.char` once
 per call and hands the matrix to one kernel per field kind:
 
-- F_2: each row packed into a Python int (bit c is column c) by `f2_bits`
-  and inserted with `f2_insert` into an echelon, a dict from each row's
-  lowest set bit to the row, so every elimination is one `^=`; the RREF is
-  that echelon back-substituted from the highest pivot down and unpacked
-  once.  `rank` over F_2 is the size of the echelon, and callers that test
-  containment of row spaces insert rows into one echelon themselves;
+- F_2: each row packed into a Python int (bit c is column c) and inserted
+  with `f2_insert` into an echelon, a dict from each row's lowest set bit to
+  the row, so every elimination is one `^=`; the RREF is that echelon
+  back-substituted from the highest pivot down and unpacked once.  `rank`
+  over F_2 is the size of the echelon, and `column_rank` inserts each sparse
+  column of a map as one bit int, with no dense matrix;
 - F_p: plain ints, one `pow(a, p - 2, p)` per pivot and one list
   comprehension `(x - f*y) % p` per row operation, rows whose pivot-column
   entry is zero skipped;
@@ -22,8 +22,9 @@ per call and hands the matrix to one kernel per field kind:
 
 RREF is unique, so every kernel returns the same matrix and pivots as plain
 Gauss-Jordan elimination with the field's own operations.  `kernel_basis`,
-`image_basis`, `solve` and `invert` go through `rref`, and so do `rank` and
-`subspace_contained` except over F_2, where they read the echelon's size.
+`image_basis`, `solve` and `invert` go through `rref`, and so do `rank`,
+`column_rank` and `subspace_contained` except over F_2, where they read the
+echelon's size.
 `mat_vec`, `mat_mul` and `charpoly` accumulate each
 output entry with native `+` and `*` from the field's zero, so over Q it is
 an int or a Fraction (an int on all-int input), and over F_p reduce it once
@@ -96,11 +97,6 @@ def rref(field, mat):
     return _rref_q(mat)
 
 
-def f2_bits(row):
-    """A row over F_2 as an int: bit c is column c."""
-    return sum(1 << c for c in compress(range(len(row)), row))
-
-
 def f2_insert(echelon, bits):
     """Reduce the bit row `bits` by `echelon`, a dict from each row's lowest
     set bit to the row, and add what remains; True when it adds a pivot.
@@ -118,7 +114,7 @@ def f2_insert(echelon, bits):
 def _f2_echelon(mat):
     echelon = {}
     for row in mat:
-        f2_insert(echelon, f2_bits(row))
+        f2_insert(echelon, sum(1 << c for c in compress(range(len(row)), row)))
     return echelon
 
 
@@ -223,6 +219,16 @@ def rank(field, mat):
     if field.char == 2:
         return len(_f2_echelon(mat))
     return len(rref(field, mat)[1])
+
+
+def column_rank(field, columns, rows):
+    """Rank of the matrix with `rows` rows and the sparse columns `columns`,
+    dicts {row: nonzero entry}.  Over F_2 each column goes straight into one
+    echelon as a bit int; otherwise `rank` runs on the dense matrix."""
+    if field.char == 2:
+        echelon = {}
+        return sum(f2_insert(echelon, sum(1 << t for t in col)) for col in columns)
+    return rank(field, [[col.get(t, field.zero) for col in columns] for t in range(rows)])
 
 
 def kernel_basis(field, mat):

@@ -20,9 +20,9 @@ from dataclasses import dataclass, field as dc_field
 from . import linalg
 from .algebra import (
     FiniteAlgebra,
-    _krylov_min_poly,
-    _split_along,
+    krylov_min_poly,
     local_decompose,
+    split_along,
     strip_roots,
 )
 from .errors import AnomalyError, UsageError
@@ -311,12 +311,12 @@ def _rational_summands(W: LaurentPoly, jac: QuotientAlgebra):
     F = jac.field
     A = jac.finite_algebra()
     m = A.mult_matrix(jac.nf_coords(W))
-    mu = _krylov_min_poly(F, m, A.unit)
+    mu = krylov_min_poly(F, m, A.unit)
     factors, residual = strip_roots(mu, [lam for lam, _ in rational_roots(mu)])
     if residual.degree > 0:
         factors.append((residual, 1))
     out = []
-    for (f, _), e in zip(factors, _split_along(F, m, A.unit, factors)):
+    for (f, _), e in zip(factors, split_along(F, m, A.unit, factors)):
         dim = linalg.rank(F, A.mult_matrix(e))
         if f is residual:
             out.append(GenerationSummand.nonsplit(

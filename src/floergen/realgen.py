@@ -2,23 +2,22 @@
 toric manifold.
 
 Builds the divisor presentation over F_2 with squared sphere-class weights
-(QH_R) and with plain weights (QH), the reduction map pi (Z_j -> Z_j, well
-defined because Z^{2A} - 1 = (Z^A - 1)^2 in characteristic 2), and the
-squaring map f_R on QH_R, both by the staircase walk in `grobner`, f_R's
-sparse columns packed straight into F_2 bit rows.  It decides ker f_R <=
-ker pi in one F_2 echelon: f_R's rows first, then pi's, none of which may
-add a pivot, with no kernel vector built.  Containment plus minimal Chern
-number at least 2 yields the positive verdict for the real locus.
+(QH_R) and with plain weights (QH), and two ring maps between them by
+`algebra_morphism`: the reduction pi: QH_R -> QH, Z_j -> Z_j, well defined
+because Z^{2A} - 1 = (Z^A - 1)^2 in characteristic 2, and the Frobenius lift
+s: QH -> QH_R, Z_j -> Z_j^2.  The squaring map f_R on QH_R is s o pi, both
+ring maps sending Z_j to Z_j^2, and pi is onto, so ker f_R = pi^-1(ker s):
+dim ker f_R = dim ker pi + dim ker s, and ker f_R <= ker pi exactly when s
+is injective.  Containment plus minimal Chern number at least 2 yields the
+positive verdict for the real locus.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import linalg
 from .errors import AnomalyError, UsageError
-from .grobner import (Budget, Morphism, QuotientAlgebra, _map_staircase,
-                      algebra_morphism)
+from .grobner import Budget, Morphism, QuotientAlgebra, algebra_morphism
 from .quantum import GenerationReport, GenerationSummand, qh_presentation
 from .scalar import PrimeField
 from .toric import DelzantPolytope, is_normalized, minimal_chern
@@ -31,7 +30,7 @@ class RealGenData:
     qh_r: QuotientAlgebra
     qh: QuotientAlgebra
     pi: Morphism
-    frobenius: list  # squaring on QH_R's staircase basis as F_2 bit rows
+    lift: Morphism  # the Frobenius lift s: QH -> QH_R
     pi_kernel_dim: int
     frobenius_kernel_dim: int
     contained: bool
@@ -53,31 +52,27 @@ def reduction_pi(qh_r: QuotientAlgebra, qh: QuotientAlgebra) -> Morphism:
     return mor
 
 
-def frobenius_matrix(qa: QuotientAlgebra):
-    """Squaring, F_2-linear in characteristic 2, as bit rows: bit k of row t
-    is coordinate t of the square of staircase monomial k.  It is the ring
-    map x_v -> x_v * x_v, so its columns come from the staircase walk."""
-    if qa.field.char != 2:
-        raise UsageError("the squaring map is linear only in characteristic 2")
-    rows = [0] * qa.dim
-    for k, col in enumerate(_map_staircase(qa, qa, [[v, v] for v in range(len(qa.names))])):
-        for t in col:
-            rows[t] |= 1 << k
-    return rows
+def frobenius_matrix(qh: QuotientAlgebra, qh_r: QuotientAlgebra) -> Morphism:
+    """The Frobenius lift s: QH -> QH_R, Z_j -> Z_j^2, a ring map only in
+    characteristic 2, where it sends the linear relations of QH to their
+    squares."""
+    if qh.field.char != 2 or qh_r.field.char != 2:
+        raise UsageError("the Frobenius lift is a ring map only in characteristic 2")
+    ring = qh_r.source_ring
+    images = [ring.monomial(tuple(2 * (i == j) for i in range(ring.nvars)))
+              for j in range(ring.nvars)]
+    mor = algebra_morphism(qh, qh_r, images)
+    if not mor.well_defined:
+        raise AnomalyError("Frobenius lift is not well defined; squared plain "
+                           "relations must land in the squared-weight ideal")
+    return mor
 
 
-def kernel_containment_check(data_pi: Morphism, frob_rows):
-    """(dim ker f_R, dim ker pi, ker f_R <= ker pi) for f_R's bit rows.  A
-    kernel is the annihilator of the row space, so the containment holds
-    exactly when pi's rows lie in the row space of f_R: f_R's rows go into
-    one F_2 echelon, then pi's, and none of pi's may add a pivot."""
-    echelon = {}
-    for bits in frob_rows:
-        linalg.f2_insert(echelon, bits)
-    rank_f = len(echelon)
-    contained = not any(linalg.f2_insert(echelon, linalg.f2_bits(row))
-                        for row in data_pi.matrix)
-    return data_pi.domain_dim - rank_f, data_pi.kernel_dim, contained
+def kernel_containment_check(pi: Morphism, lift: Morphism):
+    """(dim ker f_R, dim ker pi, ker f_R <= ker pi) for f_R = s o pi with pi
+    onto: ker f_R = pi^-1(ker s) has dimension dim ker pi + dim ker s, and it
+    lies in ker pi = pi^-1(0) exactly when ker s = 0."""
+    return pi.kernel_dim + lift.kernel_dim, pi.kernel_dim, lift.kernel_dim == 0
 
 
 def real_gen_data(P: DelzantPolytope, budget: Budget | None = None) -> RealGenData:
@@ -86,13 +81,13 @@ def real_gen_data(P: DelzantPolytope, budget: Budget | None = None) -> RealGenDa
     qh_r = qh_presentation(P, F2, "mod2_weights", budget)
     qh = qh_presentation(P, F2, "plain", budget)
     pi = reduction_pi(qh_r, qh)
-    frob = frobenius_matrix(qh_r)
-    ker_f_dim, ker_pi_dim, contained = kernel_containment_check(pi, frob)
+    lift = frobenius_matrix(qh, qh_r)
+    ker_f_dim, ker_pi_dim, contained = kernel_containment_check(pi, lift)
     return RealGenData(
         qh_r=qh_r,
         qh=qh,
         pi=pi,
-        frobenius=frob,
+        lift=lift,
         pi_kernel_dim=ker_pi_dim,
         frobenius_kernel_dim=ker_f_dim,
         contained=contained,

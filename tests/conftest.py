@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from floergen.grobner import _map_staircase
 from floergen.laurent import LaurentRing
 from floergen.scalar import QQ, PrimeField
 from floergen.toric import DelzantPolytope, corpus, polytope_product, projective_space
@@ -48,10 +49,29 @@ def dense_columns(columns, rows, zero=0):
     return [[col.get(r, zero) for col in columns] for r in range(rows)]
 
 
-def dense_bit_rows(rows, cols):
-    """The dense F_2 matrix with `cols` columns whose row t has bit k of
-    rows[t] as its entry k."""
-    return [[row >> k & 1 for k in range(cols)] for row in rows]
+def dense_matrix(mor):
+    """The dense matrix of a well-defined Morphism from its sparse columns."""
+    return dense_columns(mor.columns, mor.codomain_dim)
+
+
+def composed_columns(field, outer, inner):
+    """Sparse columns of the composite outer o inner of two Morphisms."""
+    out = []
+    for col in inner.columns:
+        acc = {}
+        for t, c in col.items():
+            for r, d in outer.columns[t].items():
+                acc[r] = field.add(acc.get(r, field.zero), field.mul(c, d))
+        out.append({r: x for r, x in acc.items() if x != field.zero})
+    return out
+
+
+def squaring_columns(qa):
+    """Sparse columns of the squaring map x -> x^2 of a quotient over F_2:
+    the staircase walk sending each encoded variable x_v to x_v * x_v.  On
+    QH_R it is the reference for f_R, which the real-locus check reads as
+    s o pi through the Frobenius lift s."""
+    return _map_staircase(qa, qa, [[v, v] for v in range(len(qa.names))])
 
 
 def F(p=None):
@@ -79,6 +99,11 @@ def ladder():
         "CP1^4": polytope_product(cp1xcp1, cp1xcp1, name="CP1^4"),
         "CP2xCP2": polytope_product(cp[2], cp[2]),
     }
+
+
+# pairs of ladder polytopes whose products the product oracles run on
+PRODUCT_PAIRS = [("CP1", "CP1"), ("CP1", "CP2"), ("CP2", "CP2"), ("CP1", "CP3"),
+                 ("CP1xCP1", "CP2"), ("CP1", "dP6"), ("CP3", "CP3"), ("CP2", "CP4")]
 
 
 def reparametrised():

@@ -10,7 +10,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from conftest import dense_bit_rows, lpoly, record_acceptance
+from conftest import dense_columns, dense_matrix, lpoly, record_acceptance, squaring_columns
 from floergen import linalg
 from floergen.ainfty import (
     HochschildCochain,
@@ -173,8 +173,8 @@ def test_criterion_5_char2_real_locus():
         assert data.qh_r.dim == want["dim_r"]
         assert data.qh.dim == want["dim"]
         assert data.qh_r.dim == 2 ** (P.num_facets - P.n) * data.qh.dim
-        ker_f = linalg.kernel_basis(F2, dense_bit_rows(data.frobenius, data.qh_r.dim))
-        ker_pi = linalg.kernel_basis(F2, data.pi.matrix)
+        ker_f = linalg.kernel_basis(F2, dense_columns(squaring_columns(data.qh_r), data.qh_r.dim))
+        ker_pi = linalg.kernel_basis(F2, dense_matrix(data.pi))
         assert data.frobenius_kernel_dim == len(ker_f) == want["ker"]
         assert data.pi_kernel_dim == len(ker_pi) == want["ker"]
         assert data.contained
@@ -191,7 +191,7 @@ def test_criterion_5_char2_real_locus():
     ring = qa.source_ring
     expected = [qa.nf_coords(lpoly(ring, {(3 + k, 0, 0): 1, (k, 0, 0): 1}))
                 for k in range(3)]
-    ker_f = linalg.kernel_basis(F2, dense_bit_rows(data.frobenius, qa.dim))
+    ker_f = linalg.kernel_basis(F2, dense_columns(squaring_columns(qa), qa.dim))
     assert linalg.subspace_contained(F2, ker_f, expected)
     assert linalg.subspace_contained(F2, expected, ker_f)
     announce(5, "characteristic-2 real locus: dimension identity, "

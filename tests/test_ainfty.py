@@ -78,11 +78,14 @@ def test_relations_hold_on_corpus():
 
 
 def corrupted(A, k, key, i, c):
-    """A copy of A with the coefficient of output i in mu^k(key) set to c."""
+    """A copy of A with the coefficient of output i in mu^k(key) set to c,
+    and with no unit when the unit is one of the inputs: the copy's unit
+    would not be strict."""
     ops = {kk: {kk2: dict(v) for kk2, v in t.items()} for kk, t in A.ops.items()}
     ops[k][key][i] = c
     return AInftyStructure(field=A.field, degrees=list(A.degrees),
-                           arity_cap=A.arity_cap, ops=ops, unit=A.unit)
+                           arity_cap=A.arity_cap, ops=ops,
+                           unit=None if A.unit in key else A.unit)
 
 
 def corrupted_lambda_x():
@@ -111,6 +114,39 @@ def test_operations_above_arity_cap_rejected():
     with pytest.raises(UsageError):
         AInftyStructure(field=QQ, degrees=[0, 1], arity_cap=2,
                         ops={3: {(0, 0, 0): {1: Fraction(1)}}})
+
+
+def lambda_x_ops(**changes):
+    """lambda_x's operations (unit b0 = 1, x = b1 of degree 1) at arity cap 3,
+    with the entries in `changes`, keyed "k:i,j,...", replaced; None drops one."""
+    ops = {k: {key: dict(out) for key, out in t.items()}
+           for k, t in load_example("lambda_x").ops.items()}
+    for spec, out in changes.items():
+        k, key = spec.split(":")
+        key = tuple(int(i) for i in key.split(","))
+        if out is None:
+            del ops[int(k)][key]
+        else:
+            ops.setdefault(int(k), {})[key] = out
+    return ops
+
+
+@pytest.mark.parametrize("degrees, ops, words", [
+    # the structure of the strict-unit defect: it passes the A-infinity
+    # relations to arity 3, and with unit=0 `cohomology` used to fail on it
+    # with a message about products
+    ([0, 1, 0], {1: {(0,): {1: 1}}, 2: {(2, 2): {2: 1}}}, r"mu\^1\(b0\) is not 0"),
+    ([0, 1], lambda_x_ops(**{"2:0,1": {1: 2}}), r"mu\^2\(b0, b1\) is not \+-b1"),
+    ([0, 1], lambda_x_ops(**{"2:1,0": None}), r"mu\^2\(b1, b0\) is not \+-b1"),
+    ([0, 1], lambda_x_ops(**{"2:0,0": {0: 2}}), r"mu\^2\(b0, b0\) is not \+-b0"),
+    ([0, 1], lambda_x_ops(**{"3:1,0,1": {1: 1}}), r"it is an input of mu\^3"),
+], ids=["mu1", "left-product", "right-product", "unit-squared-doubled", "mu3-input"])
+def test_unit_that_is_not_strict_is_rejected(degrees, ops, words):
+    if len(degrees) == 3:
+        assert check_ainfty_relations(
+            AInftyStructure(field=QQ, degrees=degrees, arity_cap=3, ops=ops), 3)
+    with pytest.raises(UsageError, match="unit b0 is not strict: " + words):
+        AInftyStructure(field=QQ, degrees=degrees, arity_cap=3, ops=ops, unit=0)
 
 
 CURVED_OPS = {0: {(): {0: Fraction(1)}},
@@ -186,7 +222,9 @@ def test_triangular_opposite_differs_but_cohomology_opposite():
 
 def random_structure(rng, field, degrees, arity_cap, entries, unit=None):
     """Random nonzero operation entries of the right degree parity, with no
-    A-infinity relations: a test bed for formulas linear in the operations."""
+    A-infinity relations: a test bed for formulas linear in the operations.
+    An even-degree `unit` is made strict: the entries with it as an input
+    are replaced by mu^2(e, a) = (-1)^{|a|} a and mu^2(a, e) = a."""
     dim = len(degrees)
     ops = {}
     for _ in range(entries):
@@ -199,6 +237,13 @@ def random_structure(rng, field, degrees, arity_cap, entries, unit=None):
             else Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 3))
             for i in rng.sample(outs, rng.randint(1, len(outs)))
         }
+    if unit is not None:
+        ops = {k: {key: out for key, out in t.items() if unit not in key}
+               for k, t in ops.items()}
+        for a in range(dim):
+            ops.setdefault(2, {})[(unit, a)] = {
+                a: field.neg(field.one) if degrees[a] % 2 else field.one}
+            ops[2][(a, unit)] = {a: field.one}
     return AInftyStructure(field=field, degrees=list(degrees), arity_cap=arity_cap,
                            ops=ops, unit=unit)
 
@@ -931,7 +976,7 @@ def test_product_and_theta_scatter_match_gather(variant):
     rng = random.Random(variant)
     shipped = [SCATTER_FIELDS[variant](load_example(name)) for name in EXAMPLES]
     field = shipped[0].field
-    randoms = [random_structure(rng, field, degrees, 4, 40, unit=0)
+    randoms = [random_structure(rng, field, degrees, 4, 40, unit=degrees.index(0))
                for degrees in ([0, 1, 0], [1, 0, 1])]
     cases = 0
     for B in shipped + randoms:

@@ -11,12 +11,12 @@ from conftest import dense_columns, ladder, lpoly
 from floergen import algebra, linalg
 from floergen.algebra import (
     FiniteAlgebra,
-    _split_along,
     bezout_idempotents,
     local_decompose,
     madic_profile,
     radical_char_p,
     restrict_to_block,
+    split_along,
     strip_roots,
 )
 from floergen.errors import AnomalyError, UsageError
@@ -460,7 +460,7 @@ CRT_CASES = {
 
 @pytest.mark.parametrize("name", CRT_CASES)
 def test_one_crt_split_over_q(name):
-    """One _split_along call on chi's factors gives a complete set of
+    """One split_along call on chi's factors gives a complete set of
     orthogonal idempotents: bezout_idempotents' e for each rational root,
     whose block has the root's multiplicity, and one for the residual."""
     A, c1 = q_jacobian(name)
@@ -474,7 +474,7 @@ def test_one_crt_split_over_q(name):
     assert residual.degree == residual_degree
     if residual.degree > 0:
         factors.append((residual, 1))
-    idempotents = _split_along(F, A.mult_matrix(c1), A.unit, factors)
+    idempotents = split_along(F, A.mult_matrix(c1), A.unit, factors)
     assert len(idempotents) == len(factors)
     total = [F.zero] * A.dim
     for i, e in enumerate(idempotents):
@@ -554,7 +554,7 @@ def test_restrict_to_block_matches_solve_reference(name, p, expected, monkeypatc
 
 
 def factor_key(factors):
-    return [(f.idempotent, f.dim, f.residue_degree, f.point, f.maximal_ideal, f.block_basis)
+    return [(f.idempotent, f.dim, f.residue_degree, f.point, f.maximal_ideal)
             for f in factors]
 
 
@@ -691,7 +691,7 @@ def test_split_along_matches_bezout_chain_on_ladder_c1_over_q():
         jac = jacobian_ring(W)
         A, c1 = jac.finite_algebra(), jac.nf_coords(W)
         factors = c1_factors(A, c1)
-        got = _split_along(QQ, A.mult_matrix(c1), A.unit, factors)
+        got = split_along(QQ, A.mult_matrix(c1), A.unit, factors)
         assert got == bezout_chain_split_along(A, A.unit, c1, factors), name
         multiplicities.update(k for _, k in factors)
         residual_degrees.update(f.degree for f, _ in factors if f.degree > 1)
@@ -703,14 +703,14 @@ def test_split_along_matches_bezout_chain_in_local_decompose(p, monkeypatch):
     # each refinement splits e along the minimal polynomial of a Berlekamp
     # vector s on e*A; m is the matrix of s, so s = m * unit
     calls = []
-    original = algebra._split_along
+    original = algebra.split_along
 
     def recorded(F, m, e, factors):
         out = original(F, m, e, factors)
         calls.append((m, e, factors, out))
         return out
 
-    monkeypatch.setattr(algebra, "_split_along", recorded)
+    monkeypatch.setattr(algebra, "split_along", recorded)
     splits = 0
     for name in ladder():
         A = ladder_algebra(name, p)
@@ -765,7 +765,7 @@ def test_split_along_matches_bezout_chain_on_random_coprime_factors():
         mu = functools.reduce(UniPoly.__mul__, [f for f, k in factors for _ in range(k)])
         A, t = univariate_quotient(field, mu)
         assert A.is_associative() and A.element_min_poly(t) == mu
-        got = _split_along(field, A.mult_matrix(t), A.unit, factors)
+        got = split_along(field, A.mult_matrix(t), A.unit, factors)
         assert got == bezout_chain_split_along(A, A.unit, t, factors)
 
     check()

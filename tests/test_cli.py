@@ -286,8 +286,10 @@ def test_ainfty_check(capsys, tmp_path):
     assert data["failures"] == []
 
     # doubling mu^2(e, e) on dga3 breaks associativity at arity 3 only;
-    # failures come ordered by (arity, inputs) whatever the input order
+    # failures come ordered by (arity, inputs) whatever the input order.
+    # e is then no strict unit, so the copy declares none
     bad = load_example("dga3").to_json()
+    bad["unit"] = None
     bad["mu"]["2"].reverse()
     for entry in bad["mu"]["2"]:
         if entry["inputs"] == [0, 0]:
@@ -413,16 +415,18 @@ def test_budget_covers_whole_command(capsys, polytope_file):
 
 def test_budget_covers_every_normal_form(capsys, polytope_file):
     # real-gen on CP2 builds its two quotients in 13 steps (8 and 5); the
-    # normal forms of the reduction map's relation images take 11, the
-    # staircase walk's columns for the reduction map 3 and for the squaring
-    # map 5 more, all under the one --budget
+    # normal forms of the reduction map's relation images take 11 and its
+    # staircase walk's columns 3 more; the normal forms of the Frobenius
+    # lift's relation images in QH_R take 11, and its walk's columns are
+    # staircase monomials of QH_R, so they take none: 38 steps, all under
+    # the one --budget
     path = polytope_file("CP2")
     code, out, _ = invoke(capsys, [
-        "real-gen", "--polytope", path, "--budget", "31", "--format", "json",
+        "real-gen", "--polytope", path, "--budget", "37", "--format", "json",
     ])
     assert code == 2
-    assert json.loads(out)["steps"] == 32
-    code, _, _ = invoke(capsys, ["real-gen", "--polytope", path, "--budget", "32"])
+    assert json.loads(out)["steps"] == 38
+    code, _, _ = invoke(capsys, ["real-gen", "--polytope", path, "--budget", "38"])
     assert code == 0
 
 def test_text_output_byte_stable(capsys, polytope_file):

@@ -22,7 +22,7 @@ from sympy import GF, QQ as SYMPY_QQ, Matrix, Poly, eye, symbols  # noqa: E402
 from sympy.matrices.normalforms import invariant_factors  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
-from conftest import dense_bit_rows  # noqa: E402
+from conftest import dense_columns, squaring_columns  # noqa: E402
 from floergen import linalg, realgen  # noqa: E402
 from floergen.grobner import Morphism  # noqa: E402
 from floergen.quantum import qh_presentation  # noqa: E402
@@ -291,45 +291,17 @@ def dense_rref_f2(mat):
     return [[(v >> c) & 1 for c in range(cols)] for v in m], pivots
 
 
-def dense_containment(pi, frob):
-    """`kernel_containment_check` before the one echelon: two dense ranks."""
-    rank_f = len(dense_rref_f2(frob)[1])
-    contained = len(dense_rref_f2(frob + pi.matrix)[1]) == rank_f
-    return pi.domain_dim - rank_f, pi.kernel_dim, contained
-
-
-@st.composite
-def f2_maps(draw):
-    """f_R (r x d) and pi (k x d) over F_2 with d, r, k in 0..12: d = 0 is
-    the zero ring, r = 0 or k = 0 an empty matrix; some of pi's rows are sums
-    of f_R's rows, so both containment outcomes occur."""
-    F2 = realgen.F2
-    d = draw(st.integers(0, 12))
-    bits = st.lists(st.booleans(), min_size=d, max_size=d).map(
-        lambda row: [int(x) for x in row])
-    frob = draw(st.lists(bits, max_size=12))
-    picks = st.lists(st.booleans(), min_size=len(frob), max_size=len(frob))
-    sums = [[sum(x for x, pick in zip(col, ps) if pick) % 2 for col in zip(*frob)]
-            if frob else [0] * d for ps in draw(st.lists(picks, max_size=6))]
-    pi_matrix = sums + draw(st.lists(bits, max_size=6))
-    pi = Morphism(True, None, pi_matrix, d - reference_rank(F2, pi_matrix), None,
-                  d, len(pi_matrix))
-    return frob, pi
-
-
 @SETTINGS
-@given(f2_maps())
-def test_f2_bit_rows_match_dense_reference(maps):
+@given(data=st.data())
+def test_f2_bit_rows_match_dense_reference(data):
     """The F_2 echelon on bit rows against the dense kernel it replaced: the
-    same RREF and pivots, the same rank, and the same containment verdict
-    and kernel dimensions, including the zero ring and empty inputs."""
-    F2 = realgen.F2
-    frob, pi = maps
-    for mat in (frob, pi.matrix, frob + pi.matrix):
-        assert linalg.rref(F2, mat) == dense_rref_f2(mat)
-        assert linalg.rank(F2, mat) == len(dense_rref_f2(mat)[1])
-    frob_rows = [linalg.f2_bits(row) for row in frob]
-    assert realgen.kernel_containment_check(pi, frob_rows) == dense_containment(pi, frob)
+    same RREF and pivots and the same rank, on 0-12 rows and columns."""
+    F2 = FIELDS["F2"]
+    rows, cols = data.draw(st.integers(0, 12)), data.draw(st.integers(0, 12))
+    mat = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=cols, max_size=cols),
+                             min_size=rows, max_size=rows))
+    assert linalg.rref(F2, mat) == dense_rref_f2(mat)
+    assert linalg.rank(F2, mat) == len(dense_rref_f2(mat)[1])
 
 
 def test_f2_echelon_on_the_zero_ring_and_empty_inputs():
@@ -338,8 +310,25 @@ def test_f2_echelon_on_the_zero_ring_and_empty_inputs():
     assert linalg.rref(F2, [[], []]) == ([[], []], [])
     assert linalg.rank(F2, []) == linalg.rank(F2, [[], []]) == 0
     assert linalg.rank(F2, [[0, 0], [0, 0]]) == 0
+    assert linalg.column_rank(F2, [], 0) == linalg.column_rank(F2, [{}, {}], 3) == 0
     zero_ring = Morphism(True, None, [], 0, True, 0, 0)
-    assert realgen.kernel_containment_check(zero_ring, []) == (0, 0, True)
+    assert realgen.kernel_containment_check(zero_ring, zero_ring) == (0, 0, True)
+
+
+@pytest.mark.parametrize("name", ["F2", "F7", "Q"])
+@SETTINGS
+@given(data=st.data())
+def test_column_rank_matches_reference(name, data):
+    """`column_rank` on sparse columns against `reference_rank` on the dense
+    matrix, with no columns, all-zero columns and zero rows among the draws."""
+    field = FIELDS[name]
+    rows, cols = data.draw(st.integers(0, 7)), data.draw(st.integers(0, 7))
+    mat = data.draw(matrices(field, rows=rows, cols=cols))
+    columns = [{t: mat[t][k] for t in range(rows) if mat[t][k] != field.zero}
+               for k in range(cols)]
+    zeros = data.draw(st.integers(0, 2))
+    got = linalg.column_rank(field, columns + [{}] * zeros, rows)
+    assert got == reference_rank(field, [row + [field.zero] * zeros for row in mat])
 
 
 @pytest.mark.parametrize("name", ["Q", "F2", "F7"])
@@ -358,37 +347,42 @@ def test_containment_check_at_dim_256():
     qh = qh_presentation(P, F2, "plain")
     assert qh_r.dim == 256
     pi = realgen.reduction_pi(qh_r, qh)
-    frob = realgen.frobenius_matrix(qh_r)
-    ker_f_dim, ker_pi_dim, contained = realgen.kernel_containment_check(pi, frob)
-    ref_f = reference_kernel(F2, dense_bit_rows(frob, qh_r.dim))
-    ref_pi = reference_kernel(F2, pi.matrix)
+    lift = realgen.frobenius_matrix(qh, qh_r)
+    ker_f_dim, ker_pi_dim, contained = realgen.kernel_containment_check(pi, lift)
+    ref_f = reference_kernel(F2, dense_columns(squaring_columns(qh_r), qh_r.dim))
+    ref_pi = reference_kernel(F2, dense_columns(pi.columns, qh.dim))
     assert (ker_f_dim, ker_pi_dim) == (len(ref_f), len(ref_pi))
     ref_contained = reference_rank(F2, ref_pi + ref_f) == reference_rank(F2, ref_pi)
     assert contained == ref_contained
     assert contained
 
 
+def morphism(field, mat, cols):
+    """A well-defined Morphism with the matrix `mat` (`cols` columns), its
+    kernel and surjectivity read off `reference_rref`."""
+    rank = reference_rank(field, mat)
+    columns = [{t: row[k] for t, row in enumerate(mat) if row[k]} for k in range(cols)]
+    return Morphism(True, None, columns, cols - rank, rank == len(mat), cols, len(mat))
+
+
 @SETTINGS
 @given(data=st.data())
 def test_containment_by_ranks_matches_kernels(data):
-    """ker f <= ker pi by ranks of row spaces agrees with the containment of
-    the kernels themselves, read off `reference_rref`.  The rows of pi are
-    sums of rows of f, so contained, and then some drawn rows, which often
-    are not."""
+    """For f = s o pi with pi onto, the rank-nullity arithmetic of
+    `kernel_containment_check` agrees with the kernels of f and pi read off
+    `reference_rref`: their dimensions and whether ker f <= ker pi.  pi is
+    an identity block beside drawn columns, its columns shuffled; s, of any
+    rank, often has a kernel."""
     F2 = realgen.F2
-    d = data.draw(st.integers(1, 7))
-    frob = data.draw(matrices(F2, rows=data.draw(st.integers(1, 7)), cols=d))
-    sums = data.draw(st.lists(
-        st.lists(st.booleans(), min_size=len(frob), max_size=len(frob)), max_size=4))
-    rows = [[sum(x for x, pick in zip(col, picks) if pick) % 2 for col in zip(*frob)]
-            for picks in sums]
-    extra = data.draw(st.integers(0 if rows else 1, 2))
-    pi_matrix = rows + data.draw(matrices(F2, rows=extra, cols=d))
-    pi = Morphism(True, None, pi_matrix, d - reference_rank(F2, pi_matrix), None,
-                  d, len(pi_matrix))
-    ker_f_dim, ker_pi_dim, contained = realgen.kernel_containment_check(
-        pi, [linalg.f2_bits(row) for row in frob])
-    ref_f = reference_kernel(F2, frob)
-    ref_pi = reference_kernel(F2, pi_matrix)
-    assert (ker_f_dim, ker_pi_dim) == (len(ref_f), len(ref_pi))
-    assert contained == (reference_rank(F2, ref_pi + ref_f) == reference_rank(F2, ref_pi))
+    n = data.draw(st.integers(1, 5))
+    m = n + data.draw(st.integers(0, 4))
+    extra = data.draw(matrices(F2, rows=n, cols=m - n))
+    order = data.draw(st.permutations(range(m)))
+    block = [row + extra[i] for i, row in enumerate(linalg.identity(F2, n))]
+    pi = [[row[c] for c in order] for row in block]
+    s = data.draw(matrices(F2, rows=m, cols=n))
+    got = realgen.kernel_containment_check(morphism(F2, pi, m), morphism(F2, s, n))
+    ref_f = reference_kernel(F2, reference_mat_mul(F2, s, pi))
+    ref_pi = reference_kernel(F2, pi)
+    contained = reference_rank(F2, ref_pi + ref_f) == reference_rank(F2, ref_pi)
+    assert got == (len(ref_f), len(ref_pi), contained)

@@ -1,0 +1,45 @@
+"""Each module of floergen uses only the public names of its siblings."""
+
+import ast
+import pathlib
+
+import floergen
+
+PACKAGE = pathlib.Path(floergen.__file__).parent
+
+
+def private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_uses(tree):
+    """(line, name) of each private name the module takes from a sibling:
+    imported by `from .x import _y` or `from floergen.x import _y`, or read
+    as `x._y` off a sibling module x it imported."""
+    siblings, uses = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "floergen"):
+            for alias in node.names:
+                if private(alias.name):
+                    uses.append((node.lineno, alias.name))
+                elif node.module is None or node.module == "floergen":
+                    siblings.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in siblings and private(node.attr)):
+            uses.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    return uses
+
+
+def test_no_module_imports_a_private_name_of_a_sibling():
+    found = {path.name: uses for path in sorted(PACKAGE.glob("*.py"))
+             if (uses := private_uses(ast.parse(path.read_text(), str(path))))}
+    assert found == {}
+
+
+def test_the_check_sees_each_kind_of_private_use():
+    source = ("from . import linalg\nfrom .grobner import _map_staircase, algebra_morphism\n"
+              "from floergen.scalar import _canon\nx = linalg._rref_f2\ny = linalg.rank\n")
+    assert private_uses(ast.parse(source)) == [
+        (2, "_map_staircase"), (3, "_canon"), (4, "linalg._rref_f2")]

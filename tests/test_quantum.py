@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from conftest import dp6, ladder, lpoly
+from conftest import PRODUCT_PAIRS, dp6, ladder, lpoly
 from floergen import linalg
 from floergen.algebra import FiniteAlgebra
 from floergen.errors import AnomalyError, UsageError
@@ -144,7 +144,7 @@ def test_co0_columns_match_laurent_products(name, field):
             e = mono[N + j] - mono[j]
             step = ring.monomial(tuple(nu if e > 0 else [-x for x in nu]))
             prod = prod * step ** abs(e)
-        assert [row[k] for row in mor.matrix] == jac.nf_coords(prod)
+        assert [mor.columns[k].get(t, 0) for t in range(jac.dim)] == jac.nf_coords(prod)
 
 
 def test_jacobian_dim_equals_cohomology_total():
@@ -388,13 +388,13 @@ def test_toric_generation_builds_jacobian_ring_once(monkeypatch):
 def test_rational_report_computes_one_krylov_min_poly(name, monkeypatch):
     # one Krylov minimal polynomial of c1 per report, and no charpoly call
     calls, charpolys = [], []
-    original = quantum._krylov_min_poly
+    original = quantum.krylov_min_poly
 
     def counted(F, m, v):
         calls.append(len(m))
         return original(F, m, v)
 
-    monkeypatch.setattr(quantum, "_krylov_min_poly", counted)
+    monkeypatch.setattr(quantum, "krylov_min_poly", counted)
     monkeypatch.setattr(linalg, "charpoly", lambda F, m: charpolys.append(len(m)))
     report = toric_generation_report(corpus()[name], QQ)
     assert not report.anomaly
@@ -452,13 +452,13 @@ def test_rational_complement_summand_cp2():
 
 def test_rational_summand_dims_are_checked(monkeypatch):
     # a residual idempotent that misses its block must trip the summand-sum check
-    original = quantum._split_along
+    original = quantum.split_along
 
     def lossy(F, m, idempotent, factors):
         out = original(F, m, idempotent, factors)
         return out[:-1] + [[F.zero] * len(idempotent)]
 
-    monkeypatch.setattr(quantum, "_split_along", lossy)
+    monkeypatch.setattr(quantum, "split_along", lossy)
     with pytest.raises(AnomalyError):
         toric_generation_report(corpus()["CP2"], QQ)
 
@@ -516,10 +516,6 @@ def test_rational_summands_read_from_idempotents_match_blocks(name):
 # Jac(W_P + W_Q) is Jac(W_P) tensor Jac(W_Q) for the product P x Q, whose
 # superpotential is W_P + W_Q in disjoint variables; pairs of ladder rungs
 # with total dim at most 16, over Q and F7
-PRODUCT_PAIRS = [("CP1", "CP1"), ("CP1", "CP2"), ("CP2", "CP2"), ("CP1", "CP3"),
-                 ("CP1xCP1", "CP2"), ("CP1", "dP6"), ("CP3", "CP3"), ("CP2", "CP4")]
-
-
 def kronecker_sum(F, a, b):
     """a x 1 + 1 x b on the tensor product, basis pair (i, j) at i * len(b) + j."""
     p, q = len(a), len(b)

@@ -4,7 +4,8 @@ import types
 
 import pytest
 
-from conftest import dense_bit_rows, dp6, ladder, lpoly, reparametrised
+from conftest import (PRODUCT_PAIRS, composed_columns, dense_columns, dense_matrix, dp6,
+                      ladder, lpoly, reparametrised, squaring_columns)
 from floergen import linalg, realgen
 from floergen.errors import AnomalyError, UsageError
 from floergen.quantum import qh_presentation
@@ -15,14 +16,14 @@ from floergen.realgen import (
     real_generation_report,
 )
 from floergen.scalar import PrimeField
-from floergen.toric import corpus, h2_lattice
+from floergen.toric import corpus, h2_lattice, polytope_product
 
 
 def test_reduction_pi_cp2():
     P = corpus()["CP2"]
     data = real_gen_data(P)
     assert data.qh_r.dim == 6 and data.qh.dim == 3
-    ker_pi = linalg.kernel_basis(F2, data.pi.matrix)
+    ker_pi = linalg.kernel_basis(F2, dense_matrix(data.pi))
     assert data.pi_kernel_dim == len(ker_pi) == 3
     # kernel is (Z^3 + 1) * {1, Z, Z^2} inside F2[Z]/(Z^6 - 1)
     qa = data.qh_r
@@ -38,39 +39,39 @@ def test_reduction_pi_cp2():
 def test_reduction_pi_cp1():
     data = real_gen_data(corpus()["CP1"])
     assert data.qh_r.dim == 4 and data.qh.dim == 2
-    assert data.pi_kernel_dim == len(linalg.kernel_basis(F2, data.pi.matrix)) == 2
+    assert data.pi_kernel_dim == len(linalg.kernel_basis(F2, dense_matrix(data.pi))) == 2
 
 
 def test_reduction_pi_cp1xcp1():
     data = real_gen_data(corpus()["CP1xCP1"])
     assert data.qh_r.dim == 16 and data.qh.dim == 4
     # rank-nullity with surjectivity
-    assert data.pi_kernel_dim == len(linalg.kernel_basis(F2, data.pi.matrix)) == 12
+    assert data.pi_kernel_dim == len(linalg.kernel_basis(F2, dense_matrix(data.pi))) == 12
     assert data.pi.surjective
 
 
 def test_frobenius_matrix_cp2():
-    P = corpus()["CP2"]
-    qh_r = qh_presentation(P, F2, "mod2_weights")
-    frob = dense_bit_rows(frobenius_matrix(qh_r), qh_r.dim)
-    qa = qh_r
-    # 1 -> 1
-    unit = qa.unit_coords()
-    assert linalg.mat_vec(F2, frob, unit) == unit
-    # kernel dim 3, image spanned by even powers of the cyclic generator
-    ker = linalg.kernel_basis(F2, frob)
-    assert len(ker) == 3
-    img = linalg.image_basis(F2, frob)
-    assert len(img) == 3
+    # the lift s: QH -> QH_R sends 1 to 1 and is injective; its image, like
+    # that of squaring on QH_R, is spanned by the even powers of Z
+    data = real_gen_data(corpus()["CP2"])
+    qh, qa = data.qh, data.qh_r
+    s = dense_matrix(data.lift)
+    assert linalg.mat_vec(F2, s, qh.unit_coords()) == qa.unit_coords()
+    assert data.lift.kernel_dim == 0 and not data.lift.surjective
     ring = qa.source_ring
     evens = [qa.nf_coords(ring.monomial((2 * k, 0, 0))) for k in range(3)]
+    img = linalg.image_basis(F2, s)
     assert linalg.subspace_contained(F2, evens, img)
+    assert linalg.subspace_contained(F2, img, evens)
+    frob = dense_columns(squaring_columns(qa), qa.dim)
+    assert len(linalg.kernel_basis(F2, frob)) == 3
+    assert linalg.subspace_contained(F2, img, linalg.image_basis(F2, frob))
 
 
 def test_frobenius_cp1_kernel_basis():
-    qh_r = qh_presentation(corpus()["CP1"], F2, "mod2_weights")
-    qa = qh_r
-    frob = dense_bit_rows(frobenius_matrix(qh_r), qh_r.dim)
+    data = real_gen_data(corpus()["CP1"])
+    qa = data.qh_r
+    frob = dense_columns(composed_columns(F2, data.lift, data.pi), qa.dim)
     ker = linalg.kernel_basis(F2, frob)
     ring = qa.source_ring
     expected = [
@@ -82,8 +83,7 @@ def test_frobenius_cp1_kernel_basis():
 
 
 def reference_frobenius(qa):
-    """Squaring as `frobenius_matrix` built it before the staircase walk: one
-    normal form of x^(2e) per staircase monomial x^e."""
+    """Squaring as one normal form of x^(2e) per staircase monomial x^e."""
     return linalg.transpose(
         [qa.nf_coords({tuple(2 * e for e in mono): qa.field.one}) for mono in qa.staircase])
 
@@ -91,62 +91,108 @@ def reference_frobenius(qa):
 @pytest.mark.parametrize("name", ["CP1", "CP1xCP1", "CP1^3", "CP1^4", "dP6",
                                   "CP2xCP1-sheared"])
 def test_frobenius_walk_matches_squared_monomials(name):
+    """f_R three ways: per-monomial normal forms, the squaring walk on QH_R,
+    and the composed columns of s o pi, which the real-locus check reads."""
     P = {"dP6": dp6, "CP2xCP1-sheared": reparametrised}.get(name, lambda: ladder()[name])()
     qh_r = qh_presentation(P, F2, "mod2_weights")
-    assert dense_bit_rows(frobenius_matrix(qh_r), qh_r.dim) == reference_frobenius(qh_r)
+    qh = qh_presentation(P, F2, "plain")
+    want = reference_frobenius(qh_r)
+    assert dense_columns(squaring_columns(qh_r), qh_r.dim) == want
+    lift, pi = frobenius_matrix(qh, qh_r), realgen.reduction_pi(qh_r, qh)
+    assert dense_columns(composed_columns(F2, lift, pi), qh_r.dim) == want
 
 
 def test_frobenius_needs_characteristic_2():
     qa = qh_presentation(corpus()["CP1"], PrimeField(3))
     with pytest.raises(UsageError, match="characteristic 2"):
-        frobenius_matrix(qa)
+        frobenius_matrix(qa, qa)
 
 
 def test_frobenius_is_squaring_linearly():
+    # s o pi squares every element of QH_R, and s is multiplicative on QH
     rng = random.Random(31)
-    qh_r = qh_presentation(corpus()["CP1xCP1"], F2, "mod2_weights")
-    qa = qh_r
-    frob = dense_bit_rows(frobenius_matrix(qh_r), qh_r.dim)
+    data = real_gen_data(corpus()["CP1xCP1"])
+    qh, qa = data.qh, data.qh_r
+    s, pi = dense_matrix(data.lift), dense_matrix(data.pi)
     for _ in range(8):
         u = [rng.randrange(2) for _ in range(qa.dim)]
-        v = [rng.randrange(2) for _ in range(qa.dim)]
-        assert linalg.mat_vec(F2, frob, u) == qa.element_product(u, u)
-        s = [F2.add(a, b) for a, b in zip(u, v)]
-        lhs = linalg.mat_vec(F2, frob, s)
-        rhs = [F2.add(a, b) for a, b in zip(
-            linalg.mat_vec(F2, frob, u), linalg.mat_vec(F2, frob, v))]
-        assert lhs == rhs
+        assert linalg.mat_vec(F2, s, linalg.mat_vec(F2, pi, u)) == qa.element_product(u, u)
+        a = [rng.randrange(2) for _ in range(qh.dim)]
+        b = [rng.randrange(2) for _ in range(qh.dim)]
+        assert linalg.mat_vec(F2, s, qh.element_product(a, b)) == qa.element_product(
+            linalg.mat_vec(F2, s, a), linalg.mat_vec(F2, s, b))
 
 
 def test_kernel_containment_and_equality():
     for name in ("CP1", "CP2", "CP3", "CP1xCP1"):
         data = real_gen_data(corpus()[name])
-        assert data.contained
-        ker_f = linalg.kernel_basis(F2, dense_bit_rows(data.frobenius, data.qh_r.dim))
-        ker_pi = linalg.kernel_basis(F2, data.pi.matrix)
+        assert data.contained and data.lift.kernel_dim == 0
+        ker_f = linalg.kernel_basis(F2, dense_columns(squaring_columns(data.qh_r), data.qh_r.dim))
+        ker_pi = linalg.kernel_basis(F2, dense_matrix(data.pi))
         assert (data.frobenius_kernel_dim, data.pi_kernel_dim) == (len(ker_f), len(ker_pi))
         # the sharper fact: both kernels coincide
         assert linalg.subspace_contained(F2, ker_pi, ker_f)
         assert linalg.subspace_contained(F2, ker_f, ker_pi)
 
 
-def test_pi_row_outside_frobenius_rowspace_flips_containment(monkeypatch):
+def test_lift_with_a_zeroed_column_flips_containment(monkeypatch):
     P = corpus()["CP2"]
     data = real_gen_data(P)
     assert data.contained
-    frob, rows = dense_bit_rows(data.frobenius, data.qh_r.dim), data.pi.matrix
-    rank_f = linalg.rank(F2, frob)
-    escape = next(e for e in linalg.identity(F2, data.qh_r.dim)
-                  if linalg.rank(F2, frob + [e]) > rank_f)
-    matrix = [[F2.add(x, y) for x, y in zip(rows[0], escape)]] + rows[1:]
-    bad = dataclasses.replace(
-        data.pi, matrix=matrix, kernel_dim=data.qh_r.dim - linalg.rank(F2, matrix))
-    assert realgen.kernel_containment_check(data.pi, data.frobenius)[2]
-    assert not realgen.kernel_containment_check(bad, data.frobenius)[2]
-    monkeypatch.setattr(realgen, "reduction_pi", lambda qh_r, qh: bad)
+    # s sends 1 to 1; without that column its rank drops by one
+    columns = [{}] + data.lift.columns[1:]
+    rank = linalg.column_rank(F2, columns, data.qh_r.dim)
+    assert rank == data.qh.dim - 1
+    bad = dataclasses.replace(data.lift, columns=columns, kernel_dim=data.qh.dim - rank)
+    assert realgen.kernel_containment_check(data.pi, data.lift)[2]
+    assert realgen.kernel_containment_check(data.pi, bad) == (
+        data.pi_kernel_dim + 1, data.pi_kernel_dim, False)
+    monkeypatch.setattr(realgen, "frobenius_matrix", lambda qh, qh_r: bad)
     rep = real_generation_report(P)
     assert rep.anomaly and rep.extra["containment"] is False
     assert rep.summands == []
+
+
+@pytest.mark.parametrize("target, words", [
+    ("pi", "reduction map is not surjective"),
+    ("lift", "Frobenius lift is not well defined"),
+], ids=["pi-not-onto", "lift-ill-defined"])
+def test_broken_maps_raise_anomalies(monkeypatch, target, words):
+    """pi: Z_j -> Z_j^2 is well defined but not onto on CP1xCP1, whose QH is
+    local over F_2 with nilpotents; s: Z_j -> Z_j, unsquared, sends the
+    relation Z_1 Z_2 = 1 of QH to Z_1 Z_2, which is not 1 in QH_R."""
+    P = corpus()["CP1xCP1"]
+    original = realgen.algebra_morphism
+
+    def mutated(domain, codomain, images):
+        ring = codomain.source_ring
+        if target == "pi" and codomain.dim < domain.dim:
+            images = [p * p for p in images]
+        if target == "lift" and codomain.dim > domain.dim:
+            images = [ring.variable(j) for j in range(ring.nvars)]
+        return original(domain, codomain, images)
+
+    monkeypatch.setattr(realgen, "algebra_morphism", mutated)
+    with pytest.raises(AnomalyError, match=words):
+        real_generation_report(P)
+
+
+def ker_s(extra):
+    return extra["frobenius_kernel_dim"] - extra["pi_kernel_dim"]
+
+
+@pytest.mark.parametrize("names", PRODUCT_PAIRS, ids=["x".join(p) for p in PRODUCT_PAIRS])
+def test_real_gen_on_products_from_factors(names):
+    """QH and QH_R of P x Q are tensor products, and so is the lift s: the
+    dimensions multiply, rank s multiplies, and s is injective on P x Q
+    exactly when it is on both factors."""
+    P, Q = (ladder()[name] for name in names)
+    rp, rq, r = (real_generation_report(X).extra for X in (P, Q, polytope_product(P, Q)))
+    assert r["dim_qh"] == rp["dim_qh"] * rq["dim_qh"]
+    assert r["dim_qh_r"] == rp["dim_qh_r"] * rq["dim_qh_r"]
+    rank_p, rank_q = rp["dim_qh"] - ker_s(rp), rq["dim_qh"] - ker_s(rq)
+    assert ker_s(r) == r["dim_qh"] - rank_p * rank_q
+    assert r["containment"] == (rp["containment"] and rq["containment"])
 
 
 def test_pi_kills_weight_monomials():
@@ -162,7 +208,7 @@ def test_pi_kills_weight_monomials():
             for j in range(qa.dim):
                 basis_vec = [F2.one if i == j else F2.zero for i in range(qa.dim)]
                 prod = qa.element_product(rel_coords, basis_vec)
-                image = linalg.mat_vec(F2, data.pi.matrix, prod)
+                image = linalg.mat_vec(F2, dense_matrix(data.pi), prod)
                 assert all(c == F2.zero for c in image)
 
 

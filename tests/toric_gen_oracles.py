@@ -95,7 +95,7 @@ def _frobenius_fixed_split_candidates(block):
     return fixed, r_count
 
 
-def _finalize_factor(e, block, basis, seed):
+def _finalize_factor(e, block, seed):
     rad = radical_char_p(block)
     residue_degree = block.dim - len(rad)
     point = None
@@ -111,7 +111,6 @@ def _finalize_factor(e, block, basis, seed):
     return LocalFactor(
         idempotent=e,
         algebra=block,
-        block_basis=basis,
         maximal_ideal=rad,
         residue_degree=residue_degree,
         point=point,
@@ -148,7 +147,7 @@ def pool_first_decompose(A, seed=DEFAULT_SEED):
                         split = _split_along(A, e, lifted, factors)
                         break
         if split is None:
-            finished.append(_finalize_factor(e, block, basis, seed))
+            finished.append(_finalize_factor(e, block, seed))
         else:
             pending.extend(split)
     finished.sort(key=lambda lf: (lf.dim, lf.residue_degree, tuple(lf.idempotent)))
