@@ -13,9 +13,10 @@ Covers the nilradical in characteristic p (iterated Frobenius kernel),
 decomposition into local factors, idempotents for generalized eigenspace
 splittings, and m-adic filtration profiles.  Idempotents have one
 construction, the CRT splitter `split_along`: from pairwise coprime factors
-q_i of a polynomial mu it takes one inverse of mu / q_i modulo each q_i, and
-it takes the multiplication matrix of the split element from its caller, so
-each matrix is built once.  A block e*A is read from one elimination: the
+q_i of a polynomial mu it takes one inverse of mu / q_i modulo each q_i.
+Minimal polynomials (a Krylov walk) and polynomials in an element (Horner's
+rule) step with `mult`, products on the sparse columns, so no dense matrix
+of the element is built.  A block e*A is read from one elimination: the
 reduced rows of the multiplication matrix of e, a projection onto e*A.
 
 The local decomposition works on Berlekamp's subalgebra: in a commutative
@@ -24,10 +25,9 @@ primitive idempotents, so one kernel, ker(Frob - 1), gives both the number
 of local factors (dim S) and elements that separate them.  Starting from the
 unit, each basis vector s of S refines every current idempotent e along the
 factored minimal polynomial of s on e*A, the first linear dependence among
-e, s e, s^2 e, ... on the one multiplication matrix of s; its roots are the
-values of s on the local factors under e.  A basis of S separates every
-pair of local factors, so the refinement ends with dim S idempotents; fewer
-is an anomaly.
+e, s e, s^2 e, ...; its roots are the values of s on the local factors
+under e.  A basis of S separates every pair of local factors, so the
+refinement ends with dim S idempotents; fewer is an anomaly.
 Only the leaves are restricted to blocks.  When a leaf's residue field is
 F_p, each generator is c + (a radical element), and c is read off a
 functional that kills the radical, with no factorization.
@@ -115,8 +115,12 @@ class FiniteAlgebra:
         return acc
 
     def eval_poly(self, poly: UniPoly, u):
-        """poly(u) by Horner's rule on the multiplication matrix of u."""
-        return _horner(self.field, poly.coeffs, self.mult_matrix(u), self.unit)
+        """poly(u) by Horner's rule, each step one product by u."""
+        F = self.field
+        acc = [F.zero] * self.dim
+        for c in reversed(poly.coeffs):
+            acc = [F.add(x, F.mul(c, y)) for x, y in zip(self.mult(u, acc), self.unit)]
+        return acc
 
     def is_commutative(self):
         m = self.basis_mult
@@ -133,7 +137,7 @@ class FiniteAlgebra:
     def element_min_poly(self, u) -> UniPoly:
         """The first linear dependence among 1, u, u^2, ...: p(u) = p(L_u) 1,
         so it is the minimal polynomial of the matrix L_u of v -> u * v."""
-        return krylov_min_poly(self.field, self.mult_matrix(u), self.unit)
+        return krylov_min_poly(self, u, self.unit)
 
 
 def sparse(v):
@@ -141,28 +145,18 @@ def sparse(v):
     return {i: x for i, x in enumerate(v) if x}
 
 
-def krylov_min_poly(F, m, v):
-    """The first linear dependence among v, m v, m^2 v, ..., m being the
-    multiplication matrix of an element u: for v = e an idempotent, p(u) e = 0
-    iff p(u) kills e*A, so this is the minimal polynomial of u on e*A, and of
-    u itself for the unit."""
+def krylov_min_poly(A: FiniteAlgebra, u, v):
+    """The first linear dependence among v, u v, u^2 v, ..., each step one
+    product by u: for v = e an idempotent, p(u) e = 0 iff p(u) kills e*A, so
+    this is the minimal polynomial of u on e*A, and of u itself for the unit."""
+    F = A.field
     powers = [list(v)]
     while True:
         r, pivots = linalg.rref(F, linalg.transpose(powers))
         k = len(powers) - 1
         if k not in pivots:  # u^k = sum of r[i][k] u^i over i < k
             return UniPoly(F, [F.neg(row[k]) for row in r[:k]] + [F.one])
-        powers.append(linalg.mat_vec(F, m, powers[-1]))
-
-
-def _horner(F, coeffs, m, v):
-    """p(u) * v = p(m) v for the polynomial p with coefficient list coeffs,
-    lowest degree first, m being the multiplication matrix of u."""
-    acc = [F.zero] * len(v)
-    for c in reversed(coeffs):
-        acc = linalg.mat_vec(F, m, acc)
-        acc = [F.add(x, F.mul(c, y)) for x, y in zip(acc, v)]
-    return acc
+        powers.append(A.mult(u, powers[-1]))
 
 
 def _require_char_p(A: FiniteAlgebra):
@@ -231,17 +225,18 @@ def restrict_to_block(A: FiniteAlgebra, idempotent):
     return block, [[row[c] for row in m] for c in pivots], coords
 
 
-def split_along(F, m, idempotent, factors):
+def split_along(A: FiniteAlgebra, u, idempotent, factors):
     """CRT idempotents from pairwise coprime factors f^k of a polynomial mu
-    that kills an element u on e*A (its minimal or characteristic
-    polynomial), m being the multiplication matrix of u and e the
-    idempotent: the i-th one projects e*A onto the kernel of f_i(u)^k_i.
+    that kills the element u on e*A (its minimal or characteristic
+    polynomial), e being the idempotent: the i-th one projects e*A onto the
+    kernel of f_i(u)^k_i.
     With q_i = f_i^k_i and cof_i = mu / q_i, one inverse s_i of cof_i
     modulo q_i gives the CRT polynomial cof_i s_i of degree < deg mu, which
     is 1 modulo q_i and 0 modulo every other q_j; for a linear f_i and
     k_i = 1 it is the Lagrange form cof_i / cof_i(a).  Each is cleared to an
-    integer polynomial h and one denominator d, so over Q Horner's rule runs
-    on ints whenever m and e are integral; over F_p, d is 1."""
+    integer polynomial h and one denominator d, so over Q `eval_poly` runs
+    on ints whenever u is integral; over F_p, d is 1."""
+    F = A.field
     qs = [reduce(UniPoly.__mul__, [f] * k) for f, k in factors]
     mu = reduce(UniPoly.__mul__, qs)
     out = []
@@ -251,7 +246,7 @@ def split_along(F, m, idempotent, factors):
         coeffs = (cof * s).scale(F.inv(g.coeffs[0])).coeffs
         d = lcm(1, *(c.denominator for c in coeffs))
         h = [c.numerator * (d // c.denominator) for c in coeffs]
-        x = _horner(F, h, m, idempotent)
+        x = A.mult(A.eval_poly(UniPoly(F, h), u), idempotent)
         out.append(x if d == 1 else [F.div(y, d) for y in x])
     return out
 
@@ -282,11 +277,10 @@ def local_decompose(A: FiniteAlgebra, seed: int = DEFAULT_SEED):
     for s in fixed:
         if len(idempotents) == len(fixed):
             break
-        m = A.mult_matrix(s)
         refined = []
         for e in idempotents:
-            factors = univariate_factor(krylov_min_poly(F, m, e), seed)
-            refined.extend(split_along(F, m, e, factors))
+            factors = univariate_factor(krylov_min_poly(A, s, e), seed)
+            refined.extend(split_along(A, s, e, factors))
         idempotents = refined
     if len(idempotents) < len(fixed):
         raise AnomalyError(
@@ -346,11 +340,10 @@ def bezout_idempotents(A: FiniteAlgebra, a, lam):
     Returns (e, e_perp, found) with e = 0 and found=False when lam is not a root.
     """
     F = A.field
-    m = A.mult_matrix(a)
-    factors, q = strip_roots(krylov_min_poly(F, m, A.unit), [lam])
+    factors, q = strip_roots(krylov_min_poly(A, a, A.unit), [lam])
     if not factors:
         return [F.zero] * A.dim, list(A.unit), False
-    e, e_perp = split_along(F, m, A.unit, factors + [(q, 1)])
+    e, e_perp = split_along(A, a, A.unit, factors + [(q, 1)])
     return e, e_perp, True
 
 

@@ -4,7 +4,7 @@ Exit codes: 0 success, 1 invalid input (with the failed check named),
 2 resource budget exhausted, 3 anomaly (a theorem-level invariant failed on
 in-contract input).  Polytope-consuming commands normalize the polytope first
 (idempotent on already-normalized input) and embed the transcript in the
-report.  All randomness is seeded; reports embed the seed.
+report.  All randomness is seeded; the reports that use it embed the seed.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .quantum import (
     toric_generation_report,
 )
 from .realgen import real_generation_report
-from .scalar import parse_field
+from .scalar import field_name, parse_field
 from .toric import (
     DelzantPolytope,
     classical_cohomology,
@@ -131,7 +131,7 @@ def _cmd_cohomology(args):
     return 0, {
         "command": "cohomology",
         "input": P.name or args.polytope,
-        "field": args.field,
+        "field": field_name(field),
         "classical_graded_dims": classical,
         "real_locus_dims_F2": real,
         "total": sum(classical),
@@ -156,7 +156,7 @@ def _cmd_jac(args):
     qa = jacobian_ring(W, _budget(args))
     report = {
         "command": "jac",
-        "field": args.field,
+        "field": field_name(field),
         "superpotential": W.to_json(),
         "presentation": qa.to_json(),
     }
@@ -170,7 +170,7 @@ def _cmd_qh(args):
     return 0, {
         "command": "qh",
         "input": P.name or args.polytope,
-        "field": args.field,
+        "field": field_name(field),
         "variant": "plain",
         "presentation": qh.to_json(),
     }
@@ -187,7 +187,7 @@ def _cmd_co0(args):
     return code, {
         "command": "co0",
         "input": P.name or args.polytope,
-        "field": args.field,
+        "field": field_name(field),
         "qh_dim": qh.dim,
         "jac_dim": jac.dim,
         "co0": mor.to_json(),
@@ -205,7 +205,7 @@ def _cmd_spectrum(args):
     spec = c1_spectrum(qa, c1, seed=args.seed)
     return 0, {
         "command": "spectrum",
-        "field": args.field,
+        "field": field_name(field),
         "seed": args.seed,
         "dim": qa.dim,
         "spectrum": spec.to_json(),
@@ -220,7 +220,7 @@ def _cmd_decompose(args):
     cp = critical_points(W, _budget(args), args.seed)
     return 0, {
         "command": "decompose",
-        "field": args.field,
+        "field": field_name(field),
         "seed": args.seed,
         "dim": cp.algebra.dim,
         "points": [[field.to_str(x) for x in pt] for pt in sorted(cp.points)],
@@ -258,7 +258,7 @@ def _cmd_smod2(args):
     qa, checks = s_mod_m2(len(rho), rho, field, _budget(args))
     return 0, {
         "command": "smod2",
-        "field": args.field,
+        "field": field_name(field),
         "rho": [field.to_str(x) for x in rho],
         "dim": qa.dim if qa.finite else None,
         "checks": checks,

@@ -310,13 +310,13 @@ def _rational_summands(W: LaurentPoly, jac: QuotientAlgebra):
     of multiplication by e, and a root's summand of dim 1 has a point."""
     F = jac.field
     A = jac.finite_algebra()
-    m = A.mult_matrix(jac.nf_coords(W))
-    mu = krylov_min_poly(F, m, A.unit)
+    c1 = jac.nf_coords(W)
+    mu = krylov_min_poly(A, c1, A.unit)
     factors, residual = strip_roots(mu, [lam for lam, _ in rational_roots(mu)])
     if residual.degree > 0:
         factors.append((residual, 1))
     out = []
-    for (f, _), e in zip(factors, split_along(F, m, A.unit, factors)):
+    for (f, _), e in zip(factors, split_along(A, c1, A.unit, factors)):
         dim = linalg.rank(F, A.mult_matrix(e))
         if f is residual:
             out.append(GenerationSummand.nonsplit(

@@ -138,6 +138,9 @@ class Rationals(Field):
         return n
 
     def from_str(self, s: str):
+        # Fraction("1e10000000") would expand the exponent into its digits
+        if "e" in s.lower():
+            raise UsageError(f"malformed {self!r} literal {s!r}")
         try:
             return canonical(Fraction(s))
         except ZeroDivisionError:
@@ -197,8 +200,11 @@ def parse_field(spec: str) -> Field:
     spec = spec.strip()
     if spec == "Q":
         return QQ
-    if spec.startswith("F") and spec[1:].isdigit():
-        return PrimeField(int(spec[1:]))
+    if spec.startswith("F") and spec[1:].isdecimal():
+        try:
+            return PrimeField(int(spec[1:]))
+        except ValueError:  # more digits than int() converts
+            pass
     raise UsageError(f"unrecognized field spec {spec!r}; expected Q or F<p>")
 
 

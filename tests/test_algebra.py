@@ -474,7 +474,7 @@ def test_one_crt_split_over_q(name):
     assert residual.degree == residual_degree
     if residual.degree > 0:
         factors.append((residual, 1))
-    idempotents = split_along(F, A.mult_matrix(c1), A.unit, factors)
+    idempotents = split_along(A, c1, A.unit, factors)
     assert len(idempotents) == len(factors)
     total = [F.zero] * A.dim
     for i, e in enumerate(idempotents):
@@ -691,7 +691,7 @@ def test_split_along_matches_bezout_chain_on_ladder_c1_over_q():
         jac = jacobian_ring(W)
         A, c1 = jac.finite_algebra(), jac.nf_coords(W)
         factors = c1_factors(A, c1)
-        got = split_along(QQ, A.mult_matrix(c1), A.unit, factors)
+        got = split_along(A, c1, A.unit, factors)
         assert got == bezout_chain_split_along(A, A.unit, c1, factors), name
         multiplicities.update(k for _, k in factors)
         residual_degrees.update(f.degree for f, _ in factors if f.degree > 1)
@@ -701,13 +701,13 @@ def test_split_along_matches_bezout_chain_on_ladder_c1_over_q():
 @pytest.mark.parametrize("p", [2, 3, 7])
 def test_split_along_matches_bezout_chain_in_local_decompose(p, monkeypatch):
     # each refinement splits e along the minimal polynomial of a Berlekamp
-    # vector s on e*A; m is the matrix of s, so s = m * unit
+    # vector s on e*A
     calls = []
     original = algebra.split_along
 
-    def recorded(F, m, e, factors):
-        out = original(F, m, e, factors)
-        calls.append((m, e, factors, out))
+    def recorded(A, s, e, factors):
+        out = original(A, s, e, factors)
+        calls.append((s, e, factors, out))
         return out
 
     monkeypatch.setattr(algebra, "split_along", recorded)
@@ -716,11 +716,28 @@ def test_split_along_matches_bezout_chain_in_local_decompose(p, monkeypatch):
         A = ladder_algebra(name, p)
         calls.clear()
         local_decompose(A)
-        for m, e, factors, out in calls:
-            s = linalg.mat_vec(A.field, m, A.unit)
+        for s, e, factors, out in calls:
             assert out == bezout_chain_split_along(A, e, s, factors), name
             splits += len(factors) > 1
     assert splits > 0
+
+
+def test_local_decompose_builds_one_multiplication_matrix_per_leaf(monkeypatch):
+    # the Krylov walks and CRT splits step with sparse products; the only
+    # dense matrix is the leaf's own, in restrict_to_block
+    built = []
+    original = FiniteAlgebra.mult_matrix
+
+    def recorded(self, u):
+        built.append(list(u))
+        return original(self, u)
+
+    monkeypatch.setattr(FiniteAlgebra, "mult_matrix", recorded)
+    for name in ladder():
+        A = ladder_algebra(name, 7)
+        built.clear()
+        leaves = [f.idempotent for f in local_decompose(A)]
+        assert sorted(built) == sorted(leaves), name
 
 
 def univariate_quotient(field, mu):
@@ -765,7 +782,7 @@ def test_split_along_matches_bezout_chain_on_random_coprime_factors():
         mu = functools.reduce(UniPoly.__mul__, [f for f, k in factors for _ in range(k)])
         A, t = univariate_quotient(field, mu)
         assert A.is_associative() and A.element_min_poly(t) == mu
-        got = split_along(field, A.mult_matrix(t), A.unit, factors)
+        got = split_along(A, t, A.unit, factors)
         assert got == bezout_chain_split_along(A, A.unit, t, factors)
 
     check()

@@ -362,7 +362,7 @@ def test_zero_denominator_is_an_error_record(capsys, tmp_path, case):
 
 
 @pytest.mark.parametrize("field, rho", [
-    ("Q", "abc"), ("Q", "1/x"), ("Q", "1,2.5.1"),
+    ("Q", "abc"), ("Q", "1/x"), ("Q", "1,2.5.1"), ("Q", "1e5"),
     ("F7", "x"), ("F7", "1/x"), ("F7", "1/2/3"), ("F7", "1.5"), ("F7", "1,,2"),
 ])
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -377,6 +377,25 @@ def test_malformed_field_literal_is_an_error_record(capsys, field, rho, fmt):
     else:
         assert out == ""
         assert err.startswith(f"error[UsageError]: malformed {field} literal")
+
+
+def test_superscript_field_spec_is_an_error_record(capsys):
+    dp6 = pathlib.Path(__file__).parent / "data" / "dp6.json"
+    code, out, _ = invoke(capsys, ["spectrum", "--polytope", str(dp6),
+                                   "--field", "F²", "--format", "json"])
+    assert code == 1
+    assert json.loads(out)["error"] == "UsageError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["cohomology"], ["jac"], ["qh"], ["co0"], ["spectrum"], ["decompose"],
+    ["smod2", "--rho", "1"],
+], ids=lambda argv: argv[0])
+def test_reports_print_the_canonical_field_name(capsys, polytope_file, argv):
+    code, out, _ = invoke(capsys, argv + ["--polytope", polytope_file("CP1"),
+                                          "--field", "F07", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["field"] == "F7"
 
 
 def test_budget_exhaustion_exit_2(capsys, polytope_file):

@@ -390,16 +390,40 @@ def test_rational_report_computes_one_krylov_min_poly(name, monkeypatch):
     calls, charpolys = [], []
     original = quantum.krylov_min_poly
 
-    def counted(F, m, v):
-        calls.append(len(m))
-        return original(F, m, v)
+    def counted(A, u, v):
+        calls.append((A.dim, u))
+        return original(A, u, v)
 
     monkeypatch.setattr(quantum, "krylov_min_poly", counted)
     monkeypatch.setattr(linalg, "charpoly", lambda F, m: charpolys.append(len(m)))
     report = toric_generation_report(corpus()[name], QQ)
     assert not report.anomaly
-    assert calls == [report.co0.codomain_dim]
+    W = superpotential(corpus()[name], QQ)
+    assert calls == [(report.co0.codomain_dim, jacobian_ring(W).nf_coords(W))]
     assert charpolys == []
+
+
+@pytest.mark.parametrize("name", list(ladder()))
+def test_rational_report_builds_one_multiplication_matrix_per_summand(name, monkeypatch):
+    # c1's minimal polynomial and CRT split step with sparse products; the
+    # only dense matrix is each summand idempotent's, read for its rank
+    built, split = [], []
+    original_matrix, original_split = FiniteAlgebra.mult_matrix, quantum.split_along
+
+    def recorded_matrix(self, u):
+        built.append(list(u))
+        return original_matrix(self, u)
+
+    def recorded_split(A, u, e, factors):
+        out = original_split(A, u, e, factors)
+        split.extend(out)
+        return out
+
+    monkeypatch.setattr(FiniteAlgebra, "mult_matrix", recorded_matrix)
+    monkeypatch.setattr(quantum, "split_along", recorded_split)
+    report = toric_generation_report(ladder()[name], QQ)
+    assert not report.anomaly
+    assert built == split and len(built) == len(report.summands)
 
 
 def cusp_times(other):
@@ -454,9 +478,9 @@ def test_rational_summand_dims_are_checked(monkeypatch):
     # a residual idempotent that misses its block must trip the summand-sum check
     original = quantum.split_along
 
-    def lossy(F, m, idempotent, factors):
-        out = original(F, m, idempotent, factors)
-        return out[:-1] + [[F.zero] * len(idempotent)]
+    def lossy(A, u, idempotent, factors):
+        out = original(A, u, idempotent, factors)
+        return out[:-1] + [[A.field.zero] * len(idempotent)]
 
     monkeypatch.setattr(quantum, "split_along", lossy)
     with pytest.raises(AnomalyError):

@@ -27,6 +27,10 @@ def test_parse_field():
         parse_field("F9")
     with pytest.raises(UsageError):
         parse_field("GF(7)")
+    with pytest.raises(UsageError):  # superscript digits, which int() rejects
+        parse_field("F²")
+    with pytest.raises(UsageError):  # more digits than int() converts
+        parse_field("F" + "1" * 5000)
 
 
 def test_is_prime_deterministic():

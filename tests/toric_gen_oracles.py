@@ -4,8 +4,9 @@ validation, kept as test oracles for the faster code in `src/`.
 - `pool_first_decompose`: the local decomposition that scans the pool
   (generators, then basis vectors) of every block for a splitting minimal
   polynomial before it counts the block's local factors, with its own
-  Frobenius-fixed fallback, finalizer and CRT splitter (Horner on
-  `FiniteAlgebra.eval_poly`, one multiplication matrix per factor).
+  Frobenius-fixed fallback, finalizer and CRT splitter (an iterated Bezout
+  chain, evaluated by Horner's rule on the dense multiplication matrix of
+  the element, so it shares no product path with `split_along`).
 - `rational_summands_by_blocks`: the rational summands split along the
   characteristic polynomial of c1 and read from restricted blocks, a point
   being the roots of degree-1 generator minimal polynomials.
@@ -71,8 +72,15 @@ def _split_along(A, idempotent, elem, factors):
         combo = [c * s for c in combo]
         combo[i] = t
     scale = F.inv(g.coeffs[0])
-    return [A.mult(A.eval_poly((u * q % mu).scale(scale), elem), idempotent)
-            for u, q in zip(combo, cof)]
+    m = A.mult_matrix(elem)
+
+    def horner(poly, v):
+        acc = [F.zero] * len(v)
+        for c in reversed(poly.coeffs):
+            acc = [F.add(x, F.mul(c, y)) for x, y in zip(linalg.mat_vec(F, m, acc), v)]
+        return acc
+
+    return [horner((u * q % mu).scale(scale), idempotent) for u, q in zip(combo, cof)]
 
 
 def _frobenius_fixed_split_candidates(block):
