@@ -437,7 +437,6 @@ class BimoduleStructure:
 
     algebra: AInftyStructure
     degrees: list
-    labels: list
     ops: dict  # (left_key, p_in, right_key) -> {p_out: coeff}, no empty outputs
     # p_in -> [(k + l, left_key, right_key, maltese(right_key), output)]
     by_slot: dict = dc_field(init=False, repr=False, compare=False)
@@ -484,9 +483,7 @@ def diagonal_bimodule(A: AInftyStructure) -> BimoduleStructure:
                 ops[(key[:pos], b, right)] = {
                     i: F.neg(c) if odd else c for i, c in out.items()
                 }
-    return BimoduleStructure(
-        algebra=A, degrees=list(A.degrees), labels=list(A.labels), ops=ops
-    )
+    return BimoduleStructure(algebra=A, degrees=list(A.degrees), ops=ops)
 
 
 def hom_bimodule(M: Module, N: Module) -> BimoduleStructure:
@@ -497,7 +494,6 @@ def hom_bimodule(M: Module, N: Module) -> BimoduleStructure:
     dim_m = M.dim
     units = [(p, q) for p in range(N.dim) for q in range(dim_m)]
     degrees = [(N.degrees[p] + M.degrees[q]) % 2 for p, q in units]
-    labels = [f"E[{p},{q}]" for p, q in units]
     ops = {}
     # mu^{k|1|0}(a..., z_{p,q}) = (-1)^{|m_q|} mu_N(a..., n_p) m_q^*; at
     # k = 0 this and the next term share the key of mu^{0|1|0}
@@ -514,7 +510,7 @@ def hom_bimodule(M: Module, N: Module) -> BimoduleStructure:
                 _vadd(F, ops.setdefault(((), p * dim_m + q, right), {}),
                       {p * dim_m + qq: c}, sgn)
     ops = {key: val for key, val in ops.items() if val}
-    return BimoduleStructure(algebra=A, degrees=degrees, labels=labels, ops=ops)
+    return BimoduleStructure(algebra=A, degrees=degrees, ops=ops)
 
 
 # --- Hochschild cochains ----------------------------------------------------------

@@ -116,10 +116,12 @@ class FiniteAlgebra:
 
     def eval_poly(self, poly: UniPoly, u):
         """poly(u) by Horner's rule, each step one product by u."""
-        F = self.field
-        acc = [F.zero] * self.dim
+        p = self.field.char
+        acc = [0] * self.dim
         for c in reversed(poly.coeffs):
-            acc = [F.add(x, F.mul(c, y)) for x, y in zip(self.mult(u, acc), self.unit)]
+            acc = [x + c * y for x, y in zip(self.mult(u, acc), self.unit)]
+            if p:
+                acc = [x % p for x in acc]
         return acc
 
     def is_commutative(self):
@@ -155,7 +157,7 @@ def krylov_min_poly(A: FiniteAlgebra, u, v):
         r, pivots = linalg.rref(F, linalg.transpose(powers))
         k = len(powers) - 1
         if k not in pivots:  # u^k = sum of r[i][k] u^i over i < k
-            return UniPoly(F, [F.neg(row[k]) for row in r[:k]] + [F.one])
+            return UniPoly(F, [-row[k] for row in r[:k]] + [1])
         powers.append(A.mult(u, powers[-1]))
 
 
@@ -212,7 +214,7 @@ def restrict_to_block(A: FiniteAlgebra, idempotent):
         return linalg.mat_vec(F, rows, v)
 
     def product(col):
-        out = [sum([row[r] * x for r, x in col.items()], F.zero) for row in rows]
+        out = [sum([row[r] * x for r, x in col.items()]) for row in rows]
         return sparse([x % F.char for x in out] if F.char else out)
 
     block = FiniteAlgebra(
@@ -254,8 +256,8 @@ def split_along(A: FiniteAlgebra, u, idempotent, factors):
 def _ext_gcd(a: UniPoly, b: UniPoly):
     F = a.field
     r0, r1 = a, b
-    s0, s1 = UniPoly(F, [F.one]), UniPoly(F, [])
-    t0, t1 = UniPoly(F, []), UniPoly(F, [F.one])
+    s0, s1 = UniPoly(F, [1]), UniPoly(F, [])
+    t0, t1 = UniPoly(F, []), UniPoly(F, [1])
     while not r1.is_zero():
         q, r = r0.divmod(r1)
         r0, r1 = r1, r
@@ -300,13 +302,14 @@ def _finalize_factor(A, e):
         # block / rad = F_p, so each generator is c + (radical element): c is
         # phi(g) / phi(1) for the functional phi that kills the radical
         F = block.field
-        phi = linalg.kernel_basis(F, rad)[0] if rad else [F.one]
+        p = F.char
+        phi = linalg.kernel_basis(F, rad)[0] if rad else [1]
 
         def at(v):
-            return F.sum(F.mul(a, b) for a, b in zip(phi, v))
+            return sum([a * b for a, b in zip(phi, v)]) % p
 
         scale = F.inv(at(block.unit))
-        point = [F.mul(at(g), scale) for g in block.generators]
+        point = [at(g) * scale % p for g in block.generators]
     return LocalFactor(
         idempotent=e,
         algebra=block,
@@ -322,9 +325,9 @@ def strip_roots(chi: UniPoly, roots):
     F = chi.field
     factors, residual = [], chi
     for lam in roots:
-        lin = UniPoly(F, [F.neg(lam), F.one])
+        lin = UniPoly(F, [-lam, 1])
         m = 0
-        while residual.evaluate(lam) == F.zero:
+        while not residual.evaluate(lam):
             residual, m = residual // lin, m + 1
         if m:
             factors.append((lin, m))

@@ -52,7 +52,7 @@ def _load_json(path):
             return json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, not JSON, or an int past Python's digit limit
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
 
 

@@ -52,7 +52,10 @@ compatible order every term of a reduction has degree at most that of the
 leading term it starts from, so those two checks cover every word.
 `normal_form_poly` is the one reduction kernel; Buchberger, `reduce_poly`,
 `nf_coords` and the border columns all reduce through it on packed
-polynomials, and everything public (`buchberger`'s input and output, `gb`,
+polynomials.  Its one inner loop, `_add_scaled`, follows the arithmetic rule
+of `scalar`: each term accumulates with native `+` and `*` and is reduced
+once, `% p` over F_p, and the walk's `_times` does the same on sparse
+columns.  Everything public (`buchberger`'s input and output, `gb`,
 `leads`, `staircase`) stays in exponent tuples.
 """
 
@@ -174,11 +177,10 @@ class Divisors:
 
     def append(self, g):
         """Add g, scaled to leading coefficient one."""
-        F = self.field
         lead = max(g)
-        if g[lead] != F.one:
-            inv = F.inv(g[lead])
-            g = {e: F.mul(inv, c) for e, c in g.items()}
+        if g[lead] != 1:
+            inv, p = self.field.inv(g[lead]), self.field.char
+            g = {e: inv * c % p if p else inv * c for e, c in g.items()}
         self.entries.append((g, lead, self.words.exps(lead)))
 
 
@@ -186,15 +188,18 @@ class Divisors:
 
 
 def _add_scaled(field, target, src, coeff, mono):
-    """target += coeff * x^mono * src, in place, on packed polynomials."""
-    add, mul, zero = field.add, field.mul, field.zero
+    """target += coeff * x^mono * src, in place, on packed polynomials: each
+    term accumulates natively and is reduced once, mod p over F_p."""
+    p, get = field.char, target.get
     for e, c in src.items():
         m = e + mono
-        acc = add(target.get(m, zero), mul(coeff, c))
-        if acc == zero:
-            target.pop(m, None)
-        else:
+        acc = get(m, 0) + coeff * c
+        if p:
+            acc %= p
+        if acc:
             target[m] = acc
+        else:
+            target.pop(m, None)
 
 
 def normal_form_poly(field, poly, basis, budget):
@@ -212,8 +217,7 @@ def normal_form_poly(field, poly, basis, budget):
         for g, lead, lead_exps in divisors:
             if (exps - lead_exps) & guards == guards:
                 budget.tick("(normal form)")
-                factor = field.neg(c)
-                _add_scaled(field, work, g, factor, m - lead)
+                _add_scaled(field, work, g, -c, m - lead)
                 break
         else:
             remainder[m] = c
@@ -226,15 +230,13 @@ def buchberger(field, gens, budget: Budget | None = None):
     (poly dicts)."""
     if budget is None:
         budget = Budget()
-    gens = [{e: c for e, c in g.items() if c != field.zero} for g in gens]
+    gens = [{e: c for e, c in g.items() if c} for g in gens]
     gens = [g for g in gens if g]
     if not gens:
         raise UsageError("empty generator list")
     words = Words(len(next(iter(gens[0]))))
     basis = Divisors(field, words, map(words.pack_poly, gens))
     entries, guards, ones = basis.entries, words.guards, words.ones
-    one = field.one
-    minus_one = field.neg(one)
 
     # `queue` is a heap of (lcm word, (i, j)) over the queued pairs, a total
     # order; `pairs` holds the same pairs for the chain criterion.  A pair
@@ -282,8 +284,8 @@ def buchberger(field, gens, budget: Budget | None = None):
         f, lf, _ = entries[i]
         g, lg, _ = entries[j]
         s = {}
-        _add_scaled(field, s, f, one, lcm - lf)
-        _add_scaled(field, s, g, minus_one, lcm - lg)
+        _add_scaled(field, s, f, 1, lcm - lf)
+        _add_scaled(field, s, g, -1, lcm - lg)
         h = reduce(s, basis)
         if h:
             basis.append(h)
@@ -690,7 +692,7 @@ def algebra_morphism(domain: QuotientAlgebra, codomain: QuotientAlgebra, images)
     for ridx, rel in enumerate(domain.source_gens):
         val = codomain.nf_coords(ring.from_terms(
             (image(e), c) for e, c in rel.terms.items()))
-        if any(x != F.zero for x in val):
+        if any(val):
             return Morphism(False, ridx, None, None, None, domain.dim, codomain.dim)
 
     def encoded_factors(a):

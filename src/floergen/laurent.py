@@ -5,6 +5,11 @@ exponent tuples to nonzero coefficients.  Terms are kept in a plain dict and
 rendered in lexicographic exponent order, so printing and JSON output are
 deterministic.
 
+Coefficients follow the arithmetic rule of `scalar`: `LaurentRing.from_terms`
+sums terms with like exponents natively, reduces each sum once (`% p` over
+F_p) and drops zeros, as `monomial` does for its one term; products, scalar
+multiples and log-derivatives are one `from_terms` call each.
+
 JSON form:
     {"variables": ["x", "y"], "field": "F7",
      "terms": [{"coeff": "3", "exps": [1, -2]}, ...]}
@@ -48,21 +53,18 @@ class LaurentRing:
         return LaurentPoly(self, {})
 
     def one(self):
-        return self.constant(self.field.one)
+        return self.constant(1)
 
     def constant(self, c):
-        if c == self.field.zero:
-            return self.zero()
-        return LaurentPoly(self, {(0,) * self.nvars: c})
+        return self.monomial((0,) * self.nvars, c)
 
-    def monomial(self, exps, coeff=None):
+    def monomial(self, exps, coeff=1):
         exps = tuple(exps)
         if len(exps) != self.nvars:
             raise UsageError("exponent vector length mismatch")
-        c = self.field.one if coeff is None else coeff
-        if c == self.field.zero:
-            return self.zero()
-        return LaurentPoly(self, {exps: c})
+        p = self.field.char
+        c = coeff % p if p else coeff
+        return LaurentPoly(self, {exps: c} if c else {})
 
     def variable(self, i):
         e = [0] * self.nvars
@@ -70,19 +72,20 @@ class LaurentRing:
         return self.monomial(e)
 
     def from_terms(self, pairs):
-        out = {}
-        F = self.field
+        out, p = {}, self.field.char
         for exps, c in pairs:
             exps = tuple(exps)
             if len(exps) != self.nvars:
                 raise UsageError("exponent vector length mismatch")
             if any(abs(e) > _EXP_BOUND for e in exps):
                 raise UsageError("exponent overflow")
-            acc = F.add(out.get(exps, F.zero), c)
-            if acc == F.zero:
-                out.pop(exps, None)
-            else:
+            acc = out.get(exps, 0) + c
+            if p:
+                acc %= p
+            if acc:
                 out[exps] = acc
+            else:
+                out.pop(exps, None)
         return LaurentPoly(self, out)
 
 
@@ -116,33 +119,20 @@ class LaurentPoly:
         return self.ring.from_terms(items)
 
     def __neg__(self):
-        F = self.ring.field
-        return LaurentPoly(self.ring, {e: F.neg(c) for e, c in self.terms.items()})
+        p = self.ring.field.char
+        return LaurentPoly(self.ring, {e: -c % p if p else -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         self._check(other)
-        F = self.ring.field
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                if any(abs(x) > _EXP_BOUND for x in e):
-                    raise UsageError("exponent overflow")
-                acc = F.add(out.get(e, F.zero), F.mul(c1, c2))
-                if acc == F.zero:
-                    out.pop(e, None)
-                else:
-                    out[e] = acc
-        return LaurentPoly(self.ring, out)
+        return self.ring.from_terms(
+            (tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+            for e1, c1 in self.terms.items() for e2, c2 in other.terms.items())
 
     def scalar_mul(self, c):
-        F = self.ring.field
-        if c == F.zero:
-            return self.ring.zero()
-        return LaurentPoly(self.ring, {e: F.mul(c, x) for e, x in self.terms.items()})
+        return self.ring.from_terms((e, c * x) for e, x in self.terms.items())
 
     def __pow__(self, n: int):
         if n < 0:
@@ -160,40 +150,25 @@ class LaurentPoly:
         """z_i * d/dz_i: each term c*z^e picks up the factor e_i."""
         if not 0 <= i < self.ring.nvars:
             raise UsageError("variable index out of range")
-        F = self.ring.field
-        out = {}
-        for e, c in self.terms.items():
-            w = F.mul(F.from_int(e[i]), c)
-            if w != F.zero:
-                out[e] = w
-        return LaurentPoly(self.ring, out)
+        return self.ring.from_terms((e, e[i] * c) for e, c in self.terms.items())
 
     def evaluate(self, point):
-        """Exact substitution; every coordinate must be invertible."""
+        """Exact substitution; every coordinate must be invertible.  A negative
+        exponent powers the inverse, as `int ** -k` would be a float over Q."""
         F = self.ring.field
         if len(point) != self.ring.nvars:
             raise UsageError("point length mismatch")
-        for x in point:
-            if x == F.zero:
-                raise DomainError("Laurent evaluation needs nonzero coordinates")
+        if not all(point):
+            raise DomainError("Laurent evaluation needs nonzero coordinates")
+        mod = F.char or None  # pow(x, k, None) is x ** k
         inverses = [F.inv(x) for x in point]
-        total = F.zero
+        total = 0
         for e, c in self.terms.items():
-            acc = c
-            for i, exp in enumerate(e):
-                if exp > 0:
-                    base, n = point[i], exp
-                elif exp < 0:
-                    base, n = inverses[i], -exp
-                else:
-                    continue
-                while n:
-                    if n & 1:
-                        acc = F.mul(acc, base)
-                    base = F.mul(base, base)
-                    n >>= 1
-            total = F.add(total, acc)
-        return total
+            for x, inv, k in zip(point, inverses, e):
+                if k:
+                    c *= pow(x, k, mod) if k > 0 else pow(inv, -k, mod)
+            total += c
+        return total % mod if mod else total
 
     def sorted_terms(self):
         return sorted(self.terms.items())

@@ -25,10 +25,11 @@ Gauss-Jordan elimination with the field's own operations.  `kernel_basis`,
 `image_basis`, `solve` and `invert` go through `rref`, and so do `rank`,
 `column_rank` and `subspace_contained` except over F_2, where they read the
 echelon's size.
-`mat_vec`, `mat_mul` and `charpoly` accumulate each
-output entry with native `+` and `*` from the field's zero, so over Q it is
-an int or a Fraction (an int on all-int input), and over F_p reduce it once
-with `% p`, as `kernel_basis` does with its negated entries.
+`mat_vec`, `mat_mul`, `mat_sub`, `charpoly` and
+`eval_poly_at_matrix` accumulate each output entry with native `+`, `-` and
+`*` from the field's zero, so over Q it is an int or a Fraction (an int on
+all-int input), and over F_p reduce it once with `% p`, as `kernel_basis`
+does with its negated entries.
 """
 
 from __future__ import annotations
@@ -42,13 +43,14 @@ from .scalar import UniPoly
 
 
 def zeros(field, rows, cols):
-    return [[field.zero] * cols for _ in range(rows)]
+    row = [field.zero] * cols
+    return [row[:] for _ in range(rows)]
 
 
 def identity(field, n):
-    m = zeros(field, n, n)
+    m, one = zeros(field, n, n), field.one
     for i in range(n):
-        m[i][i] = field.one
+        m[i][i] = one
     return m
 
 
@@ -80,7 +82,9 @@ def mat_vec(field, a, v):
 
 
 def mat_sub(field, a, b):
-    return [[field.sub(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    p = field.char
+    out = [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [[x % p for x in row] for row in out] if p else out
 
 
 def transpose(a):
@@ -228,7 +232,7 @@ def column_rank(field, columns, rows):
     if field.char == 2:
         echelon = {}
         return sum(f2_insert(echelon, sum(1 << t for t in col)) for col in columns)
-    return rank(field, [[col.get(t, field.zero) for col in columns] for t in range(rows)])
+    return rank(field, [[col.get(t, 0) for col in columns] for t in range(rows)])
 
 
 def kernel_basis(field, mat):
@@ -284,7 +288,7 @@ def invert(field, mat):
 def span_contains(field, basis_vectors, v):
     """Is v in the span of basis_vectors (vectors as lists)?"""
     if not basis_vectors:
-        return all(x == field.zero for x in v)
+        return not any(v)
     mat = transpose(basis_vectors)
     return solve(field, mat, v) is not None
 
@@ -303,7 +307,7 @@ def charpoly(field, mat) -> UniPoly:
     if n == 0:
         return UniPoly(field, [one])
     # Berkowitz: iteratively build the coefficient vector via Toeplitz products.
-    poly = [one, field.neg(mat[0][0])]  # charpoly of the 1x1 leading block
+    poly = [one, -mat[0][0]]  # charpoly of the 1x1 leading block
     for k in range(1, n):
         # principal k+1 x k+1 block data
         a = mat[k][k]
@@ -361,10 +365,11 @@ def mat_pow(field, mat, e):
 
 
 def eval_poly_at_matrix(field, poly: UniPoly, mat):
-    n = len(mat)
+    n, p = len(mat), field.char
     acc = zeros(field, n, n)
     for c in reversed(poly.coeffs):
         acc = mat_mul(field, acc, mat)
         for i in range(n):
-            acc[i][i] = field.add(acc[i][i], c)
+            x = acc[i][i] + c
+            acc[i][i] = x % p if p else x
     return acc

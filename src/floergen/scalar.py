@@ -1,13 +1,16 @@
 """Exact scalar arithmetic: the rationals and prime fields F_p.
 
-Field elements are plain Python values (ints in [0, p) over F_p; over Q an
-int when integral and a Fraction otherwise); a Field object carries the
-operations.  `canonical` is the one rule for Q: `from_int`, `from_str`, `inv`
-and `div` return canonical values, while `add`, `mul`, `sub` and `neg` are
-the raw operators, so a Fraction with denominator 1 may come out of them and
-compares, hashes and prints as the equal int does.  Integral input thus runs
-on native ints.  Univariate polynomials are dense coefficient lists, lowest
-degree first, with a nonzero leading coefficient.
+Field elements are plain Python values: ints in [0, p) over F_p; over Q an
+int when integral and a Fraction otherwise.  Every kernel of floergen keeps
+one arithmetic rule: accumulate with the native `+`, `-` and `*`, and reduce
+once, `% p` over F_p and not at all over Q, where a Fraction with
+denominator 1 may result and compares, hashes and prints as the equal int.
+A Field supplies what the native operators cannot: `inv` and `div`
+(canonical over Q, as are `from_int` and `from_str`), parsing, printing,
+and the characteristic that picks the reduction.
+
+Univariate polynomials are dense coefficient lists, lowest degree first,
+with a nonzero leading coefficient.
 
 Factorization over F_p is squarefree decomposition, then distinct-degree,
 then Cantor-Zassenhaus equal-degree splitting.  The equal-degree stage draws
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, lcm
 
 from .errors import DomainError, UsageError
@@ -237,26 +241,26 @@ def field_name(field: Field) -> str:
 
 
 # --- univariate polynomials -------------------------------------------------
-#
-# A UniPoly is just (field, coeffs); module-level functions keep the
-# representation transparent for the callers in algebra/ and quantum/.
 
 
 class UniPoly:
-    """Dense univariate polynomial; coeffs[i] multiplies t^i."""
+    """Dense univariate polynomial; coeffs[i] multiplies t^i.  The
+    constructor reduces (`% p` over F_p) and strips zero leading terms, so
+    the operations hand it native sums and products."""
 
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: Field, coeffs):
-        c = list(coeffs)
-        while c and c[-1] == field.zero:
+        p = field.char
+        c = [x % p for x in coeffs] if p else list(coeffs)
+        while c and not c[-1]:
             c.pop()
         self.field = field
         self.coeffs = c
 
     @classmethod
     def from_ints(cls, field, ints):
-        return cls(field, [field.from_int(n) for n in ints])
+        return cls(field, ints)
 
     @property
     def degree(self) -> int:
@@ -281,34 +285,28 @@ class UniPoly:
         return hash((self.field, tuple(self.coeffs)))
 
     def __add__(self, other):
-        F = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + [F.zero] * (n - len(self.coeffs))
-        b = other.coeffs + [F.zero] * (n - len(other.coeffs))
-        return UniPoly(F, [F.add(x, y) for x, y in zip(a, b)])
+        return UniPoly(self.field, [x + y for x, y in zip_longest(
+            self.coeffs, other.coeffs, fillvalue=0)])
 
     def __neg__(self):
-        F = self.field
-        return UniPoly(F, [F.neg(x) for x in self.coeffs])
+        return UniPoly(self.field, [-x for x in self.coeffs])
 
     def __sub__(self, other):
-        return self + (-other)
+        return UniPoly(self.field, [x - y for x, y in zip_longest(
+            self.coeffs, other.coeffs, fillvalue=0)])
 
     def __mul__(self, other):
-        F = self.field
         if self.is_zero() or other.is_zero():
-            return UniPoly(F, [])
-        out = [F.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
+            return UniPoly(self.field, [])
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if a == F.zero:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = F.add(out[i + j], F.mul(a, b))
-        return UniPoly(F, out)
+            if a:
+                for j, b in enumerate(other.coeffs):
+                    out[i + j] += a * b
+        return UniPoly(self.field, out)
 
     def scale(self, c):
-        F = self.field
-        return UniPoly(F, [F.mul(c, x) for x in self.coeffs])
+        return UniPoly(self.field, [c * x for x in self.coeffs])
 
     def monic(self):
         if self.is_zero():
@@ -316,20 +314,21 @@ class UniPoly:
         return self.scale(self.field.inv(self.leading()))
 
     def divmod(self, other):
+        """(quotient, remainder).  Over F_p each step reduces the terms it
+        changes, so a leading term that cancels is the int 0 and is popped."""
         F = self.field
         if other.is_zero():
             raise DomainError("division by zero polynomial")
+        p, d = F.char, other.degree
         rem = list(self.coeffs)
-        q = [F.zero] * max(0, len(rem) - len(other.coeffs) + 1)
+        q = [0] * max(0, len(rem) - d)
         inv_lead = F.inv(other.leading())
-        d = other.degree
-        while len(rem) - 1 >= d and rem:
+        while len(rem) > d:
             k = len(rem) - 1 - d
-            c = F.mul(rem[-1], inv_lead)
-            q[k] = c
-            for i, b in enumerate(other.coeffs):
-                rem[k + i] = F.sub(rem[k + i], F.mul(c, b))
-            while rem and rem[-1] == F.zero:
+            c = q[k] = rem[-1] * inv_lead
+            tail = [x - c * b for x, b in zip(rem[k:], other.coeffs)]
+            rem[k:] = [x % p for x in tail] if p else tail
+            while rem and not rem[-1]:
                 rem.pop()
         return UniPoly(F, q), UniPoly(F, rem)
 
@@ -346,21 +345,19 @@ class UniPoly:
         return a.monic() if not a.is_zero() else a
 
     def derivative(self):
-        F = self.field
-        return UniPoly(
-            F, [F.mul(F.from_int(i), c) for i, c in enumerate(self.coeffs)][1:]
-        )
+        return UniPoly(self.field, [i * c for i, c in enumerate(self.coeffs)][1:])
 
     def evaluate(self, x):
-        F = self.field
-        acc = F.zero
+        """self(x) by Horner's rule, reduced mod p at each step over F_p."""
+        p, acc = self.field.char, 0
         for c in reversed(self.coeffs):
-            acc = F.add(F.mul(acc, x), c)
+            acc = acc * x + c
+            if p:
+                acc %= p
         return acc
 
     def pow_mod(self, e: int, modulus: "UniPoly") -> "UniPoly":
-        F = self.field
-        result = UniPoly(F, [F.one])
+        result = UniPoly(self.field, [1]) % modulus  # 0 for a constant modulus
         base = self % modulus
         while e:
             if e & 1:
@@ -375,7 +372,7 @@ class UniPoly:
         F = self.field
         terms = []
         for i, c in enumerate(self.coeffs):
-            if c == F.zero:
+            if not c:
                 continue
             if i == 0:
                 terms.append(F.to_str(c))
@@ -427,7 +424,7 @@ def _distinct_degree(f: UniPoly):
     F = f.field
     p = F.char
     pieces = []
-    x = UniPoly(F, [F.zero, F.one])
+    x = UniPoly(F, [0, 1])
     h = x
     g = f
     d = 0
@@ -452,7 +449,7 @@ def _equal_degree_split(f: UniPoly, d: int, rng: random.Random):
     if n == d:
         return [f]
     while True:
-        a = UniPoly(F, [F.from_int(rng.randrange(p)) for _ in range(n)])
+        a = UniPoly(F, [rng.randrange(p) for _ in range(n)])
         if a.degree < 1:
             continue
         if p == 2:
@@ -469,7 +466,7 @@ def _equal_degree_split(f: UniPoly, d: int, rng: random.Random):
                 pass
             else:
                 b = a.pow_mod((p**d - 1) // 2, f)
-                g = f.gcd(b - UniPoly(F, [F.one]))
+                g = f.gcd(b - UniPoly(F, [1]))
         if 0 < g.degree < n:
             left = _equal_degree_split(g.monic(), d, rng)
             right = _equal_degree_split((f // g).monic(), d, rng)

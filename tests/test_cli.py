@@ -93,6 +93,26 @@ def test_string_where_a_list_is_meant_is_an_error_record(capsys, tmp_path, key):
     assert record["message"] == f"{key} must be a JSON array, not {data[key]!r}"
 
 
+@pytest.mark.parametrize("case", ["not-utf8", "5000-digit-int"])
+def test_undecodable_input_file_is_an_error_record(capsys, tmp_path, case):
+    # both used to escape as tracebacks: a UnicodeDecodeError, and the
+    # ValueError of Python's 4,300-digit limit on int conversion
+    path = tmp_path / "input.json"
+    if case == "not-utf8":
+        path.write_bytes(b"\xff\xfe" + b"{}")
+        words = "can't decode byte 0xff"
+    else:
+        path.write_text('{"name": "big", "dim": 1, "normals": [[1], [-1]], '
+                        '"lambda": [' + "1" * 5000 + ', 1]}')
+        words = "integer string conversion"
+    code, out, _ = invoke(capsys, ["validate", "--polytope", str(path), "--format", "json"])
+    assert code == 1
+    record = json.loads(out)
+    assert record["error"] == "UsageError"
+    assert record["message"].startswith(f"{path} is not valid JSON: ")
+    assert words in record["message"]
+
+
 def test_missing_input_exit_1(capsys):
     code, _, err = invoke(capsys, ["validate"])
     assert code == 1

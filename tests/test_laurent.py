@@ -25,6 +25,15 @@ def test_arith_examples():
     assert w ** 0 == R3.one()
 
 
+def test_constant_and_monomial_reduce_their_coefficient():
+    # over F7 the constant 7 is zero and 8 is one; both used to be kept as
+    # written, a zero term and a second form of x
+    R = LaurentRing(["x"], PrimeField(7))
+    assert R.constant(7) == R.zero() and R.constant(7).is_zero()
+    assert R.monomial((1,), 8) == R.variable(0)
+    assert R.constant(-1).terms == {(0,): 6}
+
+
 def test_ring_mismatch_rejected():
     Ra = LaurentRing(["z"], QQ)
     Rb = LaurentRing(["w"], QQ)
@@ -150,3 +159,47 @@ def test_json_exponents_must_be_integers(exp):
             "terms": [{"coeff": "1", "exps": [exp]}, {"coeff": "1", "exps": [-1]}]}
     with pytest.raises(UsageError, match="exponent must be an integer"):
         laurent_from_json(data)
+
+
+def test_evaluate_with_negative_exponents_matches_fraction_reference():
+    """evaluate equals sum c * prod x_i^e_i computed in Fractions, over Q and
+    over F_p (the Fraction's numerator times the inverse of its denominator,
+    a product of units), and returns an exact value: an int in [0, p) over
+    F_p and an int or a Fraction over Q, never a float."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    fields = [QQ, PrimeField(2), PrimeField(3), PrimeField(7)]
+
+    @st.composite
+    def cases(draw):
+        field = draw(st.sampled_from(fields))
+        p = field.char
+        if p:
+            coord = st.integers(1, p - 1)
+            coeff = st.integers(0, p - 1)
+        else:
+            coord = st.builds(lambda n, d: n if d == 1 else Fraction(n, d),
+                              st.integers(-5, 5).filter(bool), st.integers(1, 3))
+            coeff = st.integers(-9, 9)
+        exps = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+        terms = draw(st.lists(st.tuples(exps, coeff), max_size=5))
+        return field, terms, [draw(coord), draw(coord)]
+
+    @hypothesis.settings(max_examples=200)
+    @hypothesis.given(cases())
+    def check(case):
+        field, terms, point = case
+        R = LaurentRing(["x", "y"], field)
+        f = R.from_terms(terms)
+        want = sum((c * Fraction(point[0]) ** a * Fraction(point[1]) ** b
+                    for (a, b), c in f.terms.items()), Fraction(0))
+        got = f.evaluate(point)
+        p = field.char
+        if p:
+            assert type(got) is int and 0 <= got < p
+            assert got == want.numerator * pow(want.denominator, -1, p) % p
+        else:
+            assert type(got) in (int, Fraction)
+            assert got == want
+
+    check()

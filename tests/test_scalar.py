@@ -31,11 +31,27 @@ def test_parse_field():
         parse_field("F²")
     with pytest.raises(UsageError):  # more digits than int() converts
         parse_field("F" + "1" * 5000)
+    with pytest.raises(UsageError, match="2501 is not prime"):  # 41 * 61
+        parse_field("F2501")
 
 
 def test_is_prime_deterministic():
     assert is_prime(2) and is_prime(31) and is_prime(2**31 - 1)
     assert not is_prime(1) and not is_prime(341) and not is_prime(561)
+    # no prime factor up to 37, so only the Miller-Rabin rounds reject them:
+    # 41 * 43, 41 * 61, and a strong pseudoprime to bases 2, 3, 5 and 7
+    assert not any(map(is_prime, (1763, 2501, 3215031751)))
+
+
+def test_is_prime_matches_sympy_past_the_trial_divisors():
+    """Every n below 20,000 and 2,000 seeded odd 64-bit integers agree with
+    sympy.isprime, including composites with no prime factor up to 37, which
+    only the Miller-Rabin rounds can reject."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(64)
+    odd = [rng.getrandbits(64) | 1 for _ in range(2000)]
+    for n in list(range(20000)) + odd:
+        assert is_prime(n) == sympy.isprime(n), n
 
 
 def test_factor_x2_plus_1_over_F2():
@@ -263,5 +279,83 @@ def test_factor_matches_sympy_factor_list():
             for g, m in theirs
         )
         assert ours == expected
+
+    check()
+
+
+def test_unipoly_arithmetic_matches_sympy():
+    """+, -, *, divmod, gcd, derivative, evaluate and pow_mod agree with
+    sympy over GF(2), GF(3), GF(7) and QQ, and every coefficient is
+    canonical: an int in [0, p) over F_p, an int or a Fraction over Q, with
+    a nonzero leading one.  Inputs over F_p are arbitrary ints, so the
+    constructor's reduction is under test as well."""
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    t = sympy.Symbol("t")
+    fields = [PrimeField(2), PrimeField(3), PrimeField(7), QQ]
+
+    def to_sympy(field, raw):
+        coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(raw)]
+        if field.char:
+            return sympy.Poly(coeffs or [0], t, modulus=field.char)
+        return sympy.Poly(coeffs or [0], t, domain=sympy.QQ)
+
+    def from_sympy(field, value):
+        p = field.char
+        coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(value.all_coeffs())]
+        return [int(c) % p for c in coeffs] if p else coeffs
+
+    def scalar(field, value):
+        value = sympy.Rational(value)
+        p = field.char
+        return int(value) % p if p else Fraction(int(value.p), int(value.q))
+
+    def check_poly(f, expected):
+        p = f.field.char
+        if p:
+            assert all(type(c) is int and 0 <= c < p for c in f.coeffs), f.coeffs
+        else:
+            assert all(type(c) in (int, Fraction) for c in f.coeffs), f.coeffs
+        assert not f.coeffs or f.coeffs[-1]
+        want = list(expected)
+        while want and not want[-1]:
+            want.pop()
+        assert f.coeffs == want
+
+    @st.composite
+    def cases(draw):
+        field = draw(st.sampled_from(fields))
+        if field.char:
+            coeff = st.integers(-20, 20)
+        else:
+            coeff = st.builds(lambda n, d: n if d == 1 else Fraction(n, d),
+                              st.integers(-9, 9), st.integers(1, 4))
+        raws = [draw(st.lists(coeff, max_size=6)) for _ in range(3)]
+        return field, raws, draw(coeff), draw(st.integers(0, 12))
+
+    @hypothesis.settings(max_examples=150)
+    @hypothesis.given(cases())
+    def check(case):
+        field, raws, x, e = case
+        f, g, m = (UniPoly(field, raw) for raw in raws)
+        sf, sg, sm = (to_sympy(field, raw) for raw in raws)
+        check_poly(f, from_sympy(field, sf))
+        check_poly(f + g, from_sympy(field, sf + sg))
+        check_poly(f - g, from_sympy(field, sf - sg))
+        check_poly(-f, from_sympy(field, -sf))
+        check_poly(f * g, from_sympy(field, sf * sg))
+        check_poly(f.derivative(), from_sympy(field, sf.diff(t)))
+        check_poly(f.gcd(g), from_sympy(field, sf.gcd(sg).monic()))
+        value = f.evaluate(x)
+        assert value == scalar(field, sf.eval(sympy.Rational(x.numerator, x.denominator)))
+        assert type(value) in (int, Fraction) and (not field.char or 0 <= value < field.char)
+        if not g.is_zero():
+            q, r = f.divmod(g)
+            sq, sr = sf.div(sg)
+            check_poly(q, from_sympy(field, sq))
+            check_poly(r, from_sympy(field, sr))
+        if not m.is_zero():
+            check_poly(f.pow_mod(e, m), from_sympy(field, (sf ** e).rem(sm)))
 
     check()

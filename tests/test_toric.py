@@ -75,6 +75,22 @@ def test_validate_compactness_failure():
     assert str(info.value) == "unbounded along recession ray (0, 1) (facets [1])"
 
 
+@pytest.mark.parametrize("n, normals, lambdas, check, message", [
+    (2, [[1, 0], [0, 1]], [1, 1], "facet_count", "need at least 3 facets, got 2"),
+    (2, [[1, 0], [-1, 0], [2, 0]], [1, 1, 1], "compactness",
+     "facet normals do not span; polytope is unbounded"),
+    (1, [[1], [2]], [1, 1], "compactness", "unbounded along recession ray (1)"),
+    (1, [[-1], [-1]], [1, 1], "compactness", "unbounded along recession ray (-1)"),
+    (1, [[1], [-1]], [-2, 1], "nonempty", "no vertices found; polytope empty"),
+], ids=["two-facets", "normals-do-not-span", "ray-plus", "ray-minus", "empty"])
+def test_validate_failure_check_and_message(n, normals, lambdas, check, message):
+    P = DelzantPolytope(n=n, normals=normals, lambdas=[Fraction(x) for x in lambdas])
+    with pytest.raises(ValidationError) as info:
+        validate(P)
+    assert info.value.check == check
+    assert str(info.value) == message
+
+
 def test_validate_redundant_facet():
     P = DelzantPolytope(
         n=1, normals=[[1], [-1], [1]],
