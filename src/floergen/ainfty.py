@@ -89,6 +89,12 @@ def _vadd(field, target, src, coeff):
             target.pop(i, None)
 
 
+def _neg(field, vec):
+    """-vec on a sparse vector, reduced `% p` over F_p."""
+    p = field.char
+    return {i: -c % p if p else -c for i, c in vec.items()}
+
+
 @dataclass
 class AInftyStructure:
     field: Field
@@ -157,7 +163,8 @@ class AInftyStructure:
         bad = f"unit {name[e]} is not strict:"
         if self.op(1, (e,)):
             raise UsageError(f"{bad} mu^1({name[e]}) is not 0")
-        signs = (self.field.one, self.field.neg(self.field.one))
+        p = self.field.char
+        signs = (1, -1 % p if p else -1)
         for a in range(self.dim):
             for key in ((e, a), (a, e)):
                 if self.op(2, key) not in [{a: c} for c in signs]:
@@ -331,8 +338,8 @@ class GradedAlgebra(FiniteAlgebra):
         n = self.dim
         return GradedAlgebra(
             field=F, dim=n, unit=self.unit, degrees=list(degs),
-            basis_mult=[[{r: F.neg(x) for r, x in m[j][i].items()}
-                         if degs[i] * degs[j] % 2 else m[j][i] for j in range(n)]
+            basis_mult=[[_neg(F, m[j][i]) if degs[i] * degs[j] % 2 else m[j][i]
+                         for j in range(n)]
                         for i in range(n)],
         )
 
@@ -344,7 +351,7 @@ def cohomology(A: AInftyStructure) -> GradedAlgebra:
     A has none.  Raises DomainError unless the product is associative."""
     F = A.field
     d = A.mu1_matrix()
-    if any(any(x != F.zero for x in row) for row in linalg.mat_mul(F, d, d)):
+    if any(any(row) for row in linalg.mat_mul(F, d, d)):
         raise DomainError("mu^1 does not square to zero")
     ker = linalg.kernel_basis(F, d)
     im = linalg.image_basis(F, d)
@@ -364,13 +371,13 @@ def cohomology(A: AInftyStructure) -> GradedAlgebra:
     def product(i, j):
         out = {}
         for (a, b), res in A.ops.get(2, {}).items():
-            _vadd(F, out, res, F.mul(reps[i][a], reps[j][b]))
-        coords = quotient_coords([out.get(i, F.zero) for i in range(A.dim)])
-        return sparse([F.neg(c) for c in coords] if degrees[j] % 2 else coords)
+            _vadd(F, out, res, reps[i][a] * reps[j][b])
+        col = sparse(quotient_coords([out.get(i, 0) for i in range(A.dim)]))
+        return _neg(F, col) if degrees[j] % 2 else col
 
     degrees = []
     for r in reps:
-        degs = {A.degrees[i] for i, c in enumerate(r) if c != F.zero}
+        degs = {A.degrees[i] for i, c in enumerate(r) if c}
         if len(degs) != 1:
             raise DomainError("inhomogeneous cohomology representative")
         degrees.append(degs.pop())
@@ -420,7 +427,7 @@ def self_module(A: AInftyStructure) -> Module:
     """A as a left module over itself, with the standard sign mu_M = -mu."""
     F = A.field
     ops = {
-        (key[:-1], key[-1]): {i: F.neg(c) for i, c in out.items()}
+        (key[:-1], key[-1]): _neg(F, out)
         for tensor in A.ops.values()
         for key, out in tensor.items()
         if out
@@ -480,9 +487,7 @@ def diagonal_bimodule(A: AInftyStructure) -> BimoduleStructure:
             for pos, b in enumerate(key):
                 right = key[pos + 1 :]
                 odd = (A.maltese(right) + 1) % 2
-                ops[(key[:pos], b, right)] = {
-                    i: F.neg(c) if odd else c for i, c in out.items()
-                }
+                ops[(key[:pos], b, right)] = _neg(F, out) if odd else dict(out)
     return BimoduleStructure(algebra=A, degrees=list(A.degrees), ops=ops)
 
 
@@ -559,8 +564,7 @@ def unit_cochain(A: AInftyStructure) -> HochschildCochain:
 
 
 def element_cochain(A: AInftyStructure, coords, degree=None) -> HochschildCochain:
-    F = A.field
-    val = {i: c for i, c in enumerate(coords) if c != F.zero}
+    val = {i: c for i, c in enumerate(coords) if c}
     degs = {A.degrees[i] for i in val}
     if degree is None:
         if len(degs) > 1:
@@ -677,7 +681,7 @@ def theta_map(A: AInftyStructure, c_coords, cap: int) -> HochschildCochain:
     with b in c's support, into the matrix units p * dim + x."""
     F = A.field
     dim = A.dim
-    val0 = {i: c for i, c in enumerate(c_coords) if c != F.zero}
+    val0 = {i: c for i, c in enumerate(c_coords) if c}
     degs = {A.degrees[i] for i in val0}
     if len(degs) > 1:
         raise UsageError("theta needs a homogeneous element")
@@ -710,19 +714,20 @@ def pi_map(A: AInftyStructure, phi: HochschildCochain):
     F = A.field
     dim = A.dim
     val0 = phi.value(0, ())
-    out = [F.zero] * dim
-    add = F.sub if phi.degree % 2 else F.add  # (-1)^{|phi|}
+    out = [0] * dim
+    sign = -1 if phi.degree % 2 else 1  # (-1)^{|phi|}
     if len(phi.coeff_degrees) == dim * dim:
         for i, c in val0.items():
             p, q = divmod(i, dim)
             if q == A.unit:
-                out[p] = add(out[p], c)
+                out[p] += sign * c
     elif len(phi.coeff_degrees) == dim:
         for i, c in val0.items():
-            out[i] = add(out[i], c)
+            out[i] += sign * c
     else:
         raise UsageError("unrecognized coefficient space")
-    return out
+    char = F.char
+    return [x % char for x in out] if char else out
 
 
 # --- premorphism complex (module coherence, verified operationally) ---------------

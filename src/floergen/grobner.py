@@ -55,20 +55,22 @@ leading term it starts from, so those two checks cover every word.
 polynomials.  Its one inner loop, `_add_scaled`, follows the arithmetic rule
 of `scalar`: each term accumulates with native `+` and `*` and is reduced
 once, `% p` over F_p, and the walk's `_times` does the same on sparse
-columns.  Everything public (`buchberger`'s input and output, `gb`,
-`leads`, `staircase`) stays in exponent tuples.
+columns.  A quotient stores its reduced basis and staircase packed only;
+everything public (`buchberger`'s input and output, and a quotient's `gb`
+and `staircase`, views unpacked when first read) is in exponent tuples.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import struct
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from . import linalg
 from .algebra import FiniteAlgebra
 from .errors import DomainError, ResourceBudgetError, UsageError
-from .laurent import LaurentPoly, LaurentRing
+from .laurent import LaurentPoly
 from .scalar import canonical, field_name
 
 DEFAULT_BUDGET = 10**6
@@ -319,47 +321,57 @@ def buchberger(field, gens, budget: Budget | None = None):
 # --- quotient algebras --------------------------------------------------------
 
 
-@dataclass
 class QuotientAlgebra:
-    """Quotient by a Groebner basis, with its staircase basis.
+    """Quotient by the reduced Groebner basis of `gen_dicts`, with its
+    staircase basis.
 
     `names` are the encoded polynomial variables.  A Laurent quotient has a
     `source_ring`, the original Laurent ring in n variables, and its names
-    are the n inverse variables followed by the n originals.  `leads[i]` is
-    the leading monomial of `gb[i]`.  `budget` is the one the quotient was
-    built under; every normal form the quotient computes is reduced under it.
-    `_build_quotient` packs the basis and staircase words once and passes
-    them in with the tuple forms.
+    are the n inverse variables followed by the n originals.  `budget` is the
+    one the quotient was built under; every normal form the quotient
+    computes is reduced under it.  The reduced basis and the staircase are
+    stored packed, as the Divisors `_divisors` and the ascending lead words
+    `_stair`; `gb` and `staircase` are their exponent-tuple views, unpacked
+    when first read.
     """
 
-    field: object
-    names: tuple
-    gb: list
-    leads: list
-    finite: bool
-    staircase: list
-    budget: Budget
-    source_ring: LaurentRing | None = None
-    source_gens: list = dc_field(default_factory=list)
-    unit_index: int | None = dc_field(init=False, default=None)
-    _words: Words = dc_field(kw_only=True, repr=False)
-    _divisors: Divisors = dc_field(kw_only=True, repr=False)
-    _stair: list = dc_field(kw_only=True, repr=False)
-    _index: dict = dc_field(init=False, repr=False)
-    _border: list = dc_field(init=False, repr=False)
-    _algebra: FiniteAlgebra | None = dc_field(default=None, repr=False)
-
-    def __post_init__(self):
+    def __init__(self, field, names, gen_dicts, budget, source_ring=None,
+                 source_gens=()):
+        self.field = field
+        self.names = tuple(names)
+        self.budget = budget
+        self.source_ring = source_ring
+        self.source_gens = list(source_gens)
+        words = Words(len(self.names))
+        self._divisors = Divisors(field, words, map(
+            words.pack_poly, buchberger(field, gen_dicts, budget)))
+        stair = _staircase_from_leads(
+            words, [lead for _, lead, _ in self._divisors.entries])
+        self.finite = stair is not None
+        self._stair = stair or []
         self._index = {k: i for i, k in enumerate(self._stair)}
         self.unit_index = self._index.get(0)
         # per variable u: its lead word and the border columns s -> column
-        self._border = [(x, {}) for x in self._words.variables()]
+        self._border = [(x, {}) for x in words.variables()]
+        self._algebra = None
+
+    @functools.cached_property
+    def gb(self):
+        """The reduced Groebner basis as exponent-tuple dicts, ascending by
+        leading monomial."""
+        unpack = self._divisors.words.unpack_poly
+        return [unpack(g) for g, _, _ in self._divisors.entries]
+
+    @functools.cached_property
+    def staircase(self):
+        """The standard monomials as exponent tuples, ascending."""
+        return list(map(self._divisors.words.unpack, self._stair))
 
     @property
     def dim(self):
         if not self.finite:
             raise UsageError("quotient is infinite-dimensional")
-        return len(self.staircase)
+        return len(self._stair)
 
     def _require_finite(self):
         if not self.finite:
@@ -374,7 +386,7 @@ class QuotientAlgebra:
         return _encode(p)
 
     def reduce_poly(self, poly_dict):
-        words = self._words
+        words = self._divisors.words
         return words.unpack_poly(normal_form_poly(
             self.field, words.pack_poly(poly_dict), self._divisors, self.budget))
 
@@ -383,8 +395,9 @@ class QuotientAlgebra:
         self._require_finite()
         poly = self.encode_laurent(p) if isinstance(p, LaurentPoly) else p
         coords = [self.field.zero] * self.dim
-        for k, c in normal_form_poly(self.field, self._words.pack_poly(poly),
-                                     self._divisors, self.budget).items():
+        basis = self._divisors
+        for k, c in normal_form_poly(self.field, basis.words.pack_poly(poly),
+                                     basis, self.budget).items():
             coords[self._index[k]] = c
         return coords
 
@@ -477,7 +490,7 @@ class QuotientAlgebra:
     def to_json(self):
         data = {
             "field": field_name(self.field),
-            "dim": len(self.staircase) if self.finite else None,
+            "dim": len(self._stair) if self.finite else None,
             "finite": self.finite,
             "staircase": self.basis_labels() if self.finite else None,
         }
@@ -531,34 +544,11 @@ def _staircase_from_leads(words, leads):
     return sorted(out)
 
 
-def _build_quotient(field, names, gen_dicts, budget, source_ring=None,
-                    source_gens=()):
-    gb = buchberger(field, gen_dicts, budget)
-    words = Words(len(names))
-    divisors = Divisors(field, words, map(words.pack_poly, gb))
-    leads = [lead for _, lead, _ in divisors.entries]
-    stair = _staircase_from_leads(words, leads)
-    return QuotientAlgebra(
-        field=field,
-        names=tuple(names),
-        gb=gb,
-        leads=[words.unpack(lm) for lm in leads],
-        finite=stair is not None,
-        staircase=[words.unpack(m) for m in stair or ()],
-        budget=budget,
-        source_ring=source_ring,
-        source_gens=list(source_gens),
-        _words=words,
-        _divisors=divisors,
-        _stair=stair or [],
-    )
-
-
 def polynomial_quotient(field, names, gen_dicts, budget=None):
     """Quotient of an ordinary polynomial ring by explicit generator dicts."""
     if budget is None:
         budget = Budget()
-    return _build_quotient(field, names, gen_dicts, budget)
+    return QuotientAlgebra(field, names, gen_dicts, budget)
 
 
 def _encode(p: LaurentPoly):
@@ -588,17 +578,16 @@ def laurent_quotient(gens, budget=None) -> QuotientAlgebra:
     gen_dicts = [_encode(g) for g in gens if not g.is_zero()]
     if not gen_dicts:
         raise UsageError("all generators are zero")
+    p = field.char
     for i in range(n):
-        rel = {(0,) * (2 * n): field.neg(field.one)}
+        rel = {(0,) * (2 * n): -1 % p if p else -1}
         e = [0] * (2 * n)
         e[i] = 1
         e[n + i] = 1
-        rel[tuple(e)] = field.one
+        rel[tuple(e)] = 1
         gen_dicts.append(rel)
-    return _build_quotient(
-        field, names, gen_dicts, budget,
-        source_ring=ring, source_gens=list(gens),
-    )
+    return QuotientAlgebra(field, names, gen_dicts, budget,
+                           source_ring=ring, source_gens=gens)
 
 
 # --- algebra morphisms ---------------------------------------------------------
@@ -620,7 +609,7 @@ def _map_staircase(domain: QuotientAlgebra, codomain: QuotientAlgebra, steps,
     if unit_image is None:
         unit_image = ({} if codomain.unit_index is None
                       else {codomain.unit_index: F.one})
-    dwords, times = domain._words, codomain._times
+    dwords, times = domain._divisors.words, codomain._times
     dvars = dwords.variables()
     images = {}
     for m in domain._stair:

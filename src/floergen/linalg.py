@@ -337,6 +337,7 @@ def minimal_polynomial(field, mat) -> UniPoly:
     n = len(mat)
     if n == 0:
         return UniPoly(field, [field.one])
+    p = field.char
     flat_powers = []
     power = identity(field, n)
     for _ in range(n + 1):
@@ -345,7 +346,7 @@ def minimal_polynomial(field, mat) -> UniPoly:
         k = len(flat_powers)
         mat_cols = transpose(flat_powers[: k - 1]) if k > 1 else []
         if k > 1:
-            sol = solve(field, mat_cols, [field.neg(x) for x in flat_powers[-1]])
+            sol = solve(field, mat_cols, [-x % p if p else -x for x in flat_powers[-1]])
             if sol is not None:
                 return UniPoly(field, sol + [field.one])
         power = mat_mul(field, power, mat)

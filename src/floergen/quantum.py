@@ -196,16 +196,18 @@ def _critical_points(W: LaurentPoly, jac: QuotientAlgebra, seed: int) -> Critica
     A = jac.finite_algebra()
     factors = local_decompose(A, seed)
     points = [f.point for f in factors if f.residue_degree == 1 and f.point is not None]
+    log_derivatives = [W.log_derivative(i) for i in range(W.ring.nvars)]
     for pt in points:
-        _check_critical(W, pt)
+        _check_critical(log_derivatives, pt)
     return CriticalPointReport(points=points, factors=factors, algebra=A)
 
 
-def _check_critical(W: LaurentPoly, point):
-    """A point read off a residue-degree-1 summand is a critical point of W;
-    one that leaves a log-derivative nonzero is an anomaly."""
-    for i in range(W.ring.nvars):
-        if W.log_derivative(i).evaluate(point) != W.ring.field.zero:
+def _check_critical(log_derivatives, point):
+    """A point read off a residue-degree-1 summand is a critical point of W,
+    given by its log-derivatives; one that leaves a log-derivative nonzero
+    is an anomaly."""
+    for i, d in enumerate(log_derivatives):
+        if d.evaluate(point):
             raise AnomalyError(
                 f"recovered point {point} does not annihilate log-derivative {i}")
 
@@ -315,6 +317,7 @@ def _rational_summands(W: LaurentPoly, jac: QuotientAlgebra):
     factors, residual = strip_roots(mu, [lam for lam, _ in rational_roots(mu)])
     if residual.degree > 0:
         factors.append((residual, 1))
+    log_derivatives = [W.log_derivative(i) for i in range(W.ring.nvars)]
     out = []
     for (f, _), e in zip(factors, split_along(A, c1, A.unit, factors)):
         dim = linalg.rank(F, A.mult_matrix(e))
@@ -330,8 +333,8 @@ def _rational_summands(W: LaurentPoly, jac: QuotientAlgebra):
         if dim == 1:
             k = next(i for i, x in enumerate(e) if x)
             point = [F.div(A.mult(g, e)[k], e[k]) for g in A.generators]
-            _check_critical(W, point)
-        out.append(GenerationSummand.split(dim, 1, point, F.neg(f.coeffs[0])))
+            _check_critical(log_derivatives, point)
+        out.append(GenerationSummand.split(dim, 1, point, -f.coeffs[0]))
     return out
 
 

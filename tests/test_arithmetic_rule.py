@@ -1,6 +1,7 @@
-"""floergen's kernels add and subtract field elements with the native
-operators, reducing once (`% p` over F_p), not with a Field's per-element
-methods; only the Field classes of scalar.py define and call those."""
+"""floergen's kernels add, subtract, multiply and negate field elements with
+the native operators, reducing once (`% p` over F_p), not with a Field's
+per-element methods; only the Field classes of scalar.py define and use
+those."""
 
 import ast
 import pathlib
@@ -8,53 +9,63 @@ import pathlib
 import floergen
 
 PACKAGE = pathlib.Path(floergen.__file__).parent
-FIELD_OBJECTS = {"F", "field", "self.field", "self.ring.field"}
+FIELD_METHODS = ("add", "sub", "mul", "neg")
 
 
-def field_method_calls(tree, skip_field_classes=False):
-    """(line, call) of each `.add(` or `.sub(` called on a field object,
-    leaving out the bodies of classes deriving from Field (and Field itself)
-    when skip_field_classes is set."""
+def is_field_object(node):
+    """`F`, `field`, or any attribute `.field` (`self.field`, `A.field`,
+    `W.ring.field`)."""
+    return (isinstance(node, ast.Name) and node.id in ("F", "field")
+            or isinstance(node, ast.Attribute) and node.attr == "field")
+
+
+def field_method_uses(tree, skip_field_classes=False):
+    """(line, use) of each reference to `.add`, `.sub`, `.mul` or `.neg` on a
+    field object, called or not, leaving out the bodies of classes deriving
+    from Field (and Field itself) when skip_field_classes is set."""
     skipped = set()
     if skip_field_classes:
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef) and (node.name == "Field" or any(
                     ast.unparse(base) == "Field" for base in node.bases)):
                 skipped.update(id(inner) for inner in ast.walk(node))
-    return [(node.lineno, ast.unparse(node.func))
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and id(node) not in skipped
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in ("add", "sub")
-            and ast.unparse(node.func.value) in FIELD_OBJECTS]
+    return sorted((node.lineno, ast.unparse(node))
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and id(node) not in skipped
+                  and node.attr in FIELD_METHODS and is_field_object(node.value))
 
 
 def test_no_kernel_adds_through_a_field_method():
     found = {}
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
-        calls = field_method_calls(tree, skip_field_classes=path.name == "scalar.py")
-        if calls:
-            found[path.name] = calls
+        uses = field_method_uses(tree, skip_field_classes=path.name == "scalar.py")
+        if uses:
+            found[path.name] = uses
     assert found == {}
 
 
 def test_the_check_sees_each_field_object():
-    source = ("def f(F, field, pairs):\n"
+    source = ("def f(F, field, pairs, A, W):\n"
               "    F.add(1, 2)\n"
               "    field.sub(1, 2)\n"
               "    pairs.add(3)\n"
+              "    add = F.sub if pairs else A.field.add\n"
+              "    W.ring.field.neg(1)\n"
               "class A:\n"
               "    def g(self):\n"
               "        self.field.add(1, 2)\n"
               "        self.ring.field.sub(1, 2)\n"
               "        self.field.mul(1, 2)\n"
+              "        self.field.inv(2)\n"
               "class Field:\n"
               "    def sub(self, a, b):\n"
               "        return self.add(a, self.neg(b))\n"
               "class PrimeField(Field):\n"
               "    def twice(self, field):\n"
-              "        return field.add(1, 1)\n")
-    assert field_method_calls(ast.parse(source), skip_field_classes=True) == [
-        (2, "F.add"), (3, "field.sub"), (7, "self.field.add"), (8, "self.ring.field.sub")]
-    assert (15, "field.add") in field_method_calls(ast.parse(source))
+              "        return field.mul(1, 2)\n")
+    assert field_method_uses(ast.parse(source), skip_field_classes=True) == [
+        (2, "F.add"), (3, "field.sub"), (5, "A.field.add"), (5, "F.sub"),
+        (6, "W.ring.field.neg"), (9, "self.field.add"), (10, "self.ring.field.sub"),
+        (11, "self.field.mul")]
+    assert (18, "field.mul") in field_method_uses(ast.parse(source))

@@ -6,10 +6,10 @@ import sys
 
 import pytest
 
-from floergen import cli, scalar
+from floergen import cli, quantum, realgen, scalar
 from floergen.algebra import FiniteAlgebra, local_decompose
 from floergen.cli import run
-from floergen.grobner import laurent_quotient
+from floergen.grobner import Morphism, laurent_quotient
 from floergen.quantum import jacobian_ring
 from floergen.laurent import laurent_from_json
 from floergen.toric import corpus, superpotential
@@ -277,6 +277,33 @@ def test_qh_and_co0(capsys, polytope_file):
     ])
     assert code == 0
     assert json.loads(out)["isomorphism"] is True
+
+
+def test_co0_that_is_no_isomorphism_exits_3(capsys, polytope_file, monkeypatch):
+    monkeypatch.setattr(quantum, "algebra_morphism", lambda domain, codomain, images:
+                        Morphism(True, None, None, 1, False, domain.dim, codomain.dim))
+    code, out, _ = invoke(capsys, [
+        "co0", "--polytope", polytope_file("CP2"), "--field", "F3", "--format", "json",
+    ])
+    assert code == 3
+    data = json.loads(out)
+    assert data["isomorphism"] is False
+    assert data["co0"] == {"well_defined": True, "failing_relation": None, "kernel_dim": 1,
+                           "surjective": False, "domain_dim": 3, "codomain_dim": 3}
+
+
+def test_anomaly_is_an_error_record_with_exit_3(capsys, polytope_file, monkeypatch):
+    monkeypatch.setattr(realgen, "algebra_morphism", lambda domain, codomain, images:
+                        Morphism(False, 0, None, None, None, domain.dim, codomain.dim))
+    code, out, err = invoke(capsys, [
+        "real-gen", "--polytope", polytope_file("CP2"), "--format", "json",
+    ])
+    assert code == 3 and err == ""
+    assert json.loads(out) == {
+        "error": "anomaly",
+        "message": "reduction map is not well defined; squared-weight relations "
+                   "must land in the plain ideal in characteristic 2",
+    }
 
 
 def test_smod2(capsys):

@@ -822,9 +822,28 @@ def test_quotient_surface_keeps_exponent_tuples():
     qa = laurent_quotient([lpoly(R, {(3,): 1, (0,): -1})])  # k[z]/(z^3 - 1)
     # encoded variables (w, z) with w = z^-1: z^2 = w, so z^4 = z
     assert qa.staircase == [(0, 0), (0, 1), (1, 0)]
-    assert all(lm == max(g, key=degrevlex) for g, lm in zip(qa.gb, qa.leads))
+    assert all(type(e) is tuple and len(e) == 2 for g in qa.gb for e in g)
+    leads = [max(g, key=degrevlex) for g in qa.gb]
+    assert leads == sorted(leads, key=degrevlex)
     assert qa.reduce_poly({(0, 4): Fraction(2), (1, 0): Fraction(1)}) == {
         (1, 0): Fraction(1), (0, 1): Fraction(2)}
+
+
+def test_quotient_surface_edge_cases():
+    qa = polynomial_quotient(QQ, ["H"], [{(3,): 1}])  # k[H]/(H^3)
+    assert qa.basis_labels() == ["1", "H", "H^2"]
+    assert qa.graded_dims() == [1, 1, 1]
+    unit = polynomial_quotient(QQ, ["H"], [{(0,): 1}])  # the unit ideal
+    assert unit.staircase == [] and unit.graded_dims() == [] and unit.dim == 0
+    with pytest.raises(UsageError, match="not a Laurent quotient"):
+        qa.encode_laurent(lpoly(LaurentRing(["z"], QQ), {(1,): 1}))
+    R = LaurentRing(["x", "y"], QQ)
+    infinite = laurent_quotient([lpoly(R, {(1, 0): 1, (0, 0): -1})])  # x = 1 only
+    with pytest.raises(UsageError, match="polynomial lives in a different ring"):
+        infinite.encode_laurent(lpoly(LaurentRing(["z"], QQ), {(1,): 1}))
+    assert infinite.to_json()["dim"] is None
+    with pytest.raises(UsageError):
+        infinite.dim
 
 
 def reference_normal_form(field, poly, basis, budget):

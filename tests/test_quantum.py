@@ -9,7 +9,7 @@ from conftest import PRODUCT_PAIRS, dp6, ladder, lpoly
 from floergen import linalg
 from floergen.algebra import FiniteAlgebra
 from floergen.errors import AnomalyError, UsageError
-from floergen.grobner import algebra_morphism, laurent_quotient
+from floergen.grobner import Morphism, algebra_morphism, laurent_quotient
 from floergen import quantum
 from floergen.laurent import LaurentRing
 from floergen.quantum import (
@@ -578,3 +578,13 @@ def test_product_summands_come_from_factor_summands(names, field):
                         for a in rep_p.summands if a.verdict == "split-generates"
                         for b in rep_q.summands if b.verdict == "split-generates")
         assert Counter((tuple(s.point), s.dim, s.critical_value) for s in split) == pairs
+
+
+def test_toric_gen_reports_a_co0_that_is_no_isomorphism(monkeypatch):
+    monkeypatch.setattr(quantum, "algebra_morphism", lambda domain, codomain, images:
+                        Morphism(True, None, None, 1, False, domain.dim, codomain.dim))
+    rep = toric_generation_report(corpus()["CP2"], PrimeField(7))
+    assert rep.anomaly and rep.summands == []
+    assert rep.notes == ["divisor-to-boundary map is not an isomorphism; "
+                         "out-of-contract input or implementation bug"]
+    assert rep.to_json()["co0"]["kernel_dim"] == 1

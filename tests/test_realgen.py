@@ -8,12 +8,14 @@ from conftest import (PRODUCT_PAIRS, composed_columns, dense_columns, dense_matr
                       ladder, lpoly, reparametrised, squaring_columns)
 from floergen import linalg, realgen
 from floergen.errors import AnomalyError, UsageError
+from floergen.grobner import Morphism
 from floergen.quantum import qh_presentation
 from floergen.realgen import (
     F2,
     frobenius_matrix,
     real_gen_data,
     real_generation_report,
+    reduction_pi,
 )
 from floergen.scalar import PrimeField
 from floergen.toric import corpus, h2_lattice, polytope_product
@@ -175,6 +177,24 @@ def test_broken_maps_raise_anomalies(monkeypatch, target, words):
     monkeypatch.setattr(realgen, "algebra_morphism", mutated)
     with pytest.raises(AnomalyError, match=words):
         real_generation_report(P)
+
+
+def test_reduction_pi_that_is_not_well_defined_is_an_anomaly(monkeypatch):
+    monkeypatch.setattr(realgen, "algebra_morphism", lambda domain, codomain, images:
+                        Morphism(False, 0, None, None, None, domain.dim, codomain.dim))
+    qh_r = qh_presentation(corpus()["CP2"], F2, "mod2_weights")
+    qh = qh_presentation(corpus()["CP2"], F2, "plain")
+    with pytest.raises(AnomalyError, match="reduction map is not well defined"):
+        reduction_pi(qh_r, qh)
+
+
+def test_real_gen_data_keeps_no_tuple_view():
+    """The quotient stores its staircase and basis packed; the exponent-tuple
+    views are unpacked only when read."""
+    data = real_gen_data(corpus()["CP1xCP1"])
+    assert "staircase" not in vars(data.qh_r) and "gb" not in vars(data.qh_r)
+    assert len(data.qh_r.staircase) == data.qh_r.dim
+    assert "staircase" in vars(data.qh_r)
 
 
 def ker_s(extra):
