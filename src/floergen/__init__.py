@@ -34,7 +34,6 @@ from .toric import (
     DelzantPolytope,
     H2Lattice,
     VertexData,
-    classical_cohomology,
     corpus,
     h2_lattice,
     minimal_chern,
@@ -42,7 +41,6 @@ from .toric import (
     polytope_product,
     primitive_collections,
     projective_space,
-    real_cohomology_dims,
     superpotential,
     validate,
 )
@@ -50,10 +48,12 @@ from .quantum import (
     GenerationReport,
     c1_element,
     c1_spectrum,
+    classical_cohomology,
     co0_map,
     critical_points,
     jacobian_ring,
     qh_presentation,
+    real_cohomology_dims,
     s_mod_m2,
     toric_generation_report,
 )

@@ -305,10 +305,6 @@ def ainfty_residuals(A: AInftyStructure, up_to_arity: int):
     ]
 
 
-def check_ainfty_relations(A: AInftyStructure, up_to_arity: int) -> bool:
-    return not ainfty_residuals(A, up_to_arity)
-
-
 def opposite(A: AInftyStructure) -> AInftyStructure:
     """Reverse inputs with the sign (-1)^{triangle_l + l - 1}.  A pair of
     inputs adds an odd term to triangle_l only when both have even degree, so
@@ -558,9 +554,8 @@ class HochschildCochain:
 def unit_cochain(A: AInftyStructure) -> HochschildCochain:
     if A.unit is None:
         raise UsageError("structure has no designated unit")
-    phi = HochschildCochain(A, list(A.degrees), 0, cap=10**9)
-    phi.set_value(0, (), {A.unit: A.field.one})
-    return phi
+    F = A.field
+    return element_cochain(A, [F.one if i == A.unit else F.zero for i in range(A.dim)])
 
 
 def element_cochain(A: AInftyStructure, coords, degree=None) -> HochschildCochain:

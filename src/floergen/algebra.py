@@ -41,7 +41,7 @@ from math import lcm
 
 from . import linalg
 from .errors import AnomalyError, DomainError, UsageError
-from .scalar import DEFAULT_SEED, PrimeField, UniPoly, univariate_factor
+from .scalar import DEFAULT_SEED, PrimeField, UniPoly, strip_roots, univariate_factor
 
 
 @dataclass
@@ -135,11 +135,6 @@ class FiniteAlgebra:
         products = [[self.mult(b, c) for c in basis] for b in basis]
         return all(self.mult(products[i][j], basis[k]) == self.mult(basis[i], products[j][k])
                    for i in range(n) for j in range(n) for k in range(n))
-
-    def element_min_poly(self, u) -> UniPoly:
-        """The first linear dependence among 1, u, u^2, ...: p(u) = p(L_u) 1,
-        so it is the minimal polynomial of the matrix L_u of v -> u * v."""
-        return krylov_min_poly(self, u, self.unit)
 
 
 def sparse(v):
@@ -317,21 +312,6 @@ def _finalize_factor(A, e):
         residue_degree=residue_degree,
         point=point,
     )
-
-
-def strip_roots(chi: UniPoly, roots):
-    """chi = prod (t - lam)^m * residual over the given roots: returns the
-    factors (t - lam, m) with m > 0, in the order of roots, and residual."""
-    F = chi.field
-    factors, residual = [], chi
-    for lam in roots:
-        lin = UniPoly(F, [-lam, 1])
-        m = 0
-        while not residual.evaluate(lam):
-            residual, m = residual // lin, m + 1
-        if m:
-            factors.append((lin, m))
-    return factors, residual
 
 
 def bezout_idempotents(A: FiniteAlgebra, a, lam):

@@ -24,27 +24,22 @@ from .errors import (
     UsageError,
     ValidationError,
 )
-from .grobner import Budget
+from .grobner import DEFAULT_BUDGET, Budget
 from .laurent import laurent_from_json
 from .quantum import (
     c1_spectrum,
+    classical_cohomology,
     co0_map,
     critical_points,
     jacobian_ring,
     qh_presentation,
+    real_cohomology_dims,
     s_mod_m2,
     toric_generation_report,
 )
 from .realgen import real_generation_report
 from .scalar import field_name, parse_field
-from .toric import (
-    DelzantPolytope,
-    classical_cohomology,
-    monotone_normalize,
-    real_cohomology_dims,
-    superpotential,
-    validate,
-)
+from .toric import DelzantPolytope, monotone_normalize, superpotential, validate
 
 def _load_json(path):
     try:
@@ -181,7 +176,7 @@ def _cmd_co0(args):
     field = parse_field(args.field)
     qh, jac, mor = co0_map(P, field, _budget(args))
     code = 0
-    anomaly = not (mor.well_defined and mor.kernel_dim == 0 and mor.surjective)
+    anomaly = not mor.is_isomorphism
     if anomaly:
         code = 3
     return code, {
@@ -317,7 +312,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--ainfty", help="A-infinity structure JSON path")
         p.add_argument("--field", default="Q", help="Q or F<p> (default Q)")
         p.add_argument("--format", default="text", choices=["text", "json"])
-        p.add_argument("--budget", type=int, default=10**6,
+        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                        help="reduction step budget (default 1000000)")
         p.add_argument("--seed", type=int, default=scalar.DEFAULT_SEED,
                        help="seed for factorization randomness")

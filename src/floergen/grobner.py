@@ -636,6 +636,11 @@ class Morphism:
     domain_dim: int
     codomain_dim: int
 
+    @property
+    def is_isomorphism(self):
+        """Well defined, injective and onto."""
+        return bool(self.well_defined and self.kernel_dim == 0 and self.surjective)
+
     def to_json(self):
         return {
             "well_defined": self.well_defined,

@@ -1,16 +1,19 @@
-"""Quantum cohomology presentations, Jacobian rings, the closed-open map,
+"""Presentations of toric rings, Jacobian rings, the closed-open map,
 first-Chern-class spectra, critical local systems, and toric split-generation
 reports.  Over Q the report splits along the minimal polynomial of c1, found
 by Krylov iteration from the unit, with one CRT call for all its
 rational-root and residual summands.  Every summand's verdict comes from one
 of the three `GenerationSummand` constructors.
 
-The divisor presentation uses one ambient variable Z_j per facet, the linear
-relations sum_j nu_j Z_j = 0, and one monomial relation Z^A - 1 per basis
-vector A of the sphere-class lattice (Z^{2A} - 1 for the mod-2-weights
-variant).  Instantiating the monomial relations only on a lattice basis
-suffices because (Z^A - 1) Z^B + (Z^B - 1) = Z^{A+B} - 1; a unit test
-exercises random combinations.
+Every presentation of a ring read off a polytope lives here.  All of them
+have one variable Z_j per facet and share the linear relations
+sum_j nu_j Z_j = 0.  The classical ring H*(X_P) (over F_2, the cohomology
+of the real locus) adds one monomial relation prod_{j in J} Z_j per
+primitive collection J.  The divisor presentation of QH*(X_P) instead adds
+one monomial relation Z^A - 1 per basis vector A of the sphere-class
+lattice (Z^{2A} - 1 for the mod-2-weights variant).  Instantiating these
+only on a lattice basis suffices because (Z^A - 1) Z^B + (Z^B - 1) =
+Z^{A+B} - 1; a unit test exercises random combinations.
 """
 
 from __future__ import annotations
@@ -18,15 +21,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from . import linalg
-from .algebra import (
-    FiniteAlgebra,
-    krylov_min_poly,
-    local_decompose,
-    split_along,
-    strip_roots,
-)
+from .algebra import FiniteAlgebra, krylov_min_poly, local_decompose, split_along
 from .errors import AnomalyError, UsageError
-from .grobner import Budget, Morphism, QuotientAlgebra, algebra_morphism, laurent_quotient
+from .grobner import (
+    Budget,
+    Morphism,
+    QuotientAlgebra,
+    algebra_morphism,
+    laurent_quotient,
+    polynomial_quotient,
+)
 from .laurent import LaurentPoly, LaurentRing
 from .scalar import (
     DEFAULT_SEED,
@@ -35,9 +39,18 @@ from .scalar import (
     UniPoly,
     field_name,
     rational_roots,
+    strip_roots,
     univariate_factor,
 )
-from .toric import DelzantPolytope, h2_lattice, is_normalized, minimal_chern, superpotential
+from .toric import (
+    DelzantPolytope,
+    h2_lattice,
+    is_normalized,
+    minimal_chern,
+    primitive_collections,
+    superpotential,
+    validate,
+)
 
 
 def jacobian_ring(W: LaurentPoly, budget: Budget | None = None) -> QuotientAlgebra:
@@ -48,27 +61,53 @@ def jacobian_ring(W: LaurentPoly, budget: Budget | None = None) -> QuotientAlgeb
     return laurent_quotient([g for g in gens], budget=budget)
 
 
-def _qh_generators(P: DelzantPolytope, field: Field, variant: str):
+def _linear_relations(P: DelzantPolytope, field: Field):
+    """sum_j nu_j^i Z_j for each coordinate i, as exponent dicts over the
+    field; a relation whose coefficients all vanish there is left out."""
     N = P.num_facets
-    ring = LaurentRing([f"Z{j + 1}" for j in range(N)], field)
-    linear = []
+    relations = []
     for i in range(P.n):
-        terms = []
+        g = {}
         for j in range(N):
             c = field.from_int(P.normals[j][i])
-            if c != field.zero:
+            if c:
                 e = [0] * N
                 e[j] = 1
-                terms.append((tuple(e), c))
-        g = ring.from_terms(terms)
-        if not g.is_zero():
-            linear.append(g)
+                g[tuple(e)] = c
+        if g:
+            relations.append(g)
+    return relations
+
+
+def _cohomology_quotient(P: DelzantPolytope, field: Field, budget=None):
+    """H*(X_P) over the field: the linear relations and one monomial
+    relation prod_{j in J} H_j per primitive collection J."""
+    N = P.num_facets
+    gens = _linear_relations(P, field)
+    for J in primitive_collections(validate(P), N):
+        gens.append({tuple(int(j in J) for j in range(N)): field.one})
+    return polynomial_quotient(field, [f"H{j + 1}" for j in range(N)], gens, budget)
+
+
+def classical_cohomology(P: DelzantPolytope, field: Field, budget=None):
+    """Graded dims of the divisor-class presentation; slot j is degree 2j."""
+    return _cohomology_quotient(P, field, budget).graded_dims()
+
+
+def real_cohomology_dims(P: DelzantPolytope, budget=None):
+    """Mod-2 Betti numbers of the real locus: same presentation over F_2."""
+    return _cohomology_quotient(P, PrimeField(2), budget).graded_dims()
+
+
+def _qh_generators(P: DelzantPolytope, field: Field, variant: str):
+    """The linear relations, then one monomial relation per basis vector of
+    the sphere-class lattice, in the Laurent ring in Z_1..Z_N."""
+    N = P.num_facets
+    ring = LaurentRing([f"Z{j + 1}" for j in range(N)], field)
     scale = 2 if variant == "mod2_weights" else 1
-    monomial = []
-    for p in h2_lattice(P).basis:
-        e = tuple(scale * x for x in p)
-        monomial.append(ring.monomial(e) - ring.one())
-    return ring, linear, monomial
+    return ([ring.from_terms(g.items()) for g in _linear_relations(P, field)]
+            + [ring.monomial(tuple(scale * x for x in p)) - ring.one()
+               for p in h2_lattice(P).basis])
 
 
 def qh_presentation(P: DelzantPolytope, field: Field, variant: str = "plain",
@@ -81,8 +120,7 @@ def qh_presentation(P: DelzantPolytope, field: Field, variant: str = "plain",
         raise UsageError("mod2_weights presentation requires the field F2")
     if not is_normalized(P):
         raise UsageError("presentation needs a monotone-normalized polytope")
-    ring, linear, monomial = _qh_generators(P, field, variant)
-    return laurent_quotient(linear + monomial, budget=budget)
+    return laurent_quotient(_qh_generators(P, field, variant), budget=budget)
 
 
 def co0_map(P: DelzantPolytope, field: Field, budget: Budget | None = None):
@@ -354,7 +392,7 @@ def toric_generation_report(P: DelzantPolytope, field: Field,
         summands=[],
         minimal_chern=nx,
     )
-    if not (mor.well_defined and mor.kernel_dim == 0 and mor.surjective):
+    if not mor.is_isomorphism:
         report.anomaly = True
         report.notes.append(
             "divisor-to-boundary map is not an isomorphism; "

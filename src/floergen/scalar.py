@@ -258,10 +258,6 @@ class UniPoly:
         self.field = field
         self.coeffs = c
 
-    @classmethod
-    def from_ints(cls, field, ints):
-        return cls(field, ints)
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1  # -1 for the zero polynomial
@@ -512,46 +508,47 @@ def _int_divisors(n: int):
     return sorted(out)
 
 
+def strip_roots(chi: UniPoly, roots):
+    """chi = prod (t - lam)^m * residual over the given roots: returns the
+    factors (t - lam, m) with m > 0, in the order of roots, and residual."""
+    F = chi.field
+    factors, residual = [], chi
+    for lam in roots:
+        lin = UniPoly(F, [-lam, 1])
+        m = 0
+        while not residual.evaluate(lam):
+            residual, m = residual // lin, m + 1
+        if m:
+            factors.append((lin, m))
+    return factors, residual
+
+
 def rational_roots(f: UniPoly):
     """All rational roots of f over Q, with multiplicities.
 
     Candidates come from the rational root theorem applied to the primitive
     integer form of the squarefree part g // gcd(g, g'), which has the same
     roots as g and a constant term that does not grow with multiplicities;
-    each candidate is canonical, so an integral root is an int.  Multiplicities
-    are counted on g.  Returned sorted by root, largest first.
+    g is f with its powers of t stripped.  Each candidate is canonical, so an
+    integral root is an int.  Multiplicities are counted on g by
+    `strip_roots`.  Returned sorted by root, largest first.
     """
     if f.field != QQ:
         raise UsageError("rational_roots requires rational coefficients")
     if f.is_zero():
         raise DomainError("cannot extract roots of the zero polynomial")
-    roots = []
-    g = f
-    # strip powers of t
-    t_mult = 0
-    while g.coeffs and g.coeffs[0] == 0:
-        g = UniPoly(QQ, g.coeffs[1:])
-        t_mult += 1
-    if t_mult:
-        roots.append((0, t_mult))
-    if g.degree < 1:
-        return roots
-    squarefree = g // g.gcd(g.derivative())
-    den = lcm(*[c.denominator for c in squarefree.coeffs])
-    ints = [c.numerator * (den // c.denominator) for c in squarefree.coeffs]
-    content = gcd(*ints)
-    ints = [v // content for v in ints]
-    a0, an = ints[0], ints[-1]
-    candidates = set()
-    for num in _int_divisors(a0):
-        for d in _int_divisors(an):
-            candidates.add(canonical(Fraction(num, d)))
-            candidates.add(canonical(Fraction(-num, d)))
-    for r in candidates:
-        mult = 0
-        while g.degree >= 1 and g.evaluate(r) == 0:
-            g = g // UniPoly(QQ, [-r, 1])
-            mult += 1
-        if mult:
-            roots.append((r, mult))
-    return sorted(roots, key=lambda rm: rm[0], reverse=True)
+    roots, g = strip_roots(f, [0])
+    if g.degree >= 1:
+        squarefree = g // g.gcd(g.derivative())
+        den = lcm(*[c.denominator for c in squarefree.coeffs])
+        ints = [c.numerator * (den // c.denominator) for c in squarefree.coeffs]
+        content = gcd(*ints)
+        a0, an = ints[0] // content, ints[-1] // content
+        candidates = set()
+        for num in _int_divisors(a0):
+            for d in _int_divisors(an):
+                candidates.add(canonical(Fraction(num, d)))
+                candidates.add(canonical(Fraction(-num, d)))
+        roots += strip_roots(g, candidates)[0]
+    return sorted(((-lin.coeffs[0], m) for lin, m in roots),
+                  key=lambda rm: rm[0], reverse=True)

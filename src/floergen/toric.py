@@ -1,6 +1,8 @@
 """Delzant polytopes: validation, monotone normalization, lattice of sphere
-classes, facet combinatorics, toric cohomology presentations, and the
-superpotential of the monotone fibre.
+classes, facet combinatorics, and the superpotential of the monotone fibre.
+This module holds polytope data and combinatorics only; every presentation
+of a ring built from them (H*(X_P), its real locus, QH*(X_P)) is in
+`quantum`.
 
 Vertices are enumerated by one exact inverse per n-subset of facets; no LP
 machinery at desk scale.  Compactness is certified by showing the
@@ -23,9 +25,8 @@ from math import gcd, lcm
 
 from . import linalg
 from .errors import DomainError, NotMonotoneError, UsageError, ValidationError
-from .grobner import polynomial_quotient
 from .laurent import LaurentPoly, LaurentRing
-from .scalar import QQ, Field, PrimeField, json_int, json_list
+from .scalar import QQ, Field, json_int, json_list
 
 
 @dataclass
@@ -324,39 +325,6 @@ def primitive_collections(V: VertexData, num_facets: int):
                 continue
             minimal.append(J)
     return [sorted(J) for J in minimal]
-
-
-def _cohomology_quotient(P: DelzantPolytope, field: Field, budget=None):
-    V = validate(P)
-    N = P.num_facets
-    names = [f"H{j + 1}" for j in range(N)]
-    gens = []
-    for i in range(P.n):
-        g = {}
-        for j in range(N):
-            c = field.from_int(P.normals[j][i])
-            if c != field.zero:
-                e = [0] * N
-                e[j] = 1
-                g[tuple(e)] = c
-        if g:
-            gens.append(g)
-    for J in primitive_collections(V, N):
-        e = [0] * N
-        for j in J:
-            e[j] = 1
-        gens.append({tuple(e): field.one})
-    return polynomial_quotient(field, names, gens, budget)
-
-
-def classical_cohomology(P: DelzantPolytope, field: Field, budget=None):
-    """Graded dims of the divisor-class presentation; slot j is degree 2j."""
-    return _cohomology_quotient(P, field, budget).graded_dims()
-
-
-def real_cohomology_dims(P: DelzantPolytope, budget=None):
-    """Mod-2 Betti numbers of the real locus: same presentation over F_2."""
-    return _cohomology_quotient(P, PrimeField(2), budget).graded_dims()
 
 
 def superpotential(P: DelzantPolytope, field: Field) -> LaurentPoly:

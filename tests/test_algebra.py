@@ -12,12 +12,12 @@ from floergen import algebra, linalg
 from floergen.algebra import (
     FiniteAlgebra,
     bezout_idempotents,
+    krylov_min_poly,
     local_decompose,
     madic_profile,
     radical_char_p,
     restrict_to_block,
     split_along,
-    strip_roots,
 )
 from floergen.errors import AnomalyError, UsageError
 from floergen.grobner import laurent_quotient
@@ -30,6 +30,7 @@ from floergen.scalar import (
     UniPoly,
     canonical,
     rational_roots,
+    strip_roots,
 )
 from floergen.toric import corpus, polytope_product, projective_space, superpotential
 from toric_gen_oracles import (
@@ -525,7 +526,7 @@ def test_restrict_to_block_matches_solve_reference(name, p, expected, monkeypatc
     else:
         c1 = jac.nf_coords(W)
         seen = [bezout_idempotents(A, c1, lam)[0]
-                for lam, _ in rational_roots(A.element_min_poly(c1))]
+                for lam, _ in rational_roots(krylov_min_poly(A, c1, A.unit))]
         assert [restrict_to_block(A, e)[0].dim for e in seen] == expected
         assert any(isinstance(x, Fraction) for e in seen for x in e)
     calls = collections.Counter()
@@ -614,7 +615,7 @@ LADDER_FIELDS = [None, 2, 3, 5, 7]
 
 
 def assert_krylov_min_poly(A, u):
-    assert A.element_min_poly(u).coeffs == \
+    assert krylov_min_poly(A, u, A.unit).coeffs == \
         linalg.minimal_polynomial(A.field, A.mult_matrix(u)).coeffs
 
 
@@ -781,7 +782,7 @@ def test_split_along_matches_bezout_chain_on_random_coprime_factors():
         field, factors = case
         mu = functools.reduce(UniPoly.__mul__, [f for f, k in factors for _ in range(k)])
         A, t = univariate_quotient(field, mu)
-        assert A.is_associative() and A.element_min_poly(t) == mu
+        assert A.is_associative() and krylov_min_poly(A, t, A.unit) == mu
         got = split_along(A, t, A.unit, factors)
         assert got == bezout_chain_split_along(A, A.unit, t, factors)
 

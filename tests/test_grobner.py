@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import dense_columns, dense_matrix, dp6, ladder, lpoly, reparametrised
-from floergen import grobner, linalg, toric
+from floergen import grobner, linalg, quantum
 from floergen.errors import DomainError, ResourceBudgetError, UsageError
 from floergen.grobner import (
     Budget,
@@ -485,8 +485,8 @@ def _quotients_for_reference():
     yield jacobian_ring(laurent_from_json(half_three))
     # polynomial quotients, with no inverse variables
     for field in (QQ, PrimeField(3)):
-        yield toric._cohomology_quotient(corpus()["CP2"], field)
-        yield toric._cohomology_quotient(dp6(), field)
+        yield quantum._cohomology_quotient(corpus()["CP2"], field)
+        yield quantum._cohomology_quotient(dp6(), field)
 
 
 def test_basis_products_match_per_variable_reference():

@@ -43,3 +43,32 @@ def test_the_check_sees_each_kind_of_private_use():
               "from floergen.scalar import _canon\nx = linalg._rref_f2\ny = linalg.rank\n")
     assert private_uses(ast.parse(source)) == [
         (2, "_map_staircase"), (3, "_canon"), (4, "linalg._rref_f2")]
+
+
+def sibling_imports(tree):
+    """The sibling modules a module imports, by `from . import x`,
+    `from .x import y` or their `floergen.` spellings."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "floergen"):
+            module = (node.module or "").removeprefix("floergen").lstrip(".")
+            found.update([module] if module else [a.name for a in node.names])
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names
+                         if a.name.startswith("floergen."))
+    return found
+
+
+def test_toric_holds_polytope_data_and_builds_no_ring_presentation():
+    """Presentations of rings read off a polytope live in quantum, so toric
+    reaches no sibling beyond arithmetic, Laurent polynomials and errors."""
+    tree = ast.parse((PACKAGE / "toric.py").read_text())
+    assert sibling_imports(tree) <= {"linalg", "laurent", "scalar", "errors"}
+
+
+def test_sibling_imports_sees_each_spelling():
+    source = ("from . import linalg, errors\nfrom .grobner import Budget\n"
+              "from floergen.scalar import QQ\nimport floergen.quantum\nimport json\n")
+    assert sibling_imports(ast.parse(source)) == {
+        "linalg", "errors", "grobner", "scalar", "quantum"}

@@ -16,7 +16,7 @@ from floergen.scalar import (
 
 
 def poly(field, ints):
-    return UniPoly.from_ints(field, ints)
+    return UniPoly(field, ints)
 
 
 def test_parse_field():

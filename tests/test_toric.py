@@ -6,11 +6,11 @@ import pytest
 
 from conftest import dp6
 from floergen import toric
+from floergen.quantum import classical_cohomology, real_cohomology_dims
 from floergen.errors import DomainError, NotMonotoneError, UsageError, ValidationError
 from floergen.scalar import QQ, PrimeField
 from floergen.toric import (
     DelzantPolytope,
-    classical_cohomology,
     corpus,
     h2_lattice,
     minimal_chern,
@@ -18,7 +18,6 @@ from floergen.toric import (
     polytope_product,
     primitive_collections,
     projective_space,
-    real_cohomology_dims,
     superpotential,
     validate,
 )

@@ -29,13 +29,14 @@ from floergen.algebra import (
     _ext_gcd,
     _require_char_p,
     frobenius_matrix_of,
+    krylov_min_poly,
     radical_char_p,
     sparse,
-    strip_roots,
 )
 from floergen.errors import ValidationError
 from floergen.quantum import GenerationSummand
-from floergen.scalar import DEFAULT_SEED, QQ, UniPoly, rational_roots, univariate_factor
+from floergen.scalar import (DEFAULT_SEED, QQ, UniPoly, rational_roots, strip_roots,
+                             univariate_factor)
 from floergen.toric import VertexData
 
 
@@ -112,7 +113,7 @@ def _finalize_factor(e, block, seed):
         for g in block.generators:
             roots = [
                 f.coeffs[0]
-                for f, _ in univariate_factor(block.element_min_poly(g), seed)
+                for f, _ in univariate_factor(krylov_min_poly(block, g, block.unit), seed)
                 if f.degree == 1
             ]
             point.append(block.field.neg(roots[0]))
@@ -141,7 +142,8 @@ def pool_first_decompose(A, seed=DEFAULT_SEED):
         split = None
         for elem in pool:
             restricted = A.mult(e, elem)
-            factors = univariate_factor(block.element_min_poly(coords(restricted)), seed)
+            restricted_mp = krylov_min_poly(block, coords(restricted), block.unit)
+            factors = univariate_factor(restricted_mp, seed)
             if len(factors) > 1:
                 split = _split_along(A, e, restricted, factors)
                 break
@@ -149,7 +151,7 @@ def pool_first_decompose(A, seed=DEFAULT_SEED):
             fixed, n_factors = _frobenius_fixed_split_candidates(block)
             if n_factors > 1:
                 for v in fixed:
-                    factors = univariate_factor(block.element_min_poly(v), seed)
+                    factors = univariate_factor(krylov_min_poly(block, v, block.unit), seed)
                     if len(factors) > 1:
                         lifted = linalg.mat_vec(F, linalg.transpose(basis), v)
                         split = _split_along(A, e, lifted, factors)
@@ -179,7 +181,7 @@ def rational_summands_by_blocks(W, jac):
                 "first-Chern-class spectrum; no rational critical local system"))
             continue
         block, _, _ = restrict_by_solving(A, e)
-        mps = [block.element_min_poly(g) for g in block.generators]
+        mps = [krylov_min_poly(block, g, block.unit) for g in block.generators]
         point = [F.neg(mp.coeffs[0]) for mp in mps]
         if any(mp.degree != 1 for mp in mps) or any(
             W.log_derivative(i).evaluate(point) != F.zero for i in range(W.ring.nvars)
