@@ -47,7 +47,8 @@ def _load_json(path):
             return json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # not UTF-8, not JSON, or an int past Python's digit limit
+    # not UTF-8, not JSON, an int past Python's digit limit, or nested too deep
+    except (ValueError, RecursionError) as exc:
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
 
 

@@ -630,7 +630,7 @@ def _map_staircase(domain: QuotientAlgebra, codomain: QuotientAlgebra, steps,
 class Morphism:
     well_defined: bool
     failing_relation: int | None
-    columns: list | None  # `_map_staircase`'s: images of the domain's staircase
+    columns: list | None  # images of the domain's staircase; None when no walk was made
     kernel_dim: int | None
     surjective: bool | None
     domain_dim: int

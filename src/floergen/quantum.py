@@ -149,13 +149,9 @@ def c1_element(target: str, P: DelzantPolytope, field: Field,
         qa = algebra
         if qa is None:
             qa = qh_presentation(P, field, "plain", budget)
-        ring = qa.source_ring
-        total = ring.zero()
-        for j in range(P.num_facets):
-            e = [0] * P.num_facets
-            e[j] = 1
-            total = total + ring.monomial(tuple(e))
-        return qa.nf_coords(total)
+        n = P.num_facets
+        return qa.nf_coords(qa.source_ring.from_terms(
+            (tuple(int(i == j) for i in range(n)), 1) for j in range(n)))
     if target == "jac":
         W = superpotential(P, field)
         qa = algebra if algebra is not None else jacobian_ring(W, budget)

@@ -458,9 +458,7 @@ def _equal_degree_split(f: UniPoly, d: int, rng: random.Random):
             g = f.gcd(acc)
         else:
             g = f.gcd(a)
-            if 0 < g.degree < n:
-                pass
-            else:
+            if not 0 < g.degree < n:
                 b = a.pow_mod((p**d - 1) // 2, f)
                 g = f.gcd(b - UniPoly(F, [1]))
         if 0 < g.degree < n:

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from floergen import linalg
 from floergen.grobner import _map_staircase
 from floergen.laurent import LaurentRing
 from floergen.scalar import QQ, PrimeField
@@ -54,16 +55,28 @@ def dense_matrix(mor):
     return dense_columns(mor.columns, mor.codomain_dim)
 
 
-def composed_columns(field, outer, inner):
-    """Sparse columns of the composite outer o inner of two Morphisms."""
-    out = []
-    for col in inner.columns:
-        acc = {}
-        for t, c in col.items():
-            for r, d in outer.columns[t].items():
-                acc[r] = field.add(acc.get(r, field.zero), field.mul(c, d))
-        out.append({r: x for r, x in acc.items() if x != field.zero})
-    return out
+def reference_morphism_matrix(domain, codomain, images):
+    """The dense matrix of the algebra map sending the domain's Laurent
+    generators to the codomain monomials `images`: one normal form per
+    staircase monomial w^a z^b, of the image of z^(b - a)."""
+    n = domain.source_ring.nvars
+    ring, one = codomain.source_ring, codomain.field.one
+    exps = [next(iter(p.terms)) for p in images]
+
+    def image(e):
+        return tuple(sum(x * a[j] for x, a in zip(e, exps)) for j in range(ring.nvars))
+
+    return linalg.transpose([
+        codomain.nf_coords(ring.from_terms(
+            [(image(tuple(m[n + i] - m[i] for i in range(n))), one)]))
+        for m in domain.staircase
+    ])
+
+
+def pi_matrix(qh_r, qh):
+    """The dense matrix of the reduction pi: QH_R -> QH, Z_j -> Z_j."""
+    ring = qh.source_ring
+    return reference_morphism_matrix(qh_r, qh, [ring.variable(i) for i in range(ring.nvars)])
 
 
 def squaring_columns(qa):

@@ -10,7 +10,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from conftest import dense_columns, dense_matrix, lpoly, record_acceptance, squaring_columns
+from conftest import dense_columns, lpoly, pi_matrix, record_acceptance, squaring_columns
 from floergen import linalg
 from floergen.ainfty import (
     HochschildCochain,
@@ -169,7 +169,7 @@ def test_criterion_5_char2_real_locus():
         assert data.qh.dim == want["dim"]
         assert data.qh_r.dim == 2 ** (P.num_facets - P.n) * data.qh.dim
         ker_f = linalg.kernel_basis(F2, dense_columns(squaring_columns(data.qh_r), data.qh_r.dim))
-        ker_pi = linalg.kernel_basis(F2, dense_matrix(data.pi))
+        ker_pi = linalg.kernel_basis(F2, pi_matrix(data.qh_r, data.qh))
         assert data.frobenius_kernel_dim == len(ker_f) == want["ker"]
         assert data.pi_kernel_dim == len(ker_pi) == want["ker"]
         assert data.contained

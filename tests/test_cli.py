@@ -113,6 +113,22 @@ def test_undecodable_input_file_is_an_error_record(capsys, tmp_path, case):
     assert words in record["message"]
 
 
+@pytest.mark.parametrize("flag, argv", [
+    ("--polytope", ["validate"]),
+    ("--superpotential", ["jac", "--field", "Q"]),
+    ("--ainfty", ["ainfty-check"]),
+], ids=["polytope", "superpotential", "ainfty"])
+def test_deeply_nested_input_file_is_an_error_record(capsys, tmp_path, flag, argv):
+    # the JSON decoder raised RecursionError, which escaped as a traceback
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    code, out, err = invoke(capsys, argv + [flag, str(path), "--format", "json"])
+    assert code == 1 and err == ""
+    record = json.loads(out)
+    assert record["error"] == "UsageError"
+    assert record["message"].startswith(f"{path} is not valid JSON: ")
+
+
 def test_missing_input_exit_1(capsys):
     code, _, err = invoke(capsys, ["validate"])
     assert code == 1
@@ -293,6 +309,7 @@ def test_co0_that_is_no_isomorphism_exits_3(capsys, polytope_file, monkeypatch):
 
 
 def test_anomaly_is_an_error_record_with_exit_3(capsys, polytope_file, monkeypatch):
+    # real-gen's one ring-map walk is the Frobenius lift's
     monkeypatch.setattr(realgen, "algebra_morphism", lambda domain, codomain, images:
                         Morphism(False, 0, None, None, None, domain.dim, codomain.dim))
     code, out, err = invoke(capsys, [
@@ -301,8 +318,8 @@ def test_anomaly_is_an_error_record_with_exit_3(capsys, polytope_file, monkeypat
     assert code == 3 and err == ""
     assert json.loads(out) == {
         "error": "anomaly",
-        "message": "reduction map is not well defined; squared-weight relations "
-                   "must land in the plain ideal in characteristic 2",
+        "message": "Frobenius lift is not well defined; squared plain "
+                   "relations must land in the squared-weight ideal",
     }
 
 
@@ -481,18 +498,18 @@ def test_budget_covers_whole_command(capsys, polytope_file):
 
 def test_budget_covers_every_normal_form(capsys, polytope_file):
     # real-gen on CP2 builds its two quotients in 13 steps (8 and 5); the
-    # normal forms of the reduction map's relation images take 11 and its
-    # staircase walk's columns 3 more; the normal forms of the Frobenius
-    # lift's relation images in QH_R take 11, and its walk's columns are
-    # staircase monomials of QH_R, so they take none: 38 steps, all under
-    # the one --budget
+    # normal forms of the reduction map's relations in QH take 11, and the
+    # map builds no columns; the normal forms of the Frobenius lift's
+    # relation images in QH_R take 11, and its walk's columns are staircase
+    # monomials of QH_R, so they take none: 35 steps, all under the one
+    # --budget
     path = polytope_file("CP2")
     code, out, _ = invoke(capsys, [
-        "real-gen", "--polytope", path, "--budget", "37", "--format", "json",
+        "real-gen", "--polytope", path, "--budget", "34", "--format", "json",
     ])
     assert code == 2
-    assert json.loads(out)["steps"] == 38
-    code, _, _ = invoke(capsys, ["real-gen", "--polytope", path, "--budget", "38"])
+    assert json.loads(out)["steps"] == 35
+    code, _, _ = invoke(capsys, ["real-gen", "--polytope", path, "--budget", "35"])
     assert code == 0
 
 def test_text_output_byte_stable(capsys, polytope_file):

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import dense_columns, dense_matrix, dp6, ladder, lpoly, reparametrised
+from conftest import (dense_columns, dense_matrix, dp6, ladder, lpoly,
+                      reference_morphism_matrix, reparametrised)
 from floergen import grobner, linalg, quantum
 from floergen.errors import DomainError, ResourceBudgetError, UsageError
 from floergen.grobner import (
@@ -20,7 +21,7 @@ from floergen.grobner import (
 )
 from floergen.laurent import LaurentRing, laurent_from_json
 from floergen.quantum import c1_element, jacobian_ring, qh_presentation
-from floergen.realgen import F2, frobenius_matrix, reduction_pi
+from floergen.realgen import F2, frobenius_matrix
 from floergen.scalar import QQ, PrimeField
 from floergen.toric import corpus, superpotential
 
@@ -601,23 +602,6 @@ def test_co0_matrix_is_an_algebra_map(name):
         assert image(qh.element_product(u, v)) == jac.element_product(image(u), image(v))
 
 
-def reference_morphism_matrix(domain, codomain, images):
-    """The matrix `algebra_morphism` built before the staircase walk: one
-    normal form per staircase monomial w^a z^b, of the image of z^(b - a)."""
-    n = domain.source_ring.nvars
-    ring, one = codomain.source_ring, codomain.field.one
-    exps = [next(iter(p.terms)) for p in images]
-
-    def image(e):
-        return tuple(sum(x * a[j] for x, a in zip(e, exps)) for j in range(ring.nvars))
-
-    return linalg.transpose([
-        codomain.nf_coords(ring.from_terms(
-            [(image(tuple(m[n + i] - m[i] for i in range(n))), one)]))
-        for m in domain.staircase
-    ])
-
-
 def is_canonical(field, x):
     if field.char:
         return type(x) is int and 0 <= x < field.char
@@ -643,7 +627,8 @@ def test_walk_matches_per_monomial_normal_forms_for_pi(name):
     qh_r = qh_presentation(P, F2, "mod2_weights")
     qh = qh_presentation(P, F2, "plain")
     images = [qh.source_ring.variable(i) for i in range(qh.source_ring.nvars)]
-    assert dense_matrix(reduction_pi(qh_r, qh)) == reference_morphism_matrix(qh_r, qh, images)
+    assert dense_matrix(algebra_morphism(qh_r, qh, images)) == reference_morphism_matrix(
+        qh_r, qh, images)
 
 
 def test_every_normal_form_ticks_the_quotient_budget():

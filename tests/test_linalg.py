@@ -22,7 +22,7 @@ from sympy import GF, QQ as SYMPY_QQ, Matrix, Poly, eye, symbols  # noqa: E402
 from sympy.matrices.normalforms import invariant_factors  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
-from conftest import dense_columns, squaring_columns  # noqa: E402
+from conftest import dense_columns, pi_matrix, squaring_columns  # noqa: E402
 from floergen import linalg, realgen  # noqa: E402
 from floergen.grobner import Morphism  # noqa: E402
 from floergen.quantum import qh_presentation  # noqa: E402
@@ -350,7 +350,7 @@ def test_containment_check_at_dim_256():
     lift = realgen.frobenius_matrix(qh, qh_r)
     ker_f_dim, ker_pi_dim, contained = realgen.kernel_containment_check(pi, lift)
     ref_f = reference_kernel(F2, dense_columns(squaring_columns(qh_r), qh_r.dim))
-    ref_pi = reference_kernel(F2, dense_columns(pi.columns, qh.dim))
+    ref_pi = reference_kernel(F2, pi_matrix(qh_r, qh))
     assert (ker_f_dim, ker_pi_dim) == (len(ref_f), len(ref_pi))
     ref_contained = reference_rank(F2, ref_pi + ref_f) == reference_rank(F2, ref_pi)
     assert contained == ref_contained

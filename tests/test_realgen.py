@@ -4,11 +4,10 @@ import types
 
 import pytest
 
-from conftest import (PRODUCT_PAIRS, composed_columns, dense_columns, dense_matrix, dp6,
-                      ladder, lpoly, reparametrised, squaring_columns)
+from conftest import (PRODUCT_PAIRS, dense_columns, dense_matrix, dp6, ladder, lpoly,
+                      pi_matrix, reparametrised, squaring_columns)
 from floergen import linalg, realgen
 from floergen.errors import AnomalyError, UsageError
-from floergen.grobner import Morphism
 from floergen.quantum import qh_presentation
 from floergen.realgen import (
     F2,
@@ -25,7 +24,7 @@ def test_reduction_pi_cp2():
     P = corpus()["CP2"]
     data = real_gen_data(P)
     assert data.qh_r.dim == 6 and data.qh.dim == 3
-    ker_pi = linalg.kernel_basis(F2, dense_matrix(data.pi))
+    ker_pi = linalg.kernel_basis(F2, pi_matrix(data.qh_r, data.qh))
     assert data.pi_kernel_dim == len(ker_pi) == 3
     # kernel is (Z^3 + 1) * {1, Z, Z^2} inside F2[Z]/(Z^6 - 1)
     qa = data.qh_r
@@ -41,14 +40,14 @@ def test_reduction_pi_cp2():
 def test_reduction_pi_cp1():
     data = real_gen_data(corpus()["CP1"])
     assert data.qh_r.dim == 4 and data.qh.dim == 2
-    assert data.pi_kernel_dim == len(linalg.kernel_basis(F2, dense_matrix(data.pi))) == 2
+    assert data.pi_kernel_dim == len(linalg.kernel_basis(F2, pi_matrix(data.qh_r, data.qh))) == 2
 
 
 def test_reduction_pi_cp1xcp1():
     data = real_gen_data(corpus()["CP1xCP1"])
     assert data.qh_r.dim == 16 and data.qh.dim == 4
     # rank-nullity with surjectivity
-    assert data.pi_kernel_dim == len(linalg.kernel_basis(F2, dense_matrix(data.pi))) == 12
+    assert data.pi_kernel_dim == len(linalg.kernel_basis(F2, pi_matrix(data.qh_r, data.qh))) == 12
     assert data.pi.surjective
 
 
@@ -73,7 +72,7 @@ def test_frobenius_matrix_cp2():
 def test_frobenius_cp1_kernel_basis():
     data = real_gen_data(corpus()["CP1"])
     qa = data.qh_r
-    frob = dense_columns(composed_columns(F2, data.lift, data.pi), qa.dim)
+    frob = linalg.mat_mul(F2, dense_matrix(data.lift), pi_matrix(qa, data.qh))
     ker = linalg.kernel_basis(F2, frob)
     ring = qa.source_ring
     expected = [
@@ -94,14 +93,14 @@ def reference_frobenius(qa):
                                   "CP2xCP1-sheared"])
 def test_frobenius_walk_matches_squared_monomials(name):
     """f_R three ways: per-monomial normal forms, the squaring walk on QH_R,
-    and the composed columns of s o pi, which the real-locus check reads."""
+    and the matrix of s o pi, the factorization the real-locus check reads."""
     P = {"dP6": dp6, "CP2xCP1-sheared": reparametrised}.get(name, lambda: ladder()[name])()
     qh_r = qh_presentation(P, F2, "mod2_weights")
     qh = qh_presentation(P, F2, "plain")
     want = reference_frobenius(qh_r)
     assert dense_columns(squaring_columns(qh_r), qh_r.dim) == want
-    lift, pi = frobenius_matrix(qh, qh_r), realgen.reduction_pi(qh_r, qh)
-    assert dense_columns(composed_columns(F2, lift, pi), qh_r.dim) == want
+    s = dense_matrix(frobenius_matrix(qh, qh_r))
+    assert linalg.mat_mul(F2, s, pi_matrix(qh_r, qh)) == want
 
 
 def test_frobenius_needs_characteristic_2():
@@ -115,7 +114,7 @@ def test_frobenius_is_squaring_linearly():
     rng = random.Random(31)
     data = real_gen_data(corpus()["CP1xCP1"])
     qh, qa = data.qh, data.qh_r
-    s, pi = dense_matrix(data.lift), dense_matrix(data.pi)
+    s, pi = dense_matrix(data.lift), pi_matrix(qa, qh)
     for _ in range(8):
         u = [rng.randrange(2) for _ in range(qa.dim)]
         assert linalg.mat_vec(F2, s, linalg.mat_vec(F2, pi, u)) == qa.element_product(u, u)
@@ -130,7 +129,7 @@ def test_kernel_containment_and_equality():
         data = real_gen_data(corpus()[name])
         assert data.contained and data.lift.kernel_dim == 0
         ker_f = linalg.kernel_basis(F2, dense_columns(squaring_columns(data.qh_r), data.qh_r.dim))
-        ker_pi = linalg.kernel_basis(F2, dense_matrix(data.pi))
+        ker_pi = linalg.kernel_basis(F2, pi_matrix(data.qh_r, data.qh))
         assert (data.frobenius_kernel_dim, data.pi_kernel_dim) == (len(ker_f), len(ker_pi))
         # the sharper fact: both kernels coincide
         assert linalg.subspace_contained(F2, ker_pi, ker_f)
@@ -155,37 +154,51 @@ def test_lift_with_a_zeroed_column_flips_containment(monkeypatch):
     assert rep.summands == []
 
 
-@pytest.mark.parametrize("target, words", [
-    ("pi", "reduction map is not surjective"),
-    ("lift", "Frobenius lift is not well defined"),
-], ids=["pi-not-onto", "lift-ill-defined"])
-def test_broken_maps_raise_anomalies(monkeypatch, target, words):
-    """pi: Z_j -> Z_j^2 is well defined but not onto on CP1xCP1, whose QH is
-    local over F_2 with nilpotents; s: Z_j -> Z_j, unsquared, sends the
-    relation Z_1 Z_2 = 1 of QH to Z_1 Z_2, which is not 1 in QH_R."""
+@pytest.mark.parametrize("words", ["Frobenius lift is not well defined"],
+                         ids=["lift-ill-defined"])
+def test_broken_maps_raise_anomalies(monkeypatch, words):
+    """s: Z_j -> Z_j, unsquared, sends the relation Z_1 Z_2 = 1 of QH on
+    CP1xCP1 to Z_1 Z_2, which is not 1 in QH_R."""
     P = corpus()["CP1xCP1"]
     original = realgen.algebra_morphism
 
     def mutated(domain, codomain, images):
         ring = codomain.source_ring
-        if target == "pi" and codomain.dim < domain.dim:
-            images = [p * p for p in images]
-        if target == "lift" and codomain.dim > domain.dim:
-            images = [ring.variable(j) for j in range(ring.nvars)]
-        return original(domain, codomain, images)
+        return original(domain, codomain, [ring.variable(j) for j in range(ring.nvars)])
 
     monkeypatch.setattr(realgen, "algebra_morphism", mutated)
     with pytest.raises(AnomalyError, match=words):
         real_generation_report(P)
 
 
-def test_reduction_pi_that_is_not_well_defined_is_an_anomaly(monkeypatch):
-    monkeypatch.setattr(realgen, "algebra_morphism", lambda domain, codomain, images:
-                        Morphism(False, 0, None, None, None, domain.dim, codomain.dim))
-    qh_r = qh_presentation(corpus()["CP2"], F2, "mod2_weights")
-    qh = qh_presentation(corpus()["CP2"], F2, "plain")
-    with pytest.raises(AnomalyError, match="reduction map is not well defined"):
-        reduction_pi(qh_r, qh)
+def test_reduction_pi_that_is_not_well_defined_is_an_anomaly():
+    """The identity from plain weights to squared weights, the arguments
+    swapped, is not a ring map: the plain relations are not squared-weight
+    relations."""
+    for name in ("CP1", "CP2", "CP1xCP1"):
+        qh_r = qh_presentation(corpus()[name], F2, "mod2_weights")
+        qh = qh_presentation(corpus()[name], F2, "plain")
+        with pytest.raises(AnomalyError, match="reduction map is not well defined"):
+            reduction_pi(qh, qh_r)
+
+
+def test_reduction_pi_takes_its_kernel_from_the_dimensions(monkeypatch):
+    """pi is onto by construction and builds no columns, so a real-gen report
+    walks one ring map, the Frobenius lift."""
+    calls = []
+    original = realgen.algebra_morphism
+
+    def counted(domain, codomain, images):
+        calls.append((domain.dim, codomain.dim))
+        return original(domain, codomain, images)
+
+    monkeypatch.setattr(realgen, "algebra_morphism", counted)
+    P = corpus()["CP1xCP1"]
+    real_generation_report(P)
+    assert calls == [(4, 16)]
+    pi = real_gen_data(P).pi
+    assert pi.columns is None and pi.surjective
+    assert pi.kernel_dim == 16 - 4
 
 
 def test_real_gen_data_keeps_no_tuple_view():
@@ -222,13 +235,14 @@ def test_pi_kills_weight_monomials():
         data = real_gen_data(P)
         qa = data.qh_r
         ring = qa.source_ring
+        pi = pi_matrix(qa, data.qh)
         for A in h2_lattice(P).basis:
             rel = ring.monomial(tuple(A)) - ring.one()
             rel_coords = qa.nf_coords(rel)
             for j in range(qa.dim):
                 basis_vec = [F2.one if i == j else F2.zero for i in range(qa.dim)]
                 prod = qa.element_product(rel_coords, basis_vec)
-                image = linalg.mat_vec(F2, dense_matrix(data.pi), prod)
+                image = linalg.mat_vec(F2, pi, prod)
                 assert all(c == F2.zero for c in image)
 
 
