@@ -26,8 +26,8 @@ Conventions, fixed once and used everywhere:
     carries mu_M = -mu.
 
 Arities start at 1: the structure constructor rejects a curved mu^0 (and any
-lower arity).  Truncation discipline: a structure is complete, so operations
-above its arity cap vanish and the constructor rejects any that are given.
+lower arity).  Truncation discipline: a structure is complete, so an
+operation it does not list is zero; a structure has no arity cap to exceed.
 Cochains carry a length cap; every operation reports the component range on
 which the computation is exact (`exact window`, here the smaller of the input
 window and the output cap), and test assertions only fire inside it.
@@ -40,7 +40,7 @@ number of output keys.  The "insert mu^j inside" term of the differentials
 is `_expansions`, which reads the operations through an index by output;
 the product indexes its two factors by output the same way.  Modules and
 bimodules are finite sparse tensors, built once from the structure's
-operations (so bounded by its arity cap): a module is indexed by module
+operations (so bounded by its largest arity): a module is indexed by module
 input and by module output, a bimodule by its slot p, and the action terms
 scatter over those entries.
 
@@ -72,7 +72,7 @@ from . import linalg
 from .algebra import FiniteAlgebra, sparse
 from .errors import DomainError, UsageError
 from .scalar import (Field, canonical, field_name, json_int, json_list, json_object,
-                     parse_field)
+                     json_str, parse_field)
 
 
 def _vadd(field, target, src, coeff):
@@ -99,7 +99,6 @@ def _neg(field, vec):
 class AInftyStructure:
     field: Field
     degrees: list
-    arity_cap: int
     ops: dict  # k -> {written-order input tuple -> {output index -> coeff}}
     unit: int | None = None
     labels: list | None = None
@@ -122,8 +121,6 @@ class AInftyStructure:
                     f"mu^{k} given: arity {k} is below 1 (curved structures "
                     "are not supported)"
                 )
-            if k > self.arity_cap:
-                raise UsageError(f"mu^{k} given above the arity cap {self.arity_cap}")
             new = {}
             for key, out in tensor.items():
                 if len(key) != k:
@@ -235,16 +232,15 @@ class AInftyStructure:
                     ops[k] = tensor
             unit = data.get("unit")
             unit = json_int(unit, "unit") if unit is not None else None
-            cap = max(ops, default=1)
         except (KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"malformed A-infinity JSON: {exc}") from exc
         return cls(
             field=F,
             degrees=degrees,
-            arity_cap=cap,
             ops=ops,
             unit=unit,
-            labels=list(json_list(data.get("labels", []), "labels")) or None,
+            labels=[json_str(x, "labels entry")
+                    for x in json_list(data.get("labels", []), "labels")] or None,
         )
 
 
@@ -259,7 +255,7 @@ def from_dga(field, degrees, diff, prod, unit=None, labels=None) -> AInftyStruct
         2: {(i, j): signed(j, out) for (i, j), out in prod.items()},
     }
     return AInftyStructure(
-        field=field, degrees=list(degrees), arity_cap=2, ops=ops,
+        field=field, degrees=list(degrees), ops=ops,
         unit=unit, labels=labels,
     )
 
@@ -317,7 +313,7 @@ def opposite(A: AInftyStructure) -> AInftyStructure:
             odd = (o * (o - 1) // 2 + l - 1) % 2
             new[key[::-1]] = {i: -c for i, c in out.items()} if odd else out
     return AInftyStructure(
-        field=A.field, degrees=list(A.degrees), arity_cap=A.arity_cap, ops=ops,
+        field=A.field, degrees=list(A.degrees), ops=ops,
         unit=A.unit, labels=list(A.labels),
     )
 
@@ -333,7 +329,7 @@ class GradedAlgebra(FiniteAlgebra):
         F, degs, m = self.field, self.degrees, self.basis_mult
         n = self.dim
         return GradedAlgebra(
-            field=F, dim=n, unit=self.unit, degrees=list(degs),
+            field=F, unit=self.unit, degrees=list(degs),
             basis_mult=[[_neg(F, m[j][i]) if degs[i] * degs[j] % 2 else m[j][i]
                          for j in range(n)]
                         for i in range(n)],
@@ -379,7 +375,7 @@ def cohomology(A: AInftyStructure) -> GradedAlgebra:
         degrees.append(degs.pop())
     n = len(reps)
     H = GradedAlgebra(
-        field=F, dim=n, degrees=degrees,
+        field=F, degrees=degrees,
         basis_mult=[[product(i, j) for j in range(n)] for i in range(n)],
         unit=None if A.unit is None else quotient_coords(
             [F.one if i == A.unit else F.zero for i in range(A.dim)]),

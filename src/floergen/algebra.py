@@ -56,10 +56,13 @@ class FiniteAlgebra:
     """
 
     field: object
-    dim: int
     basis_mult: list
     unit: list
     generators: list = dc_field(default_factory=list)
+
+    @property
+    def dim(self):
+        return len(self.basis_mult)
 
     @classmethod
     def from_quotient(cls, qa):
@@ -70,7 +73,6 @@ class FiniteAlgebra:
         n = ring.nvars if ring else 0
         return cls(
             field=qa.field,
-            dim=qa.dim,
             basis_mult=[qa.basis_mult_matrix(j) for j in range(qa.dim)],
             unit=qa.unit_coords(),
             generators=[qa.nf_coords(ring.variable(i)) for i in range(n)],
@@ -184,12 +186,15 @@ class LocalFactor:
     idempotent: list
     algebra: FiniteAlgebra
     maximal_ideal: list
-    residue_degree: int
     point: list | None
 
     @property
     def dim(self):
         return self.algebra.dim
+
+    @property
+    def residue_degree(self):
+        return self.algebra.dim - len(self.maximal_ideal)
 
 
 def restrict_to_block(A: FiniteAlgebra, idempotent):
@@ -214,7 +219,6 @@ def restrict_to_block(A: FiniteAlgebra, idempotent):
 
     block = FiniteAlgebra(
         field=F,
-        dim=len(pivots),
         basis_mult=[[product(A.basis_mult[i][j]) for j in pivots] for i in pivots],
         unit=coords(A.unit),
         generators=[coords(g) for g in A.generators],
@@ -291,9 +295,8 @@ def local_decompose(A: FiniteAlgebra, seed: int = DEFAULT_SEED):
 def _finalize_factor(A, e):
     block = restrict_to_block(A, e)[0]
     rad = radical_char_p(block)
-    residue_degree = block.dim - len(rad)
     point = None
-    if residue_degree == 1 and block.generators:
+    if block.dim - len(rad) == 1 and block.generators:
         # block / rad = F_p, so each generator is c + (radical element): c is
         # phi(g) / phi(1) for the functional phi that kills the radical
         F = block.field
@@ -309,7 +312,6 @@ def _finalize_factor(A, e):
         idempotent=e,
         algebra=block,
         maximal_ideal=rad,
-        residue_degree=residue_degree,
         point=point,
     )
 

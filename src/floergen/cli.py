@@ -1,10 +1,11 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 invalid input (with the failed check named),
-2 resource budget exhausted, 3 anomaly (a theorem-level invariant failed on
-in-contract input).  Polytope-consuming commands normalize the polytope first
-(idempotent on already-normalized input) and embed the transcript in the
-report.  All randomness is seeded; the reports that use it embed the seed.
+Exit codes: 0 success, 1 invalid input (with the failed check named) or a
+closed stdout, 2 resource budget exhausted, 3 anomaly (a theorem-level
+invariant failed on in-contract input).  Polytope-consuming commands
+normalize the polytope first (idempotent on already-normalized input) and
+embed the transcript in the report.  All randomness is seeded; the reports
+that use it embed the seed.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import scalar
@@ -364,7 +366,15 @@ def _emit_error(args, kind, message, **extra):
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull so that the flush at
+        # interpreter exit cannot fail again, and exit without a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

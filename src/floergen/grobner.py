@@ -632,9 +632,15 @@ class Morphism:
     failing_relation: int | None
     columns: list | None  # images of the domain's staircase; None when no walk was made
     kernel_dim: int | None
-    surjective: bool | None
     domain_dim: int
     codomain_dim: int
+
+    @property
+    def surjective(self):
+        """Onto by rank-nullity; None when the map is not well defined."""
+        if self.kernel_dim is None:
+            return None
+        return self.domain_dim - self.kernel_dim == self.codomain_dim
 
     @property
     def is_isomorphism(self):
@@ -687,7 +693,7 @@ def algebra_morphism(domain: QuotientAlgebra, codomain: QuotientAlgebra, images)
         val = codomain.nf_coords(ring.from_terms(
             (image(e), c) for e, c in rel.terms.items()))
         if any(val):
-            return Morphism(False, ridx, None, None, None, domain.dim, codomain.dim)
+            return Morphism(False, ridx, None, None, domain.dim, codomain.dim)
 
     def encoded_factors(a):
         """The codomain's encoded variables, with repetition, whose product
@@ -700,7 +706,4 @@ def algebra_morphism(domain: QuotientAlgebra, codomain: QuotientAlgebra, images)
         [encoded_factors(tuple(-x for x in a)) for a in exps]
         + [encoded_factors(a) for a in exps]))
     rk = linalg.column_rank(F, cols, codomain.dim)
-    return Morphism(
-        True, None, cols,
-        domain.dim - rk, rk == codomain.dim, domain.dim, codomain.dim,
-    )
+    return Morphism(True, None, cols, domain.dim - rk, domain.dim, codomain.dim)

@@ -19,7 +19,7 @@ with coefficients as decimal strings ("a/b" allowed over Q).
 from __future__ import annotations
 
 from .errors import DomainError, UsageError
-from .scalar import Field, field_name, json_int, json_list, parse_field
+from .scalar import Field, field_name, json_int, json_list, json_str, parse_field
 
 # exponents stay far from any machine bound at desk scale, but guard anyway
 _EXP_BOUND = 10**9
@@ -205,7 +205,8 @@ class LaurentPoly:
 
 def laurent_from_json(data: dict, field: Field | None = None) -> LaurentPoly:
     try:
-        variables = json_list(data["variables"], "variables")
+        variables = [json_str(v, "variables entry")
+                     for v in json_list(data["variables"], "variables")]
         fld = field if field is not None else parse_field(data["field"])
         ring = LaurentRing(variables, fld)
         pairs = [

@@ -33,9 +33,6 @@ class RealGenData:
     qh: QuotientAlgebra
     pi: Morphism
     lift: Morphism  # the Frobenius lift s: QH -> QH_R
-    pi_kernel_dim: int
-    frobenius_kernel_dim: int
-    contained: bool
     minimal_chern: int | None
 
 
@@ -51,7 +48,7 @@ def reduction_pi(qh_r: QuotientAlgebra, qh: QuotientAlgebra) -> Morphism:
             "reduction map is not well defined; squared-weight relations "
             "must land in the plain ideal in characteristic 2"
         )
-    return Morphism(True, None, None, qh_r.dim - qh.dim, True, qh_r.dim, qh.dim)
+    return Morphism(True, None, None, qh_r.dim - qh.dim, qh_r.dim, qh.dim)
 
 
 def frobenius_matrix(qh: QuotientAlgebra, qh_r: QuotientAlgebra) -> Morphism:
@@ -82,17 +79,11 @@ def real_gen_data(P: DelzantPolytope, budget: Budget | None = None) -> RealGenDa
         raise UsageError("real-locus check needs a monotone-normalized polytope")
     qh_r = qh_presentation(P, F2, "mod2_weights", budget)
     qh = qh_presentation(P, F2, "plain", budget)
-    pi = reduction_pi(qh_r, qh)
-    lift = frobenius_matrix(qh, qh_r)
-    ker_f_dim, ker_pi_dim, contained = kernel_containment_check(pi, lift)
     return RealGenData(
         qh_r=qh_r,
         qh=qh,
-        pi=pi,
-        lift=lift,
-        pi_kernel_dim=ker_pi_dim,
-        frobenius_kernel_dim=ker_f_dim,
-        contained=contained,
+        pi=reduction_pi(qh_r, qh),
+        lift=frobenius_matrix(qh, qh_r),
         minimal_chern=minimal_chern(P),
     )
 
@@ -104,6 +95,7 @@ def real_generation_report(P: DelzantPolytope, budget: Budget | None = None) -> 
             f"dim QH_R = {data.qh_r.dim} is not 2^(N-n) * dim QH = "
             f"2^{P.num_facets - P.n} * {data.qh.dim}"
         )
+    ker_f_dim, ker_pi_dim, contained = kernel_containment_check(data.pi, data.lift)
     nx = data.minimal_chern
     report = GenerationReport(
         input_name=P.name or "polytope",
@@ -114,18 +106,18 @@ def real_generation_report(P: DelzantPolytope, budget: Budget | None = None) -> 
         extra={
             "dim_qh_r": data.qh_r.dim,
             "dim_qh": data.qh.dim,
-            "pi_kernel_dim": data.pi_kernel_dim,
-            "frobenius_kernel_dim": data.frobenius_kernel_dim,
-            "containment": data.contained,
+            "pi_kernel_dim": ker_pi_dim,
+            "frobenius_kernel_dim": ker_f_dim,
+            "containment": contained,
         },
     )
     if nx is None or nx < 2:
         reason = "criterion inapplicable (minimal Maslov < 2)"
         report.notes.append(reason)
         report.summands.append(GenerationSummand.inapplicable(
-            data.qh.dim, data.frobenius_kernel_dim, reason))
+            data.qh.dim, ker_f_dim, reason))
         return report
-    if not data.contained:
+    if not contained:
         report.anomaly = True
         report.notes.append(
             "squaring kernel escapes the reduction kernel; this contradicts "

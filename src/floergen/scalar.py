@@ -220,6 +220,14 @@ def json_int(value, what: str) -> int:
     return value
 
 
+def json_str(value, what: str) -> str:
+    """A string field of a JSON input; a number, an array or an object is
+    rejected rather than printed through `str`."""
+    if type(value) is not str:
+        raise UsageError(f"{what} must be a JSON string, not {value!r}")
+    return value
+
+
 def json_list(value, what: str) -> list:
     """A list field of a JSON input; a string is rejected rather than read
     as its characters."""

@@ -26,7 +26,7 @@ from math import gcd, lcm
 from . import linalg
 from .errors import DomainError, NotMonotoneError, UsageError, ValidationError
 from .laurent import LaurentPoly, LaurentRing
-from .scalar import QQ, Field, json_int, json_list
+from .scalar import QQ, Field, json_int, json_list, json_str
 
 
 @dataclass
@@ -48,7 +48,7 @@ class DelzantPolytope:
             normals = [[json_int(x, "polytope normal entry") for x in row]
                        for row in data["normals"]]
             lambdas = [QQ.from_str(str(x)) for x in json_list(data["lambda"], "lambda")]
-            name = str(data.get("name", ""))
+            name = json_str(data.get("name", ""), "polytope name")
         except (KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"malformed polytope JSON: {exc}") from exc
         if n < 1:
@@ -240,51 +240,36 @@ def is_normalized(P: DelzantPolytope) -> bool:
 
 
 def h2_lattice(P: DelzantPolytope) -> H2Lattice:
-    """Integral basis of {p : sum_j p_j nu_j = 0} via unimodular column ops."""
+    """Integral basis of {p : sum_j p_j nu_j = 0} via unimodular column ops.
+
+    Column j is nu_j followed by the unit vector e_j, so each op on the
+    normals also records, in the last N entries, which combination of facets
+    the column now is; a column whose normal part is cleared is a relation."""
     N, n = P.num_facets, P.n
-    # columns of `m` are the normals' coordinates per facet; reduce columns
-    m = [[P.normals[j][i] for j in range(N)] for i in range(n)]  # n x N
-    tracker = [[1 if i == j else 0 for j in range(N)] for i in range(N)]  # N x N cols
-
-    def col(mat, j):
-        return [mat[i][j] for i in range(len(mat))]
-
-    def addmul_col(mat, dst, src, q):
-        for i in range(len(mat)):
-            mat[i][dst] += q * mat[i][src]
-
-    def swap_col(mat, a, b):
-        for i in range(len(mat)):
-            mat[i][a], mat[i][b] = mat[i][b], mat[i][a]
-
+    cols = [list(P.normals[j]) + [int(i == j) for i in range(N)] for j in range(N)]
     row = 0
     fixed = 0
     while row < n and fixed < N:
         while True:
-            nz = [j for j in range(fixed, N) if m[row][j] != 0]
+            nz = [j for j in range(fixed, N) if cols[j][row] != 0]
             if not nz:
                 break
-            j0 = min(nz, key=lambda j: abs(m[row][j]))
-            if j0 != fixed:
-                swap_col(m, fixed, j0)
-                swap_col(tracker, fixed, j0)
+            j0 = min(nz, key=lambda j: abs(cols[j][row]))
+            cols[fixed], cols[j0] = cols[j0], cols[fixed]
+            pivot = cols[fixed]
             done = True
             for j in range(fixed + 1, N):
-                if m[row][j] != 0:
-                    q = -(m[row][j] // m[row][fixed])
-                    addmul_col(m, j, fixed, q)
-                    addmul_col(tracker, j, fixed, q)
-                    if m[row][j] != 0:
+                if cols[j][row] != 0:
+                    q = -(cols[j][row] // pivot[row])
+                    cols[j] = [x + q * y for x, y in zip(cols[j], pivot)]
+                    if cols[j][row] != 0:
                         done = False
             if done:
                 break
-        if m[row][fixed] != 0:
+        if cols[fixed][row] != 0:
             fixed += 1
         row += 1
-    basis = []
-    for j in range(fixed, N):
-        if all(m[i][j] == 0 for i in range(n)):
-            basis.append(col(tracker, j))
+    basis = [c[n:] for c in cols[fixed:] if not any(c[:n])]
     # canonical sign/order for reproducibility
     canon = []
     for v in basis:

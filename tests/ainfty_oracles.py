@@ -248,7 +248,7 @@ def opposite_triangle(A: AInftyStructure) -> AInftyStructure:
         if new:
             ops[l] = new
     return AInftyStructure(
-        field=F, degrees=list(A.degrees), arity_cap=A.arity_cap, ops=ops,
+        field=F, degrees=list(A.degrees), ops=ops,
         unit=A.unit, labels=list(A.labels),
     )
 

@@ -82,8 +82,7 @@ def corrupted(A, k, key, i, c):
     would not be strict."""
     ops = {kk: {kk2: dict(v) for kk2, v in t.items()} for kk, t in A.ops.items()}
     ops[k][key][i] = c
-    return AInftyStructure(field=A.field, degrees=list(A.degrees),
-                           arity_cap=A.arity_cap, ops=ops,
+    return AInftyStructure(field=A.field, degrees=list(A.degrees), ops=ops,
                            unit=None if A.unit in key else A.unit)
 
 
@@ -105,18 +104,12 @@ def test_module_and_bimodule_checks_catch_corruption():
 
 def test_degree_parity_validated():
     with pytest.raises(UsageError):
-        AInftyStructure(field=QQ, degrees=[0, 1], arity_cap=1,
+        AInftyStructure(field=QQ, degrees=[0, 1],
                         ops={1: {(0,): {0: Fraction(1)}}})
 
 
-def test_operations_above_arity_cap_rejected():
-    with pytest.raises(UsageError):
-        AInftyStructure(field=QQ, degrees=[0, 1], arity_cap=2,
-                        ops={3: {(0, 0, 0): {1: Fraction(1)}}})
-
-
 def lambda_x_ops(**changes):
-    """lambda_x's operations (unit b0 = 1, x = b1 of degree 1) at arity cap 3,
+    """lambda_x's operations (unit b0 = 1, x = b1 of degree 1) up to arity 3,
     with the entries in `changes`, keyed "k:i,j,...", replaced; None drops one."""
     ops = {k: {key: dict(out) for key, out in t.items()}
            for k, t in load_example("lambda_x").ops.items()}
@@ -143,9 +136,9 @@ def lambda_x_ops(**changes):
 def test_unit_that_is_not_strict_is_rejected(degrees, ops, words):
     if len(degrees) == 3:
         assert not ainfty_residuals(
-            AInftyStructure(field=QQ, degrees=degrees, arity_cap=3, ops=ops), 3)
+            AInftyStructure(field=QQ, degrees=degrees, ops=ops), 3)
     with pytest.raises(UsageError, match="unit b0 is not strict: " + words):
-        AInftyStructure(field=QQ, degrees=degrees, arity_cap=3, ops=ops, unit=0)
+        AInftyStructure(field=QQ, degrees=degrees, ops=ops, unit=0)
 
 
 CURVED_OPS = {0: {(): {0: Fraction(1)}},
@@ -160,8 +153,7 @@ CURVED_OPS = {0: {(): {0: Fraction(1)}},
 def test_arity_below_one_and_label_count_rejected(ops, labels, words):
     # a curved mu^0 used to be accepted and then ignored by the residuals
     with pytest.raises(UsageError, match=re.escape(words)):
-        AInftyStructure(field=QQ, degrees=[0, 0], arity_cap=2, ops=ops,
-                        labels=labels)
+        AInftyStructure(field=QQ, degrees=[0, 0], ops=ops, labels=labels)
     data = {"field": "Q", "degrees": [0, 0],
             "mu": {str(k): [{"inputs": list(key),
                              "output": {str(i): str(c) for i, c in out.items()}}
@@ -176,20 +168,20 @@ def test_zero_coefficients_are_dropped_so_json_roundtrips():
     # 3 and 6 vanish in F3: the tensors keep no zero coefficient, no empty
     # output and no empty arity, as from_json builds them
     F3 = PrimeField(3)
-    A = AInftyStructure(field=F3, degrees=[0, 0], arity_cap=3,
+    A = AInftyStructure(field=F3, degrees=[0, 0],
                         ops={2: {(0, 0): {0: 3, 1: 1}, (0, 1): {1: 6}},
                              3: {(0, 0, 0): {0: 0}}})
     assert A.ops == {2: {(0, 0): {1: 1}}}
     assert A.by_output == {1: [(2, (0, 0), 1)]}
     assert AInftyStructure.from_json(A.to_json()).ops == A.ops
-    B = AInftyStructure(field=QQ, degrees=[0, 1], arity_cap=1,
+    B = AInftyStructure(field=QQ, degrees=[0, 1],
                         ops={1: {(0,): {0: Fraction(0)}, (1,): {1: Fraction(0)}}})
     assert B.ops == {} and B.by_output == {}
     assert AInftyStructure.from_json(B.to_json()).ops == B.ops
 
 
 def test_integral_rational_coefficients_are_stored_as_ints():
-    A = AInftyStructure(field=QQ, degrees=[0, 1], arity_cap=2,
+    A = AInftyStructure(field=QQ, degrees=[0, 1],
                         ops={2: {(0, 0): {0: Fraction(1)}, (0, 1): {1: Fraction(1, 2)}}})
     assert type(A.op(2, (0, 0))[0]) is int
     assert A.op(2, (0, 1)) == {1: Fraction(1, 2)}
@@ -219,7 +211,7 @@ def test_triangular_opposite_differs_but_cohomology_opposite():
     assert Hop.basis_mult == H.graded_opposite().basis_mult
 
 
-def random_structure(rng, field, degrees, arity_cap, entries, unit=None):
+def random_structure(rng, field, degrees, max_arity, entries, unit=None):
     """Random nonzero operation entries of the right degree parity, with no
     A-infinity relations: a test bed for formulas linear in the operations.
     An even-degree `unit` is made strict: the entries with it as an input
@@ -227,7 +219,7 @@ def random_structure(rng, field, degrees, arity_cap, entries, unit=None):
     dim = len(degrees)
     ops = {}
     for _ in range(entries):
-        k = rng.randint(1, arity_cap)
+        k = rng.randint(1, max_arity)
         key = tuple(rng.randrange(dim) for _ in range(k))
         want = (sum(degrees[i] for i in key) + 2 - k) % 2
         outs = [i for i in range(dim) if degrees[i] % 2 == want]
@@ -243,8 +235,7 @@ def random_structure(rng, field, degrees, arity_cap, entries, unit=None):
             ops.setdefault(2, {})[(unit, a)] = {
                 a: field.neg(field.one) if degrees[a] % 2 else field.one}
             ops[2][(a, unit)] = {a: field.one}
-    return AInftyStructure(field=field, degrees=list(degrees), arity_cap=arity_cap,
-                           ops=ops, unit=unit)
+    return AInftyStructure(field=field, degrees=list(degrees), ops=ops, unit=unit)
 
 
 def test_opposite_matches_triangle_sum():
@@ -284,7 +275,7 @@ def test_cohomology_dga3():
 
 def test_cohomology_rejects_nonsquare_zero():
     bad = AInftyStructure(
-        field=QQ, degrees=[0, 1], arity_cap=1,
+        field=QQ, degrees=[0, 1],
         ops={1: {(0,): {1: Fraction(1)}, (1,): {0: Fraction(1)}}},
     )
     with pytest.raises(DomainError):
@@ -367,11 +358,12 @@ def test_bimodule_relations_hom_and_diagonal():
 
 
 def test_self_module_action_is_negated_mu():
-    # absent keys, and r + 1 above the cap, read as {}
+    # absent keys, and r + 1 above the largest arity, read as {}
     for name, A in structures().items():
         ops = self_module(A).ops
+        top = max(A.ops)
         absent = 0
-        for r in range(A.arity_cap + 1):
+        for r in range(top + 1):
             for key in itertools.product(range(A.dim), repeat=r):
                 for m in range(A.dim):
                     raw = A.op(r + 1, key + (m,))
@@ -379,7 +371,7 @@ def test_self_module_action_is_negated_mu():
                         name, r, key, m)
                     absent += not raw
         above = [ops.get((key, m), {}) for m in range(A.dim)
-                 for key in itertools.product(range(A.dim), repeat=A.arity_cap)]
+                 for key in itertools.product(range(A.dim), repeat=top)]
         assert above and not any(above), name
         assert absent > len(above), name
 
@@ -820,8 +812,8 @@ def reduced_mod(A, p):
     F = PrimeField(p)
     ops = {k: {key: {i: F.from_int(c) for i, c in out.items() if c % p}
                for key, out in t.items()} for k, t in A.ops.items()}
-    return AInftyStructure(field=F, degrees=list(A.degrees), arity_cap=A.arity_cap,
-                           ops=ops, unit=A.unit, labels=list(A.labels))
+    return AInftyStructure(field=F, degrees=list(A.degrees), ops=ops,
+                           unit=A.unit, labels=list(A.labels))
 
 
 def rescaled(A, t):
@@ -839,8 +831,8 @@ def rescaled(A, t):
             for j in key:
                 scale *= s[j]
             ops[k][key] = {i: c * scale / s[i] for i, c in out.items()}
-    return AInftyStructure(field=QQ, degrees=list(A.degrees), arity_cap=A.arity_cap,
-                           ops=ops, unit=A.unit, labels=list(A.labels))
+    return AInftyStructure(field=QQ, degrees=list(A.degrees), ops=ops,
+                           unit=A.unit, labels=list(A.labels))
 
 
 VARIANTS = {

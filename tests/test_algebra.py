@@ -751,7 +751,7 @@ def univariate_quotient(field, mu):
     powers = [linalg.identity(field, n)]
     for _ in range(n - 1):
         powers.append(linalg.mat_mul(field, companion, powers[-1]))
-    A = FiniteAlgebra(field=field, dim=n,
+    A = FiniteAlgebra(field=field,
                       basis_mult=[[algebra.sparse(col) for col in linalg.transpose(m)]
                                   for m in powers],
                       unit=[row[0] for row in powers[0]])

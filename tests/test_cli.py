@@ -93,6 +93,30 @@ def test_string_where_a_list_is_meant_is_an_error_record(capsys, tmp_path, key):
     assert record["message"] == f"{key} must be a JSON array, not {data[key]!r}"
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("key", ["name", "variables"])
+def test_non_string_where_a_string_is_meant_is_an_error_record(capsys, tmp_path, key, fmt):
+    # {"a": 1} used to be printed as real-gen's input name with exit 0, and
+    # [1, 2] to die in `jac` with a TypeError while labelling the staircase
+    path = tmp_path / "input.json"
+    if key == "name":
+        data = {**corpus()["CP2"].to_json(), "name": {"a": 1}}
+        argv = ["real-gen", "--polytope", str(path)]
+        message = "polytope name must be a JSON string, not {'a': 1}"
+    else:
+        data = {"variables": [1, 2], "field": "Q",
+                "terms": [{"coeff": "1", "exps": e} for e in ([1, 0], [0, 1], [-1, -1])]}
+        argv = ["jac", "--superpotential", str(path), "--field", "Q"]
+        message = "variables entry must be a JSON string, not 1"
+    path.write_text(json.dumps(data))
+    code, out, err = invoke(capsys, argv + ["--format", fmt])
+    assert code == 1
+    if fmt == "json":
+        assert json.loads(out) == {"error": "UsageError", "message": message}
+    else:
+        assert (out, err) == ("", f"error[UsageError]: {message}\n")
+
+
 @pytest.mark.parametrize("case", ["not-utf8", "5000-digit-int"])
 def test_undecodable_input_file_is_an_error_record(capsys, tmp_path, case):
     # both used to escape as tracebacks: a UnicodeDecodeError, and the
@@ -297,7 +321,7 @@ def test_qh_and_co0(capsys, polytope_file):
 
 def test_co0_that_is_no_isomorphism_exits_3(capsys, polytope_file, monkeypatch):
     monkeypatch.setattr(quantum, "algebra_morphism", lambda domain, codomain, images:
-                        Morphism(True, None, None, 1, False, domain.dim, codomain.dim))
+                        Morphism(True, None, None, 1, domain.dim, codomain.dim))
     code, out, _ = invoke(capsys, [
         "co0", "--polytope", polytope_file("CP2"), "--field", "F3", "--format", "json",
     ])
@@ -311,7 +335,7 @@ def test_co0_that_is_no_isomorphism_exits_3(capsys, polytope_file, monkeypatch):
 def test_anomaly_is_an_error_record_with_exit_3(capsys, polytope_file, monkeypatch):
     # real-gen's one ring-map walk is the Frobenius lift's
     monkeypatch.setattr(realgen, "algebra_morphism", lambda domain, codomain, images:
-                        Morphism(False, 0, None, None, None, domain.dim, codomain.dim))
+                        Morphism(False, 0, None, None, domain.dim, codomain.dim))
     code, out, err = invoke(capsys, [
         "real-gen", "--polytope", polytope_file("CP2"), "--format", "json",
     ])
@@ -597,7 +621,8 @@ def test_ainfty_check_rejects_checked_arity_below_one(capsys, tmp_path, arity):
     (_lambda_x_with(mu={"2": [{"inputs": [0, 0], "output": "1"}]}),
      "output must be a JSON object"),
     (_lambda_x_with(field=7), "field spec must be a string"),
-], ids=["mu-array", "output-string", "field-int"])
+    (_lambda_x_with(labels=[1, 2]), "labels entry must be a JSON string, not 1"),
+], ids=["mu-array", "output-string", "field-int", "labels-int"])
 def test_ainfty_check_rejects_json_of_the_wrong_type(capsys, tmp_path, data, words):
     # each used to die with an uncaught AttributeError and an empty stdout
     path = tmp_path / "bad.json"
@@ -611,19 +636,33 @@ def test_ainfty_check_rejects_json_of_the_wrong_type(capsys, tmp_path, data, wor
     assert words in record["message"]
 
 
-def _run_python(args):
+def _run_python(args, stdout=subprocess.PIPE):
     """A fresh interpreter with this checkout's src/ on its path."""
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], env=env,
-                          capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, *args], env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=60)
 
 
 def test_python_dash_m_floergen_help():
     proc = _run_python(["-m", "floergen", "--help"])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: floergen")
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    # the reader is gone before the report is written: the flush used to
+    # raise BrokenPipeError, printed on stderr as a traceback
+    dp6 = pathlib.Path(__file__).parent / "data" / "dp6.json"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _run_python(["-m", "floergen", "validate", "--polytope", str(dp6)],
+                           stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 STDLIB_ONLY = """

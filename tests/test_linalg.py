@@ -311,7 +311,7 @@ def test_f2_echelon_on_the_zero_ring_and_empty_inputs():
     assert linalg.rank(F2, []) == linalg.rank(F2, [[], []]) == 0
     assert linalg.rank(F2, [[0, 0], [0, 0]]) == 0
     assert linalg.column_rank(F2, [], 0) == linalg.column_rank(F2, [{}, {}], 3) == 0
-    zero_ring = Morphism(True, None, [], 0, True, 0, 0)
+    zero_ring = Morphism(True, None, [], 0, 0, 0)
     assert realgen.kernel_containment_check(zero_ring, zero_ring) == (0, 0, True)
 
 
@@ -359,10 +359,10 @@ def test_containment_check_at_dim_256():
 
 def morphism(field, mat, cols):
     """A well-defined Morphism with the matrix `mat` (`cols` columns), its
-    kernel and surjectivity read off `reference_rref`."""
+    kernel read off `reference_rref`."""
     rank = reference_rank(field, mat)
     columns = [{t: row[k] for t, row in enumerate(mat) if row[k]} for k in range(cols)]
-    return Morphism(True, None, columns, cols - rank, rank == len(mat), cols, len(mat))
+    return Morphism(True, None, columns, cols - rank, cols, len(mat))
 
 
 @SETTINGS

@@ -582,7 +582,7 @@ def test_product_summands_come_from_factor_summands(names, field):
 
 def test_toric_gen_reports_a_co0_that_is_no_isomorphism(monkeypatch):
     monkeypatch.setattr(quantum, "algebra_morphism", lambda domain, codomain, images:
-                        Morphism(True, None, None, 1, False, domain.dim, codomain.dim))
+                        Morphism(True, None, None, 1, domain.dim, codomain.dim))
     rep = toric_generation_report(corpus()["CP2"], PrimeField(7))
     assert rep.anomaly and rep.summands == []
     assert rep.notes == ["divisor-to-boundary map is not an isomorphism; "

@@ -12,6 +12,7 @@ from floergen.quantum import qh_presentation
 from floergen.realgen import (
     F2,
     frobenius_matrix,
+    kernel_containment_check,
     real_gen_data,
     real_generation_report,
     reduction_pi,
@@ -25,7 +26,7 @@ def test_reduction_pi_cp2():
     data = real_gen_data(P)
     assert data.qh_r.dim == 6 and data.qh.dim == 3
     ker_pi = linalg.kernel_basis(F2, pi_matrix(data.qh_r, data.qh))
-    assert data.pi_kernel_dim == len(ker_pi) == 3
+    assert data.pi.kernel_dim == len(ker_pi) == 3
     # kernel is (Z^3 + 1) * {1, Z, Z^2} inside F2[Z]/(Z^6 - 1)
     qa = data.qh_r
     ring = qa.source_ring
@@ -40,14 +41,14 @@ def test_reduction_pi_cp2():
 def test_reduction_pi_cp1():
     data = real_gen_data(corpus()["CP1"])
     assert data.qh_r.dim == 4 and data.qh.dim == 2
-    assert data.pi_kernel_dim == len(linalg.kernel_basis(F2, pi_matrix(data.qh_r, data.qh))) == 2
+    assert data.pi.kernel_dim == len(linalg.kernel_basis(F2, pi_matrix(data.qh_r, data.qh))) == 2
 
 
 def test_reduction_pi_cp1xcp1():
     data = real_gen_data(corpus()["CP1xCP1"])
     assert data.qh_r.dim == 16 and data.qh.dim == 4
     # rank-nullity with surjectivity
-    assert data.pi_kernel_dim == len(linalg.kernel_basis(F2, pi_matrix(data.qh_r, data.qh))) == 12
+    assert data.pi.kernel_dim == len(linalg.kernel_basis(F2, pi_matrix(data.qh_r, data.qh))) == 12
     assert data.pi.surjective
 
 
@@ -127,10 +128,11 @@ def test_frobenius_is_squaring_linearly():
 def test_kernel_containment_and_equality():
     for name in ("CP1", "CP2", "CP3", "CP1xCP1"):
         data = real_gen_data(corpus()[name])
-        assert data.contained and data.lift.kernel_dim == 0
+        ker_f_dim, ker_pi_dim, contained = kernel_containment_check(data.pi, data.lift)
+        assert contained and data.lift.kernel_dim == 0
         ker_f = linalg.kernel_basis(F2, dense_columns(squaring_columns(data.qh_r), data.qh_r.dim))
         ker_pi = linalg.kernel_basis(F2, pi_matrix(data.qh_r, data.qh))
-        assert (data.frobenius_kernel_dim, data.pi_kernel_dim) == (len(ker_f), len(ker_pi))
+        assert (ker_f_dim, ker_pi_dim) == (len(ker_f), len(ker_pi))
         # the sharper fact: both kernels coincide
         assert linalg.subspace_contained(F2, ker_pi, ker_f)
         assert linalg.subspace_contained(F2, ker_f, ker_pi)
@@ -139,15 +141,14 @@ def test_kernel_containment_and_equality():
 def test_lift_with_a_zeroed_column_flips_containment(monkeypatch):
     P = corpus()["CP2"]
     data = real_gen_data(P)
-    assert data.contained
+    assert kernel_containment_check(data.pi, data.lift)[2]
     # s sends 1 to 1; without that column its rank drops by one
     columns = [{}] + data.lift.columns[1:]
     rank = linalg.column_rank(F2, columns, data.qh_r.dim)
     assert rank == data.qh.dim - 1
     bad = dataclasses.replace(data.lift, columns=columns, kernel_dim=data.qh.dim - rank)
-    assert realgen.kernel_containment_check(data.pi, data.lift)[2]
-    assert realgen.kernel_containment_check(data.pi, bad) == (
-        data.pi_kernel_dim + 1, data.pi_kernel_dim, False)
+    assert kernel_containment_check(data.pi, bad) == (
+        data.pi.kernel_dim + 1, data.pi.kernel_dim, False)
     monkeypatch.setattr(realgen, "frobenius_matrix", lambda qh, qh_r: bad)
     rep = real_generation_report(P)
     assert rep.anomaly and rep.extra["containment"] is False

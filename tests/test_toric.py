@@ -1,6 +1,9 @@
-from fractions import Fraction
-
+import importlib.util
+import json
+import pathlib
 import random
+import sys
+from fractions import Fraction
 
 import pytest
 
@@ -21,7 +24,9 @@ from floergen.toric import (
     superpotential,
     validate,
 )
-from toric_gen_oracles import validate_by_fractions
+from toric_gen_oracles import h2_lattice_by_tracker, validate_by_fractions
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def cp2():
@@ -166,10 +171,50 @@ def test_h2_lattice_pairs_to_zero_with_normals():
                 assert sum(p[j] * P.normals[j][i] for j in range(P.num_facets)) == 0
 
 
+def _h2_outcome(h2, P):
+    try:
+        return h2(P).basis
+    except DomainError as exc:
+        return str(exc)
+
+
 def test_h2_lattice_rejects_normals_that_do_not_span():
     P = DelzantPolytope(n=2, normals=[[1, 0], [2, 0], [-1, 0]], lambdas=[1, 1, 1])
     with pytest.raises(DomainError, match="span rank 1, not n = 2.*has rank 2"):
         h2_lattice(P)
+    assert _h2_outcome(h2_lattice, P) == _h2_outcome(h2_lattice_by_tracker, P)
+
+
+def _bench_ladder():
+    """bench/ladder.py, loaded by path: its seeded reparametrisation draws
+    the polytopes the benchmark runs."""
+    spec = importlib.util.spec_from_file_location("floergen_bench_ladder",
+                                                  ROOT / "bench" / "ladder.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks the module up
+    spec.loader.exec_module(module)
+    return module
+
+
+LADDER = _bench_ladder()
+
+
+@pytest.mark.parametrize("name", list(LADDER.LADDER))
+def test_h2_lattice_matches_tracker_reference_on_reparametrised_ladder(name):
+    """Same column operations in the same order as the tracker-matrix
+    reference, so the same basis: facet shuffles and signed coordinate
+    permutations move the pivots, and on dP6 a changed tie-break shows."""
+    for seed in range(60):
+        P = DelzantPolytope.from_json(LADDER.reparametrise(name, seed).to_json())
+        assert h2_lattice(P).basis == h2_lattice_by_tracker(P).basis, seed
+
+
+@pytest.mark.parametrize("path", sorted(
+    [p for d in ("tests/data", "demos/data") for p in (ROOT / d).glob("*.json")
+     if "normals" in json.loads(p.read_text())]), ids=lambda p: p.stem)
+def test_h2_lattice_matches_tracker_reference_on_shipped_polytopes(path):
+    P = DelzantPolytope.from_json(json.loads(path.read_text()))
+    assert _h2_outcome(h2_lattice, P) == _h2_outcome(h2_lattice_by_tracker, P)
 
 
 def test_minimal_chern():

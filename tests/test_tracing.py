@@ -72,3 +72,30 @@ def test_tracer_installs_and_restores_originals():
         assert after[key].keys() == attrs.keys(), key
         for attr, value in attrs.items():
             assert after[key][attr] is value, f"{key}.{attr} not restored"
+
+
+DEMO_CP2 = pathlib.Path(__file__).resolve().parents[1] / "demos" / "data" / "cp2.json"
+# the counters bench/test_bench.py asserts, and the kernel containment check
+# that real-gen's report reads
+TRACED_COUNTERS = ("grobner.buchberger.calls", "grobner.reduction_steps",
+                   "scalar.zero_one.calls", "ainfty.hochschild_diff.calls",
+                   "ainfty.premorphism_diff.calls", "realgen.kernel_containment_check.calls")
+
+
+def test_traced_names_are_called():
+    """A change that stops calling a name the benchmark counts fails here,
+    not only in the benchmark's own tests."""
+    tracing = _load_tracing()
+    fg = {m: importlib.import_module(f"floergen.{m}") for m in MODULES}
+    tracer = tracing.Tracer()
+    tracer.install(fg)
+    try:
+        for argv in (["toric-gen", "--field", "F7"], ["real-gen"]):
+            assert fg["cli"].run(argv + ["--polytope", str(DEMO_CP2)]) == 0, argv
+        ainfty = fg["ainfty"]
+        A = ainfty.load_example("lambda_x")
+        assert ainfty.check_module_relations(ainfty.self_module(A), cap=2)
+        assert ainfty.check_bimodule_relations(ainfty.diagonal_bimodule(A), cap=2)
+    finally:
+        tracer.uninstall()
+    assert [name for name in TRACED_COUNTERS if not tracer.counts[name]] == []

@@ -14,6 +14,9 @@ validation, kept as test oracles for the faster code in `src/`.
   coordinates of each product; both oracles above restrict through it.
 - `validate_by_fractions`: Delzant validation with every sign test on
   Fraction vectors.
+- `h2_lattice_by_tracker`: the sphere-class lattice by column operations on
+  the n x N matrix of normals, repeated on an N x N tracker matrix whose
+  cleared columns are the basis.
 """
 
 from __future__ import annotations
@@ -33,11 +36,11 @@ from floergen.algebra import (
     radical_char_p,
     sparse,
 )
-from floergen.errors import ValidationError
+from floergen.errors import DomainError, ValidationError
 from floergen.quantum import GenerationSummand
 from floergen.scalar import (DEFAULT_SEED, QQ, UniPoly, rational_roots, strip_roots,
                              univariate_factor)
-from floergen.toric import VertexData
+from floergen.toric import DelzantPolytope, H2Lattice, VertexData
 
 
 def restrict_by_solving(A, idempotent):
@@ -53,7 +56,6 @@ def restrict_by_solving(A, idempotent):
 
     block = FiniteAlgebra(
         field=F,
-        dim=len(basis),
         basis_mult=[[sparse(coords(A.mult(b, c))) for c in basis] for b in basis],
         unit=coords(idempotent),
         generators=[coords(A.mult(idempotent, g)) for g in A.generators],
@@ -121,7 +123,6 @@ def _finalize_factor(e, block, seed):
         idempotent=e,
         algebra=block,
         maximal_ideal=rad,
-        residue_degree=residue_degree,
         point=point,
     )
 
@@ -279,3 +280,62 @@ def validate_by_fractions(P):
                 facets=[i + 1],
             )
     return VertexData(vertices=vertices, incidence=incidence)
+
+
+def h2_lattice_by_tracker(P: DelzantPolytope) -> H2Lattice:
+    """Integral basis of {p : sum_j p_j nu_j = 0} via unimodular column ops."""
+    N, n = P.num_facets, P.n
+    # columns of `m` are the normals' coordinates per facet; reduce columns
+    m = [[P.normals[j][i] for j in range(N)] for i in range(n)]  # n x N
+    tracker = [[1 if i == j else 0 for j in range(N)] for i in range(N)]  # N x N cols
+
+    def col(mat, j):
+        return [mat[i][j] for i in range(len(mat))]
+
+    def addmul_col(mat, dst, src, q):
+        for i in range(len(mat)):
+            mat[i][dst] += q * mat[i][src]
+
+    def swap_col(mat, a, b):
+        for i in range(len(mat)):
+            mat[i][a], mat[i][b] = mat[i][b], mat[i][a]
+
+    row = 0
+    fixed = 0
+    while row < n and fixed < N:
+        while True:
+            nz = [j for j in range(fixed, N) if m[row][j] != 0]
+            if not nz:
+                break
+            j0 = min(nz, key=lambda j: abs(m[row][j]))
+            if j0 != fixed:
+                swap_col(m, fixed, j0)
+                swap_col(tracker, fixed, j0)
+            done = True
+            for j in range(fixed + 1, N):
+                if m[row][j] != 0:
+                    q = -(m[row][j] // m[row][fixed])
+                    addmul_col(m, j, fixed, q)
+                    addmul_col(tracker, j, fixed, q)
+                    if m[row][j] != 0:
+                        done = False
+            if done:
+                break
+        if m[row][fixed] != 0:
+            fixed += 1
+        row += 1
+    basis = []
+    for j in range(fixed, N):
+        if all(m[i][j] == 0 for i in range(n)):
+            basis.append(col(tracker, j))
+    # canonical sign/order for reproducibility
+    canon = []
+    for v in basis:
+        lead = next((x for x in v if x != 0), 0)
+        canon.append([-x for x in v] if lead < 0 else list(v))
+    canon.sort(reverse=True)
+    lat = H2Lattice(basis=canon)
+    if lat.rank != N - n:
+        raise DomainError(f"the {N} facet normals span rank {N - lat.rank}, not "
+                          f"n = {n}: the sphere-class lattice has rank {lat.rank}")
+    return lat
