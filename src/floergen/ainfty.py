@@ -72,7 +72,7 @@ from . import linalg
 from .algebra import FiniteAlgebra, sparse
 from .errors import DomainError, UsageError
 from .scalar import (Field, canonical, field_name, json_int, json_list, json_object,
-                     json_str, parse_field)
+                     json_literal, json_str, parse_field)
 
 
 def _vadd(field, target, src, coeff):
@@ -222,7 +222,7 @@ class AInftyStructure:
                 for entry in entries:
                     key = tuple(json_int(i, "input index") for i in entry["inputs"])
                     out = {
-                        int(i): F.from_str(str(c))
+                        int(i): F.from_str(json_literal(c, "output coefficient"))
                         for i, c in json_object(entry["output"], "output").items()
                     }
                     out = {i: c for i, c in out.items() if c}

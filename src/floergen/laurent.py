@@ -19,7 +19,7 @@ with coefficients as decimal strings ("a/b" allowed over Q).
 from __future__ import annotations
 
 from .errors import DomainError, UsageError
-from .scalar import Field, field_name, json_int, json_list, json_str, parse_field
+from .scalar import Field, field_name, json_int, json_list, json_literal, json_str, parse_field
 
 # exponents stay far from any machine bound at desk scale, but guard anyway
 _EXP_BOUND = 10**9
@@ -211,7 +211,7 @@ def laurent_from_json(data: dict, field: Field | None = None) -> LaurentPoly:
         ring = LaurentRing(variables, fld)
         pairs = [
             (tuple(json_int(e, "exponent") for e in t["exps"]),
-             fld.from_str(str(t["coeff"])))
+             fld.from_str(json_literal(t["coeff"], "coeff")))
             for t in data["terms"]
         ]
     except (KeyError, TypeError, ValueError) as exc:

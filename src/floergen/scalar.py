@@ -220,6 +220,16 @@ def json_int(value, what: str) -> int:
     return value
 
 
+def json_literal(value, what: str) -> str:
+    """A field-element field of a JSON input, as the string `from_str`
+    reads: an integer or a string.  A float such as 1.5 and a bool are
+    rejected rather than read through `str`, as 3/2 over Q and refused
+    over F_p."""
+    if type(value) not in (int, str):
+        raise UsageError(f"{what} must be an integer or a string, not {value!r}")
+    return str(value)
+
+
 def json_str(value, what: str) -> str:
     """A string field of a JSON input; a number, an array or an object is
     rejected rather than printed through `str`."""

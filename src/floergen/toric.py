@@ -4,12 +4,21 @@ This module holds polytope data and combinatorics only; every presentation
 of a ring built from them (H*(X_P), its real locus, QH*(X_P)) is in
 `quantum`.
 
-Vertices are enumerated by one exact inverse per n-subset of facets; no LP
-machinery at desk scale.  Compactness is certified by showing the
-recession cone is trivial (no kernel line, no extreme ray on any rank-(n-1)
-subset of facet normals).  The sign tests against the facets run on
-integers: each candidate ray or vertex is scaled once by a positive common
-denominator, and the rational vectors are kept for the error messages.
+Vertices are found by walking the vertex graph on an integer simplex
+tableau (reverse search, Avis and Fukuda 1992): from the first feasible
+basis in `itertools.combinations` order, one ratio test per edge.  A clean
+walk certifies the vertex list, compactness, simplicity and unimodularity:
+the vertex graph is connected (Balinski); an extreme ray of a pointed
+polyhedron leaves some vertex as an unbounded edge; and a pivot entry of -1
+keeps every basis unimodular.  On any doubt (no feasible basis, an
+unbounded edge, a tie in a ratio test, a start vertex on more than n facets,
+a basis that is not unimodular) the subset enumeration runs instead and
+raises the error: the recession cone is trivial when the normals span and
+no rank-(n-1) subset of facet normals has an extreme ray in its kernel, and
+the vertices take one exact inverse per n-subset of facets.  Its sign tests
+run on integers: each candidate ray or vertex is scaled once by a positive
+common denominator, and the rational vectors are kept for the error
+messages.
 
 Polytope JSON:
     {"name": "CP2", "dim": 2, "normals": [[1,0],[0,1],[-1,-1]],
@@ -26,7 +35,7 @@ from math import gcd, lcm
 from . import linalg
 from .errors import DomainError, NotMonotoneError, UsageError, ValidationError
 from .laurent import LaurentPoly, LaurentRing
-from .scalar import QQ, Field, json_int, json_list, json_str
+from .scalar import QQ, Field, canonical, json_int, json_list, json_literal, json_str
 
 
 @dataclass
@@ -47,7 +56,8 @@ class DelzantPolytope:
             n = json_int(data["dim"], "polytope dim")
             normals = [[json_int(x, "polytope normal entry") for x in row]
                        for row in data["normals"]]
-            lambdas = [QQ.from_str(str(x)) for x in json_list(data["lambda"], "lambda")]
+            lambdas = [QQ.from_str(json_literal(x, "lambda entry"))
+                       for x in json_list(data["lambda"], "lambda")]
             name = json_str(data.get("name", ""), "polytope name")
         except (KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"malformed polytope JSON: {exc}") from exc
@@ -100,12 +110,147 @@ def _point_str(v):
 
 def validate(P: DelzantPolytope) -> VertexData:
     """Full Delzant validation; raises ValidationError naming the culprit.
-    Sign tests run on integers: each ray or vertex is scaled once by its
-    common denominator, the support constants by theirs."""
+    The vertices come from `_vertex_walk`; on any doubt from
+    `_enumerate_vertices`, which raises the error."""
     n, N = P.n, P.num_facets
     if N < n + 1:
         raise ValidationError("facet_count", f"need at least {n + 1} facets, got {N}")
+    lam, lam_den = _scaled(P.lambdas)
+    V = _vertex_walk(P, lam, lam_den) or _enumerate_vertices(P, lam, lam_den)
 
+    covered = set()
+    for on in V.incidence:
+        covered.update(on)
+    for i in range(N):
+        if i not in covered:
+            raise ValidationError(
+                "irredundancy",
+                f"facet {i + 1} contains no vertex (redundant inequality)",
+                facets=[i + 1],
+            )
+
+    # nonempty interior: the vertex barycenter must satisfy all strictly, that
+    # is <nu_i, sum v> > -k lambda_i; times lam_den both sides are integers,
+    # since every vertex is -D lambda_B with D the integral inverse of its
+    # facet normals
+    k = len(V.vertices)
+    total = [canonical(sum(col) * lam_den) for col in zip(*V.vertices)]
+    for i, (nu, l) in enumerate(zip(P.normals, lam)):
+        if _dot(nu, total) <= -k * l:
+            raise ValidationError(
+                "full_dimension",
+                f"polytope has empty interior (tight at facet {i + 1})",
+                facets=[i + 1],
+            )
+    return V
+
+
+def _subset_vertex(P, subset, lam, lam_den):
+    """(inverse, point, slacks) of the facets in `subset`, or None when their
+    normals are dependent: the inverse of their normals, the point where
+    they meet, and its slacks lam_den * <nu_i, num> + lam_i * den, the signs
+    of <nu_i, x> + lambda_i at x = num / den."""
+    inverse = linalg.invert(QQ, [P.normals[i] for i in subset])
+    if inverse is None:
+        return None
+    sol = linalg.mat_vec(QQ, inverse, [-P.lambdas[i] for i in subset])
+    num, den = _scaled(sol)
+    return inverse, sol, [lam_den * _dot(nu, num) + l * den for nu, l in zip(P.normals, lam)]
+
+
+def _start_vertex(P, lam, lam_den):
+    """(subset, `_subset_vertex`) for the first n-subset of facets, in
+    `itertools.combinations` order, whose normals are independent and whose
+    point is feasible, or None.  A prefix whose normals are dependent is not
+    extended: each normal is reduced, fraction-free, against the prefix's."""
+    n, N = P.n, P.num_facets
+
+    def extend(subset, echelon):
+        if len(subset) == n:
+            found = _subset_vertex(P, subset, lam, lam_den)
+            return (subset, found) if min(found[2]) >= 0 else None
+        for i in range(subset[-1] + 1 if subset else 0, N - n + len(subset) + 1):
+            row = P.normals[i]
+            for c, pivot_row in echelon:
+                a, f = pivot_row[c], row[c]
+                if f:
+                    row = [a * x - f * y for x, y in zip(row, pivot_row)]
+            c = next((c for c, x in enumerate(row) if x), None)
+            if c is not None:
+                g = gcd(*row)
+                hit = extend(subset + [i], echelon + [(c, [x // g for x in row])])
+                if hit:
+                    return hit
+        return None
+
+    return extend([], [])
+
+
+def _vertex_walk(P, lam, lam_den):
+    """The VertexData of a simple, compact polytope with unimodular vertices,
+    found by walking its vertex graph from `_start_vertex`; None on any
+    doubt, which leaves the error to `_enumerate_vertices`.
+
+    A basis B of n facets carries the columns d_j of the inverse D of its
+    normals, each below T[:, j] = nu d_j, and the vector of slacks over the
+    point, all scaled by lam_den: integers while D is integral.  Edge j
+    leaves facet B_j along d_j until the first facet i with T[i, j] < 0
+    becomes tight.  The new basis has |det| the old one's times T[i, j], so
+    a pivot entry of -1 keeps every basis unimodular.  With no tie in any
+    ratio test no vertex lies on more than n facets, so the walk meets every
+    edge: the vertex graph is connected (Balinski), and if the polytope
+    were unbounded an extreme ray of its recession cone would leave some
+    vertex as an unbounded edge."""
+    start = _start_vertex(P, lam, lam_den)
+    if start is None:
+        return None
+    basis, (inverse, _, _) = start
+    if any(x.denominator != 1 for row in inverse for x in row):
+        return None
+    n, N = P.n, P.num_facets
+    # [nu; I] maps a direction to its slack changes over itself
+    stacked = P.normals + linalg.identity(QQ, n)
+    point = linalg.mat_vec(QQ, inverse, [-lam[i] for i in basis])
+    vec = [x + l for x, l in zip(linalg.mat_vec(QQ, stacked, point), lam + [0] * n)]
+    if vec[:N].count(0) > n:
+        return None
+    todo = [(basis, linalg.transpose(linalg.mat_mul(QQ, stacked, inverse)), vec)]
+    seen = {frozenset(basis)}
+    points = {}
+    while todo:
+        basis, cols, vec = todo.pop()
+        points[tuple(vec[N:])] = sorted(basis)
+        for j, col in enumerate(cols):
+            # the least slack / -T[i, j]: s_i / -t < s_l / -t_l iff s_i t_l > s_l t
+            leave, tie = None, False
+            for i, t in zip(range(N), col):
+                if t < 0:
+                    c = 1 if leave is None else vec[i] * col[leave] - vec[leave] * t
+                    if c > 0:
+                        leave, tie = i, False
+                    elif c == 0:
+                        tie = True
+            if leave is None or tie or col[leave] != -1:
+                return None
+            nxt = basis[:j] + [leave] + basis[j + 1:]
+            if frozenset(nxt) in seen:
+                continue
+            seen.add(frozenset(nxt))
+            # pivot on T[leave, j] = -1: d_j -> -d_j, d_k -> d_k + T[leave, k] d_j
+            pivoted = [[x + c[leave] * y for x, y in zip(c, col)] for c in cols]
+            pivoted[j] = [-x for x in col]
+            todo.append((nxt, pivoted, [x + vec[leave] * y for x, y in zip(vec, col)]))
+    order = sorted(points)
+    return VertexData(vertices=[[x // lam_den if x % lam_den == 0 else Fraction(x, lam_den)
+                                 for x in pt] for pt in order],
+                      incidence=[points[pt] for pt in order])
+
+
+def _enumerate_vertices(P, lam, lam_den):
+    """The VertexData by enumeration, raising the first failed check: one
+    kernel per (n-1)-subset of facets for the recession cone, then one
+    inverse per n-subset for the vertices."""
+    n, N = P.n, P.num_facets
     # recession cone must be trivial: no kernel line ...
     if linalg.rank(QQ, P.normals) < n:
         raise ValidationError(
@@ -136,22 +281,14 @@ def validate(P: DelzantPolytope) -> VertexData:
                     facets=facets,
                 )
 
-    # vertex enumeration over n-subsets, one inverse each; a vertex keeps the
-    # inverse of its facet normals for the unimodularity check, and its slacks
-    # lam_den * <nu_i, num> + lam_i * den, the signs of <nu_i, x> + lambda_i
-    # at x = num / den
-    lam, lam_den = _scaled(P.lambdas)
+    # a vertex keeps the inverse of its facet normals for the unimodularity
+    # check
     points = {}
     for subset in itertools.combinations(range(N), n):
-        inverse = linalg.invert(QQ, [P.normals[i] for i in subset])
-        if inverse is None:
-            continue
-        sol = linalg.mat_vec(QQ, inverse, [-P.lambdas[i] for i in subset])
-        num, den = _scaled(sol)
-        slack = [lam_den * _dot(nu, num) + l * den for nu, l in zip(P.normals, lam)]
-        if any(x < 0 for x in slack):
-            continue
-        points[tuple(sol)] = inverse, slack
+        found = _subset_vertex(P, subset, lam, lam_den)
+        if found is not None and min(found[2]) >= 0:
+            inverse, sol, slack = found
+            points[tuple(sol)] = inverse, slack
     vertices = []
     incidence = []
     for pt in sorted(points):
@@ -179,28 +316,6 @@ def validate(P: DelzantPolytope) -> VertexData:
                 f"with |det| = {abs(det)}",
                 facets=[i + 1 for i in on],
                 vertex=[str(x) for x in pt],
-            )
-
-    covered = set()
-    for on in incidence:
-        covered.update(on)
-    for i in range(N):
-        if i not in covered:
-            raise ValidationError(
-                "irredundancy",
-                f"facet {i + 1} contains no vertex (redundant inequality)",
-                facets=[i + 1],
-            )
-
-    # nonempty interior: the vertex barycenter must satisfy all strictly
-    k = len(vertices)
-    bary = [Fraction(sum(v[j] for v in vertices), k) for j in range(P.n)]
-    for i in range(N):
-        if _dot(P.normals[i], bary) <= -P.lambdas[i]:
-            raise ValidationError(
-                "full_dimension",
-                f"polytope has empty interior (tight at facet {i + 1})",
-                facets=[i + 1],
             )
     return VertexData(vertices=vertices, incidence=incidence)
 

@@ -117,6 +117,38 @@ def test_non_string_where_a_string_is_meant_is_an_error_record(capsys, tmp_path,
         assert (out, err) == ("", f"error[UsageError]: {message}\n")
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("value", [1.5, True])
+@pytest.mark.parametrize("key", ["lambda", "coeff", "output"])
+def test_float_or_bool_where_a_literal_is_meant_is_an_error_record(capsys, tmp_path, key,
+                                                                   value, fmt):
+    # each reader took its literal through str(): over Q 1.5 was read as 3/2
+    # and exited 0, and True failed as a literal without naming its field
+    path = tmp_path / "input.json"
+    if key == "lambda":
+        data = corpus()["CP2"].to_json()
+        data["lambda"][0] = value
+        argv = ["validate", "--polytope", str(path)]
+        what = "lambda entry"
+    elif key == "coeff":
+        data = {"variables": ["x"], "field": "Q",
+                "terms": [{"coeff": value, "exps": [1]}, {"coeff": "1", "exps": [-1]}]}
+        argv = ["jac", "--superpotential", str(path), "--field", "Q"]
+        what = "coeff"
+    else:
+        data = _lambda_x_with(mu={"2": [{"inputs": [0, 0], "output": {"0": value}}]})
+        argv = ["ainfty-check", "--ainfty", str(path)]
+        what = "output coefficient"
+    path.write_text(json.dumps(data))
+    message = f"{what} must be an integer or a string, not {value!r}"
+    code, out, err = invoke(capsys, argv + ["--format", fmt])
+    assert code == 1
+    if fmt == "json":
+        assert json.loads(out) == {"error": "UsageError", "message": message}
+    else:
+        assert (out, err) == ("", f"error[UsageError]: {message}\n")
+
+
 @pytest.mark.parametrize("case", ["not-utf8", "5000-digit-int"])
 def test_undecodable_input_file_is_an_error_record(capsys, tmp_path, case):
     # both used to escape as tracebacks: a UnicodeDecodeError, and the

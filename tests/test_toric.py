@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import json
 import pathlib
@@ -8,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import dp6
-from floergen import toric
+from floergen import linalg, toric
 from floergen.quantum import classical_cohomology, real_cohomology_dims
 from floergen.errors import DomainError, NotMonotoneError, UsageError, ValidationError
 from floergen.scalar import QQ, PrimeField
@@ -50,43 +51,52 @@ def test_validate_cp2():
     assert sorted(map(tuple, V.vertices)) == [(-1, -1), (-1, 2), (2, -1)]
 
 
-def test_validate_unimodularity_failure():
-    P = DelzantPolytope(n=2, normals=[[1, 0], [0, 1], [-1, -2]],
-                        lambdas=[Fraction(1)] * 3)
-    with pytest.raises(ValidationError) as info:
-        validate(P)
-    assert info.value.check == "unimodularity"
-    assert info.value.facets == [1, 3]
-
-
-def test_validate_simplicity_failure():
-    P = DelzantPolytope(n=2, normals=[[1, 0], [0, 1], [-1, 2], [0, -1]],
-                        lambdas=[Fraction(1)] * 4)
-    with pytest.raises(ValidationError) as info:
-        validate(P)
-    assert info.value.check == "simplicity"
-    assert info.value.facets == [1, 2, 3]
-    assert info.value.vertex == ["-1", "-1"]
-
-
-def test_validate_compactness_failure():
-    P = DelzantPolytope(n=2, normals=[[1, 0], [0, 1], [1, 1]],
-                        lambdas=[Fraction(1)] * 3)
-    with pytest.raises(ValidationError) as info:
-        validate(P)
-    assert info.value.check == "compactness"
-    assert info.value.facets == [1]
-    assert str(info.value) == "unbounded along recession ray (0, 1) (facets [1])"
-
-
-@pytest.mark.parametrize("n, normals, lambdas, check, message", [
+# the invalid polytopes the tests below build, by the check they fail
+UNIMODULARITY_FAILURE = DelzantPolytope(n=2, normals=[[1, 0], [0, 1], [-1, -2]],
+                                        lambdas=[Fraction(1)] * 3)
+SIMPLICITY_FAILURE = DelzantPolytope(n=2, normals=[[1, 0], [0, 1], [-1, 2], [0, -1]],
+                                     lambdas=[Fraction(1)] * 4)
+COMPACTNESS_FAILURE = DelzantPolytope(n=2, normals=[[1, 0], [0, 1], [1, 1]],
+                                      lambdas=[Fraction(1)] * 3)
+REDUNDANT_FACET = DelzantPolytope(n=1, normals=[[1], [-1], [1]],
+                                  lambdas=[Fraction(1), Fraction(1), Fraction(5)])
+NORMALS_DO_NOT_SPAN = DelzantPolytope(n=2, normals=[[1, 0], [2, 0], [-1, 0]],
+                                      lambdas=[1, 1, 1])
+FAILURE_MESSAGES = [
     (2, [[1, 0], [0, 1]], [1, 1], "facet_count", "need at least 3 facets, got 2"),
     (2, [[1, 0], [-1, 0], [2, 0]], [1, 1, 1], "compactness",
      "facet normals do not span; polytope is unbounded"),
     (1, [[1], [2]], [1, 1], "compactness", "unbounded along recession ray (1)"),
     (1, [[-1], [-1]], [1, 1], "compactness", "unbounded along recession ray (-1)"),
     (1, [[1], [-1]], [-2, 1], "nonempty", "no vertices found; polytope empty"),
-], ids=["two-facets", "normals-do-not-span", "ray-plus", "ray-minus", "empty"])
+]
+
+
+def test_validate_unimodularity_failure():
+    with pytest.raises(ValidationError) as info:
+        validate(UNIMODULARITY_FAILURE)
+    assert info.value.check == "unimodularity"
+    assert info.value.facets == [1, 3]
+
+
+def test_validate_simplicity_failure():
+    with pytest.raises(ValidationError) as info:
+        validate(SIMPLICITY_FAILURE)
+    assert info.value.check == "simplicity"
+    assert info.value.facets == [1, 2, 3]
+    assert info.value.vertex == ["-1", "-1"]
+
+
+def test_validate_compactness_failure():
+    with pytest.raises(ValidationError) as info:
+        validate(COMPACTNESS_FAILURE)
+    assert info.value.check == "compactness"
+    assert info.value.facets == [1]
+    assert str(info.value) == "unbounded along recession ray (0, 1) (facets [1])"
+
+
+@pytest.mark.parametrize("n, normals, lambdas, check, message", FAILURE_MESSAGES,
+                         ids=["two-facets", "normals-do-not-span", "ray-plus", "ray-minus", "empty"])
 def test_validate_failure_check_and_message(n, normals, lambdas, check, message):
     P = DelzantPolytope(n=n, normals=normals, lambdas=[Fraction(x) for x in lambdas])
     with pytest.raises(ValidationError) as info:
@@ -96,12 +106,8 @@ def test_validate_failure_check_and_message(n, normals, lambdas, check, message)
 
 
 def test_validate_redundant_facet():
-    P = DelzantPolytope(
-        n=1, normals=[[1], [-1], [1]],
-        lambdas=[Fraction(1), Fraction(1), Fraction(5)],
-    )
     with pytest.raises(ValidationError) as info:
-        validate(P)
+        validate(REDUNDANT_FACET)
     assert info.value.check == "irredundancy"
     assert info.value.facets == [3]
 
@@ -179,7 +185,7 @@ def _h2_outcome(h2, P):
 
 
 def test_h2_lattice_rejects_normals_that_do_not_span():
-    P = DelzantPolytope(n=2, normals=[[1, 0], [2, 0], [-1, 0]], lambdas=[1, 1, 1])
+    P = NORMALS_DO_NOT_SPAN
     with pytest.raises(DomainError, match="span rank 1, not n = 2.*has rank 2"):
         h2_lattice(P)
     assert _h2_outcome(h2_lattice, P) == _h2_outcome(h2_lattice_by_tracker, P)
@@ -331,4 +337,100 @@ def test_validate_integer_sign_tests_match_fraction_reference(n):
         outcome = validation_outcome(validate, P)
         assert outcome == validation_outcome(validate_by_fractions, P), P
         checks.add(outcome[0] if isinstance(outcome[0], str) else "ok")
+        if not isinstance(outcome[0], str):  # a valid draw takes the walk
+            assert toric._vertex_walk(P, *toric._scaled(P.lambdas)) is not None, P
     assert {"ok", "compactness", "unimodularity", "simplicity", "irredundancy"} <= checks
+
+
+def _power(P, k):
+    return functools.reduce(polytope_product, [P] * k)
+
+
+def _fan_polytope(normals):
+    """{x : <nu, x> >= -1} over the rays nu of a fan: the monotone polytope
+    when the fan is smooth and Fano."""
+    return DelzantPolytope(n=len(normals[0]), normals=normals, lambdas=[1] * len(normals))
+
+
+def _blow_up_at_a_point(n):
+    """CP^n blown up at a fixed point: the ray e_1 + ... + e_n added."""
+    return _fan_polytope(projective_space(n).normals + [[1] * n])
+
+
+def _projective_bundle(k, a):
+    """P(O + O(a)) over CP^k: rays e_1..e_k, -(e_1 + ... + e_k) + a e_(k+1)
+    and +-e_(k+1); Fano for a <= k."""
+    e = [[int(i == j) for i in range(k + 1)] for j in range(k + 1)]
+    return _fan_polytope(e[:k] + [[-1] * k + [a], e[k], [0] * k + [-1]])
+
+
+def _valid_polytopes():
+    cp1, cp2 = projective_space(1), projective_space(2)
+    yield from _monotone_inputs()
+    yield from (_power(cp1, k) for k in range(1, 7))
+    yield from (_power(cp2, 3), _power(dp6(), 2), polytope_product(dp6(), cp2))
+    yield from (_blow_up_at_a_point(3), _blow_up_at_a_point(4))
+    yield from (_projective_bundle(k, a) for k, a in [(2, 2), (3, 2), (3, 3)])
+
+
+def _assert_walk_matches_fraction_reference(monkeypatch, polytopes):
+    """validate equals the Fraction reference on each valid polytope, with
+    the subset enumeration replaced by a failure: each one takes the walk."""
+    expected = [validate_by_fractions(P) for P in polytopes]
+
+    def enumeration(*args):
+        raise AssertionError("the walk deferred to the subset enumeration")
+
+    monkeypatch.setattr(toric, "_enumerate_vertices", enumeration)
+    for P, V in zip(polytopes, expected):
+        assert validation_outcome(validate, P) == (V.vertices, V.incidence), P
+
+
+@pytest.mark.parametrize("name", list(LADDER.LADDER))
+def test_vertex_walk_matches_fraction_reference_on_reparametrised_ladder(monkeypatch, name):
+    """Facet shuffles and signed coordinate permutations, each also translated
+    by -seed/7 e_1, so the support constants have denominator 7."""
+    polytopes = []
+    for seed in range(60):
+        P = DelzantPolytope.from_json(LADDER.reparametrise(name, seed).to_json())
+        polytopes.append(P)
+        polytopes.append(DelzantPolytope(
+            n=P.n, normals=P.normals,
+            lambdas=[1 + Fraction(seed * nu[0], 7) for nu in P.normals]))
+    _assert_walk_matches_fraction_reference(monkeypatch, polytopes)
+
+
+def test_vertex_walk_matches_fraction_reference_on_products_and_fans(monkeypatch):
+    _assert_walk_matches_fraction_reference(monkeypatch, list(_valid_polytopes()))
+
+
+@pytest.mark.parametrize("P", [
+    UNIMODULARITY_FAILURE, SIMPLICITY_FAILURE, COMPACTNESS_FAILURE, REDUNDANT_FACET,
+    NORMALS_DO_NOT_SPAN, _projective_bundle(2, 3),
+    *(DelzantPolytope(n=n, normals=normals, lambdas=[Fraction(x) for x in lambdas])
+      for n, normals, lambdas, _, _ in FAILURE_MESSAGES),
+])
+def test_validate_matches_fraction_reference_on_invalid_polytopes(P):
+    outcome = validation_outcome(validate, P)
+    assert outcome == validation_outcome(validate_by_fractions, P)
+    assert isinstance(outcome[0], str)
+
+
+def test_projective_bundle_beyond_fano_is_not_simple():
+    with pytest.raises(ValidationError) as info:
+        validate(_projective_bundle(2, 3))
+    assert info.value.check == "simplicity"
+
+
+def test_validate_cp1_power_makes_one_inverse_and_no_kernel(monkeypatch):
+    # one inverse finds the start vertex; the subset enumeration made 792
+    # kernels and 924 inverses on CP1^6
+    calls = []
+    for name in ("invert", "kernel_basis"):
+        def counted(*args, _name=name, _original=getattr(linalg, name)):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(linalg, name, counted)
+    assert len(validate(_power(projective_space(1), 6)).vertices) == 64
+    assert calls == ["invert"]
