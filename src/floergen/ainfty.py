@@ -245,14 +245,13 @@ class AInftyStructure:
 
 
 def from_dga(field, degrees, diff, prod, unit=None, labels=None) -> AInftyStructure:
-    """Embed a dg-algebra: diff[j] = d(b_j) sparse, prod[(i, j)] = b_i b_j."""
-
-    def signed(j, out):  # (-1)^{|b_j|} out; the constructor reduces and drops 0s
-        return {i: -c for i, c in out.items()} if degrees[j] % 2 else out
-
+    """Embed a dg-algebra: diff[j] = d(b_j) sparse, prod[(i, j)] = b_i b_j,
+    each output signed by (-1)^{|b_j|}."""
     ops = {
-        1: {(j,): signed(j, out) for j, out in diff.items()},
-        2: {(i, j): signed(j, out) for (i, j), out in prod.items()},
+        1: {(j,): _neg(field, out) if degrees[j] % 2 else out
+            for j, out in diff.items()},
+        2: {(i, j): _neg(field, out) if degrees[j] % 2 else out
+            for (i, j), out in prod.items()},
     }
     return AInftyStructure(
         field=field, degrees=list(degrees), ops=ops,
@@ -311,7 +310,7 @@ def opposite(A: AInftyStructure) -> AInftyStructure:
         for key, out in tensor.items():
             o = sum(1 for i in key if A.degrees[i] % 2 == 0)
             odd = (o * (o - 1) // 2 + l - 1) % 2
-            new[key[::-1]] = {i: -c for i, c in out.items()} if odd else out
+            new[key[::-1]] = _neg(A.field, out) if odd else out
     return AInftyStructure(
         field=A.field, degrees=list(A.degrees), ops=ops,
         unit=A.unit, labels=list(A.labels),
@@ -555,7 +554,7 @@ def unit_cochain(A: AInftyStructure) -> HochschildCochain:
 
 
 def element_cochain(A: AInftyStructure, coords, degree=None) -> HochschildCochain:
-    val = {i: c for i, c in enumerate(coords) if c}
+    val = sparse(coords)
     degs = {A.degrees[i] for i in val}
     if degree is None:
         if len(degs) > 1:
@@ -672,7 +671,7 @@ def theta_map(A: AInftyStructure, c_coords, cap: int) -> HochschildCochain:
     with b in c's support, into the matrix units p * dim + x."""
     F = A.field
     dim = A.dim
-    val0 = {i: c for i, c in enumerate(c_coords) if c}
+    val0 = sparse(c_coords)
     degs = {A.degrees[i] for i in val0}
     if len(degs) > 1:
         raise UsageError("theta needs a homogeneous element")

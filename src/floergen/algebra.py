@@ -37,11 +37,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import reduce
-from math import lcm
 
 from . import linalg
 from .errors import AnomalyError, DomainError, UsageError
-from .scalar import DEFAULT_SEED, PrimeField, UniPoly, strip_roots, univariate_factor
+from .scalar import (DEFAULT_SEED, PrimeField, UniPoly, clear_denominators,
+                     square_and_multiply, strip_roots, univariate_factor)
 
 
 @dataclass
@@ -68,7 +68,6 @@ class FiniteAlgebra:
     def from_quotient(cls, qa):
         """The quotient's algebra on the staircase walk's columns; for a
         Laurent quotient the generators are the original variables."""
-        qa._require_finite()
         ring = qa.source_ring
         n = ring.nvars if ring else 0
         return cls(
@@ -107,14 +106,7 @@ class FiniteAlgebra:
         return [[x % p for x in row] for row in out] if p else out
 
     def power(self, u, e: int):
-        acc = list(self.unit)
-        base = u
-        while e:
-            if e & 1:
-                acc = self.mult(acc, base)
-            base = self.mult(base, base)
-            e >>= 1
-        return acc
+        return square_and_multiply(list(self.unit), u, e, self.mult)
 
     def eval_poly(self, poly: UniPoly, u):
         """poly(u) by Horner's rule, each step one product by u."""
@@ -244,9 +236,7 @@ def split_along(A: FiniteAlgebra, u, idempotent, factors):
     for q in qs:
         cof = mu // q
         g, (s, _) = _ext_gcd(cof % q, q)  # g is a nonzero constant
-        coeffs = (cof * s).scale(F.inv(g.coeffs[0])).coeffs
-        d = lcm(1, *(c.denominator for c in coeffs))
-        h = [c.numerator * (d // c.denominator) for c in coeffs]
+        h, d = clear_denominators((cof * s).scale(F.inv(g.coeffs[0])).coeffs)
         x = A.mult(A.eval_poly(UniPoly(F, h), u), idempotent)
         out.append(x if d == 1 else [F.div(y, d) for y in x])
     return out

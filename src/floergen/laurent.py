@@ -18,8 +18,11 @@ with coefficients as decimal strings ("a/b" allowed over Q).
 
 from __future__ import annotations
 
+import operator
+
 from .errors import DomainError, UsageError
-from .scalar import Field, field_name, json_int, json_list, json_literal, json_str, parse_field
+from .scalar import (Field, field_name, json_int, json_list, json_literal, json_str,
+                     parse_field, square_and_multiply)
 
 # exponents stay far from any machine bound at desk scale, but guard anyway
 _EXP_BOUND = 10**9
@@ -137,14 +140,7 @@ class LaurentPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise UsageError("use explicit inverse monomials for negative powers")
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return square_and_multiply(self.ring.one(), self, n, operator.mul)
 
     def log_derivative(self, i: int) -> "LaurentPoly":
         """z_i * d/dz_i: each term c*z^e picks up the factor e_i."""

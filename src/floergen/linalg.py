@@ -15,10 +15,11 @@ per call and hands the matrix to one kernel per field kind:
 - F_p: plain ints, one `pow(a, p - 2, p)` per pivot and one list
   comprehension `(x - f*y) % p` per row operation, rows whose pivot-column
   entry is zero skipped;
-- Q: each row cleared of denominators once, then integer row operations
-  `a*x - f*y` with the row's content divided out, and one division by the
-  pivot per entry at the end, which gives the canonical rational of
-  `scalar.canonical`: `x // pivot` when the pivot divides x, else a Fraction.
+- Q: each row cleared of denominators once (`scalar.clear_denominators`),
+  then integer row operations `a*x - f*y` with the row's content divided
+  out, and one division by the pivot per entry at the end, which gives the
+  canonical rational of `scalar.canonical`: `x // pivot` when the pivot
+  divides x, else a Fraction.
 
 RREF is unique, so every kernel returns the same matrix and pivots as plain
 Gauss-Jordan elimination with the field's own operations.  `kernel_basis`,
@@ -39,7 +40,7 @@ from itertools import compress
 from math import gcd
 
 from .errors import UsageError
-from .scalar import UniPoly
+from .scalar import UniPoly, clear_denominators, square_and_multiply
 
 
 def zeros(field, rows, cols):
@@ -172,21 +173,11 @@ def _rref_fp(p, mat):
     return m, pivots
 
 
-def _integer_row(row):
-    """A row of rationals scaled by the lcm of its denominators."""
-    d = 1
-    for x in row:
-        den = x.denominator
-        if den != 1:
-            d = d * den // gcd(d, den)
-    return [x.numerator * (d // x.denominator) for x in row]
-
-
 def _rref_q(mat):
     # Integer rows, with the content divided out after each row operation.
     # Scaling a row does not change the row space, so dividing each pivot
     # row by its pivot at the end gives the RREF over Q.
-    m = [_integer_row(row) for row in mat]
+    m = [clear_denominators(row)[0] for row in mat]
     rows = len(m)
     cols = len(m[0]) if rows else 0
     pivots = []
@@ -354,15 +345,8 @@ def minimal_polynomial(field, mat) -> UniPoly:
 
 
 def mat_pow(field, mat, e):
-    n = len(mat)
-    result = identity(field, n)
-    base = mat
-    while e:
-        if e & 1:
-            result = mat_mul(field, result, base)
-        base = mat_mul(field, base, base)
-        e >>= 1
-    return result
+    return square_and_multiply(identity(field, len(mat)), mat, e,
+                               lambda a, b: mat_mul(field, a, b))
 
 
 def eval_poly_at_matrix(field, poly: UniPoly, mat):

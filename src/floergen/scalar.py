@@ -258,6 +258,26 @@ def field_name(field: Field) -> str:
     return "Q" if field.char == 0 else f"F{field.char}"
 
 
+def square_and_multiply(one, base, e: int, mul):
+    """base^e by binary powering from `one`, the product being `mul`: one
+    product per set bit of e and one squaring per bit, from the lowest bit
+    up.  `one` itself is returned for e = 0."""
+    acc = one
+    while e:
+        if e & 1:
+            acc = mul(acc, base)
+        base = mul(base, base)
+        e >>= 1
+    return acc
+
+
+def clear_denominators(values):
+    """(ints, d) for d the least common denominator of the ints and
+    Fractions in values (1 for none): ints[i] = values[i] * d as an int."""
+    d = lcm(*[x.denominator for x in values])
+    return [x.numerator * (d // x.denominator) for x in values], d
+
+
 # --- univariate polynomials -------------------------------------------------
 
 
@@ -371,14 +391,8 @@ class UniPoly:
         return acc
 
     def pow_mod(self, e: int, modulus: "UniPoly") -> "UniPoly":
-        result = UniPoly(self.field, [1]) % modulus  # 0 for a constant modulus
-        base = self % modulus
-        while e:
-            if e & 1:
-                result = (result * base) % modulus
-            base = (base * base) % modulus
-            e >>= 1
-        return result
+        one = UniPoly(self.field, [1]) % modulus  # 0 for a constant modulus
+        return square_and_multiply(one, self % modulus, e, lambda a, b: a * b % modulus)
 
     def __repr__(self):
         if self.is_zero():
@@ -556,8 +570,7 @@ def rational_roots(f: UniPoly):
     roots, g = strip_roots(f, [0])
     if g.degree >= 1:
         squarefree = g // g.gcd(g.derivative())
-        den = lcm(*[c.denominator for c in squarefree.coeffs])
-        ints = [c.numerator * (den // c.denominator) for c in squarefree.coeffs]
+        ints = clear_denominators(squarefree.coeffs)[0]
         content = gcd(*ints)
         a0, an = ints[0] // content, ints[-1] // content
         candidates = set()

@@ -16,9 +16,9 @@ a basis that is not unimodular) the subset enumeration runs instead and
 raises the error: the recession cone is trivial when the normals span and
 no rank-(n-1) subset of facet normals has an extreme ray in its kernel, and
 the vertices take one exact inverse per n-subset of facets.  Its sign tests
-run on integers: each candidate ray or vertex is scaled once by a positive
-common denominator, and the rational vectors are kept for the error
-messages.
+run on integers: each candidate ray or vertex is scaled once by its least
+common denominator (`scalar.clear_denominators`), which keeps the signs of
+its dot products, and the rational vectors are kept for the error messages.
 
 Polytope JSON:
     {"name": "CP2", "dim": 2, "normals": [[1,0],[0,1],[-1,-1]],
@@ -30,12 +30,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from . import linalg
 from .errors import DomainError, NotMonotoneError, UsageError, ValidationError
 from .laurent import LaurentPoly, LaurentRing
-from .scalar import QQ, Field, canonical, json_int, json_list, json_literal, json_str
+from .scalar import (QQ, Field, canonical, clear_denominators, json_int, json_list,
+                     json_literal, json_str)
 
 
 @dataclass
@@ -97,13 +98,6 @@ def _dot(u, v):
     return sum(x * y for x, y in zip(u, v))
 
 
-def _scaled(v):
-    """(v * d, d) for d the least common denominator of v's entries: an
-    integer vector whose dot products have the signs of v's."""
-    d = lcm(*(x.denominator for x in v))
-    return [x.numerator * (d // x.denominator) for x in v], d
-
-
 def _point_str(v):
     return f"({', '.join(str(x) for x in v)})"
 
@@ -115,7 +109,7 @@ def validate(P: DelzantPolytope) -> VertexData:
     n, N = P.n, P.num_facets
     if N < n + 1:
         raise ValidationError("facet_count", f"need at least {n + 1} facets, got {N}")
-    lam, lam_den = _scaled(P.lambdas)
+    lam, lam_den = clear_denominators(P.lambdas)
     V = _vertex_walk(P, lam, lam_den) or _enumerate_vertices(P, lam, lam_den)
 
     covered = set()
@@ -154,7 +148,7 @@ def _subset_vertex(P, subset, lam, lam_den):
     if inverse is None:
         return None
     sol = linalg.mat_vec(QQ, inverse, [-P.lambdas[i] for i in subset])
-    num, den = _scaled(sol)
+    num, den = clear_denominators(sol)
     return inverse, sol, [lam_den * _dot(nu, num) + l * den for nu, l in zip(P.normals, lam)]
 
 
@@ -269,7 +263,7 @@ def _enumerate_vertices(P, lam, lam_den):
         if len(ker) != 1:
             continue
         ray = ker[0]
-        scaled = _scaled(ray)[0]
+        scaled = clear_denominators(ray)[0]
         dots = [_dot(nu, scaled) for nu in P.normals]
         for sign in (1, -1):
             if all(sign * x >= 0 for x in dots):
@@ -409,22 +403,21 @@ def minimal_chern(P: DelzantPolytope) -> int | None:
 
 
 def primitive_collections(V: VertexData, num_facets: int):
-    """Minimal facet subsets with empty common intersection.
+    """Minimal facet subsets with empty common intersection, by size and
+    then lexicographically.
 
-    A subset meets iff it sits inside some vertex's incidence set, so the
-    collections are the minimal subsets contained in no incidence set.
+    A subset meets iff it sits inside some vertex's incidence set, that is
+    iff it is a face of the fan (the empty set included).  So a primitive
+    collection J is a subset that is no face while every J - {i} is one.
+    Each is built once, as F | {j} for the face F = J - {max J}, so only
+    the faces and one candidate per face and larger facet are visited.
     """
-    inc_sets = [frozenset(on) for on in V.incidence]
-    minimal = []
-    for size in range(1, num_facets + 1):
-        for J in itertools.combinations(range(num_facets), size):
-            Js = set(J)
-            if any(Js <= inc for inc in inc_sets):
-                continue
-            if any(set(M) <= Js for M in minimal):
-                continue
-            minimal.append(J)
-    return [sorted(J) for J in minimal]
+    faces = {frozenset()}
+    faces.update(frozenset(F) for on in V.incidence
+                 for r in range(1, len(on) + 1) for F in itertools.combinations(on, r))
+    found = [J for F in faces for j in range(max(F, default=-1) + 1, num_facets)
+             if (J := F | {j}) not in faces and all(J - {i} in faces for i in F)]
+    return sorted((sorted(J) for J in found), key=lambda J: (len(J), J))
 
 
 def superpotential(P: DelzantPolytope, field: Field) -> LaurentPoly:

@@ -49,6 +49,14 @@ def univariate_algebra(field, coeffs):
     return FiniteAlgebra.from_quotient(qa), qa
 
 
+def test_from_quotient_refuses_an_infinite_quotient():
+    R = LaurentRing(["x", "y"], QQ)
+    qa = laurent_quotient([lpoly(R, {(1, 0): 1, (0, 0): -1})])  # x = 1 only
+    assert not qa.finite
+    with pytest.raises(UsageError, match="infinite-dimensional"):
+        FiniteAlgebra.from_quotient(qa)
+
+
 def test_radical_char2_dual_numbers():
     F2 = PrimeField(2)
     A, qa = univariate_algebra(F2, [1, 0, 1])  # (z+1)^2 in char 2

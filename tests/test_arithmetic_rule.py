@@ -1,7 +1,8 @@
 """floergen's kernels add, subtract, multiply and negate field elements with
 the native operators, reducing once (`% p` over F_p), not with a Field's
 per-element methods; only the Field classes of scalar.py define and use
-those."""
+those.  Binary powering and the clearing of denominators are spelled once,
+as `scalar.square_and_multiply` and `scalar.clear_denominators`."""
 
 import ast
 import pathlib
@@ -69,3 +70,35 @@ def test_the_check_sees_each_field_object():
         (6, "W.ring.field.neg"), (9, "self.field.add"), (10, "self.ring.field.sub"),
         (11, "self.field.mul")]
     assert (18, "field.mul") in field_method_uses(ast.parse(source))
+
+
+def arithmetic_spellings(tree):
+    """(line, spelling) of each `math.lcm` import or use and each `>>=`
+    augmented assignment, the marks of a hand-written clearing of
+    denominators or square-and-multiply loop."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "math":
+            found += [(node.lineno, "from math import lcm")
+                      for alias in node.names if alias.name == "lcm"]
+        elif (isinstance(node, ast.Attribute) and node.attr == "lcm"
+              and isinstance(node.value, ast.Name) and node.value.id == "math"):
+            found.append((node.lineno, "math.lcm"))
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.RShift):
+            found.append((node.lineno, ">>="))
+    return sorted(found)
+
+
+def test_powering_and_denominator_clearing_are_spelled_only_in_scalar():
+    found = {path.name: uses for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "scalar.py"
+             and (uses := arithmetic_spellings(ast.parse(path.read_text(), str(path))))}
+    assert found == {}
+
+
+def test_the_check_sees_each_arithmetic_spelling():
+    source = ("import math\nfrom math import gcd, lcm\n"
+              "def f(e, lcm_word):\n    d = math.lcm(2, 3)\n    e >>= 1\n"
+              "    e <<= 1\n    return lcm_word.lcm(e)\n")
+    assert arithmetic_spellings(ast.parse(source)) == [
+        (2, "from math import lcm"), (4, "math.lcm"), (5, ">>=")]

@@ -45,6 +45,31 @@ def test_the_check_sees_each_kind_of_private_use():
         (2, "_map_staircase"), (3, "_canon"), (4, "linalg._rref_f2")]
 
 
+# the state a QuotientAlgebra keeps for its own staircase walk
+QUOTIENT_PRIVATE = ("_require_finite", "_stair", "_divisors", "_index", "_border", "_times")
+
+
+def quotient_private_reads(tree):
+    """(line, attribute) of each read of a QuotientAlgebra's private state
+    off any object, `qa._require_finite()` or `self._stair` alike."""
+    return sorted((node.lineno, node.attr) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in QUOTIENT_PRIVATE)
+
+
+def test_only_grobner_reads_a_quotients_private_state():
+    found = {path.name: uses for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "grobner.py"
+             and (uses := quotient_private_reads(ast.parse(path.read_text(), str(path))))}
+    assert found == {}
+
+
+def test_the_check_sees_each_private_read_of_a_quotient():
+    source = ("def f(qa, A):\n    qa._require_finite()\n    n = len(A.quotient._stair)\n"
+              "    return qa.dim, qa._times(v, 0), _divisors\n")
+    assert quotient_private_reads(ast.parse(source)) == [
+        (2, "_require_finite"), (3, "_stair"), (4, "_times")]
+
+
 def sibling_imports(tree):
     """The sibling modules a module imports, by `from . import x`,
     `from .x import y` or their `floergen.` spellings."""

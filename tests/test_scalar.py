@@ -1,16 +1,20 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from floergen import linalg
 from floergen.errors import DomainError, UsageError
 from floergen.scalar import (
     QQ,
     PrimeField,
     UniPoly,
+    clear_denominators,
     is_prime,
     parse_field,
     rational_roots,
+    square_and_multiply,
     univariate_factor,
 )
 
@@ -359,3 +363,58 @@ def test_unipoly_arithmetic_matches_sympy():
             check_poly(f.pow_mod(e, m), from_sympy(field, (sf ** e).rem(sm)))
 
     check()
+
+
+def test_square_and_multiply_matches_modular_pow():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200)
+    @hypothesis.given(st.integers(-10**6, 10**6), st.integers(0, 2**20), st.integers(2, 10**9))
+    def check(b, e, m):
+        assert square_and_multiply(1, b, e, lambda x, y: x * y % m) == pow(b, e, m)
+
+    check()
+
+
+def test_square_and_multiply_matches_repeated_matrix_products():
+    """2x2 integer matrices under `linalg.mat_mul`, a non-commutative
+    product: base^e equals e products by base, and e = 0 gives `one` back."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    matrices = st.lists(st.lists(st.integers(-5, 5), min_size=2, max_size=2),
+                        min_size=2, max_size=2)
+
+    def mul(a, b):
+        return linalg.mat_mul(QQ, a, b)
+
+    @hypothesis.settings(max_examples=100)
+    @hypothesis.given(matrices, st.integers(0, 20))
+    def check(base, e):
+        one = linalg.identity(QQ, 2)
+        expected = one
+        for _ in range(e):
+            expected = mul(expected, base)
+        assert square_and_multiply(one, base, e, mul) == expected
+
+    check()
+    one = linalg.identity(QQ, 2)
+    assert square_and_multiply(one, [[1, 1], [0, 1]], 0, mul) is one
+
+
+def test_clear_denominators():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    values = st.lists(st.one_of(st.integers(-50, 50), st.fractions(max_denominator=30)),
+                      max_size=8)
+
+    @hypothesis.settings(max_examples=200)
+    @hypothesis.given(values)
+    def check(values):
+        ints, d = clear_denominators(values)
+        assert d == math.lcm(*[Fraction(x).denominator for x in values])
+        assert all(type(x) is int for x in ints)
+        assert ints == [x * d for x in values]
+
+    check()
+    assert clear_denominators([]) == ([], 1)

@@ -1,9 +1,11 @@
 import functools
 import importlib.util
+import itertools
 import json
 import pathlib
 import random
 import sys
+import types
 from fractions import Fraction
 
 import pytest
@@ -12,7 +14,7 @@ from conftest import dp6
 from floergen import linalg, toric
 from floergen.quantum import classical_cohomology, real_cohomology_dims
 from floergen.errors import DomainError, NotMonotoneError, UsageError, ValidationError
-from floergen.scalar import QQ, PrimeField
+from floergen.scalar import QQ, PrimeField, clear_denominators
 from floergen.toric import (
     DelzantPolytope,
     corpus,
@@ -25,7 +27,8 @@ from floergen.toric import (
     superpotential,
     validate,
 )
-from toric_gen_oracles import h2_lattice_by_tracker, validate_by_fractions
+from toric_gen_oracles import (h2_lattice_by_tracker, primitive_collections_by_subsets,
+                               validate_by_fractions)
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -338,7 +341,7 @@ def test_validate_integer_sign_tests_match_fraction_reference(n):
         assert outcome == validation_outcome(validate_by_fractions, P), P
         checks.add(outcome[0] if isinstance(outcome[0], str) else "ok")
         if not isinstance(outcome[0], str):  # a valid draw takes the walk
-            assert toric._vertex_walk(P, *toric._scaled(P.lambdas)) is not None, P
+            assert toric._vertex_walk(P, *clear_denominators(P.lambdas)) is not None, P
     assert {"ok", "compactness", "unimodularity", "simplicity", "irredundancy"} <= checks
 
 
@@ -420,6 +423,41 @@ def test_projective_bundle_beyond_fano_is_not_simple():
     with pytest.raises(ValidationError) as info:
         validate(_projective_bundle(2, 3))
     assert info.value.check == "simplicity"
+
+
+def _assert_primitive_collections_match_subset_reference(polytopes):
+    for P in polytopes:
+        V = validate(P)
+        assert (primitive_collections(V, P.num_facets)
+                == primitive_collections_by_subsets(V, P.num_facets)), P
+
+
+@pytest.mark.parametrize("name", list(LADDER.LADDER))
+def test_primitive_collections_match_subset_reference_on_reparametrised_ladder(name):
+    _assert_primitive_collections_match_subset_reference(
+        DelzantPolytope.from_json(LADDER.reparametrise(name, seed).to_json())
+        for seed in range(20))
+
+
+def test_primitive_collections_match_subset_reference_on_products_and_fans():
+    _assert_primitive_collections_match_subset_reference(_valid_polytopes())
+
+
+def test_primitive_collections_visit_only_faces(monkeypatch):
+    """The candidates grow from faces, subsets of an incidence set of n
+    facets, so no subset of more than n = 6 facets is drawn on CP1^6 (the
+    subset loop drew every size up to N = 12)."""
+    P = _power(projective_space(1), 6)
+    V = validate(P)
+    sizes = []
+
+    def combinations(items, r, _original=itertools.combinations):
+        sizes.append(r)
+        return _original(items, r)
+
+    monkeypatch.setattr(toric, "itertools", types.SimpleNamespace(combinations=combinations))
+    assert primitive_collections(V, P.num_facets) == [[2 * i, 2 * i + 1] for i in range(6)]
+    assert sizes and max(sizes) <= P.n
 
 
 def test_validate_cp1_power_makes_one_inverse_and_no_kernel(monkeypatch):

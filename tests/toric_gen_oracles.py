@@ -17,6 +17,8 @@ validation, kept as test oracles for the faster code in `src/`.
 - `h2_lattice_by_tracker`: the sphere-class lattice by column operations on
   the n x N matrix of normals, repeated on an N x N tracker matrix whose
   cleared columns are the basis.
+- `primitive_collections_by_subsets`: the primitive collections by trying
+  every facet subset, by size, against every incidence set.
 """
 
 from __future__ import annotations
@@ -339,3 +341,19 @@ def h2_lattice_by_tracker(P: DelzantPolytope) -> H2Lattice:
         raise DomainError(f"the {N} facet normals span rank {N - lat.rank}, not "
                           f"n = {n}: the sphere-class lattice has rank {lat.rank}")
     return lat
+
+
+def primitive_collections_by_subsets(V: VertexData, num_facets: int):
+    """Minimal facet subsets contained in no incidence set, from all 2^N
+    subsets in `itertools.combinations` order, size by size."""
+    inc_sets = [frozenset(on) for on in V.incidence]
+    minimal = []
+    for size in range(1, num_facets + 1):
+        for J in itertools.combinations(range(num_facets), size):
+            Js = set(J)
+            if any(Js <= inc for inc in inc_sets):
+                continue
+            if any(set(M) <= Js for M in minimal):
+                continue
+            minimal.append(J)
+    return [sorted(J) for J in minimal]
