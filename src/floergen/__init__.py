@@ -50,6 +50,7 @@ from .quantum import (
     c1_spectrum,
     classical_cohomology,
     co0_map,
+    cohomology_dims,
     critical_points,
     jacobian_ring,
     qh_presentation,

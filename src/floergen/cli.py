@@ -30,17 +30,16 @@ from .grobner import DEFAULT_BUDGET, Budget
 from .laurent import laurent_from_json
 from .quantum import (
     c1_spectrum,
-    classical_cohomology,
     co0_map,
+    cohomology_dims,
     critical_points,
     jacobian_ring,
     qh_presentation,
-    real_cohomology_dims,
     s_mod_m2,
     toric_generation_report,
 )
 from .realgen import real_generation_report
-from .scalar import field_name, parse_field
+from .scalar import PrimeField, field_name, parse_field
 from .toric import DelzantPolytope, monotone_normalize, superpotential, validate
 
 def _load_json(path):
@@ -124,8 +123,7 @@ def _cmd_cohomology(args):
     P = _polytope(args)
     field = parse_field(args.field)
     budget = _budget(args)  # one budget for both quotients
-    classical = classical_cohomology(P, field, budget)
-    real = real_cohomology_dims(P, budget)
+    classical, real = cohomology_dims(P, [field, PrimeField(2)], budget)
     return 0, {
         "command": "cohomology",
         "input": P.name or args.polytope,

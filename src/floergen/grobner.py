@@ -55,13 +55,16 @@ leading term it starts from, so those two checks cover every word.
 polynomials.  Its one inner loop, `_add_scaled`, follows the arithmetic rule
 of `scalar`: each term accumulates with native `+` and `*` and is reduced
 once, `% p` over F_p, and the walk's `_times` does the same on sparse
-columns.  A quotient stores its reduced basis and staircase packed only;
-everything public (`buchberger`'s input and output, and a quotient's `gb`
+columns.  A quotient stores its reduced basis packed, and its staircase
+once, as an ascending list of lead words searched by bisection, 1 first; a
+ring map's well-definedness check reads each relation's sparse remainder.
+Everything public (`buchberger`'s input and output, and a quotient's `gb`
 and `staircase`, views unpacked when first read) is in exponent tuples.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import heapq
 import struct
@@ -69,7 +72,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .algebra import FiniteAlgebra
-from .errors import DomainError, ResourceBudgetError, UsageError
+from .errors import AnomalyError, DomainError, ResourceBudgetError, UsageError
 from .laurent import LaurentPoly
 from .scalar import canonical, field_name
 
@@ -331,8 +334,9 @@ class QuotientAlgebra:
     one the quotient was built under; every normal form the quotient
     computes is reduced under it.  The reduced basis and the staircase are
     stored packed, as the Divisors `_divisors` and the ascending lead words
-    `_stair`; `gb` and `staircase` are their exponent-tuple views, unpacked
-    when first read.
+    `_stair`, the one stored form of the staircase, searched by bisection;
+    `gb` and `staircase` are their exponent-tuple views, unpacked when first
+    read.
     """
 
     def __init__(self, field, names, gen_dicts, budget, source_ring=None,
@@ -349,8 +353,6 @@ class QuotientAlgebra:
             words, [lead for _, lead, _ in self._divisors.entries])
         self.finite = stair is not None
         self._stair = stair or []
-        self._index = {k: i for i, k in enumerate(self._stair)}
-        self.unit_index = self._index.get(0)
         # per variable u: its lead word and the border columns s -> column
         self._border = [(x, {}) for x in words.variables()]
         self._algebra = None
@@ -390,15 +392,22 @@ class QuotientAlgebra:
         return words.unpack_poly(normal_form_poly(
             self.field, words.pack_poly(poly_dict), self._divisors, self.budget))
 
+    def _position(self, word):
+        """The index of the lead word `word` in the staircase, by bisection;
+        a word outside it is an anomaly, never a neighbour's index."""
+        i = bisect.bisect_left(self._stair, word)
+        if i == len(self._stair) or self._stair[i] != word:
+            raise AnomalyError(f"{self._divisors.words.unpack(word)} is not standard")
+        return i
+
     def nf_coords(self, p):
         """Coordinates of the normal form over the staircase basis."""
-        self._require_finite()
-        poly = self.encode_laurent(p) if isinstance(p, LaurentPoly) else p
         coords = [self.field.zero] * self.dim
+        poly = self.encode_laurent(p) if isinstance(p, LaurentPoly) else p
         basis = self._divisors
         for k, c in normal_form_poly(self.field, basis.words.pack_poly(poly),
                                      basis, self.budget).items():
-            coords[self._index[k]] = c
+            coords[self._position(k)] = c
         return coords
 
     def monomial_label(self, mono) -> str:
@@ -437,16 +446,16 @@ class QuotientAlgebra:
         and canonical over Q; the native ints 0 and 1 are zero and one of
         both.  Column s, the border column staircase[s] * x_u, is taken when
         first needed and kept."""
-        F, (x_u, cols), acc = self.field, self._border[u], {}
+        F, stair, (x_u, cols), acc = self.field, self._stair, self._border[u], {}
         for s, c in vec.items():
             col = cols.get(s)
             if col is None:
-                word = self._stair[s] + x_u
-                index = self._index
-                if word in index:
-                    col = {index[word]: 1}
+                word = stair[s] + x_u
+                i = bisect.bisect_left(stair, word)
+                if i < len(stair) and stair[i] == word:
+                    col = {i: 1}
                 else:
-                    col = {index[k]: d for k, d in normal_form_poly(
+                    col = {self._position(k): d for k, d in normal_form_poly(
                         F, {word: 1}, self._divisors, self.budget).items()}
                 cols[s] = col
             for t, d in col.items():
@@ -469,20 +478,15 @@ class QuotientAlgebra:
         return self.finite_algebra().mult(u, v)
 
     def unit_coords(self):
-        """Coordinates of 1; the zero vector of the zero ring (unit ideal)."""
-        self._require_finite()
-        coords = [self.field.zero] * self.dim
-        if self.unit_index is not None:
-            coords[self.unit_index] = self.field.one
-        return coords
+        """Coordinates of 1, at index 0; the zero vector of the zero ring."""
+        n, F = self.dim, self.field
+        return [F.one] + [F.zero] * (n - 1) if n else []
 
     def graded_dims(self):
         """Staircase monomial counts per total degree (degree-graded ideals)."""
-        self._require_finite()
-        if not self.staircase:
+        if not self.dim:
             return []
-        top = max(sum(m) for m in self.staircase)
-        dims = [0] * (top + 1)
+        dims = [0] * (sum(self.staircase[-1]) + 1)  # the last has top degree
         for m in self.staircase:
             dims[sum(m)] += 1
         return dims
@@ -541,7 +545,8 @@ def _staircase_from_leads(words, leads):
                     break
             else:
                 stack.append((m + steps[v], nxt, v))
-    return sorted(out)
+    out.sort()
+    return out
 
 
 def polynomial_quotient(field, names, gen_dicts, budget=None):
@@ -607,8 +612,7 @@ def _map_staircase(domain: QuotientAlgebra, codomain: QuotientAlgebra, steps,
     """
     F = codomain.field
     if unit_image is None:
-        unit_image = ({} if codomain.unit_index is None
-                      else {codomain.unit_index: F.one})
+        unit_image = {0: F.one} if codomain._stair else {}
     dwords, times = domain._divisors.words, codomain._times
     dvars = dwords.variables()
     images = {}
@@ -663,9 +667,9 @@ def algebra_morphism(domain: QuotientAlgebra, codomain: QuotientAlgebra, images)
     z_i to the codomain monomials `images`, z^(a_i) with coefficient 1.
 
     Such a map sends z^e to z^(sum_i e_i a_i), so a domain relation has one
-    image in the codomain's source ring, and its coordinates are its normal
-    form.  The map is well defined exactly when every domain relation reduces
-    to zero; the first that does not is reported in the result, not raised.
+    image in the codomain's source ring.  The map is well defined exactly
+    when each image leaves no remainder; the first relation that does is
+    reported in the result, not raised.
     The columns come from `_map_staircase`, with each encoded variable sent
     to the codomain's encoded variables that make up its image.
     """
@@ -690,9 +694,8 @@ def algebra_morphism(domain: QuotientAlgebra, codomain: QuotientAlgebra, images)
         return tuple(sum(x * a[j] for x, a in zip(e, exps)) for j in range(ring.nvars))
 
     for ridx, rel in enumerate(domain.source_gens):
-        val = codomain.nf_coords(ring.from_terms(
-            (image(e), c) for e, c in rel.terms.items()))
-        if any(val):
+        if codomain.reduce_poly(codomain.encode_laurent(ring.from_terms(
+                (image(e), c) for e, c in rel.terms.items()))):
             return Morphism(False, ridx, None, None, domain.dim, codomain.dim)
 
     def encoded_factors(a):
@@ -705,5 +708,5 @@ def algebra_morphism(domain: QuotientAlgebra, codomain: QuotientAlgebra, images)
     cols = _map_staircase(domain, codomain, (
         [encoded_factors(tuple(-x for x in a)) for a in exps]
         + [encoded_factors(a) for a in exps]))
-    rk = linalg.column_rank(F, cols, codomain.dim)
+    rk = linalg.column_rank(F, cols)
     return Morphism(True, None, cols, domain.dim - rk, domain.dim, codomain.dim)

@@ -11,7 +11,7 @@ per call and hands the matrix to one kernel per field kind:
   the row, so every elimination is one `^=`; the RREF is that echelon
   back-substituted from the highest pivot down and unpacked once.  `rank`
   over F_2 is the size of the echelon, and `column_rank` inserts each sparse
-  column of a map as one bit int, with no dense matrix;
+  column of a map as one bit int over the touched rows, with no dense matrix;
 - F_p: plain ints, one `pow(a, p - 2, p)` per pivot and one list
   comprehension `(x - f*y) % p` per row operation, rows whose pivot-column
   entry is zero skipped;
@@ -216,14 +216,16 @@ def rank(field, mat):
     return len(rref(field, mat)[1])
 
 
-def column_rank(field, columns, rows):
-    """Rank of the matrix with `rows` rows and the sparse columns `columns`,
-    dicts {row: nonzero entry}.  Over F_2 each column goes straight into one
-    echelon as a bit int; otherwise `rank` runs on the dense matrix."""
+def column_rank(field, columns):
+    """Rank of the sparse columns `columns`, dicts {row: nonzero entry}, on
+    the rows they touch, numbered on first sight: over F_2 one bit int per
+    column into one echelon, otherwise `rank` on the dense matrix."""
     if field.char == 2:
-        echelon = {}
-        return sum(f2_insert(echelon, sum(1 << t for t in col)) for col in columns)
-    return rank(field, [[col.get(t, 0) for col in columns] for t in range(rows)])
+        echelon, number = {}, {}
+        return sum(f2_insert(echelon, sum(1 << number.setdefault(t, len(number))
+                                          for t in col)) for col in columns)
+    touched = {t for col in columns for t in col}
+    return rank(field, [[col.get(t, 0) for col in columns] for t in touched])
 
 
 def kernel_basis(field, mat):

@@ -58,7 +58,7 @@ def jacobian_ring(W: LaurentPoly, budget: Budget | None = None) -> QuotientAlgeb
     gens = [W.log_derivative(i) for i in range(W.ring.nvars)]
     if all(g.is_zero() for g in gens):
         raise UsageError("all log-derivatives vanish; quotient is the whole ring")
-    return laurent_quotient([g for g in gens], budget=budget)
+    return laurent_quotient(gens, budget=budget)
 
 
 def _linear_relations(P: DelzantPolytope, field: Field):
@@ -79,24 +79,31 @@ def _linear_relations(P: DelzantPolytope, field: Field):
     return relations
 
 
-def _cohomology_quotient(P: DelzantPolytope, field: Field, budget=None):
+def _cohomology_quotient(P: DelzantPolytope, field: Field, collections, budget=None):
     """H*(X_P) over the field: the linear relations and one monomial
     relation prod_{j in J} H_j per primitive collection J."""
     N = P.num_facets
-    gens = _linear_relations(P, field)
-    for J in primitive_collections(validate(P), N):
-        gens.append({tuple(int(j in J) for j in range(N)): field.one})
+    gens = _linear_relations(P, field) + [
+        {tuple(int(j in J) for j in range(N)): field.one} for J in collections]
     return polynomial_quotient(field, [f"H{j + 1}" for j in range(N)], gens, budget)
+
+
+def cohomology_dims(P: DelzantPolytope, fields, budget=None):
+    """`classical_cohomology` over each of `fields`, from one validation of
+    P and one list of its primitive collections."""
+    collections = primitive_collections(validate(P), P.num_facets)
+    return [_cohomology_quotient(P, field, collections, budget).graded_dims()
+            for field in fields]
 
 
 def classical_cohomology(P: DelzantPolytope, field: Field, budget=None):
     """Graded dims of the divisor-class presentation; slot j is degree 2j."""
-    return _cohomology_quotient(P, field, budget).graded_dims()
+    return cohomology_dims(P, [field], budget)[0]
 
 
 def real_cohomology_dims(P: DelzantPolytope, budget=None):
     """Mod-2 Betti numbers of the real locus: same presentation over F_2."""
-    return _cohomology_quotient(P, PrimeField(2), budget).graded_dims()
+    return cohomology_dims(P, [PrimeField(2)], budget)[0]
 
 
 def _qh_generators(P: DelzantPolytope, field: Field, variant: str):
@@ -221,18 +228,17 @@ def critical_points(W: LaurentPoly, budget: Budget | None = None,
     `seed` drives the factorization randomness."""
     if not isinstance(W.ring.field, PrimeField):
         raise UsageError("critical point enumeration is implemented over F_p")
-    return _critical_points(W, jacobian_ring(W, budget), seed)
+    return _critical_points(jacobian_ring(W, budget), seed)
 
 
-def _critical_points(W: LaurentPoly, jac: QuotientAlgebra, seed: int) -> CriticalPointReport:
+def _critical_points(jac: QuotientAlgebra, seed: int) -> CriticalPointReport:
     if not jac.finite:
         raise UsageError("Jacobian ring is infinite-dimensional")
     A = jac.finite_algebra()
     factors = local_decompose(A, seed)
     points = [f.point for f in factors if f.residue_degree == 1 and f.point is not None]
-    log_derivatives = [W.log_derivative(i) for i in range(W.ring.nvars)]
     for pt in points:
-        _check_critical(log_derivatives, pt)
+        _check_critical(jac.source_gens, pt)
     return CriticalPointReport(points=points, factors=factors, algebra=A)
 
 
@@ -333,7 +339,7 @@ def _fp_summands(W: LaurentPoly, jac: QuotientAlgebra, seed: int):
             f.dim, f.residue_degree,
             f"critical local system defined over F_{p ** f.residue_degree}, "
             f"not split over the base field F_{p}")
-        for f in _critical_points(W, jac, seed).factors
+        for f in _critical_points(jac, seed).factors
     ]
 
 
@@ -351,7 +357,6 @@ def _rational_summands(W: LaurentPoly, jac: QuotientAlgebra):
     factors, residual = strip_roots(mu, [lam for lam, _ in rational_roots(mu)])
     if residual.degree > 0:
         factors.append((residual, 1))
-    log_derivatives = [W.log_derivative(i) for i in range(W.ring.nvars)]
     out = []
     for (f, _), e in zip(factors, split_along(A, c1, A.unit, factors)):
         dim = linalg.rank(F, A.mult_matrix(e))
@@ -367,7 +372,7 @@ def _rational_summands(W: LaurentPoly, jac: QuotientAlgebra):
         if dim == 1:
             k = next(i for i, x in enumerate(e) if x)
             point = [F.div(A.mult(g, e)[k], e[k]) for g in A.generators]
-            _check_critical(log_derivatives, point)
+            _check_critical(jac.source_gens, point)
         out.append(GenerationSummand.split(dim, 1, point, -f.coeffs[0]))
     return out
 

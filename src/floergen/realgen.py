@@ -41,9 +41,9 @@ def reduction_pi(qh_r: QuotientAlgebra, qh: QuotientAlgebra) -> Morphism:
 
     Both quotients present the same Laurent ring and pi is the identity on
     it, so pi is onto by construction, and it is well defined exactly when
-    every relation of the domain reduces to zero in the codomain.  Its
+    every relation of the domain leaves no remainder in the codomain.  Its
     kernel dimension is then dim QH_R - dim QH; no columns are built."""
-    if any(any(qh.nf_coords(rel)) for rel in qh_r.source_gens):
+    if any(qh.reduce_poly(qh.encode_laurent(rel)) for rel in qh_r.source_gens):
         raise AnomalyError(
             "reduction map is not well defined; squared-weight relations "
             "must land in the plain ideal in characteristic 2"

@@ -260,14 +260,15 @@ def field_name(field: Field) -> str:
 
 def square_and_multiply(one, base, e: int, mul):
     """base^e by binary powering from `one`, the product being `mul`: one
-    product per set bit of e and one squaring per bit, from the lowest bit
-    up.  `one` itself is returned for e = 0."""
+    product per set bit of e and one squaring per bit below the top, from the
+    lowest bit up.  `one` itself is returned for e = 0."""
     acc = one
     while e:
         if e & 1:
             acc = mul(acc, base)
-        base = mul(base, base)
         e >>= 1
+        if e:
+            base = mul(base, base)
     return acc
 
 

@@ -230,6 +230,22 @@ def test_real_gen_cp2(capsys, polytope_file):
     assert data["dim_qh_r"] == 6 and data["dim_qh"] == 3
 
 
+def test_cohomology_validates_and_lists_collections_once(capsys, monkeypatch):
+    """Both presentations of `floergen cohomology` share one validation and
+    one list of primitive collections, as quantum sees them."""
+    calls = []
+    for name in ("validate", "primitive_collections"):
+        def counted(*args, _name=name, _original=getattr(quantum, name)):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(quantum, name, counted)
+    demo = pathlib.Path(__file__).parents[1] / "demos" / "data" / "cp2.json"
+    code, out, _ = invoke(capsys, ["cohomology", "--polytope", str(demo)])
+    assert code == 0 and out
+    assert sorted(calls) == ["primitive_collections", "validate"]
+
+
 def test_cohomology_and_superpotential(capsys, polytope_file):
     code, out, _ = invoke(capsys, [
         "cohomology", "--polytope", polytope_file("CP3"), "--format", "json",

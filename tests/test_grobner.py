@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import pathlib
@@ -9,7 +10,7 @@ import pytest
 from conftest import (dense_columns, dense_matrix, dp6, ladder, lpoly,
                       reference_morphism_matrix, reparametrised)
 from floergen import grobner, linalg, quantum
-from floergen.errors import DomainError, ResourceBudgetError, UsageError
+from floergen.errors import AnomalyError, DomainError, ResourceBudgetError, UsageError
 from floergen.grobner import (
     Budget,
     algebra_morphism,
@@ -23,7 +24,8 @@ from floergen.laurent import LaurentRing, laurent_from_json
 from floergen.quantum import c1_element, jacobian_ring, qh_presentation
 from floergen.realgen import F2, frobenius_matrix
 from floergen.scalar import QQ, PrimeField
-from floergen.toric import corpus, superpotential
+from floergen.toric import (corpus, polytope_product, primitive_collections, superpotential,
+                            validate)
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 
@@ -154,7 +156,7 @@ def test_normal_form_examples():
     z4 = lpoly(R, {(4,): 1})
     assert qa.nf_coords(z4) == qa.nf_coords(R.variable(0))
     one = qa.nf_coords(R.one())
-    assert one[qa.unit_index] == 1 and sum(1 for c in one if c != 0) == 1
+    assert one[0] == 1 and sum(1 for c in one if c != 0) == 1
 
     F2 = PrimeField(2)
     R2 = LaurentRing(["z"], F2)
@@ -486,8 +488,9 @@ def _quotients_for_reference():
     yield jacobian_ring(laurent_from_json(half_three))
     # polynomial quotients, with no inverse variables
     for field in (QQ, PrimeField(3)):
-        yield quantum._cohomology_quotient(corpus()["CP2"], field)
-        yield quantum._cohomology_quotient(dp6(), field)
+        for P in (corpus()["CP2"], dp6()):
+            yield quantum._cohomology_quotient(
+                P, field, primitive_collections(validate(P), P.num_facets))
 
 
 def test_basis_products_match_per_variable_reference():
@@ -651,6 +654,36 @@ def test_every_normal_form_ticks_the_quotient_budget():
     images = [jac.source_ring.monomial(tuple(nu)) for nu in P.normals]
     assert algebra_morphism(qh, jac, images).well_defined
     assert jac.budget.steps > steps
+
+
+def test_the_staircase_is_stored_once():
+    """The sorted list of lead words is the one attribute of a quotient
+    with an entry per staircase monomial; 1 sits at index 0."""
+    P = functools.reduce(polytope_product, [corpus()["CP1"]] * 6)
+    qa = qh_presentation(P, F2, "mod2_weights")
+    assert qa.dim == 4096
+    sized = [name for name, value in vars(qa).items()
+             if isinstance(value, (list, tuple, dict)) and len(value) == qa.dim]
+    assert sized == ["_stair"]
+    assert qa._stair == sorted(qa._stair) and qa._stair[0] == 0
+    assert qa.unit_coords() == qa.nf_coords(qa.source_ring.one())
+
+
+def test_a_word_outside_the_staircase_raises_from_the_position_lookup():
+    """Bisection finds every staircase word at its index; a word between
+    two of them, or past the last, is an anomaly and not a neighbour's
+    index."""
+    R = LaurentRing(["x", "y"], QQ)
+    qa = laurent_quotient([lpoly(R, {(2, 0): 1, (0, 0): -1}),
+                           lpoly(R, {(0, 3): 1, (0, 0): -1})])
+    assert [qa._position(k) for k in qa._stair] == list(range(qa.dim))
+    words = qa._divisors.words
+    leads = [words.pack(max(g, key=degrevlex)) for g in qa.gb]
+    inside = [k for k in leads if k < qa._stair[-1]]
+    assert inside and max(leads) > qa._stair[-1]
+    for k in inside + [max(leads)]:
+        with pytest.raises(AnomalyError, match="is not standard"):
+            qa._position(k)
 
 
 # --- packed monomial words ------------------------------------------------------

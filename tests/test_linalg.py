@@ -310,7 +310,7 @@ def test_f2_echelon_on_the_zero_ring_and_empty_inputs():
     assert linalg.rref(F2, [[], []]) == ([[], []], [])
     assert linalg.rank(F2, []) == linalg.rank(F2, [[], []]) == 0
     assert linalg.rank(F2, [[0, 0], [0, 0]]) == 0
-    assert linalg.column_rank(F2, [], 0) == linalg.column_rank(F2, [{}, {}], 3) == 0
+    assert linalg.column_rank(F2, []) == linalg.column_rank(F2, [{}, {}]) == 0
     zero_ring = Morphism(True, None, [], 0, 0, 0)
     assert realgen.kernel_containment_check(zero_ring, zero_ring) == (0, 0, True)
 
@@ -327,8 +327,37 @@ def test_column_rank_matches_reference(name, data):
     columns = [{t: mat[t][k] for t in range(rows) if mat[t][k] != field.zero}
                for k in range(cols)]
     zeros = data.draw(st.integers(0, 2))
-    got = linalg.column_rank(field, columns + [{}] * zeros, rows)
+    got = linalg.column_rank(field, columns + [{}] * zeros)
     assert got == reference_rank(field, [row + [field.zero] * zeros for row in mat])
+
+
+@pytest.mark.parametrize("name", ["F2", "F7", "Q"])
+@SETTINGS
+@given(data=st.data())
+def test_column_rank_reads_only_the_touched_rows(name, data):
+    """Columns whose rows lie near 10^6 have the rank of their dense
+    matrix, and over F_2 no bit row is wider than the rows they touch."""
+    field = FIELDS[name]
+    rows, cols = data.draw(st.integers(0, 7)), data.draw(st.integers(0, 7))
+    mat = data.draw(matrices(field, rows=rows, cols=cols))
+    labels = data.draw(st.lists(st.integers(10**6 - 50, 10**6 + 50),
+                                min_size=rows, max_size=rows, unique=True))
+    columns = [{labels[t]: mat[t][k] for t in range(rows) if mat[t][k] != field.zero}
+               for k in range(cols)]
+    touched = len({t for col in columns for t in col})
+    widths = []
+
+    def recorded(echelon, bits):
+        widths.append(bits.bit_length())
+        return f2_insert(echelon, bits)
+
+    f2_insert = linalg.f2_insert
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "f2_insert", recorded)
+        got = linalg.column_rank(field, columns)
+    assert got == reference_rank(field, mat)
+    assert max(widths, default=0) <= touched
+    assert len(widths) == (cols if name == "F2" else 0)
 
 
 @pytest.mark.parametrize("name", ["Q", "F2", "F7"])

@@ -46,7 +46,7 @@ def test_the_check_sees_each_kind_of_private_use():
 
 
 # the state a QuotientAlgebra keeps for its own staircase walk
-QUOTIENT_PRIVATE = ("_require_finite", "_stair", "_divisors", "_index", "_border", "_times")
+QUOTIENT_PRIVATE = ("_require_finite", "_stair", "_divisors", "_position", "_border", "_times")
 
 
 def quotient_private_reads(tree):

@@ -244,6 +244,17 @@ def test_c1_spectrum_eigenspace_dims_from_factors():
             assert sum(d for _, d in spec.eigenspaces) == jac.dim, (name, fs)
 
 
+def test_critical_points_are_checked_against_the_jacobian_generators():
+    """The log-derivatives the Jacobian ring stored are the check: with one
+    of them shifted by a constant, every point fails it, named by index."""
+    F7 = PrimeField(7)
+    jac = jacobian_ring(superpotential(corpus()["CP2"], F7))
+    assert len(quantum._critical_points(jac, 0).points) == 3
+    jac.source_gens[1] = jac.source_gens[1] + jac.source_ring.one()
+    with pytest.raises(AnomalyError, match="log-derivative 1$"):
+        quantum._critical_points(jac, 0)
+
+
 def test_critical_points_cp2_F7():
     W = superpotential(corpus()["CP2"], PrimeField(7))
     cp = critical_points(W)

@@ -8,6 +8,7 @@ from conftest import (PRODUCT_PAIRS, dense_columns, dense_matrix, dp6, ladder, l
                       pi_matrix, reparametrised, squaring_columns)
 from floergen import linalg, realgen
 from floergen.errors import AnomalyError, UsageError
+from floergen.grobner import QuotientAlgebra, algebra_morphism
 from floergen.quantum import qh_presentation
 from floergen.realgen import (
     F2,
@@ -144,7 +145,7 @@ def test_lift_with_a_zeroed_column_flips_containment(monkeypatch):
     assert kernel_containment_check(data.pi, data.lift)[2]
     # s sends 1 to 1; without that column its rank drops by one
     columns = [{}] + data.lift.columns[1:]
-    rank = linalg.column_rank(F2, columns, data.qh_r.dim)
+    rank = linalg.column_rank(F2, columns)
     assert rank == data.qh.dim - 1
     bad = dataclasses.replace(data.lift, columns=columns, kernel_dim=data.qh.dim - rank)
     assert kernel_containment_check(data.pi, bad) == (
@@ -170,6 +171,30 @@ def test_broken_maps_raise_anomalies(monkeypatch, words):
     monkeypatch.setattr(realgen, "algebra_morphism", mutated)
     with pytest.raises(AnomalyError, match=words):
         real_generation_report(P)
+
+
+def test_the_lift_checks_its_relations_on_remainders(monkeypatch):
+    """s on CP1^4 asks QH_R for no dense coordinate list, and the unsquared
+    map still names the first relation of QH that it fails."""
+    P = ladder()["CP1^4"]
+    qh_r = qh_presentation(P, F2, "mod2_weights")
+    qh = qh_presentation(P, F2, "plain")
+    dense = []
+    original = QuotientAlgebra.nf_coords
+
+    def recorded(self, p):
+        dense.append(self)
+        return original(self, p)
+
+    monkeypatch.setattr(QuotientAlgebra, "nf_coords", recorded)
+    assert frobenius_matrix(qh, qh_r).kernel_dim == 0
+    ring = qh_r.source_ring
+    broken = algebra_morphism(qh, qh_r, [ring.variable(j) for j in range(ring.nvars)])
+    assert not any(qa is qh_r for qa in dense)
+    # the same relations, mapped by the identity of the Laurent ring
+    failing = next(i for i, rel in enumerate(qh.source_gens)
+                   if any(original(qh_r, ring.from_terms(rel.terms.items()))))
+    assert not broken.well_defined and broken.failing_relation == failing
 
 
 def test_reduction_pi_that_is_not_well_defined_is_an_anomaly():

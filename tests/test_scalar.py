@@ -402,6 +402,24 @@ def test_square_and_multiply_matches_repeated_matrix_products():
     assert square_and_multiply(one, [[1, 1], [0, 1]], 0, mul) is one
 
 
+def test_square_and_multiply_squares_only_while_bits_remain():
+    """One product per set bit of e and one squaring per bit below the top:
+    e.bit_length() + popcount(e) - 1 calls of `mul` for e >= 1."""
+    calls = []
+
+    def mul(x, y):
+        calls.append((x, y))
+        return x * y
+
+    for e in list(range(1, 70)) + [2**20, 2**20 - 1]:
+        calls.clear()
+        assert square_and_multiply(1, 3, e, mul) == 3**e
+        assert len(calls) == e.bit_length() + bin(e).count("1") - 1
+    calls.clear()
+    one = object()
+    assert square_and_multiply(one, 3, 0, mul) is one and calls == []
+
+
 def test_clear_denominators():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
