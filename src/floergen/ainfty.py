@@ -47,11 +47,12 @@ scatter over those entries.
 Arithmetic is plain ring arithmetic, and every sign is a parity: (-1)^e c is
 c or -c by the parity of e, never a multiplication by a field element.
 Coefficients combine with `+`, `*` and unary `-`, reduced `% p` only over
-F_p.  The structure constructor keeps its tensors canonical: reduced mod p,
-no zero coefficient or empty output, and over Q each coefficient in the
-canonical form of `scalar.canonical`, an int when integral, so an integral
-structure runs on ints and a non-integral one runs the same code on
-Fractions.
+F_p; every sparse sum, and every negation of a sparse vector (a sum into
+{} with coefficient -1), is `scalar.add_scaled`.  The structure constructor
+keeps its tensors canonical: reduced mod p, no zero coefficient or empty
+output, and over Q each coefficient in the canonical form of
+`scalar.canonical`, an int when integral, so an integral structure runs on
+ints and a non-integral one runs the same code on Fractions.
 
 Module and bimodule coherence is verified operationally by one routine on a
 spanning set of elementary inputs within the window: each is differentiated
@@ -71,28 +72,8 @@ from dataclasses import dataclass, field as dc_field
 from . import linalg
 from .algebra import FiniteAlgebra, sparse
 from .errors import DomainError, UsageError
-from .scalar import (Field, canonical, field_name, json_int, json_list, json_object,
-                     json_literal, json_str, parse_field)
-
-
-def _vadd(field, target, src, coeff):
-    """target += coeff * src on sparse vectors, with the raw operators.  Over
-    F_p each sum is reduced `% p`, so coeff may be any integer, -c included."""
-    p = field.char
-    for i, c in src.items():
-        acc = target.get(i, 0) + coeff * c
-        if p:
-            acc %= p
-        if acc:
-            target[i] = acc
-        else:
-            target.pop(i, None)
-
-
-def _neg(field, vec):
-    """-vec on a sparse vector, reduced `% p` over F_p."""
-    p = field.char
-    return {i: -c % p if p else -c for i, c in vec.items()}
+from .scalar import (Field, add_scaled, canonical, field_name, json_int, json_key_int,
+                     json_list, json_object, json_literal, json_str, parse_field)
 
 
 @dataclass
@@ -217,12 +198,13 @@ class AInftyStructure:
             degrees = [json_int(d, "degree") % 2 for d in data["degrees"]]
             ops = {}
             for k_str, entries in json_object(data.get("mu", {}), "mu").items():
-                k = int(k_str)
+                k = json_key_int(k_str, "mu arity")
                 tensor = {}
                 for entry in entries:
                     key = tuple(json_int(i, "input index") for i in entry["inputs"])
                     out = {
-                        int(i): F.from_str(json_literal(c, "output coefficient"))
+                        json_key_int(i, "output index"):
+                            F.from_str(json_literal(c, "output coefficient"))
                         for i, c in json_object(entry["output"], "output").items()
                     }
                     out = {i: c for i, c in out.items() if c}
@@ -248,9 +230,9 @@ def from_dga(field, degrees, diff, prod, unit=None, labels=None) -> AInftyStruct
     """Embed a dg-algebra: diff[j] = d(b_j) sparse, prod[(i, j)] = b_i b_j,
     each output signed by (-1)^{|b_j|}."""
     ops = {
-        1: {(j,): _neg(field, out) if degrees[j] % 2 else out
+        1: {(j,): add_scaled(field, {}, out, -1) if degrees[j] % 2 else out
             for j, out in diff.items()},
-        2: {(i, j): _neg(field, out) if degrees[j] % 2 else out
+        2: {(i, j): add_scaled(field, {}, out, -1) if degrees[j] % 2 else out
             for (i, j), out in prod.items()},
     }
     return AInftyStructure(
@@ -266,7 +248,7 @@ def _expansions(A: AInftyStructure, key, room, flip=0):
     """Every key that contracts to `key` by one mu^j, 1 <= j <= room + 1,
     with (-1)^{flip + maltese of the inputs right of mu^j} times mu^j's
     coefficient on the entry of `key` it replaces.  Over F_p the yielded
-    coefficient may be negative; `_vadd` reduces it."""
+    coefficient may be negative; `add_scaled` reduces it."""
     degrees = A.degrees
     odd = flip % 2
     for pos in range(len(key) - 1, -1, -1):
@@ -292,7 +274,7 @@ def ainfty_residuals(A: AInftyStructure, up_to_arity: int):
     for k, tensor in A.ops.items():
         for outer, out in tensor.items():
             for key, c in _expansions(A, outer, up_to_arity - k):
-                _vadd(F, totals.setdefault(key, {}), out, c)
+                add_scaled(F, totals.setdefault(key, {}), out, c)
     return [
         (len(key), key, total)
         for key, total in sorted(totals.items(), key=lambda kv: (len(kv[0]), kv[0]))
@@ -310,7 +292,7 @@ def opposite(A: AInftyStructure) -> AInftyStructure:
         for key, out in tensor.items():
             o = sum(1 for i in key if A.degrees[i] % 2 == 0)
             odd = (o * (o - 1) // 2 + l - 1) % 2
-            new[key[::-1]] = _neg(A.field, out) if odd else out
+            new[key[::-1]] = add_scaled(A.field, {}, out, -1) if odd else out
     return AInftyStructure(
         field=A.field, degrees=list(A.degrees), ops=ops,
         unit=A.unit, labels=list(A.labels),
@@ -329,7 +311,7 @@ class GradedAlgebra(FiniteAlgebra):
         n = self.dim
         return GradedAlgebra(
             field=F, unit=self.unit, degrees=list(degs),
-            basis_mult=[[_neg(F, m[j][i]) if degs[i] * degs[j] % 2 else m[j][i]
+            basis_mult=[[add_scaled(F, {}, m[j][i], -1) if degs[i] * degs[j] % 2 else m[j][i]
                          for j in range(n)]
                         for i in range(n)],
         )
@@ -362,9 +344,9 @@ def cohomology(A: AInftyStructure) -> GradedAlgebra:
     def product(i, j):
         out = {}
         for (a, b), res in A.ops.get(2, {}).items():
-            _vadd(F, out, res, reps[i][a] * reps[j][b])
+            add_scaled(F, out, res, reps[i][a] * reps[j][b])
         col = sparse(quotient_coords([out.get(i, 0) for i in range(A.dim)]))
-        return _neg(F, col) if degrees[j] % 2 else col
+        return add_scaled(F, {}, col, -1) if degrees[j] % 2 else col
 
     degrees = []
     for r in reps:
@@ -418,7 +400,7 @@ def self_module(A: AInftyStructure) -> Module:
     """A as a left module over itself, with the standard sign mu_M = -mu."""
     F = A.field
     ops = {
-        (key[:-1], key[-1]): _neg(F, out)
+        (key[:-1], key[-1]): add_scaled(F, {}, out, -1)
         for tensor in A.ops.values()
         for key, out in tensor.items()
         if out
@@ -453,10 +435,6 @@ class BimoduleStructure:
     def dim(self):
         return len(self.degrees)
 
-    def op(self, k, l, left_key, p_idx, right_key):
-        """Sparse output of mu^{k|1|l}; a shared dict that callers only read."""
-        return self.ops.get((tuple(left_key), p_idx, tuple(right_key)), {})
-
     def tensor(self, k, l):
         """Materialize one operation family (used by equality tests)."""
         return {
@@ -478,7 +456,7 @@ def diagonal_bimodule(A: AInftyStructure) -> BimoduleStructure:
             for pos, b in enumerate(key):
                 right = key[pos + 1 :]
                 odd = (A.maltese(right) + 1) % 2
-                ops[(key[:pos], b, right)] = _neg(F, out) if odd else dict(out)
+                ops[(key[:pos], b, right)] = add_scaled(F, {}, out, -1) if odd else dict(out)
     return BimoduleStructure(algebra=A, degrees=list(A.degrees), ops=ops)
 
 
@@ -495,16 +473,16 @@ def hom_bimodule(M: Module, N: Module) -> BimoduleStructure:
     # k = 0 this and the next term share the key of mu^{0|1|0}
     for (left, p), out in N.ops.items():
         for q in range(dim_m):
-            _vadd(F, ops.setdefault((left, p * dim_m + q, ()), {}),
-                  {pp * dim_m + q: c for pp, c in out.items()},
-                  -1 if M.degrees[q] % 2 else 1)
+            add_scaled(F, ops.setdefault((left, p * dim_m + q, ()), {}),
+                       {pp * dim_m + q: c for pp, c in out.items()},
+                       -1 if M.degrees[q] % 2 else 1)
     # mu^{0|1|l}(z_{p,q}, a...) = (-1)^{|m_qq|+1} z_{p,q} mu_M(a..., m_qq)
     for (right, qq), out in M.ops.items():
         sgn = 1 if M.degrees[qq] % 2 else -1
         for q, c in out.items():
             for p in range(N.dim):
-                _vadd(F, ops.setdefault(((), p * dim_m + q, right), {}),
-                      {p * dim_m + qq: c}, sgn)
+                add_scaled(F, ops.setdefault(((), p * dim_m + q, right), {}),
+                           {p * dim_m + qq: c}, sgn)
     ops = {key: val for key, val in ops.items() if val}
     return BimoduleStructure(algebra=A, degrees=degrees, ops=ops)
 
@@ -594,11 +572,11 @@ def hochschild_diff(A: AInftyStructure, P: BimoduleStructure,
                 for extra, left, right, malt, res in P.by_slot.get(p, ()):
                     if extra > room:
                         break
-                    _vadd(F, totals.setdefault(left + mid + right, {}), res,
-                          c if degree * malt else -c)
+                    add_scaled(F, totals.setdefault(left + mid + right, {}), res,
+                               c if degree * malt else -c)
             # inner mu insertions phi(..., mu(...), ...)
             for key, c in _expansions(A, mid, room, degree):
-                _vadd(F, totals.setdefault(key, {}), phi_val, c)
+                add_scaled(F, totals.setdefault(key, {}), phi_val, c)
     for key, total in totals.items():
         out.set_value(len(key), key, total)
     return out
@@ -658,7 +636,8 @@ def hochschild_prod(A: AInftyStructure, psi: HochschildCochain,
                             if len(key_psi) <= room:
                                 c = c_psi * c_phi
                                 key = outer[:s] + key_psi + right
-                                _vadd(F, totals.setdefault(key, {}), res, -c if odd else c)
+                                add_scaled(F, totals.setdefault(key, {}), res,
+                                           -c if odd else c)
     for key, total in totals.items():
         out.set_value(len(key), key, total)
     return out
@@ -688,9 +667,9 @@ def theta_map(A: AInftyStructure, c_coords, cap: int) -> HochschildCochain:
             if cc is None:
                 continue
             x = outer[-2]
-            _vadd(F, totals.setdefault(outer[:-2], {}),
-                  {p * dim + x: c for p, c in res.items()},
-                  -cc if c_deg * (A.degrees[x] + 1) % 2 else cc)
+            add_scaled(F, totals.setdefault(outer[:-2], {}),
+                       {p * dim + x: c for p, c in res.items()},
+                       -cc if c_deg * (A.degrees[x] + 1) % 2 else cc)
     for key, total in totals.items():
         out.set_value(len(key), key, total)
     return out
@@ -741,16 +720,16 @@ def premorphism_diff(M: Module, N: Module, psi_components, psi_degree, cap):
                 for more, res in N.by_input.get(m_out, ()):
                     if len(more) > room:
                         break
-                    _vadd(F, totals.setdefault((more + key, m), {}), res, c)
+                    add_scaled(F, totals.setdefault((more + key, m), {}), res, c)
             # psi(key..., mu_M(more..., mi)) for every mi sent to m
             for more, mi, c in M.by_output.get(m, ()):
                 if len(more) > room:
                     break
-                _vadd(F, totals.setdefault((key + more, mi), {}), psi_val,
-                      -c if even else c)
+                add_scaled(F, totals.setdefault((key + more, mi), {}), psi_val,
+                           -c if even else c)
             flip = psi_degree + M.degrees[m] + 1
             for longer, c in _expansions(A, key, room, flip):
-                _vadd(F, totals.setdefault((longer, m), {}), psi_val, c)
+                add_scaled(F, totals.setdefault((longer, m), {}), psi_val, c)
     out = {}
     for (key, mi), total in totals.items():
         if total:
@@ -785,7 +764,7 @@ def _squares_to_zero(field, inputs, diff) -> bool:
                         col = columns[(group2, i2, back)] = diff(group2, i2, back)
                     for tensor2 in col.values():
                         for group3, val3 in tensor2.items():
-                            _vadd(field, twice.setdefault(group3, {}), val3, c)
+                            add_scaled(field, twice.setdefault(group3, {}), val3, c)
         if any(twice.values()):
             return False
     return True

@@ -17,7 +17,10 @@ q_i of a polynomial mu it takes one inverse of mu / q_i modulo each q_i.
 Minimal polynomials (a Krylov walk) and polynomials in an element (Horner's
 rule) step with `mult`, products on the sparse columns, so no dense matrix
 of the element is built.  A block e*A is read from one elimination: the
-reduced rows of the multiplication matrix of e, a projection onto e*A.
+reduced rows R of the multiplication matrix of e, a projection onto e*A; a
+block product scatters R's sparse columns over the entries of a structure
+column with `scalar.add_scaled`, so its cost follows the nonzero entries it
+touches rather than the dimension of the block.
 
 The local decomposition works on Berlekamp's subalgebra: in a commutative
 finite F_p-algebra the solutions of x^p = x are the F_p-span S of the
@@ -40,7 +43,7 @@ from functools import reduce
 
 from . import linalg
 from .errors import AnomalyError, DomainError, UsageError
-from .scalar import (DEFAULT_SEED, PrimeField, UniPoly, clear_denominators,
+from .scalar import (DEFAULT_SEED, PrimeField, UniPoly, add_scaled, clear_denominators,
                      square_and_multiply, strip_roots, univariate_factor)
 
 
@@ -195,7 +198,8 @@ def restrict_to_block(A: FiniteAlgebra, idempotent):
     Returns (block, basis, coords).  L_e, multiplication by e, projects onto
     e*A, so the nonzero rows R of rref(L_e) satisfy R L_e = R: the pivot
     columns e*b_p of L_e are the basis, coords(v) = R v are the coordinates
-    of e*v, and the block product of e*b_p and e*b_q is R basis_mult[p][q].
+    of e*v, and the block product of e*b_p and e*b_q is R basis_mult[p][q],
+    scattered over R's sparse columns at the entries of basis_mult[p][q].
     """
     F = A.field
     m = A.mult_matrix(idempotent)
@@ -205,9 +209,13 @@ def restrict_to_block(A: FiniteAlgebra, idempotent):
     def coords(v):
         return linalg.mat_vec(F, rows, v)
 
+    rcols = [sparse(c) for c in zip(*rows)]
+
     def product(col):
-        out = [sum([row[r] * x for r, x in col.items()]) for row in rows]
-        return sparse([x % F.char for x in out] if F.char else out)
+        out = {}
+        for r, x in col.items():
+            add_scaled(F, out, rcols[r], x)
+        return out
 
     block = FiniteAlgebra(
         field=F,

@@ -52,12 +52,13 @@ compatible order every term of a reduction has degree at most that of the
 leading term it starts from, so those two checks cover every word.
 `normal_form_poly` is the one reduction kernel; Buchberger, `reduce_poly`,
 `nf_coords` and the border columns all reduce through it on packed
-polynomials.  Its one inner loop, `_add_scaled`, follows the arithmetic rule
-of `scalar`: each term accumulates with native `+` and `*` and is reduced
-once, `% p` over F_p, and the walk's `_times` does the same on sparse
-columns.  A quotient stores its reduced basis packed, and its staircase
-once, as an ascending list of lead words searched by bisection, 1 first; a
-ring map's well-definedness check reads each relation's sparse remainder.
+polynomials.  Its one inner loop is `scalar.add_scaled` with the monomial
+offset as its shift, as is the S-polynomial: each term accumulates with
+native `+` and `*` and is reduced once, `% p` over F_p, and the walk's
+`_times` does the same on sparse columns.  A quotient stores its reduced
+basis packed, and its staircase once, as an ascending list of lead words
+searched by bisection, 1 first; a ring map's well-definedness check reads
+each relation's sparse remainder.
 Everything public (`buchberger`'s input and output, and a quotient's `gb`
 and `staircase`, views unpacked when first read) is in exponent tuples.
 """
@@ -73,8 +74,8 @@ from dataclasses import dataclass
 from . import linalg
 from .algebra import FiniteAlgebra
 from .errors import AnomalyError, DomainError, ResourceBudgetError, UsageError
-from .laurent import LaurentPoly
-from .scalar import canonical, field_name
+from .laurent import LaurentPoly, monomial_str
+from .scalar import add_scaled, canonical, field_name
 
 DEFAULT_BUDGET = 10**6
 W = 32  # bits per exponent field of a packed word, guard bit included:
@@ -189,24 +190,6 @@ class Divisors:
         self.entries.append((g, lead, self.words.exps(lead)))
 
 
-# --- packed polynomial helpers ------------------------------------------------
-
-
-def _add_scaled(field, target, src, coeff, mono):
-    """target += coeff * x^mono * src, in place, on packed polynomials: each
-    term accumulates natively and is reduced once, mod p over F_p."""
-    p, get = field.char, target.get
-    for e, c in src.items():
-        m = e + mono
-        acc = get(m, 0) + coeff * c
-        if p:
-            acc %= p
-        if acc:
-            target[m] = acc
-        else:
-            target.pop(m, None)
-
-
 def normal_form_poly(field, poly, basis, budget):
     """Full reduction of the packed polynomial `poly` modulo `basis`, a
     Divisors: each step cancels the leading term with the first divisor in
@@ -222,7 +205,7 @@ def normal_form_poly(field, poly, basis, budget):
         for g, lead, lead_exps in divisors:
             if (exps - lead_exps) & guards == guards:
                 budget.tick("(normal form)")
-                _add_scaled(field, work, g, -c, m - lead)
+                add_scaled(field, work, g, -c, m - lead)
                 break
         else:
             remainder[m] = c
@@ -288,10 +271,8 @@ def buchberger(field, gens, budget: Budget | None = None):
             continue
         f, lf, _ = entries[i]
         g, lg, _ = entries[j]
-        s = {}
-        _add_scaled(field, s, f, 1, lcm - lf)
-        _add_scaled(field, s, g, -1, lcm - lg)
-        h = reduce(s, basis)
+        s = add_scaled(field, {}, f, 1, lcm - lf)
+        h = reduce(add_scaled(field, s, g, -1, lcm - lg), basis)
         if h:
             basis.append(h)
             queue_pairs_with(len(entries) - 1)
@@ -410,27 +391,14 @@ class QuotientAlgebra:
             coords[self._position(k)] = c
         return coords
 
-    def monomial_label(self, mono) -> str:
-        """Human-readable label, decoding inverse variables when Laurent."""
-        if self.source_ring is not None:
-            n = self.source_ring.nvars
-            net = [mono[n + i] - mono[i] for i in range(n)]
-            names = self.source_ring.variables
-            parts = [
-                f"{names[i]}^{x}" if x != 1 else names[i]
-                for i, x in enumerate(net)
-                if x != 0
-            ]
-        else:
-            parts = [
-                f"{self.names[i]}^{x}" if x != 1 else self.names[i]
-                for i, x in enumerate(mono)
-                if x != 0
-            ]
-        return "*".join(parts) if parts else "1"
-
     def basis_labels(self):
-        return [self.monomial_label(m) for m in self.staircase]
+        """Staircase monomials as `laurent.monomial_str` labels, the inverse
+        variables decoded when Laurent."""
+        if self.source_ring is None:
+            return [monomial_str(self.names, m) for m in self.staircase]
+        n, names = self.source_ring.nvars, self.source_ring.variables
+        return [monomial_str(names, [m[n + i] - m[i] for i in range(n)])
+                for m in self.staircase]
 
     def basis_mult_matrix(self, j):
         """Sparse columns of multiplication by the j-th staircase monomial

@@ -176,13 +176,9 @@ class LaurentPoly:
         names = self.ring.variables
         chunks = []
         for e, c in self.sorted_terms():
-            mono = "*".join(
-                f"{names[i]}^{x}" if x != 1 else names[i]
-                for i, x in enumerate(e)
-                if x != 0
-            )
             cs = F.to_str(c)
-            if mono:
+            if any(e):
+                mono = monomial_str(names, e)
                 chunks.append(mono if cs == "1" else f"{cs}*{mono}")
             else:
                 chunks.append(cs)
@@ -197,6 +193,12 @@ class LaurentPoly:
                 for e, c in self.sorted_terms()
             ],
         }
+
+
+def monomial_str(names, exps) -> str:
+    """`name^x` for each nonzero exponent x, `name` alone for x = 1, joined
+    by `*`; "1" for the empty monomial."""
+    return "*".join(n if x == 1 else f"{n}^{x}" for n, x in zip(names, exps) if x) or "1"
 
 
 def laurent_from_json(data: dict, field: Field | None = None) -> LaurentPoly:

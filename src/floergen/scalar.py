@@ -7,7 +7,11 @@ once, `% p` over F_p and not at all over Q, where a Fraction with
 denominator 1 may result and compares, hashes and prints as the equal int.
 A Field supplies what the native operators cannot: `inv` and `div`
 (canonical over Q, as are `from_int` and `from_str`), parsing, printing,
-and the characteristic that picks the reduction.
+and the characteristic that picks the reduction.  The rule's one sparse
+kernel, target += c * src on dicts, is `add_scaled`; the Groebner
+reduction, the A-infinity sums and the block products of `algebra` run on
+it.  A numeral is read only from ASCII characters with no `_`, which
+Python's `int` and `Fraction` would also accept.
 
 Univariate polynomials are dense coefficient lists, lowest degree first,
 with a nonzero leading coefficient.
@@ -143,7 +147,7 @@ class Rationals(Field):
 
     def from_str(self, s: str):
         # Fraction("1e10000000") would expand the exponent into its digits
-        if "e" in s.lower():
+        if "e" in s.lower() or not is_numeral(s):
             raise UsageError(f"malformed {self!r} literal {s!r}")
         try:
             return canonical(Fraction(s))
@@ -184,7 +188,7 @@ class PrimeField(Field):
 
     def from_str(self, s: str):
         try:
-            parts = [self.from_int(int(x)) for x in s.split("/")]
+            parts = [self.from_int(int(x)) for x in s.split("/")] if is_numeral(s) else []
         except ValueError:
             parts = []
         if len(parts) == 1:
@@ -204,12 +208,28 @@ def parse_field(spec: str) -> Field:
     spec = spec.strip()
     if spec == "Q":
         return QQ
-    if spec.startswith("F") and spec[1:].isdecimal():
+    if spec.startswith("F") and spec[1:].isdecimal() and is_numeral(spec):
         try:
             return PrimeField(int(spec[1:]))
         except ValueError:  # more digits than int() converts
             pass
     raise UsageError(f"unrecognized field spec {spec!r}; expected Q or F<p>")
+
+
+def is_numeral(s: str) -> bool:
+    """Whether s, surrounding whitespace aside, may hold a numeral: ASCII
+    only and no `_`.  `int` and `Fraction` also read other Unicode decimal
+    digits and `_` separators, which no input of floergen spells."""
+    s = s.strip()
+    return s.isascii() and "_" not in s
+
+
+def json_key_int(value: str, what: str) -> int:
+    """An integer key of a JSON object, such as an arity or a basis index:
+    an ASCII numeral that `int` reads, surrounding whitespace included."""
+    if not is_numeral(value):
+        raise UsageError(f"{what} must be an ASCII numeral, not {value!r}")
+    return int(value)
 
 
 def json_int(value, what: str) -> int:
@@ -256,6 +276,24 @@ def json_object(value, what: str) -> dict:
 
 def field_name(field: Field) -> str:
     return "Q" if field.char == 0 else f"F{field.char}"
+
+
+def add_scaled(field, target, src, coeff, shift=0):
+    """target += coeff * src in place on sparse dicts with int keys, each key
+    of src moved by `shift`: every sum accumulates natively, is reduced once
+    (`% p` over F_p, so coeff may be any int) and is dropped when zero.
+    Returns target."""
+    p = field.char
+    for e, c in src.items():
+        e += shift
+        acc = target.get(e, 0) + coeff * c
+        if p:
+            acc %= p
+        if acc:
+            target[e] = acc
+        else:
+            target.pop(e, None)
+    return target
 
 
 def square_and_multiply(one, base, e: int, mul):

@@ -13,11 +13,11 @@ from floergen.ainfty import (
     BimoduleStructure,
     HochschildCochain,
     Module,
-    _vadd,
     hochschild_diff,
     premorphism_diff,
 )
 from floergen.errors import UsageError
+from floergen.scalar import add_scaled
 
 
 def _sign(field, exponent):
@@ -41,19 +41,19 @@ def end_bimodule_tensors(A: AInftyStructure, k, l):
                 val = {}
                 if k == 0 and l == 0:
                     for pp, c in A.op(1, (p,)).items():
-                        _vadd(F, val, {index[(pp, q)]: c}, _sign(F, A.degrees[q] + 1))
+                        add_scaled(F, val, {index[(pp, q)]: c}, _sign(F, A.degrees[q] + 1))
                     for qq in range(dim):
                         c = A.op(1, (qq,)).get(q)
                         if c is not None:
-                            _vadd(F, val, {index[(p, qq)]: c}, _sign(F, A.degrees[qq]))
+                            add_scaled(F, val, {index[(p, qq)]: c}, _sign(F, A.degrees[qq]))
                 elif l == 0:
                     for pp, c in A.op(k + 1, tuple(left) + (p,)).items():
-                        _vadd(F, val, {index[(pp, q)]: c}, _sign(F, A.degrees[q] + 1))
+                        add_scaled(F, val, {index[(pp, q)]: c}, _sign(F, A.degrees[q] + 1))
                 elif k == 0:
                     for qq in range(dim):
                         c = A.op(l + 1, tuple(right) + (qq,)).get(q)
                         if c is not None:
-                            _vadd(F, val, {index[(p, qq)]: c}, _sign(F, A.degrees[qq]))
+                            add_scaled(F, val, {index[(p, qq)]: c}, _sign(F, A.degrees[qq]))
                 if val:
                     out[(left, zi, right)] = val
     return out
@@ -86,7 +86,7 @@ def hochschild_diff_diagonal_direct(A: AInftyStructure, phi: HochschildCochain,
                     sgn = _sign(F, (phi.degree + 1) * malt)
                     for b, c in phi_val.items():
                         outer = key[: r - i - j] + (b,) + key[r - i :]
-                        _vadd(F, total, A.op(r - j + 1, outer), F.mul(sgn, c))
+                        add_scaled(F, total, A.op(r - j + 1, outer), F.mul(sgn, c))
             for i in range(r + 1):
                 for j in range(1, r - i + 1):
                     inner = A.op(j, key[r - i - j : r - i])
@@ -98,7 +98,7 @@ def hochschild_diff_diagonal_direct(A: AInftyStructure, phi: HochschildCochain,
                         new_key = key[: r - i - j] + (b,) + key[r - i :]
                         val = phi.value(r - j + 1, new_key)
                         if val:
-                            _vadd(F, total, val, F.mul(sgn, c))
+                            add_scaled(F, total, val, F.mul(sgn, c))
             out.set_value(r, key, total)
     return out
 
@@ -194,7 +194,7 @@ def hochschild_prod_gather(A: AInftyStructure, psi: HochschildCochain,
                                         + key[r - i :]
                                     )
                                     coeff = F.mul(sgn, F.mul(c1, c2))
-                                    _vadd(
+                                    add_scaled(
                                         F, total,
                                         A.op(r - j - m + 2, outer), coeff,
                                     )
@@ -223,7 +223,7 @@ def theta_map_gather(A: AInftyStructure, c_coords, cap: int) -> HochschildCochai
                 for ci, cc in val0.items():
                     res = A.op(k + 2, tuple(key) + (x, ci))
                     for p, c in res.items():
-                        _vadd(F, val, {index[(p, x)]: c}, F.mul(sgn, cc))
+                        add_scaled(F, val, {index[(p, x)]: c}, F.mul(sgn, cc))
             out.set_value(k, key, val)
     return out
 

@@ -513,6 +513,8 @@ RESTRICT_CASES = [
     pytest.param("CP2", 5, [(1, 1), (2, 2)], id="F5-CP2"),
     pytest.param("CP3", 7, [(1, 1), (1, 1), (2, 2)], id="F7-CP3"),
     pytest.param("CP1xCP1", 2, [(4, 1)], id="F2-CP1xCP1"),
+    # two leaves, neither the unit, so R is not the identity
+    pytest.param("CP2xCP1", 3, [(3, 1), (3, 1)], id="F3-CP2xCP1"),
 ]
 
 

@@ -1,8 +1,10 @@
 """floergen's kernels add, subtract, multiply and negate field elements with
 the native operators, reducing once (`% p` over F_p), not with a Field's
 per-element methods; only the Field classes of scalar.py define and use
-those.  Binary powering and the clearing of denominators are spelled once,
-as `scalar.square_and_multiply` and `scalar.clear_denominators`."""
+those.  Binary powering, the clearing of denominators and the sparse
+accumulate target += c * src are spelled once, as
+`scalar.square_and_multiply`, `scalar.clear_denominators` and
+`scalar.add_scaled`."""
 
 import ast
 import pathlib
@@ -102,3 +104,46 @@ def test_the_check_sees_each_arithmetic_spelling():
               "    e <<= 1\n    return lcm_word.lcm(e)\n")
     assert arithmetic_spellings(ast.parse(source)) == [
         (2, "from math import lcm"), (4, "math.lcm"), (5, ">>=")]
+
+
+def sparse_accumulates(tree):
+    """(line, spelling) of each `.pop(key, None)` inside a `for` loop over a
+    `.items()` call, the mark of a hand-written sparse accumulate."""
+    found = set()
+    for loop in ast.walk(tree):
+        if not (isinstance(loop, ast.For) and isinstance(loop.iter, ast.Call)
+                and isinstance(loop.iter.func, ast.Attribute)
+                and loop.iter.func.attr == "items"):
+            continue
+        for node in ast.walk(loop):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "pop" and len(node.args) == 2
+                    and isinstance(node.args[1], ast.Constant)
+                    and node.args[1].value is None):
+                found.add((node.lineno, ast.unparse(node)))
+    return sorted(found)
+
+
+def test_the_sparse_accumulate_is_spelled_only_in_scalar():
+    found = {path.name: uses for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "scalar.py"
+             and (uses := sparse_accumulates(ast.parse(path.read_text(), str(path))))}
+    assert found == {}
+
+
+def test_the_check_sees_each_sparse_accumulate():
+    source = ("def f(t, s, pairs):\n"
+              "    for i, c in s.items():\n"
+              "        if c:\n"
+              "            t[i] = c\n"
+              "        else:\n"
+              "            t.pop(i, None)\n"
+              "    for e, c in pairs:\n"
+              "        t.pop(e, None)\n"
+              "    for k in s.items():\n"
+              "        for j in range(k):\n"
+              "            s.pop(j)\n"
+              "            t.pop(j, 0)\n"
+              "            t.pop(j, None)\n")
+    assert sparse_accumulates(ast.parse(source)) == [
+        (6, "t.pop(i, None)"), (13, "t.pop(j, None)")]

@@ -500,6 +500,8 @@ def test_zero_denominator_is_an_error_record(capsys, tmp_path, case):
 @pytest.mark.parametrize("field, rho", [
     ("Q", "abc"), ("Q", "1/x"), ("Q", "1,2.5.1"), ("Q", "1e5"),
     ("F7", "x"), ("F7", "1/x"), ("F7", "1/2/3"), ("F7", "1.5"), ("F7", "1,,2"),
+    # numerals that int() and Fraction() alone would read
+    ("Q", "1_000"), ("F7", "1_000"), ("Q", "\u0661"), ("F7", "1/\u0662"),
 ])
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_malformed_field_literal_is_an_error_record(capsys, field, rho, fmt):
@@ -519,6 +521,34 @@ def test_superscript_field_spec_is_an_error_record(capsys):
     dp6 = pathlib.Path(__file__).parent / "data" / "dp6.json"
     code, out, _ = invoke(capsys, ["spectrum", "--polytope", str(dp6),
                                    "--field", "F²", "--format", "json"])
+    assert code == 1
+    assert json.loads(out)["error"] == "UsageError"
+
+
+def _non_ascii_numeral_case(case, path):
+    """argv reading a numeral that `int` alone would accept: an Arabic-Indic
+    digit."""
+    if case == "field-spec":
+        return ["smod2", "--field", "F\u0667", "--rho", "1"]
+    if case == "polytope-lambda":
+        data = corpus()["CP1"].to_json()
+        data["lambda"][0] = "\u0661"
+        path.write_text(json.dumps(data))
+        return ["validate", "--polytope", str(path)]
+    mu = _lambda_x_with()["mu"]
+    if case == "ainfty-arity":
+        mu = {"\u0662": mu["2"]}
+    else:
+        mu["2"][0]["output"] = {"\u0660": "1"}
+    path.write_text(json.dumps(_lambda_x_with(mu=mu)))
+    return ["ainfty-check", "--ainfty", str(path)]
+
+
+@pytest.mark.parametrize("case", ["field-spec", "polytope-lambda", "ainfty-arity",
+                                  "ainfty-output"])
+def test_non_ascii_numeral_is_an_error_record(capsys, tmp_path, case):
+    argv = _non_ascii_numeral_case(case, tmp_path / "input.json")
+    code, out, _ = invoke(capsys, argv + ["--format", "json"])
     assert code == 1
     assert json.loads(out)["error"] == "UsageError"
 

@@ -8,8 +8,10 @@ from floergen import linalg
 from floergen.errors import DomainError, UsageError
 from floergen.scalar import (
     QQ,
+    canonical,
     PrimeField,
     UniPoly,
+    add_scaled,
     clear_denominators,
     is_prime,
     parse_field,
@@ -33,6 +35,8 @@ def test_parse_field():
         parse_field("GF(7)")
     with pytest.raises(UsageError):  # superscript digits, which int() rejects
         parse_field("F²")
+    with pytest.raises(UsageError):  # an Arabic-Indic seven, which int() reads
+        parse_field("F\u0667")
     with pytest.raises(UsageError):  # more digits than int() converts
         parse_field("F" + "1" * 5000)
     with pytest.raises(UsageError, match="2501 is not prime"):  # 41 * 61
